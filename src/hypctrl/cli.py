@@ -8,9 +8,7 @@ witness, observability, sweep.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +23,7 @@ from .core import (
     StateField,
     ValidationError,
 )
+from .expressions import ExpressionError
 from .simulator import solve_dual, solve_forward
 from .times import time_report
 
@@ -93,7 +92,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("sweep", help="parameter sweep of null-control residuals")
     common(sp)
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--jobs", type=int, default=None, help="ignored; points run one by one")
     sp.add_argument("--segments", type=int, default=None)
     sp.add_argument("--reg", type=float, default=None)
     return p
@@ -369,10 +368,6 @@ def _cmd_sweep(args) -> int:
     gammas = _floats_or(cfg.get("sweep", "gamma_values"), [1.0])
     bscales = _floats_or(cfg.get("sweep", "b_scale_values"), [1.0])
     grid = cfg.grid(N=args.N)
-    jobs = args.jobs if args.jobs is not None else (
-        cfg.jobs or int(os.environ.get("HYPCTRL_JOBS", "1"))
-    )
-    jobs = max(1, jobs)
 
     from .core import build_system
 
@@ -398,11 +393,7 @@ def _cmd_sweep(args) -> int:
         except HypctrlError:
             return gamma, bscale, float("nan"), float("nan")
 
-    if jobs == 1:
-        results = [run_point(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_point, points))
+    results = [run_point(p) for p in points]
 
     out = _outdir(args, cfg)
     outputs.write_csv(
@@ -447,7 +438,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except ValidationError as exc:
+    except (ValidationError, ExpressionError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -42,7 +42,7 @@ _KNOWN_KEYS = {
     "witness": {"t", "samples", "amplitude"},
     "observability": {"t", "samples"},
     "sweep": {"gamma_values", "b_scale_values", "t", "segments", "reg"},
-    "run": {"seed", "jobs", "out"},
+    "run": {"seed", "jobs", "out"},  # jobs: accepted, no effect
 }
 
 
@@ -68,7 +68,6 @@ class ExperimentConfig:
     path: str
     sections: dict = field(repr=False, default_factory=dict)
     seed: int = 0
-    jobs: int = 1
     out: str = "."
 
     def has(self, section: str, key: str) -> bool:
@@ -207,7 +206,6 @@ def load_config(path) -> ExperimentConfig:
         path=str(path),
         sections=sections,
         seed=int(run.get("seed", 0)),
-        jobs=int(run.get("jobs", 0) or 0),
         out=run.get("out", "."),
     )
     return cfg

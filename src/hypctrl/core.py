@@ -348,9 +348,13 @@ class ReflectionMatrix:
         return self.B.shape[1]
 
     def apply(self, w_plus: np.ndarray) -> np.ndarray:
-        if self.hook is not None:
-            return np.asarray(self.hook(np.asarray(w_plus, dtype=float)), dtype=float)
-        return self.B @ np.asarray(w_plus, dtype=float)
+        """Reflected values: (m,) -> (k,), or row by row (b, m) -> (b, k)."""
+        w_plus = np.asarray(w_plus, dtype=float)
+        if self.hook is None:
+            return (self.B @ w_plus[..., None])[..., 0]  # one matrix-vector product per row
+        if w_plus.ndim == 2:
+            return np.array([self.apply(row) for row in w_plus])
+        return np.asarray(self.hook(w_plus), dtype=float)
 
     def check_hook(self):
         if self.hook is None:
@@ -453,22 +457,28 @@ class ControlSignal:
     """m boundary control samples on [0, T], piecewise-linear in time."""
 
     times: np.ndarray
-    values: np.ndarray  # shape (m, len(times))
+    values: np.ndarray  # shape (m, len(times)), or (b, m, len(times)) for b runs
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if np.any(np.diff(self.times) <= 0):
             raise ValidationError("control sample times must be strictly increasing")
-        if self.values.shape[1] != self.times.size:
+        if self.values.shape[-1] != self.times.size:
             raise DimensionMismatch("control values must have shape (m, len(times))")
 
     @property
     def m(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     def __call__(self, t: float) -> np.ndarray:
-        return np.array([np.interp(t, self.times, row) for row in self.values])
+        """Values at t; per row the same arithmetic as np.interp, bit for bit."""
+        ts, vs = self.times, self.values
+        j = int(np.searchsorted(ts, t, side="right")) - 1
+        if j < 0 or j == ts.size - 1 or ts[j] == t:
+            return vs[..., max(j, 0)].copy()
+        slope = (vs[..., j + 1] - vs[..., j]) / (ts[j + 1] - ts[j])
+        return slope * (t - ts[j]) + vs[..., j]
 
     def as_closure(self):
         def closure(t, state, aux):

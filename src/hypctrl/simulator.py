@@ -10,6 +10,9 @@ the data comes from.
 The dual system runs backward in time in conservative form
 d_t v = d_x(Sigma v), which absorbs the Sigma' zero-order term exactly and
 needs no derivative of the speeds.
+
+Both solvers advance a batch of b independent runs in one stepping loop: the
+state has shape (b, n, N+1), and a single run is the batch b = 1.
 """
 
 from __future__ import annotations
@@ -43,16 +46,30 @@ def zero_control(m: int) -> Callable:
     return closure
 
 
-def _l2_linf(w: np.ndarray, h: float):
+def _l2(w: np.ndarray, h: float) -> np.ndarray:
     sq = w * w
-    l2 = np.sqrt(h * (np.sum(sq, axis=1) - 0.5 * (sq[:, 0] + sq[:, -1])))
-    linf = np.max(np.abs(w), axis=1)
-    return l2, linf
+    return np.sqrt(h * (np.sum(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1])))
+
+
+def _as_batch(state, shape: tuple, what: str):
+    """Working copy of shape (b, n, N+1) from a StateField (b = 1) or a batch array."""
+    batched = not isinstance(state, StateField)
+    w = np.array(state if batched else state.values[None], dtype=float)
+    if w.ndim != 3 or w.shape[1:] != shape:
+        raise DimensionMismatch(f"{what} must have shape {shape} per run, got {w.shape}")
+    return w, batched
+
+
+def _state_view(values: np.ndarray, t: float, xs: np.ndarray) -> StateField:
+    """StateField around values the solver has already checked: no copy, no scan."""
+    view = object.__new__(StateField)
+    view.values, view.t, view.xs = values, t, xs
+    return view
 
 
 @dataclass
 class Trajectory:
-    """Time-ordered record of one forward run."""
+    """Time-ordered record of one forward run; a batch adds a leading axis."""
 
     grid: GridSpec
     dt: float
@@ -104,7 +121,7 @@ def _resolve_stride(n_steps: int, snapshot_stride) -> int:
 
 def solve_forward(
     spec: SystemSpec,
-    w0: StateField,
+    w0: StateField | np.ndarray,
     boundary_at_1: Callable,
     grid: GridSpec,
     snapshot_stride=None,
@@ -116,14 +133,19 @@ def solve_forward(
     state (boundary at x = 1 still pending) and must be side-effect free.
     For state-dependent speeds the CFL condition is re-checked every step and
     the step is split in halves until it holds again.
+
+    ``w0`` may instead be an array of shape (b, n, N+1), the initial states of
+    b runs that advance together (state-independent speeds only); the closure
+    then receives that (b, n, N+1) array and returns shape (b, m).
     """
     n, k = spec.n, spec.k
     xs = grid.xs
     h = grid.h
-    if w0.values.shape != (n, xs.size):
-        raise DimensionMismatch(
-            f"initial state must have shape {(n, xs.size)}, got {w0.values.shape}"
-        )
+    w, batched = _as_batch(w0, (n, xs.size), "initial state")
+    if batched and spec.state_dependent:
+        raise ValidationError("state-dependent speeds allow a single run only")
+    b = w.shape[0]
+    ctrl_shape = (b, spec.m) if batched else (spec.m,)
     dt_target = grid.dt_for(spec.lambda_max)
     n_steps = max(1, int(np.ceil(grid.T / dt_target - 1e-12)))
     dt = grid.T / n_steps
@@ -132,30 +154,31 @@ def solve_forward(
     cvals = None if spec.coupling.is_zero else spec.coupling_nodes(xs)
     lam_static = None if spec.state_dependent else spec.signed_speeds(xs)
 
-    w = w0.values.copy()
     aux = {"grid": grid, "spec": spec, "dt": dt, "h": h, "step": 0}
 
     snapshots = [w.copy()]
     snapshot_times = [0.0]
-    bl = np.empty((n_steps + 1, n))
-    br = np.empty((n_steps + 1, n))
-    nl2 = np.empty((n_steps + 1, n))
-    nlinf = np.empty((n_steps + 1, n))
-    ctrls = np.empty((n_steps + 1, spec.m))
-    bl[0], br[0] = w[:, 0], w[:, -1]
-    nl2[0], nlinf[0] = _l2_linf(w, h)
-    ctrls[0] = w[k:, -1]
+    bl = np.empty((b, n_steps + 1, n))
+    br = np.empty((b, n_steps + 1, n))
+    nl2 = np.empty((b, n_steps + 1, n))
+    nlinf = np.empty((b, n_steps + 1, n))
+    ctrls = np.empty((b, n_steps + 1, spec.m))
+    bl[:, 0], br[:, 0] = w[:, :, 0], w[:, :, -1]
+    nl2[:, 0], nlinf[:, 0] = _l2(w, h), np.max(np.abs(w), axis=-1)
+    ctrls[:, 0] = w[:, k:, -1]
 
     def substep(w, lam, step_dt):
         dx = np.empty_like(w)
-        dx[:k, 1:] = (w[:k, 1:] - w[:k, :-1]) / h
-        dx[:k, 0] = 0.0
-        dx[k:, :-1] = (w[k:, 1:] - w[k:, :-1]) / h
-        dx[k:, -1] = 0.0
+        dx[:, :k, 1:] = (w[:, :k, 1:] - w[:, :k, :-1]) / h
+        dx[:, :k, 0] = 0.0
+        dx[:, k:, :-1] = (w[:, k:, 1:] - w[:, k:, :-1]) / h
+        dx[:, k:, -1] = 0.0
         rhs = lam * dx
         if cvals is not None:
-            rhs += np.einsum("ijq,jq->iq", cvals, w)
-        return w + step_dt * rhs
+            rhs += np.einsum("ijq,bjq->biq", cvals, w)
+        w_new = w + step_dt * rhs
+        w_new[:, :k, 0] = spec.reflection.apply(w_new[:, k:, 0])
+        return w_new
 
     for step in range(1, n_steps + 1):
         t_new = step * dt
@@ -166,12 +189,11 @@ def solve_forward(
                 wtry = w
                 sub_dt = dt / n_sub
                 for _ in range(n_sub):
-                    lam = spec.signed_speeds(xs, wtry)
+                    lam = spec.signed_speeds(xs, wtry[0])
                     if np.max(np.abs(lam)) * sub_dt / h > 1.0 + 1e-12:
                         ok = False
                         break
                     wtry = substep(wtry, lam, sub_dt)
-                    wtry[:k, 0] = spec.reflection.apply(wtry[k:, 0])
                 if ok:
                     w_new = wtry
                     break
@@ -182,39 +204,39 @@ def solve_forward(
                     )
         else:
             w_new = substep(w, lam_static, dt)
-            w_new[:k, 0] = spec.reflection.apply(w_new[k:, 0])
         if not np.all(np.isfinite(w_new)):
             raise NonFiniteState(f"state blew up at t = {t_new:.6g}")
         aux["step"] = step
-        state_view = StateField(w_new, t_new, xs)
+        state_view = w_new if batched else _state_view(w_new[0], t_new, xs)
         try:
             ctrl = np.asarray(boundary_at_1(t_new, state_view, aux), dtype=float)
         except Exception as exc:  # noqa: BLE001 - report as a solver failure
             raise BoundaryClosureFailure(f"boundary closure failed at t={t_new:.6g}: {exc}") from exc
-        if ctrl.shape != (spec.m,) or not np.all(np.isfinite(ctrl)):
+        if ctrl.shape != ctrl_shape or not np.all(np.isfinite(ctrl)):
             raise BoundaryClosureFailure(
-                f"boundary closure must return {spec.m} finite values at t={t_new:.6g}"
+                f"boundary closure must return finite values of shape {ctrl_shape} at t={t_new:.6g}"
             )
-        w_new[k:, -1] = ctrl
+        w_new[:, k:, -1] = ctrl
         w = w_new
-        bl[step], br[step] = w[:, 0], w[:, -1]
-        nl2[step], nlinf[step] = _l2_linf(w, h)
-        ctrls[step] = ctrl
+        bl[:, step], br[:, step] = w[:, :, 0], w[:, :, -1]
+        nl2[:, step], nlinf[:, step] = _l2(w, h), np.max(np.abs(w), axis=-1)
+        ctrls[:, step] = ctrl
         if step % stride == 0 or step == n_steps:
             snapshots.append(w.copy())
             snapshot_times.append(t_new)
 
+    unbatch = (lambda a: a) if batched else (lambda a: a[0])
     return Trajectory(
         grid=grid,
         dt=dt,
         times=np.arange(n_steps + 1) * dt,
         snapshot_times=np.asarray(snapshot_times),
-        snapshots=np.stack(snapshots),
-        boundary_left=bl,
-        boundary_right=br,
-        norms_l2=nl2,
-        norms_linf=nlinf,
-        controls=ctrls,
+        snapshots=unbatch(np.stack(snapshots, axis=1)),
+        boundary_left=unbatch(bl),
+        boundary_right=unbatch(br),
+        norms_l2=unbatch(nl2),
+        norms_linf=unbatch(nlinf),
+        controls=unbatch(ctrls),
     )
 
 
@@ -224,7 +246,7 @@ def solve_forward(
 
 @dataclass
 class DualTrajectory:
-    """Backward run on [-T, 0]; internally stepped in s = -t from 0 to T."""
+    """Backward run on [-T, 0], stepped in s = -t from 0 to T; a batch adds a leading axis."""
 
     grid: GridSpec
     dt: float
@@ -241,17 +263,17 @@ class DualTrajectory:
     def terminal_state(self) -> StateField:
         return StateField(self.snapshots[-1].copy(), -float(self.snapshot_times[-1]), self.xs)
 
-    def observation_energy(self) -> float:
-        """Integral over [-T, 0] of |v_+(t, 1)|^2."""
-        sq = np.sum(self.observation**2, axis=1)
-        return float(np.trapezoid(sq, self.times))
+    def observation_energy(self):
+        """Integral over [-T, 0] of |v_+(t, 1)|^2; an array of b values for a batch."""
+        energy = np.trapezoid(np.sum(self.observation**2, axis=-1), self.times, axis=-1)
+        return float(energy) if energy.ndim == 0 else energy
 
 
 def solve_dual(
     spec: SystemSpec,
     S,
     B,
-    v_at_0: StateField,
+    v_at_0: StateField | np.ndarray,
     T: float,
     grid: GridSpec,
     snapshot_stride=None,
@@ -262,7 +284,8 @@ def solve_dual(
     Sigma_+(0) v_+(t, 0) = -B^T Sigma_-(0) v_-(t, 0) + the source-matrix
     integral, evaluated by the trapezoid rule on the current snapshot and then
     divided by the diagonal Sigma_+(0).  The trace v_+(., 1) is recorded as
-    the observation.
+    the observation.  ``v_at_0`` may instead be an array of shape (b, n, N+1),
+    the data of b runs that advance together.
     """
     if spec.state_dependent:
         raise ValidationError("dual solver requires state-independent speeds")
@@ -272,8 +295,8 @@ def solve_dual(
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if B.shape != (k, m):
         raise DimensionMismatch(f"B must be {k}x{m}")
-    if v_at_0.values.shape != (n, xs.size):
-        raise DimensionMismatch("dual initial state has wrong shape")
+    v, batched = _as_batch(v_at_0, (n, xs.size), "dual initial state")
+    b = v.shape[0]
 
     sig = spec.signed_speeds(xs)  # (n, N+1)
     sig_plus_0 = sig[k:, 0]
@@ -297,49 +320,50 @@ def solve_dual(
     ds = T / n_steps
     stride = _resolve_stride(n_steps, snapshot_stride)
 
-    v = v_at_0.values.copy()
     snapshots = [v.copy()]
     snapshot_times = [0.0]
-    obs = np.empty((n_steps + 1, m))
-    nl2 = np.empty((n_steps + 1, n))
-    obs[0] = v[k:, -1]
-    nl2[0] = _l2_linf(v, h)[0]
+    obs = np.empty((b, n_steps + 1, m))
+    nl2 = np.empty((b, n_steps + 1, n))
+    obs[:, 0] = v[:, k:, -1]
+    nl2[:, 0] = _l2(v, h)
 
     for step in range(1, n_steps + 1):
         G = sig * v
         v_new = np.empty_like(v)
         # rows < k move leftward in reversed time: forward flux difference
-        v_new[:k, :-1] = v[:k, :-1] - ds / h * (G[:k, 1:] - G[:k, :-1])
-        v_new[:k, -1] = 0.0
+        v_new[:, :k, :-1] = v[:, :k, :-1] - ds / h * (G[:, :k, 1:] - G[:, :k, :-1])
+        v_new[:, :k, -1] = 0.0
         # rows >= k move rightward in reversed time: backward flux difference
-        v_new[k:, 1:] = v[k:, 1:] - ds / h * (G[k:, 1:] - G[k:, :-1])
-        v_new[k:, 0] = v[k:, 0]  # placeholder for the integral endpoint
-        rhs = -B.T @ (sig_minus_0 * v_new[:k, 0])
+        v_new[:, k:, 1:] = v[:, k:, 1:] - ds / h * (G[:, k:, 1:] - G[:, k:, :-1])
+        v_new[:, k:, 0] = v[:, k:, 0]  # placeholder for the integral endpoint
+        # one matrix-vector product per run, so each run rounds as if alone
+        rhs = (-B.T @ (sig_minus_0 * v_new[:, :k, 0])[..., None])[..., 0]
         if smp_t is not None:
-            integrand = np.einsum("pkq,kq->pq", smp_t, v_new[:k]) + np.einsum(
-                "pmq,mq->pq", spp_t, v_new[k:]
+            integrand = np.einsum("pkq,bkq->bpq", smp_t, v_new[:, :k]) + np.einsum(
+                "pmq,bmq->bpq", spp_t, v_new[:, k:]
             )
             rhs = rhs + h * (
-                np.sum(integrand, axis=1) - 0.5 * (integrand[:, 0] + integrand[:, -1])
+                np.sum(integrand, axis=-1) - 0.5 * (integrand[..., 0] + integrand[..., -1])
             )
-        v_new[k:, 0] = rhs / sig_plus_0
+        v_new[:, k:, 0] = rhs / sig_plus_0
         if not np.all(np.isfinite(v_new)):
             raise NonFiniteState(f"dual state blew up at t = {-step * ds:.6g}")
         v = v_new
-        obs[step] = v[k:, -1]
-        nl2[step] = _l2_linf(v, h)[0]
+        obs[:, step] = v[:, k:, -1]
+        nl2[:, step] = _l2(v, h)
         if step % stride == 0 or step == n_steps:
             snapshots.append(v.copy())
             snapshot_times.append(step * ds)
 
+    unbatch = (lambda a: a) if batched else (lambda a: a[0])
     return DualTrajectory(
         grid=grid,
         dt=ds,
         times=np.arange(n_steps + 1) * ds,
         snapshot_times=np.asarray(snapshot_times),
-        snapshots=np.stack(snapshots),
-        observation=obs,
-        norms_l2=nl2,
+        snapshots=unbatch(np.stack(snapshots, axis=1)),
+        observation=unbatch(obs),
+        norms_l2=unbatch(nl2),
     )
 
 

@@ -76,6 +76,14 @@ def test_malformed_config_names_key(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def test_bad_config_expression_exit_code(tmp_path, capsys):
+    path = tmp_path / "expr.cfg"
+    path.write_text(BASE_CFG.replace("lambda1 = 1 + x", "lambda1 = 1 + y"))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "1 + y" in err
+
+
 def test_unknown_section_rejected(tmp_path):
     path = tmp_path / "bad2.cfg"
     path.write_text(BASE_CFG + "\n[mystery]\nx = 1\n")
@@ -168,12 +176,14 @@ def test_sweep_gamma_zero_matches_uncoupled_run(tmp_path):
     assert float(rows["residual"]) == pytest.approx(direct.residual, abs=1e-14)
 
 
+COUPLED_CFG = BASE_CFG.replace("matrix = 0 0; 0 0", "matrix = 0 0.5; 0.5 0").replace(
+    "lambda1 = 1 + x", "lambda1 = 1"
+).replace("lambda2 = 2", "lambda2 = 1")
+
+
 def test_kernel_command(tmp_path, capsys):
-    cfg_text = BASE_CFG.replace("matrix = 0 0; 0 0", "matrix = 0 0.5; 0.5 0").replace(
-        "lambda1 = 1 + x", "lambda1 = 1"
-    ).replace("lambda2 = 2", "lambda2 = 1")
     path = tmp_path / "ker.cfg"
-    path.write_text(cfg_text)
+    path.write_text(COUPLED_CFG)
     out = tmp_path / "out"
     assert main(["kernel", "--config", str(path), "--nk", "24", "--out", str(out)]) == 0
     report = json.loads((out / "kernel_report.json").read_text())
@@ -181,6 +191,14 @@ def test_kernel_command(tmp_path, capsys):
     kcsv = (out / "kernel.csv").read_text().splitlines()
     assert kcsv[0] == "x,y,i,j,K_ij"
     assert len(kcsv) == 1 + 25 * 26 // 2 * 4
+
+
+def test_kernel_max_iters_exit_code(tmp_path, capsys):
+    path = tmp_path / "ker.cfg"
+    path.write_text(COUPLED_CFG)
+    argv = ["kernel", "--config", str(path), "--nk", "32", "--max-iters", "1", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 def test_feedback_command(tmp_path):

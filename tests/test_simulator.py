@@ -260,6 +260,19 @@ def test_boundary_closure_failure_wrapped():
     with pytest.raises(BoundaryClosureFailure):
         solve_forward(spec, w0, wrong_shape, grid)
 
+    # a batch of 3 runs needs shape (3, 1); one row per channel is not enough
+    with pytest.raises(BoundaryClosureFailure, match=r"\(3, 1\)"):
+        solve_forward(spec, np.zeros((3, 2, 65)), zero_control(1), grid)
+
+
+def test_batch_refused_for_state_dependent_speeds():
+    from hypctrl.core import ValidationError
+
+    spec = build_system(1, 1, [1.0, "1 + 0.1*w2**2"], b=[[0.5]])
+    grid = GridSpec(N=16, cfl=0.9, T=0.2)
+    with pytest.raises(ValidationError, match="single run"):
+        solve_forward(spec, np.zeros((2, 2, 17)), zero_control(1), grid)
+
 
 def test_blowup_detected():
     from hypctrl.core import NonFiniteState
