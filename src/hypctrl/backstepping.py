@@ -212,9 +212,6 @@ class Kernel:
         flat = self.values.reshape(self.n * self.n, -1)
         return (W @ flat.T).reshape(ys.size, self.n, self.n)
 
-    def value_at(self, x: float, y: float) -> np.ndarray:
-        return self.rows_at(x, [y])[0]
-
     def at_y0(self) -> np.ndarray:
         """K(x_p, 0) at the grid nodes, shape (n, n, NK+1)."""
         idx = _tri_index(np.arange(self.NK + 1), 0)

@@ -162,9 +162,15 @@ def _cmd_simulate(args) -> int:
     out = _outdir(args, cfg)
     outputs.write_norms_csv(out / "norms.csv", traj)
     snap_times = [float(s) for s in args.snap_times.split(",") if s.strip()]
+    # each file holds the stored snapshot nearest the requested time; record its time
+    taken = {}
     for t in snap_times:
         state = traj.state_at(t)
-        outputs.write_snapshot_csv(out / f"snapshot_t{t:g}.csv", state)
+        name = f"snapshot_t{t:g}.csv"
+        outputs.write_snapshot_csv(out / name, state)
+        taken[name] = {"requested": t, "t": state.t}
+    if taken:
+        outputs.write_json(out / "snapshots.json", taken)
     term = traj.terminal_state()
     outputs.write_snapshot_csv(out / "terminal.csv", term)
     if args.binary:

@@ -11,13 +11,16 @@ arrives there (after the travel time of the controlled component); the
 remaining controlled components follow their zeta ramp alone.  zeta and eta
 are C^1 ramps that match the initial trace at x = 1, equal exactly zero from
 delta/2 on (delta = T - T_opt), and switch the state-fed part on smoothly.
+The positions invert the cumulative travel time, on the current state frozen
+in time when the speeds depend on it; no characteristic is integrated (the
+RK4 ``characteristic_flow`` is public API and the tests' reference).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .core import (
     TimeTooShort,
     ValidationError,
 )
-from .simulator import characteristic_flow, solve_dual, solve_forward, zero_control
+from .simulator import solve_dual, solve_forward, zero_control
 from .times import cumulative_travel, optimal_time_argmax, travel_times
 
 RATIO_CAP = 1e12
@@ -62,14 +65,6 @@ class CubicRamp:
         h10 = s * (1 - s) ** 2
         return self.value0 * h00 + self.slope0 * self.half * h10
 
-    def derivative(self, t: float) -> float:
-        if t >= self.half:
-            return 0.0
-        s = t / self.half
-        dh00 = 6 * s * (s - 1) / self.half
-        dh10 = (3 * s**2 - 4 * s + 1) / self.half
-        return self.value0 * dh00 + self.slope0 * self.half * dh10
-
 
 @dataclass
 class AuxiliaryDynamics:
@@ -86,6 +81,8 @@ class AuxiliaryDynamics:
 
 @dataclass
 class FeedbackLaw:
+    """Boundary closure of the feedback; read positions are fixed unless speeds depend on w."""
+
     spec: SystemSpec
     maps: EliminationMaps
     ramps: AuxiliaryDynamics
@@ -99,66 +96,52 @@ class FeedbackLaw:
     def levels(self) -> int:
         return min(self.spec.k, self.spec.m - 1)
 
-    def _frozen_delay(self, component: int, state: StateField) -> float:
-        """Travel time of a controlled component on the frozen current state.
+    def read_positions(self, state: Optional[StateField] = None) -> dict:
+        """level -> positions T_l^{-1}(delay) of the arguments l of that level.
 
-        Two fixed-point passes of "integrate the flow backward from (t + t, 0)",
-        initialized at the base travel time; with frozen coefficients the pass
-        is a plain quadrature, so it settles immediately.
+        The delay is the controlled component's travel time; with a ``state``
+        both travel times are taken on it frozen in time.  np.interp returns
+        1.0 past T_l(1), where the characteristic would leave the domain.
         """
-        xs = state.xs
-        t = self.delays[component]
-        for _ in range(2):
-            lam = self.spec.profile.speeds[component - 1].evaluate(xs, state.values)
-            t = float(np.trapezoid(1.0 / lam, xs))
-        return t
+        k, m = self.spec.k, self.spec.m
+        tables = {}
+
+        def table(comp):
+            if comp not in tables:
+                tables[comp] = cumulative_travel(self.spec, comp - 1, state=state)
+            return tables[comp]
+
+        positions = {}
+        for j in range(1, self.levels + 1):
+            comp = k + m + 1 - j
+            delay = self.delays[comp] if state is None else table(comp)[1][-1]
+            positions[j] = np.array(
+                [np.interp(delay, table(l)[1], table(l)[0]) for l in range(k + 1, k + m - j + 1)]
+            )
+        return positions
 
     def __call__(self, t: float, state: StateField, aux) -> np.ndarray:
         k, m = self.spec.k, self.spec.m
         ctrl = np.zeros(m)
         self.last_reads = []
+        positions = self.read_positions(state) if self.spec.state_dependent else self.arg_positions
         # outermost level first; each line only reads interior state values
         for j in range(1, self.levels + 1):
             comp = k + m + 1 - j
             zeta = self.ramps.zetas[comp](t)
             eta = self.ramps.etas[comp](t)
-            mp = self.maps.by_level(j)
-            nargs = m - j
-            args = np.empty(nargs)
             if eta < 1.0:
-                if self.spec.state_dependent:
-                    delay = self._frozen_delay(comp, state)
-                    positions = self._trace_positions(j, delay, state)
-                else:
-                    positions = self.arg_positions[j]
+                args = np.empty(m - j)
                 for idx, l in enumerate(range(k + 1, k + m - j + 1)):
-                    pos = min(float(positions[idx]), 1.0)
+                    pos = float(positions[j][idx])
                     args[idx] = np.interp(pos, state.xs, state.values[l - 1])
                     self.last_reads.append((j, l, pos))
-                ctrl[comp - k - 1] = zeta + (1.0 - eta) * mp(args)
+                ctrl[comp - k - 1] = zeta + (1.0 - eta) * self.maps.by_level(j)(args)
             else:
                 ctrl[comp - k - 1] = zeta
         for comp in range(k + 1, k + m - self.levels + 1):
             ctrl[comp - k - 1] = self.ramps.zetas[comp](t)
         return ctrl
-
-    def _trace_positions(self, level: int, delay: float, state: StateField) -> np.ndarray:
-        k, m = self.spec.k, self.spec.m
-        accessor = _frozen_accessor(state)
-        out = np.empty(m - level)
-        for idx, l in enumerate(range(k + 1, k + m - level + 1)):
-            res = characteristic_flow(
-                self.spec, l, s=delay, xi=0.0, t=0.0, state=accessor, clip=True
-            )
-            out[idx] = res.position
-        return out
-
-
-def _frozen_accessor(state: StateField):
-    def accessor(time, x):
-        return np.array([np.interp(x, state.xs, row) for row in state.values])
-
-    return accessor
 
 
 def check_compatibility(spec: SystemSpec, w0: StateField, tolerance: Optional[float] = None):
@@ -200,13 +183,12 @@ def synthesize_feedback(
     The ramp initial data come from the trace of w0 at x = 1 (value and
     one-sided slope), so the closed-loop boundary trace starts without a jump.
     For state-independent speeds the argument positions are time-invariant and
-    are traced once here with the characteristic flow.
+    are found once here by inverting the cumulative travel times.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if not in_class_B(B):
         raise NotInClassB("feedback needs an admissible reflection matrix")
     k, m = spec.k, spec.m
-    zero_state = np.zeros(spec.n) if spec.state_dependent else None
     tau = travel_times(spec)
     topt, _, _ = optimal_time_argmax(tau, k, m)
     if T <= topt:
@@ -241,13 +223,7 @@ def synthesize_feedback(
         spec=spec, maps=maps, ramps=ramps, delays=delays, T=T, Topt=float(topt)
     )
     if not spec.state_dependent:
-        for j in range(1, law.levels + 1):
-            comp = k + m + 1 - j
-            positions = np.empty(m - j)
-            for idx, l in enumerate(range(k + 1, k + m - j + 1)):
-                res = characteristic_flow(spec, l, s=delays[comp], xi=0.0, t=0.0)
-                positions[idx] = res.position
-            law.arg_positions[j] = positions
+        law.arg_positions = law.read_positions()
     return law
 
 

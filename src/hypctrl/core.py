@@ -428,9 +428,6 @@ class StateField:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def component_at(self, i: int, x) -> np.ndarray:
-        return np.interp(x, self.xs, self.values[i])
-
     def copy(self) -> "StateField":
         return StateField(self.values.copy(), self.t, self.xs)
 

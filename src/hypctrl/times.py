@@ -19,6 +19,7 @@ from .core import (
     DimensionMismatch,
     QuadratureNonConvergent,
     SampledSpeed,
+    StateField,
     SystemSpec,
 )
 
@@ -183,9 +184,12 @@ def cumulative_travel(spec: SystemSpec, i: int, n_fine: int = 4096, state=None):
     """(xs, T_i(xs)) with T_i(x) = travel time of component i from 0 to x.
 
     Strictly increasing, so both directions invert by interpolation.  Used by
-    the kernel solver and the feedback to locate characteristics.
+    the kernel solver, the witness and the feedback to locate characteristics.
+    ``state`` may be a StateField, frozen in time and interpolated onto xs.
     """
     xs = np.linspace(0.0, 1.0, n_fine + 1)
+    if isinstance(state, StateField):
+        state = np.array([np.interp(xs, state.xs, row) for row in state.values])
     lam = spec.profile.speeds[i].evaluate(xs, state)
     integrand = 1.0 / lam
     ts = np.concatenate(

@@ -12,8 +12,10 @@ from hypctrl.backstepping import (
 )
 from hypctrl.core import (
     DiagonalCouplingPresent,
+    GridMismatch,
     GridSpec,
     StateField,
+    ValidationError,
     build_system,
     state_from_exprs,
 )
@@ -129,6 +131,19 @@ def test_transform_identity_for_zero_kernel():
     u = transform(w, ker)
     assert np.array_equal(u.values, w.values)
     assert np.all(transform(StateField(np.zeros((2, 65)), 0.0, grid.xs), ker).values == 0.0)
+
+
+def test_transform_grid_mismatch():
+    spec = _coupled_2x2(c12=0.5, c21=0.5)
+    ker = solve_kernel(spec, NK=16)
+    xs = np.linspace(0.0, 1.0, 33) ** 2  # non-uniform
+    with pytest.raises(GridMismatch, match="uniform"):
+        transform(StateField(np.zeros((2, 33)), 0.0, xs), ker)
+    uniform = np.linspace(0.0, 1.0, 33)
+    for op in (transform, inverse_transform):
+        with pytest.raises(GridMismatch, match="component counts") as info:
+            op(StateField(np.zeros((3, 33)), 0.0, uniform), ker)
+        assert isinstance(info.value, ValidationError)  # CLI exit code 2
 
 
 def test_volterra_round_trip():

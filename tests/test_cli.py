@@ -201,6 +201,14 @@ def test_kernel_max_iters_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure:")
 
 
+def test_kernel_divergence_exit_code(tmp_path, capsys):
+    # gamma*C = [[0, 20], [20, 0]]: the successive approximation grows sweep after sweep
+    path = tmp_path / "strong.cfg"
+    path.write_text(COUPLED_CFG.replace("gamma = 1.0", "gamma = 40"))
+    assert main(["kernel", "--config", str(path), "--nk", "16", "--out", str(tmp_path)]) == 3
+    assert "kernel iteration diverging" in capsys.readouterr().err
+
+
 def test_feedback_command(tmp_path):
     cfg_text = BASE_CFG.replace("lambda1 = 1 + x", "lambda1 = 1").replace(
         "lambda2 = 2", "lambda2 = 1"
@@ -309,3 +317,42 @@ def test_control_expressions_drive_simulation(tmp_path):
     assert main(["simulate", "--config", str(path), "--N", "64", "--out", str(out)]) == 0
     term = np.genfromtxt(out / "terminal.csv", delimiter=",", names=True)
     assert np.max(np.abs(term["w_2"])) > 0.1  # the control keeps feeding the state
+
+
+def test_cfl_violation_exit_code(tmp_path, capsys):
+    # dt is set by the speeds at w = 0 (lambda_max = 2); at w2 = 1 the speed
+    # is 1e5 + 2, which would need more than 2**12 sub-steps per step
+    path = tmp_path / "fast.cfg"
+    path.write_text(BASE_CFG.replace("lambda2 = 2", "lambda2 = 2 + 1e5*w2**2"))
+    assert main(["simulate", "--config", str(path), "--N", "32", "--out", str(tmp_path)]) == 3
+    assert "CFL could not be restored" in capsys.readouterr().err
+
+
+def test_singular_boundary_speed_exit_codes(tmp_path, capsys):
+    dual = "\n[dual]\nv1 = 0\nv2 = sin(pi*x)\nt = 0.5\n"
+    argv = ["dual", "--N", "32", "--out", str(tmp_path), "--config"]
+    # a positive speed below 1e-12 at x = 0 passes validation; the dual refuses it
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(BASE_CFG.replace("lambda2 = 2", "lambda2 = x + 1e-13") + dual)
+    assert main(argv + [str(tiny)]) == 3
+    assert "vanishes at x = 0" in capsys.readouterr().err
+    # one that is exactly zero there is already refused when the system is built
+    zero = tmp_path / "zero.cfg"
+    zero.write_text(BASE_CFG.replace("lambda2 = 2", "lambda2 = x") + dual)
+    assert main(argv + [str(zero)]) == 2
+    assert "touches zero" in capsys.readouterr().err
+
+
+def test_simulate_snap_times_record_actual_time(cfg_path, tmp_path):
+    # N = 96, T = 1.5, lambda_max = 2: 320 steps of 1.5/320, stored every step
+    out = tmp_path / "out"
+    assert main(
+        ["simulate", "--config", str(cfg_path), "--out", str(out), "--snap-times", "0.5,0.75"]
+    ) == 0
+    taken = json.loads((out / "snapshots.json").read_text())
+    assert set(taken) == {"snapshot_t0.5.csv", "snapshot_t0.75.csv"}
+    dt = 1.5 / 320
+    assert taken["snapshot_t0.75.csv"] == {"requested": 0.75, "t": 160 * dt}
+    half = taken["snapshot_t0.5.csv"]
+    assert half["requested"] == 0.5 and half["t"] != 0.5
+    assert half["t"] == pytest.approx(round(0.5 / dt) * dt, abs=1e-15)

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypctrl.controller import (
     CubicRamp,
@@ -14,15 +16,18 @@ from hypctrl.controller import (
     verify_witness,
 )
 from hypctrl.core import (
+    CompatibilityViolated,
     GridSpec,
     NotApplicable,
     NotInClassB,
     StateField,
     TimeTooShort,
+    ValidationError,
     build_system,
     state_from_exprs,
 )
-from hypctrl.simulator import solve_dual
+from hypctrl.simulator import characteristic_flow, solve_dual
+from hypctrl.times import cumulative_travel
 
 
 def _bump_exprs(scale=1.0):
@@ -64,6 +69,10 @@ def test_compatibility_warning():
     assert r0 > tol
     with pytest.warns(UserWarning):
         synthesize_feedback(spec, [[0.5]], 2.2, bad)
+    # strict mode refuses instead; a validation error (CLI exit code 2)
+    with pytest.raises(CompatibilityViolated, match="corner compatibility") as info:
+        synthesize_feedback(spec, [[0.5]], 2.2, bad, strict_compat=True)
+    assert isinstance(info.value, ValidationError)
 
 
 def test_delays_and_arg_positions_linear():
@@ -140,6 +149,57 @@ def test_closed_loop_quasilinear_small_data():
     assert rels[400] <= 5e-2
     # grid refinement consistency: both resolutions agree the state is small
     assert rels[200] <= 1e-1
+
+
+QL_SPEEDS = [1.0, "1 + 0.1*w2**2", "2 + 0.1*w3**2"]  # 1x2, T_opt = 1.5 at w = 0
+QL_B = [[1.0, 2.0]]
+
+
+def _ql_state(grid, amps, centres):
+    xs = grid.xs
+    vals = np.array([a * np.exp(-(((xs - c) / 0.08) ** 2)) for a, c in zip(amps, centres)])
+    return StateField(vals, 0.0, xs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    amps=st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3),
+    centres=st.lists(st.floats(0.3, 0.7), min_size=3, max_size=3),
+    N=st.sampled_from([24, 100]),
+)
+def test_quasilinear_read_positions_match_characteristic_flow(amps, centres, N):
+    # the law reads w2 where its characteristic reaches x = 0 after the
+    # travel time of w3; on a frozen state the RK4 tracer is the reference
+    spec = build_system(1, 2, QL_SPEEDS, b=QL_B)
+    grid = GridSpec(N=N, cfl=0.9, T=1.8)
+    state = _ql_state(grid, amps, centres)
+    law = synthesize_feedback(spec, QL_B, 1.8, state)
+    (position,) = law.read_positions(state)[1]
+    delay = cumulative_travel(spec, 2, state=state)[1][-1]
+
+    def frozen(time, x):
+        return np.array([np.interp(x, state.xs, row) for row in state.values])
+
+    ref = characteristic_flow(spec, 2, s=delay, xi=0.0, t=0.0, state=frozen)
+    assert not ref.exited
+    assert abs(position - ref.position) <= 1e-6
+
+
+def test_closed_loop_quasilinear_reads_state_and_refines():
+    # 1x2 has one elimination level, so the law reads w2 at state-dependent
+    # positions on every step before the switch-off (unlike the 1x1 case)
+    spec = build_system(1, 2, QL_SPEEDS, b=QL_B)
+    T = 1.8
+    rels = {}
+    for N in (100, 400):
+        grid = GridSpec(N=N, cfl=0.9, T=T)
+        w0 = _ql_state(grid, [0.7, 0.9, 0.6], [0.5, 0.45, 0.55])
+        law = synthesize_feedback(spec, QL_B, T, w0)
+        assert law.levels == 1
+        traj, rep = run_closed_loop(spec, law, w0, grid)
+        rels[N] = rep.terminal_rel
+    assert rels[100] <= 1e-2
+    assert rels[400] <= 0.1 * rels[100]
 
 
 def test_null_control_zero_data():
