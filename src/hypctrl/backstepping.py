@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     DiagonalCouplingPresent,
@@ -67,11 +66,12 @@ def _tri_points(NK: int):
 
 
 def _triangle_interp(xq, yq, NK: int):
-    """COO data interpolating triangle-grid samples at points (xq, yq).
+    """Corner indices and weights, each (4, M), interpolating triangle-grid
+    samples at points (xq, yq).
 
     Bilinear inside cells below the diagonal; cells cut by the diagonal use
-    the affine interpolant on their lower triangle.  Points are clipped into
-    the closed triangle first.
+    the affine interpolant on their lower triangle (corner 2 then repeats
+    corner 0 with weight 0).  Points are clipped into the closed triangle first.
     """
     xq = np.clip(np.asarray(xq, dtype=float), 0.0, 1.0)
     yq = np.clip(np.asarray(yq, dtype=float), 0.0, None)
@@ -103,13 +103,19 @@ def _triangle_interp(xq, yq, NK: int):
         wts[1, on_diag] = fx[on_diag] - fy[on_diag]
         wts[3, on_diag] = fy[on_diag]
         wts[2, on_diag] = 0.0
-    rows = np.repeat(np.arange(M), 4)
-    return rows, cols.T.ravel(), wts.T.ravel()
+    return cols, wts
 
 
-def _interp_matrix(xq, yq, NK: int) -> sp.csr_matrix:
-    rows, cols, wts = _triangle_interp(xq, yq, NK)
-    return sp.csr_matrix((wts, (rows, cols)), shape=(len(xq), _tri_size(NK)))
+def _gather(cols, wts, values):
+    """Interpolate ``values`` (..., n_pts) at the points of ``_triangle_interp``.
+
+    The corners are summed in ascending triangle index (0, 2, 1, 3); the last
+    bits of the kernel values, and so of its CSV export, depend on this order.
+    """
+    out = wts[0] * values[..., cols[0]]
+    for c in (2, 1, 3):
+        out += wts[c] * values[..., cols[c]]
+    return out
 
 
 # --------------------------------------------------------------------------- #
@@ -205,12 +211,26 @@ class Kernel:
     def xs(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.NK + 1)
 
-    def rows_at(self, x: float, ys) -> np.ndarray:
-        """K(x, ys) for an array of ys, shape (len(ys), n, n)."""
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        W = _interp_matrix(np.full(ys.size, float(x)), ys, self.NK)
-        flat = self.values.reshape(self.n * self.n, -1)
-        return (W @ flat.T).reshape(ys.size, self.n, self.n)
+    def rows_at(self, x, ys) -> np.ndarray:
+        """K at the points (x, ys), broadcast together and flattened: (M, n, n)."""
+        xq, yq = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(ys, dtype=float))
+        cols, wts = _triangle_interp(xq.ravel(), yq.ravel(), self.NK)
+        return np.moveaxis(_gather(cols, wts, self.values), -1, 0)
+
+    def volterra_operator(self, xs) -> np.ndarray:
+        """Trapezoid-weighted K(x_p, y_q) h_q on a uniform grid, (N+1, N+1, n, n).
+
+        Zero above the diagonal q > p, and on row p = 0 (an empty integral).
+        Memory grows as N^2 n^2: 8 (N+1)^2 n^2 bytes, 0.5 GB at N = 4000, n = 2.
+        """
+        h = _check_uniform(xs)
+        N = xs.size - 1
+        p, q = np.tril_indices(N + 1)
+        wts = np.where((q == 0) | (q == p), h / 2.0, h)
+        op = np.zeros((N + 1, N + 1, self.n, self.n))
+        op[p, q] = self.rows_at(xs[p], xs[q]) * wts[:, None, None]
+        op[0] = 0.0
+        return op
 
     def at_y0(self) -> np.ndarray:
         """K(x_p, 0) at the grid nodes, shape (n, n, NK+1)."""
@@ -227,9 +247,9 @@ class Kernel:
 def _entry_geometry(spec, i, j, tables, NK):
     """Anchor classification and integration paths for one kernel entry.
 
-    Returns a dict consumed by the sweep: anchor kinds/positions, the sparse
-    interpolation matrix over all path sample points, trapezoid weights,
-    segment starts, and fixed multiplicative data.
+    Returns a dict consumed by the sweep: anchor kinds/positions, the
+    interpolation corners and weights of all path sample points, trapezoid
+    weights, segment starts, and fixed multiplicative data.
     """
     k = spec.k
     h = 1.0 / NK
@@ -304,14 +324,17 @@ def _entry_geometry(spec, i, j, tables, NK):
     dtau = h / spec.lambda_max
     lengths = np.maximum(1, np.ceil(np.abs(s_anchor) / dtau).astype(int))
     seg_starts = np.concatenate([[0], np.cumsum(lengths + 1)])[:-1]
+    ends = seg_starts + lengths
     total = int(np.sum(lengths + 1))
-    rel = np.concatenate([np.linspace(0.0, 1.0, L + 1) for L in lengths])
+    # np.linspace(0, 1, L + 1) per segment, with linspace's arithmetic
+    local = np.arange(total) - np.repeat(seg_starts, lengths + 1)
+    rel = local * np.repeat(1.0 / lengths, lengths + 1)
+    rel[ends] = 1.0
     s_samp = np.repeat(s_anchor, lengths + 1) * (1.0 - rel)
     deltas = -s_anchor / lengths
     wts = np.repeat(deltas, lengths + 1)
     is_end = np.zeros(total, dtype=bool)
     is_end[seg_starts] = True
-    ends = seg_starts + lengths
     is_end[ends] = True
     wts[is_end] *= 0.5
 
@@ -342,7 +365,7 @@ def _entry_geometry(spec, i, j, tables, NK):
         "wts": wts,
         "src_coef": src_coef,
         "nz_rows": nz_rows,
-        "P": _interp_matrix(x_samp, y_samp, NK) if nz_rows else None,
+        "interp": _triangle_interp(x_samp, y_samp, NK) if nz_rows else None,
     }
     if i != j:
         diag_mask = anchor_kind == _DIAG
@@ -415,7 +438,7 @@ def solve_kernel(
                 if g["nz_rows"]:
                     acc = np.zeros(g["wts"].size)
                     for l in g["nz_rows"]:
-                        acc += g["src_coef"][l] * (g["P"] @ K[i, l])
+                        acc += g["src_coef"][l] * _gather(*g["interp"], K[i, l])
                     integral = np.add.reduceat(g["wts"] * acc, g["seg_starts"])
                 else:
                     integral = 0.0
@@ -580,38 +603,22 @@ def transform(w: StateField, kernel: Kernel) -> StateField:
     """u(x_p) = w(x_p) - sum_{q<=p} trapz-weight K(x_p, y_q) w(y_q)."""
     if w.n != kernel.n:
         raise GridMismatch("state and kernel have different component counts")
-    xs = w.xs
-    h = _check_uniform(xs)
-    N = xs.size - 1
-    u = w.values.copy()
-    for p in range(1, N + 1):
-        rows = kernel.rows_at(xs[p], xs[: p + 1])  # (p+1, n, n)
-        wts = np.full(p + 1, h)
-        wts[0] = wts[-1] = h / 2.0
-        u[:, p] -= np.einsum("q,qij,jq->i", wts, rows, w.values[:, : p + 1])
-    return StateField(u, w.t, xs)
+    op = kernel.volterra_operator(w.xs)
+    return StateField(w.values - np.einsum("pqij,jq->ip", op, w.values), w.t, w.xs)
 
 
 def inverse_transform(u: StateField, kernel: Kernel) -> StateField:
     """Solve the discrete Volterra system by forward substitution in x."""
     if u.n != kernel.n:
         raise GridMismatch("state and kernel have different component counts")
-    xs = u.xs
-    h = _check_uniform(xs)
-    N = xs.size - 1
-    n = u.n
+    op = kernel.volterra_operator(u.xs)
     w = np.empty_like(u.values)
     w[:, 0] = u.values[:, 0]
-    eye = np.eye(n)
-    for p in range(1, N + 1):
-        rows = kernel.rows_at(xs[p], xs[: p + 1])
-        wts = np.full(p + 1, h)
-        wts[0] = wts[-1] = h / 2.0
-        rhs = u.values[:, p] + np.einsum(
-            "q,qij,jq->i", wts[:-1], rows[:-1], w[:, :p]
-        )
-        w[:, p] = np.linalg.solve(eye - wts[-1] * rows[-1], rhs)
-    return StateField(w, u.t, xs)
+    eye = np.eye(u.n)
+    for p in range(1, u.xs.size):
+        rhs = u.values[:, p] + np.einsum("qij,jq->i", op[p, :p], w[:, :p])
+        w[:, p] = np.linalg.solve(eye - op[p, p], rhs)
+    return StateField(w, u.t, u.xs)
 
 
 def target_residual(traj: Trajectory, S: Optional[SourceMatrix], spec: SystemSpec) -> float:

@@ -13,7 +13,6 @@ positive components; these maps drive the finite-time feedback.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -81,12 +80,9 @@ class EliminationMap:
     level: int
     control_component: int  # 1-based component index k+m+1-j
     coef: np.ndarray  # length m-j; the map is coef @ args
-    nonlinear: Optional[Callable] = None
 
     def __call__(self, args: np.ndarray) -> float:
         args = np.atleast_1d(np.asarray(args, dtype=float))
-        if self.nonlinear is not None:
-            return float(self.nonlinear(args))
         if args.size != self.coef.size:
             raise ValidationError(
                 f"elimination map level {self.level} expects {self.coef.size} arguments"
@@ -147,44 +143,3 @@ def boundary_elimination(B, extend: bool = True) -> EliminationMaps:
             EliminationMap(level=j, control_component=k + m + 1 - j, coef=sol[0].copy())
         )
     return EliminationMaps(k=k, m=m, maps=maps)
-
-
-def check_user_maps(B, user_maps, tol: float = 1e-6) -> EliminationMaps:
-    """Wrap user-supplied (nonlinear) elimination maps after consistency checks.
-
-    Each map must vanish at 0 and its finite-difference Jacobian there must
-    match the linear elimination derived from B (the linearization at 0).
-    """
-    linear = boundary_elimination(B)
-    if len(user_maps) > len(linear.maps):
-        raise ValidationError("more user maps than elimination levels")
-    wrapped = []
-    for j, fn in enumerate(user_maps, start=1):
-        ref = linear.by_level(j)
-        nargs = ref.coef.size
-        zero = np.zeros(nargs)
-        if abs(float(fn(zero))) > 1e-12:
-            raise ValidationError(f"user map at level {j} does not vanish at 0")
-        eps = 1e-6
-        jac = np.empty(nargs)
-        for q in range(nargs):
-            e = np.zeros(nargs)
-            e[q] = eps
-            jac[q] = (float(fn(e)) - float(fn(-e))) / (2 * eps)
-        if np.max(np.abs(jac - ref.coef), initial=0.0) > tol * max(
-            1.0, float(np.max(np.abs(ref.coef), initial=0.0))
-        ):
-            raise ValidationError(
-                f"user map at level {j} has Jacobian inconsistent with the linearization"
-            )
-        wrapped.append(
-            EliminationMap(
-                level=j,
-                control_component=ref.control_component,
-                coef=ref.coef,
-                nonlinear=fn,
-            )
-        )
-    out = EliminationMaps(k=linear.k, m=linear.m, maps=list(linear.maps))
-    out.maps[: len(wrapped)] = wrapped
-    return out

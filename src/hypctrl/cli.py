@@ -37,6 +37,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _float_list(text: str) -> list:
+    return [float(s) for s in text.split(",") if s.strip()]
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="hypctrl", description=__doc__)
     sub = p.add_subparsers(dest="command", metavar="command")
@@ -60,7 +64,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("simulate", help="forward run with configured controls")
     common(sp)
-    sp.add_argument("--snap-times", default="", help="comma-separated snapshot times")
+    sp.add_argument("--snap-times", type=_float_list, default=[],
+                    help="comma-separated snapshot times in [0, T]")
     sp.add_argument("--binary", action="store_true", help="also write a binary terminal snapshot")
 
     sp = sub.add_parser("dual", help="backward dual run with observation trace")
@@ -158,13 +163,15 @@ def _cmd_simulate(args) -> int:
     grid = cfg.grid(N=args.N, T=args.T)
     w0 = cfg.initial_state(grid, spec.n)
     closure = cfg.control_closure(spec.k, spec.m)
+    for t in args.snap_times:
+        if not 0.0 <= t <= grid.T:
+            raise ValidationError(f"snapshot time {t:g} outside [0, T = {grid.T:g}]")
     traj = solve_forward(spec, w0, closure, grid)
     out = _outdir(args, cfg)
     outputs.write_norms_csv(out / "norms.csv", traj)
-    snap_times = [float(s) for s in args.snap_times.split(",") if s.strip()]
     # each file holds the stored snapshot nearest the requested time; record its time
     taken = {}
-    for t in snap_times:
+    for t in args.snap_times:
         state = traj.state_at(t)
         name = f"snapshot_t{t:g}.csv"
         outputs.write_snapshot_csv(out / name, state)

@@ -388,11 +388,12 @@ def optimality_witness(
 ) -> Witness:
     """Initial datum plus probe whose value at time T no control can change.
 
-    Works for zero coupling, below the optimal time, with all trailing minors
-    up to min{k, m} invertible.  Pair candidates place a bump in a positive
-    component so that its reflection at x = 0 feeds the probe component before
-    any control can reach the boundary; direct candidates place the bump so
-    the probe traces straight back to the initial data.  The candidate coming
+    Works for zero coupling and state-independent speeds, below the optimal
+    time, with all trailing minors up to min{k, m} invertible.  Pair
+    candidates place a bump in a positive component so that its reflection at
+    x = 0 feeds the probe component before any control can reach the
+    boundary; direct candidates place the bump so the probe traces straight
+    back to the initial data.  The candidate coming
     from the maximizing term of the optimal time is preferred; otherwise the
     feasible candidate with the widest timing margin wins.
     """
@@ -400,6 +401,8 @@ def optimality_witness(
     k, m = spec.k, spec.m
     if spec.coupling_bound > 1e-14:
         raise NotApplicable("witness construction requires zero coupling")
+    if spec.state_dependent:
+        raise NotApplicable("witness construction requires state-independent speeds")
     for i in range(1, min(k, m) + 1):
         if not trailing_minor_invertible(B, i)[0]:
             raise NotApplicable(f"trailing minor of order {i} is singular")

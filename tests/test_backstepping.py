@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypctrl.backstepping import (
+    Kernel,
     inverse_transform,
     kernel_pde_residual,
     preprocess_diagonal,
@@ -156,6 +159,59 @@ def test_volterra_round_trip():
         back = inverse_transform(transform(w, ker), ker)
         rel = np.max(np.abs(back.values - w.values)) / np.max(np.abs(w.values))
         assert rel <= 1e-10
+
+
+def _kernel_at(values, NK, x, y):
+    """K(x, y), y <= x, one point at a time: bilinear in the cells below the
+    diagonal, affine on the lower triangle of a cell the diagonal cuts."""
+    tx, ty = x * NK, y * NK
+    p = min(int(tx), NK - 1)
+    q = min(int(ty), p)
+    fx, fy = tx - p, ty - q
+
+    def node(a, b):
+        return values[:, :, a * (a + 1) // 2 + b]
+
+    if q == p:
+        fy = min(fy, fx)
+        return (1 - fx) * node(p, p) + (fx - fy) * node(p + 1, p) + fy * node(p + 1, p + 1)
+    return ((1 - fx) * (1 - fy) * node(p, q) + fx * (1 - fy) * node(p + 1, q)
+            + (1 - fx) * fy * node(p, q + 1) + fx * fy * node(p + 1, q + 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(8, 32), st.integers(8, 120), st.sampled_from([2, 3]),
+       st.integers(0, 2**32 - 1))
+def test_volterra_operator_matches_row_loop(NK, N, n, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, (n, n, (NK + 1) * (NK + 2) // 2))
+    ker = Kernel(n=n, k=1, NK=NK, values=values)
+    xs = np.linspace(0.0, 1.0, N + 1)
+    h = xs[1] - xs[0]
+    w = StateField(rng.standard_normal((n, N + 1)), 0.0, xs)
+
+    ref = w.values.copy()
+    for p in range(1, N + 1):
+        for q in range(p + 1):
+            wt = h / 2 if q in (0, p) else h
+            ref[:, p] -= wt * _kernel_at(values, NK, xs[p], xs[q]) @ w.values[:, q]
+    u = transform(w, ker)
+    assert np.max(np.abs(u.values - ref)) <= 1e-13
+    back = inverse_transform(u, ker)
+    assert np.max(np.abs(back.values - w.values)) <= 1e-10 * np.max(np.abs(w.values))
+
+    # on the kernel's own grid the operator holds the node values times the
+    # trapezoid weights.  x*NK may land an ulp or two of NK off the node index,
+    # which leaves weight |x*NK - p| <= 2*NK*eps on a neighbour: with |K| <= 1
+    # and trapezoid weights <= 1/NK that is at most 4 eps
+    xs = np.linspace(0.0, 1.0, NK + 1)
+    op = ker.volterra_operator(xs)
+    p, q = np.tril_indices(NK + 1)
+    wts = np.where((q == 0) | (q == p), xs[1] / 2, xs[1])
+    nodes = np.moveaxis(values[:, :, p * (p + 1) // 2 + q], -1, 0) * wts[:, None, None]
+    nodes[p == 0] = 0.0
+    assert np.max(np.abs(op[p, q] - nodes)) <= 4 * np.finfo(float).eps
+    assert np.all(op[np.triu_indices(NK + 1, 1)] == 0.0)
 
 
 def test_target_residual_zero_trajectory():

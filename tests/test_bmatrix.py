@@ -3,13 +3,12 @@ import pytest
 
 from hypctrl.bmatrix import (
     boundary_elimination,
-    check_user_maps,
     class_report,
     in_class_B,
     in_class_Be,
     trailing_minor_invertible,
 )
-from hypctrl.core import IndexOutOfRange, NotInClassB, ValidationError
+from hypctrl.core import IndexOutOfRange, NotInClassB
 
 
 def test_trailing_minor_examples():
@@ -107,25 +106,3 @@ def test_class_report_note_for_wide_k():
     rep = class_report(np.ones((3, 2)))
     assert rep["in_class_Be"] is False
     assert "m >= k" in rep["note"]
-
-
-def test_user_maps_checked():
-    B = np.array([[1.0, 2.0]])
-
-    def good(args):
-        return -0.5 * args[0] + args[0] ** 3
-
-    em = check_user_maps(B, [good])
-    assert em.by_level(1)(np.zeros(1)) == 0.0
-
-    def wrong_jacobian(args):
-        return args[0]
-
-    with pytest.raises(ValidationError):
-        check_user_maps(B, [wrong_jacobian])
-
-    def nonzero_at_zero(args):
-        return 1.0
-
-    with pytest.raises(ValidationError):
-        check_user_maps(B, [nonzero_at_zero])

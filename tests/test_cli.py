@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypctrl
 from hypctrl.cli import main
 from hypctrl.config import load_config
 from hypctrl.controller import null_control_openloop
@@ -43,6 +47,16 @@ def cfg_path(tmp_path):
     path = tmp_path / "sys.cfg"
     path.write_text(BASE_CFG)
     return path
+
+
+def test_cli_import_needs_no_scipy():
+    # numpy is the only runtime dependency
+    src = str(Path(hypctrl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, hypctrl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_times_output(cfg_path, capsys):
@@ -94,6 +108,7 @@ def test_unknown_section_rejected(tmp_path):
 def test_usage_error_exit_code(capsys):
     assert main([]) == 1
     assert main(["times"]) == 1  # missing --config
+    assert main(["simulate", "--config", "any.cfg", "--snap-times", "0.5,abc"]) == 1
 
 
 def test_simulate_outputs_parse(cfg_path, tmp_path, capsys):
@@ -239,6 +254,16 @@ def test_witness_command(tmp_path):
     assert report["max_relative_deviation"] < 0.1
 
 
+def test_witness_refuses_state_dependent_speeds(tmp_path, capsys):
+    path = tmp_path / "wit_ql.cfg"
+    path.write_text(BASE_CFG.replace("lambda1 = 1 + x", "lambda1 = 1").replace(
+        "lambda2 = 2", "lambda2 = 1 + 0.1*w2**2"
+    ))
+    argv = ["witness", "--config", str(path), "--T", "1.0", "--N", "64", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "witness construction requires state-independent speeds" in capsys.readouterr().err
+
+
 def test_dual_command(tmp_path):
     cfg_text = BASE_CFG + "\n[dual]\nv1 = 0\nv2 = sin(pi*x)\nt = 1.0\n"
     path = tmp_path / "dual.cfg"
@@ -356,3 +381,12 @@ def test_simulate_snap_times_record_actual_time(cfg_path, tmp_path):
     half = taken["snapshot_t0.5.csv"]
     assert half["requested"] == 0.5 and half["t"] != 0.5
     assert half["t"] == pytest.approx(round(0.5 / dt) * dt, abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", ["5", "-1", "nan"])
+def test_simulate_snap_times_outside_horizon_refused(cfg_path, tmp_path, capsys, bad):
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(cfg_path), "--out", str(out), "--snap-times", f"0.5,{bad}"]
+    assert main(argv) == 2
+    assert f"snapshot time {bad} outside [0, T = 1.5]" in capsys.readouterr().err
+    assert not (out / "snapshot_t0.5.csv").exists()
