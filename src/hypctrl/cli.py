@@ -202,13 +202,10 @@ def _cmd_dual(args) -> int:
         S = bs.source_matrix(kernel, base)
     dual = solve_dual(spec, S, spec.B, v0, T, grid)
     out = _outdir(args, cfg)
-    outputs.write_csv(
+    outputs.write_float_csv(
         out / "observation.csv",
         ["t"] + [f"v_{spec.k + 1 + c}" for c in range(spec.m)],
-        (
-            [-dual.times[s]] + [dual.observation[s, c] for c in range(spec.m)]
-            for s in range(dual.times.size)
-        ),
+        [-dual.times, dual.observation],
     )
     outputs.write_snapshot_csv(out / "dual_terminal.csv", dual.terminal_state())
     print(f"dual: T={T} observation energy = {outputs.fmt(dual.observation_energy())}")

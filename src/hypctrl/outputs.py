@@ -40,6 +40,18 @@ def write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_float_csv(path, header, columns):
+    """write_csv for a table of floats given by columns (1-D arrays or 2-D blocks).
+
+    repr of a Python float is fmt, so the bytes are those of write_csv.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as f:  # row by row: no table of Python floats at once
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(repr, row.tolist())) + "\n" for row in np.column_stack(columns))
+
+
 def _sanitize(obj):
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
@@ -58,8 +70,6 @@ def _sanitize(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 
@@ -72,11 +82,7 @@ def write_json(path, obj):
 def write_snapshot_csv(path, state: StateField):
     n = state.n
     header = ["x"] + [f"w_{i + 1}" for i in range(n)]
-    rows = (
-        [state.xs[q]] + [state.values[i, q] for i in range(n)]
-        for q in range(state.xs.size)
-    )
-    write_csv(path, header, rows)
+    write_float_csv(path, header, [state.xs, state.values.T])
 
 
 def write_norms_csv(path, traj):
@@ -86,13 +92,7 @@ def write_norms_csv(path, traj):
         + [f"l2_{i + 1}" for i in range(n)]
         + [f"linf_{i + 1}" for i in range(n)]
     )
-    rows = (
-        [traj.times[s]]
-        + [traj.norms_l2[s, i] for i in range(n)]
-        + [traj.norms_linf[s, i] for i in range(n)]
-        for s in range(traj.times.size)
-    )
-    write_csv(path, header, rows)
+    write_float_csv(path, header, [traj.times, traj.norms_l2, traj.norms_linf])
 
 
 def write_binary_snapshot(path, state: StateField):
@@ -142,8 +142,4 @@ def write_source_csv(path, source):
 
 def write_control_csv(path, signal, k: int):
     header = ["t"] + [f"W_{k + 1 + c}" for c in range(signal.m)]
-    rows = (
-        [signal.times[s]] + [signal.values[c, s] for c in range(signal.m)]
-        for s in range(signal.times.size)
-    )
-    write_csv(path, header, rows)
+    write_float_csv(path, header, [signal.times, signal.values.T])

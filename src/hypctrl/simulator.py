@@ -13,6 +13,15 @@ needs no derivative of the speeds.
 
 Both solvers advance a batch of b independent runs in one stepping loop: the
 state has shape (b, n, N+1), and a single run is the batch b = 1.
+
+After each forward step (with its reflection, before the finite check and the
+boundary closure) every state entry with |w| below the smallest normal double,
+np.finfo(float).tiny ~ 2.2e-308, is set to 0.0: flush-to-zero, entry by
+entry, so each batch member still equals its single run.  The upwind tail
+behind a decay to zero would otherwise shrink into the subnormal range, where
+arithmetic takes the slow hardware path.  A linear run with data scaled below
+about 1e-290 therefore no longer scales exactly.  Control values are written
+as the closure returns them.  The dual solver does not flush.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ from .core import (
 )
 
 _MAX_SUBSTEP_DOUBLINGS = 12
+# smallest normal double: state entries below it in magnitude are flushed to zero
+_TINY = np.finfo(float).tiny
 
 
 def zero_control(m: int) -> Callable:
@@ -46,9 +57,10 @@ def zero_control(m: int) -> Callable:
     return closure
 
 
-def _l2(w: np.ndarray, h: float) -> np.ndarray:
-    sq = w * w
-    return np.sqrt(h * (np.sum(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1])))
+def _l2(w: np.ndarray, h: float, sq=None) -> np.ndarray:
+    """Trapezoid L2 norm along x; ``sq`` is an optional buffer for w*w."""
+    sq = np.multiply(w, w, out=sq)
+    return np.sqrt(h * (np.add.reduce(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1])))
 
 
 def _as_batch(state, shape: tuple, what: str):
@@ -131,6 +143,7 @@ def solve_forward(
     ``boundary_at_1(t, state, aux)`` must return the m incoming values at
     x = 1 for time t; it is called once per step with the freshly updated
     state (boundary at x = 1 still pending) and must be side-effect free.
+    That state is a view of a buffer the solver reuses; copy it to keep it.
     For state-dependent speeds the CFL condition is re-checked every step and
     the step is split in halves until it holds again.
 
@@ -167,18 +180,29 @@ def solve_forward(
     nl2[:, 0], nlinf[:, 0] = _l2(w, h), np.max(np.abs(w), axis=-1)
     ctrls[:, 0] = w[:, k:, -1]
 
-    def substep(w, lam, step_dt):
-        dx = np.empty_like(w)
-        dx[:, :k, 1:] = (w[:, :k, 1:] - w[:, :k, :-1]) / h
+    # buffers reused every step: the derivative (|w| once the step is taken),
+    # the coupling term, the flush mask and the state's second buffer
+    dx = np.empty_like(w)
+    absw = dx
+    cw = None if cvals is None else np.empty_like(w)
+    small = np.empty(w.shape, dtype=bool)
+    w_spare = np.empty_like(w)
+
+    def substep(w, lam, step_dt, out):
+        """out = w + step_dt*(lam*dx [+ C w]) with the reflection at x = 0."""
+        np.subtract(w[:, :k, 1:], w[:, :k, :-1], out=dx[:, :k, 1:])
+        np.subtract(w[:, k:, 1:], w[:, k:, :-1], out=dx[:, k:, :-1])
         dx[:, :k, 0] = 0.0
-        dx[:, k:, :-1] = (w[:, k:, 1:] - w[:, k:, :-1]) / h
         dx[:, k:, -1] = 0.0
-        rhs = lam * dx
-        if cvals is not None:
-            rhs += np.einsum("ijq,bjq->biq", cvals, w)
-        w_new = w + step_dt * rhs
-        w_new[:, :k, 0] = spec.reflection.apply(w_new[:, k:, 0])
-        return w_new
+        np.divide(dx, h, out=dx)
+        np.multiply(lam, dx, out=dx)
+        if cw is not None:
+            np.einsum("ijq,bjq->biq", cvals, w, out=cw)
+            np.add(dx, cw, out=dx)
+        np.multiply(step_dt, dx, out=dx)
+        np.add(w, dx, out=out)
+        out[:, :k, 0] = spec.reflection.apply(out[:, k:, 0])
+        return out
 
     for step in range(1, n_steps + 1):
         t_new = step * dt
@@ -193,7 +217,7 @@ def solve_forward(
                     if np.max(np.abs(lam)) * sub_dt / h > 1.0 + 1e-12:
                         ok = False
                         break
-                    wtry = substep(wtry, lam, sub_dt)
+                    wtry = substep(wtry, lam, sub_dt, np.empty_like(w))
                 if ok:
                     w_new = wtry
                     break
@@ -203,8 +227,15 @@ def solve_forward(
                         f"CFL could not be restored by halving at t = {t_new:.6g}"
                     )
         else:
-            w_new = substep(w, lam_static, dt)
-        if not np.all(np.isfinite(w_new)):
+            w_new = substep(w, lam_static, dt, w_spare)
+        # one |w| pass serves the flush, the finite check and the row maxima
+        np.abs(w_new, out=absw)
+        np.less(absw, _TINY, out=small)
+        np.copyto(w_new, 0.0, where=small)
+        np.copyto(absw, 0.0, where=small)
+        row_max = absw[:, :, :-1].max(axis=-1)  # each row but its entry at x = 1
+        full_max = np.maximum(row_max, absw[:, :, -1])
+        if not full_max.max() < np.inf:  # NaN or inf
             raise NonFiniteState(f"state blew up at t = {t_new:.6g}")
         aux["step"] = step
         state_view = w_new if batched else _state_view(w_new[0], t_new, xs)
@@ -212,14 +243,17 @@ def solve_forward(
             ctrl = np.asarray(boundary_at_1(t_new, state_view, aux), dtype=float)
         except Exception as exc:  # noqa: BLE001 - report as a solver failure
             raise BoundaryClosureFailure(f"boundary closure failed at t={t_new:.6g}: {exc}") from exc
-        if ctrl.shape != ctrl_shape or not np.all(np.isfinite(ctrl)):
+        if ctrl.shape != ctrl_shape or not np.isfinite(ctrl).all():
             raise BoundaryClosureFailure(
                 f"boundary closure must return finite values of shape {ctrl_shape} at t={t_new:.6g}"
             )
         w_new[:, k:, -1] = ctrl
-        w = w_new
+        w, w_spare = w_new, w
         bl[:, step], br[:, step] = w[:, :, 0], w[:, :, -1]
-        nl2[:, step], nlinf[:, step] = _l2(w, h), np.max(np.abs(w), axis=-1)
+        # rows k: now end in the control instead of their entry found above
+        nlinf[:, step] = full_max
+        np.maximum(row_max[:, k:], np.abs(ctrl), out=nlinf[:, step, k:])
+        nl2[:, step] = _l2(w, h, sq=absw)
         ctrls[:, step] = ctrl
         if step % stride == 0 or step == n_steps:
             snapshots.append(w.copy())

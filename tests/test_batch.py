@@ -1,5 +1,6 @@
-"""Property tests: a batched run is the same computation as its runs done one
-at a time, on random admissible systems with k, m <= 2."""
+"""Property tests on random admissible systems with k, m <= 2: a batched run
+is the same computation as its runs done one at a time, and the forward
+solver's reused buffers compute what a fresh-array reference loop does."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -87,3 +88,52 @@ def test_batched_dual_equals_single_runs(spec, b, N, T, seed, with_source):
             assert np.array_equal(getattr(batch, name)[i], getattr(single, name)), name
         assert energies[i] == single.observation_energy()
 
+
+def _reference_forward(spec, w0, control, grid):
+    """States of the upwind scheme stepped with fresh arrays: the update with its
+    reflection, then every entry below the smallest normal double set to zero,
+    then the control column."""
+    k, h = spec.k, grid.h
+    n_steps = max(1, int(np.ceil(grid.T / grid.dt_for(spec.lambda_max) - 1e-12)))
+    dt = grid.T / n_steps
+    lam = spec.signed_speeds(grid.xs)
+    w = w0[None].copy()
+    states = [w]
+    for step in range(1, n_steps + 1):
+        dx = np.zeros_like(w)
+        dx[:, :k, 1:] = (w[:, :k, 1:] - w[:, :k, :-1]) / h
+        dx[:, k:, :-1] = (w[:, k:, 1:] - w[:, k:, :-1]) / h
+        rhs = lam * dx
+        if not spec.coupling.is_zero:
+            rhs += np.einsum("ijq,bjq->biq", spec.coupling_nodes(grid.xs), w)
+        w = w + dt * rhs
+        w[:, :k, 0] = spec.reflection.apply(w[:, k:, 0])
+        w[np.abs(w) < np.finfo(float).tiny] = 0.0
+        w[:, k:, -1] = control(step * dt)
+        states.append(w)
+    return np.concatenate(states)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems(), st.integers(8, 24), st.floats(0.1, 1.0), SEEDS,
+       st.sampled_from([1.0, 1e-300, 1e-306, 1e-308]))
+def test_forward_matches_fresh_array_reference(spec, N, T, seed, scale):
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(N=N, cfl=0.9, T=T)
+    w0 = scale * rng.standard_normal((spec.n, N + 1))
+    control = _random_controls(rng, (spec.m,), T)
+    control.values *= scale
+    traj = solve_forward(spec, StateField(w0, 0.0, grid.xs), control.as_closure(), grid,
+                         snapshot_stride=1)
+    states = _reference_forward(spec, w0, control, grid)
+    sq = states * states
+    expected = {
+        "snapshots": states,
+        "boundary_left": states[:, :, 0],
+        "boundary_right": states[:, :, -1],
+        "norms_l2": np.sqrt(grid.h * (np.sum(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1]))),
+        "norms_linf": np.max(np.abs(states), axis=-1),
+        "controls": states[:, spec.k:, -1],
+    }
+    for name, value in expected.items():
+        assert np.array_equal(getattr(traj, name), value), name

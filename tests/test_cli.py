@@ -12,7 +12,12 @@ from hypctrl.cli import main
 from hypctrl.config import load_config
 from hypctrl.controller import null_control_openloop
 from hypctrl.core import ConfigError, GridSpec, StateField, build_system
-from hypctrl.outputs import read_binary_snapshot, write_binary_snapshot
+from hypctrl.outputs import (
+    read_binary_snapshot,
+    write_binary_snapshot,
+    write_csv,
+    write_float_csv,
+)
 
 BASE_CFG = """
 [speeds]
@@ -135,6 +140,18 @@ def test_binary_snapshot_round_trip(tmp_path):
     back = read_binary_snapshot(path)
     assert back.t == state.t
     assert np.array_equal(back.values, state.values)
+
+
+def test_float_csv_bytes_match_cell_writer(tmp_path):
+    rng = np.random.default_rng(0)
+    times = np.linspace(0.0, 1.0, 50)
+    block = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-320, 300, (50, 3))
+    block[:4, 0] = [-0.0, 5e-310, np.inf, np.nan]
+    header = ["t", "a", "b", "c"]
+    write_float_csv(tmp_path / "fast.csv", header, [times, block])
+    rows = ([times[s]] + [block[s, c] for c in range(3)] for s in range(50))
+    write_csv(tmp_path / "cells.csv", header, rows)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 def _run_twice(argv, tmp_path, names):

@@ -133,6 +133,27 @@ def test_closed_loop_stabilizes_2x2():
     assert rep.first_below_1e2 is not None and rep.first_below_1e2 < 2.2
 
 
+def test_closed_loop_tail_is_flushed_not_subnormal():
+    # the upwind tail behind the finite-time decay shrinks by a constant factor
+    # per step; without the flush it ends in 2,346 subnormal snapshot entries
+    spec = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 2.0]])
+    grid = GridSpec(N=400, cfl=0.9, T=1.7)
+    w0 = state_from_exprs(
+        [
+            "0.5*exp(-((x-0.5)/0.08)**2)",
+            "exp(-((x-0.45)/0.08)**2)",
+            "0.7*exp(-((x-0.55)/0.08)**2)",
+        ],
+        grid,
+        3,
+    )
+    law = synthesize_feedback(spec, [[1.0, 2.0]], 1.7, w0)
+    traj, rep = run_closed_loop(spec, law, w0, grid)
+    subnormal = (traj.snapshots != 0.0) & (np.abs(traj.snapshots) < np.finfo(float).tiny)
+    assert not np.any(subnormal)
+    assert rep.terminal_rel == pytest.approx(0.0013501505614244233, rel=1e-12)
+
+
 def test_closed_loop_quasilinear_small_data():
     base = build_system(1, 1, [1.0, 1.0], b=[[0.5]])
     ql = build_system(1, 1, [1.0, "1 + 0.1*w2**2"], b=[[0.5]])
