@@ -22,10 +22,19 @@ behind a decay to zero would otherwise shrink into the subnormal range, where
 arithmetic takes the slow hardware path.  A linear run with data scaled below
 about 1e-290 therefore no longer scales exactly.  Control values are written
 as the closure returns them.  The dual solver does not flush.
+
+Each stepping loop has a per-step core, which does only what the next step
+or the boundary closure needs, and a per-chunk recorder.  The core writes each
+new state into the next slot of one of two alternating chunk buffers of
+K = min(64, states per 256 KiB) states; after every K steps, and after the
+last one, the recorder fills the traces, norms and strided snapshots from the
+whole chunk at once.  The state the closure receives is a view of a slot that
+is overwritten 2K steps later: copy it to keep it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -48,6 +57,8 @@ from .core import (
 _MAX_SUBSTEP_DOUBLINGS = 12
 # smallest normal double: state entries below it in magnitude are flushed to zero
 _TINY = np.finfo(float).tiny
+# states per chunk: as many as fit in this many bytes (1 to 64), to stay in cache
+_CHUNK_BYTES = 256 * 1024
 
 
 def zero_control(m: int) -> Callable:
@@ -93,6 +104,8 @@ class Trajectory:
     norms_l2: np.ndarray  # (n_steps+1, n)
     norms_linf: np.ndarray  # (n_steps+1, n)
     controls: np.ndarray = field(default=None, repr=False)  # (n_steps+1, m)
+    # steps, dt, chunk (states per chunk buffer), max_substep_doublings
+    diagnostics: dict = field(default_factory=dict, repr=False)
 
     @property
     def xs(self) -> np.ndarray:
@@ -131,6 +144,43 @@ def _resolve_stride(n_steps: int, snapshot_stride) -> int:
     return stride
 
 
+class _Recorder:
+    """The states of a run, K per chunk in two alternating chunk buffers, and
+    what both solvers record from a chunk: the trace at x = 1, the L2 norms
+    and the strided snapshots.  ``scratch`` has a slot per chunk slot: work
+    space of the step that fills that slot, then of the chunk's records."""
+
+    def __init__(self, w: np.ndarray, n_steps: int, snapshot_stride, dt: float, h: float):
+        self.K = min(64, max(1, _CHUNK_BYTES // w.nbytes))
+        self.bufs = [np.empty((self.K,) + w.shape) for _ in range(2)]
+        self.scratch = np.empty((self.K,) + w.shape)
+        stride = _resolve_stride(n_steps, snapshot_stride)
+        self.snap_steps = sorted({*range(0, n_steps + 1, stride), n_steps})
+        self.snapshots = np.empty((w.shape[0], len(self.snap_steps)) + w.shape[1:])
+        self.right = np.empty((w.shape[0], n_steps + 1, w.shape[1]))
+        self.norms_l2 = np.empty_like(self.right)
+        self.snapshots[:, 0], self.right[:, 0], self.norms_l2[:, 0] = w, w[..., -1], _l2(w, h)
+        self.n_steps, self.h = n_steps, h
+        self.diagnostics = {"steps": n_steps, "dt": dt, "chunk": self.K}
+
+    def chunks(self):
+        """(steps, chunk) per chunk; the chunk is the (len(steps), b, n, N+1) view to fill."""
+        for lo in range(0, self.n_steps, self.K):
+            steps = range(lo + 1, min(lo + self.K, self.n_steps) + 1)
+            yield steps, self.bufs[lo // self.K % 2][: len(steps)]
+
+    def record(self, steps: range, chunk: np.ndarray, mag: np.ndarray):
+        """Records of a filled chunk; ``mag`` equals it in magnitude and is
+        squared into ``scratch``."""
+        rows = slice(steps.start, steps.stop)
+        self.right[:, rows] = chunk[..., -1].swapaxes(0, 1)
+        self.norms_l2[:, rows] = _l2(mag, self.h, self.scratch[: len(steps)]).swapaxes(0, 1)
+        i, j = bisect_left(self.snap_steps, steps.start), bisect_left(self.snap_steps, steps.stop)
+        if i < j:  # most chunks of a strided run hold no snapshot
+            slots = np.subtract(self.snap_steps[i:j], steps.start)
+            self.snapshots[:, i:j] = chunk[slots].swapaxes(0, 1)
+
+
 def solve_forward(
     spec: SystemSpec,
     w0: StateField | np.ndarray,
@@ -162,115 +212,96 @@ def solve_forward(
     dt_target = grid.dt_for(spec.lambda_max)
     n_steps = max(1, int(np.ceil(grid.T / dt_target - 1e-12)))
     dt = grid.T / n_steps
-    stride = _resolve_stride(n_steps, snapshot_stride)
 
     cvals = None if spec.coupling.is_zero else spec.coupling_nodes(xs)
     lam_static = None if spec.state_dependent else spec.signed_speeds(xs)
 
     aux = {"grid": grid, "spec": spec, "dt": dt, "h": h, "step": 0}
 
-    snapshots = [w.copy()]
-    snapshot_times = [0.0]
-    bl = np.empty((b, n_steps + 1, n))
-    br = np.empty((b, n_steps + 1, n))
-    nl2 = np.empty((b, n_steps + 1, n))
-    nlinf = np.empty((b, n_steps + 1, n))
-    ctrls = np.empty((b, n_steps + 1, spec.m))
-    bl[:, 0], br[:, 0] = w[:, :, 0], w[:, :, -1]
-    nl2[:, 0], nlinf[:, 0] = _l2(w, h), np.max(np.abs(w), axis=-1)
-    ctrls[:, 0] = w[:, k:, -1]
+    rec = _Recorder(w, n_steps, snapshot_stride, dt, h)
+    bl, nlinf = np.empty((2, b, n_steps + 1, n))
+    bl[:, 0], nlinf[:, 0] = w[:, :, 0], np.max(np.abs(w), axis=-1)
 
-    # buffers reused every step: the derivative (|w| once the step is taken),
-    # the coupling term, the flush mask and the state's second buffer
-    dx = np.empty_like(w)
-    absw = dx
+    # buffers reused every step: the coupling term and the flush mask
     cw = None if cvals is None else np.empty_like(w)
     small = np.empty(w.shape, dtype=bool)
-    w_spare = np.empty_like(w)
+    doublings = 0
 
     def substep(w, lam, step_dt, out):
-        """out = w + step_dt*(lam*dx [+ C w]) with the reflection at x = 0."""
-        np.subtract(w[:, :k, 1:], w[:, :k, :-1], out=dx[:, :k, 1:])
-        np.subtract(w[:, k:, 1:], w[:, k:, :-1], out=dx[:, k:, :-1])
-        dx[:, :k, 0] = 0.0
-        dx[:, k:, -1] = 0.0
-        np.divide(dx, h, out=dx)
-        np.multiply(lam, dx, out=dx)
+        """out = w + step_dt*(lam*dx [+ C w]) with the reflection at x = 0; dx is
+        formed in out itself, which keeps a step's working set small."""
+        np.subtract(w[:, :k, 1:], w[:, :k, :-1], out=out[:, :k, 1:])
+        np.subtract(w[:, k:, 1:], w[:, k:, :-1], out=out[:, k:, :-1])
+        out[:, :k, 0] = 0.0
+        out[:, k:, -1] = 0.0
+        np.divide(out, h, out=out)
+        np.multiply(lam, out, out=out)
         if cw is not None:
             np.einsum("ijq,bjq->biq", cvals, w, out=cw)
-            np.add(dx, cw, out=dx)
-        np.multiply(step_dt, dx, out=dx)
-        np.add(w, dx, out=out)
+            np.add(out, cw, out=out)
+        np.multiply(step_dt, out, out=out)
+        np.add(w, out, out=out)
         out[:, :k, 0] = spec.reflection.apply(out[:, k:, 0])
         return out
 
-    for step in range(1, n_steps + 1):
-        t_new = step * dt
-        if spec.state_dependent:
-            n_sub = 1
-            while True:
-                ok = True
-                wtry = w
-                sub_dt = dt / n_sub
-                for _ in range(n_sub):
-                    lam = spec.signed_speeds(xs, wtry[0])
-                    if np.max(np.abs(lam)) * sub_dt / h > 1.0 + 1e-12:
-                        ok = False
+    for steps, chunk in rec.chunks():
+        for step, w_new, absw in zip(steps, chunk, rec.scratch):
+            t_new = step * dt
+            if spec.state_dependent:
+                for doubled in range(_MAX_SUBSTEP_DOUBLINGS + 1):
+                    wtry, sub_dt = w, dt / 2**doubled
+                    for _ in range(2**doubled):
+                        lam = spec.signed_speeds(xs, wtry[0])
+                        if np.max(np.abs(lam)) * sub_dt / h > 1.0 + 1e-12:
+                            break
+                        wtry = substep(wtry, lam, sub_dt, np.empty_like(w))
+                    else:  # every sub-step met the CFL condition
                         break
-                    wtry = substep(wtry, lam, sub_dt, np.empty_like(w))
-                if ok:
-                    w_new = wtry
-                    break
-                n_sub *= 2
-                if n_sub > 2 ** _MAX_SUBSTEP_DOUBLINGS:
-                    raise CFLViolation(
-                        f"CFL could not be restored by halving at t = {t_new:.6g}"
-                    )
-        else:
-            w_new = substep(w, lam_static, dt, w_spare)
-        # one |w| pass serves the flush, the finite check and the row maxima
-        np.abs(w_new, out=absw)
-        np.less(absw, _TINY, out=small)
-        np.copyto(w_new, 0.0, where=small)
-        np.copyto(absw, 0.0, where=small)
-        row_max = absw[:, :, :-1].max(axis=-1)  # each row but its entry at x = 1
-        full_max = np.maximum(row_max, absw[:, :, -1])
-        if not full_max.max() < np.inf:  # NaN or inf
-            raise NonFiniteState(f"state blew up at t = {t_new:.6g}")
-        aux["step"] = step
-        state_view = w_new if batched else _state_view(w_new[0], t_new, xs)
-        try:
-            ctrl = np.asarray(boundary_at_1(t_new, state_view, aux), dtype=float)
-        except Exception as exc:  # noqa: BLE001 - report as a solver failure
-            raise BoundaryClosureFailure(f"boundary closure failed at t={t_new:.6g}: {exc}") from exc
-        if ctrl.shape != ctrl_shape or not np.isfinite(ctrl).all():
-            raise BoundaryClosureFailure(
-                f"boundary closure must return finite values of shape {ctrl_shape} at t={t_new:.6g}"
-            )
-        w_new[:, k:, -1] = ctrl
-        w, w_spare = w_new, w
-        bl[:, step], br[:, step] = w[:, :, 0], w[:, :, -1]
-        # rows k: now end in the control instead of their entry found above
-        nlinf[:, step] = full_max
-        np.maximum(row_max[:, k:], np.abs(ctrl), out=nlinf[:, step, k:])
-        nl2[:, step] = _l2(w, h, sq=absw)
-        ctrls[:, step] = ctrl
-        if step % stride == 0 or step == n_steps:
-            snapshots.append(w.copy())
-            snapshot_times.append(t_new)
+                else:
+                    raise CFLViolation(f"CFL could not be restored by halving at t = {t_new:.6g}")
+                np.copyto(w_new, wtry)
+                doublings = max(doublings, doubled)
+            else:
+                substep(w, lam_static, dt, w_new)
+            # one |w| pass serves the flush and the finite check
+            np.abs(w_new, out=absw)
+            np.less(absw, _TINY, out=small)
+            np.copyto(w_new, 0.0, where=small)
+            if not absw.max() < np.inf:  # NaN or inf
+                raise NonFiniteState(f"state blew up at t = {t_new:.6g}")
+            aux["step"] = step
+            state_view = w_new if batched else _state_view(w_new[0], t_new, xs)
+            try:
+                ctrl = np.asarray(boundary_at_1(t_new, state_view, aux), dtype=float)
+            except Exception as exc:  # noqa: BLE001 - report as a solver failure
+                raise BoundaryClosureFailure(
+                    f"boundary closure failed at t={t_new:.6g}: {exc}"
+                ) from exc
+            if ctrl.shape != ctrl_shape or not np.isfinite(ctrl).all():
+                raise BoundaryClosureFailure(
+                    f"boundary closure must return finite values of shape {ctrl_shape} "
+                    f"at t={t_new:.6g}"
+                )
+            w_new[:, k:, -1] = ctrl
+            w = w_new
+        absc = np.abs(chunk, out=rec.scratch[: len(steps)])
+        bl[:, steps.start : steps.stop] = chunk[..., 0].swapaxes(0, 1)
+        nlinf[:, steps.start : steps.stop] = absc.max(axis=-1).swapaxes(0, 1)
+        rec.record(steps, chunk, absc)
 
     unbatch = (lambda a: a) if batched else (lambda a: a[0])
     return Trajectory(
         grid=grid,
         dt=dt,
         times=np.arange(n_steps + 1) * dt,
-        snapshot_times=np.asarray(snapshot_times),
-        snapshots=unbatch(np.stack(snapshots, axis=1)),
+        snapshot_times=np.array(rec.snap_steps) * dt,
+        snapshots=unbatch(rec.snapshots),
         boundary_left=unbatch(bl),
-        boundary_right=unbatch(br),
-        norms_l2=unbatch(nl2),
+        boundary_right=unbatch(rec.right),
+        norms_l2=unbatch(rec.norms_l2),
         norms_linf=unbatch(nlinf),
-        controls=unbatch(ctrls),
+        controls=unbatch(rec.right[..., k:].copy()),
+        diagnostics={**rec.diagnostics, "max_substep_doublings": doublings},
     )
 
 
@@ -289,6 +320,7 @@ class DualTrajectory:
     snapshots: np.ndarray
     observation: np.ndarray  # v_+(-s, 1), shape (n_steps+1, m)
     norms_l2: np.ndarray
+    diagnostics: dict = field(default_factory=dict, repr=False)  # steps, dt, chunk
 
     @property
     def xs(self) -> np.ndarray:
@@ -330,7 +362,6 @@ def solve_dual(
     if B.shape != (k, m):
         raise DimensionMismatch(f"B must be {k}x{m}")
     v, batched = _as_batch(v_at_0, (n, xs.size), "dual initial state")
-    b = v.shape[0]
 
     sig = spec.signed_speeds(xs)  # (n, N+1)
     sig_plus_0 = sig[k:, 0]
@@ -352,52 +383,48 @@ def solve_dual(
     dt_target = grid.dt_for(spec.lambda_max)
     n_steps = max(1, int(np.ceil(T / dt_target - 1e-12)))
     ds = T / n_steps
-    stride = _resolve_stride(n_steps, snapshot_stride)
 
-    snapshots = [v.copy()]
-    snapshot_times = [0.0]
-    obs = np.empty((b, n_steps + 1, m))
-    nl2 = np.empty((b, n_steps + 1, n))
-    obs[:, 0] = v[:, k:, -1]
-    nl2[:, 0] = _l2(v, h)
+    rec = _Recorder(v, n_steps, snapshot_stride, ds, h)
 
-    for step in range(1, n_steps + 1):
-        G = sig * v
-        v_new = np.empty_like(v)
-        # rows < k move leftward in reversed time: forward flux difference
-        v_new[:, :k, :-1] = v[:, :k, :-1] - ds / h * (G[:, :k, 1:] - G[:, :k, :-1])
-        v_new[:, :k, -1] = 0.0
-        # rows >= k move rightward in reversed time: backward flux difference
-        v_new[:, k:, 1:] = v[:, k:, 1:] - ds / h * (G[:, k:, 1:] - G[:, k:, :-1])
-        v_new[:, k:, 0] = v[:, k:, 0]  # placeholder for the integral endpoint
-        # one matrix-vector product per run, so each run rounds as if alone
-        rhs = (-B.T @ (sig_minus_0 * v_new[:, :k, 0])[..., None])[..., 0]
-        if smp_t is not None:
-            integrand = np.einsum("pkq,bkq->bpq", smp_t, v_new[:, :k]) + np.einsum(
-                "pmq,bmq->bpq", spp_t, v_new[:, k:]
-            )
-            rhs = rhs + h * (
-                np.sum(integrand, axis=-1) - 0.5 * (integrand[..., 0] + integrand[..., -1])
-            )
-        v_new[:, k:, 0] = rhs / sig_plus_0
-        if not np.all(np.isfinite(v_new)):
-            raise NonFiniteState(f"dual state blew up at t = {-step * ds:.6g}")
-        v = v_new
-        obs[:, step] = v[:, k:, -1]
-        nl2[:, step] = _l2(v, h)
-        if step % stride == 0 or step == n_steps:
-            snapshots.append(v.copy())
-            snapshot_times.append(step * ds)
+    for steps, chunk in rec.chunks():
+        # the flux G and its differences are formed in the scratch slot and the
+        # new state's slot, which keeps a step's working set small
+        for step, v_new, G in zip(steps, chunk, rec.scratch):
+            np.multiply(sig, v, out=G)
+            # rows < k move leftward in reversed time: forward flux difference
+            np.subtract(G[:, :k, 1:], G[:, :k, :-1], out=v_new[:, :k, :-1])
+            # rows >= k move rightward in reversed time: backward flux difference
+            np.subtract(G[:, k:, 1:], G[:, k:, :-1], out=v_new[:, k:, 1:])
+            v_new[:, :k, -1] = v_new[:, k:, 0] = 0.0  # no difference reaches these
+            np.multiply(ds / h, v_new, out=v_new)
+            # v_new[:, k:, 0] becomes v[:, k:, 0]: a placeholder for the integral endpoint
+            np.subtract(v, v_new, out=v_new)
+            v_new[:, :k, -1] = 0.0
+            # one matrix-vector product per run, so each run rounds as if alone
+            rhs = (-B.T @ (sig_minus_0 * v_new[:, :k, 0])[..., None])[..., 0]
+            if smp_t is not None:
+                integrand = np.einsum("pkq,bkq->bpq", smp_t, v_new[:, :k]) + np.einsum(
+                    "pmq,bmq->bpq", spp_t, v_new[:, k:]
+                )
+                rhs = rhs + h * (
+                    np.sum(integrand, axis=-1) - 0.5 * (integrand[..., 0] + integrand[..., -1])
+                )
+            v_new[:, k:, 0] = rhs / sig_plus_0
+            if not np.all(np.isfinite(v_new)):
+                raise NonFiniteState(f"dual state blew up at t = {-step * ds:.6g}")
+            v = v_new
+        rec.record(steps, chunk, chunk)
 
     unbatch = (lambda a: a) if batched else (lambda a: a[0])
     return DualTrajectory(
         grid=grid,
         dt=ds,
         times=np.arange(n_steps + 1) * ds,
-        snapshot_times=np.asarray(snapshot_times),
-        snapshots=unbatch(np.stack(snapshots, axis=1)),
-        observation=unbatch(obs),
-        norms_l2=unbatch(nl2),
+        snapshot_times=np.array(rec.snap_steps) * ds,
+        snapshots=unbatch(rec.snapshots),
+        observation=unbatch(rec.right[..., k:].copy()),
+        norms_l2=unbatch(rec.norms_l2),
+        diagnostics=rec.diagnostics,
     )
 
 

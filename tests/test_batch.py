@@ -1,6 +1,7 @@
 """Property tests on random admissible systems with k, m <= 2: a batched run
-is the same computation as its runs done one at a time, and the forward
-solver's reused buffers compute what a fresh-array reference loop does."""
+is the same computation as its runs done one at a time, and the solvers,
+with their reused buffers and their records taken one chunk of steps at a
+time, compute what fresh-array reference loops do."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -89,15 +90,38 @@ def test_batched_dual_equals_single_runs(spec, b, N, T, seed, with_source):
         assert energies[i] == single.observation_energy()
 
 
+# states per chunk buffer for every run below but the large batch: 256 KiB
+# holds more than 64 of their states
+K = 64
+STEPS = st.one_of(st.sampled_from([1, K - 1, K, K + 1, 2 * K, 2 * K + 1]),
+                  st.integers(1, 2 * K + 2))
+STRIDES = st.sampled_from([1, 3, 7, "auto", 10**9])
+
+
+def _grid(spec, N, steps):
+    """A grid on which both solvers take exactly ``steps`` steps (the dual over grid.T)."""
+    return GridSpec(N=N, cfl=0.9, T=steps * GridSpec(N=N, cfl=0.9).dt_for(spec.lambda_max))
+
+
+def _snapshot_steps(steps, stride):
+    stride = 1 if stride == "auto" else stride  # auto is 1 up to 511 steps
+    return sorted(set(range(0, steps + 1, stride)) | {steps})
+
+
+def _l2_rows(states, h):
+    sq = states * states
+    return np.sqrt(h * (np.sum(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1])))
+
+
 def _reference_forward(spec, w0, control, grid):
-    """States of the upwind scheme stepped with fresh arrays: the update with its
-    reflection, then every entry below the smallest normal double set to zero,
-    then the control column."""
+    """States (b, n_steps+1, n, N+1) of the upwind scheme stepped with fresh
+    arrays: the update with its reflection, then every entry below the
+    smallest normal double set to zero, then the control column."""
     k, h = spec.k, grid.h
     n_steps = max(1, int(np.ceil(grid.T / grid.dt_for(spec.lambda_max) - 1e-12)))
     dt = grid.T / n_steps
     lam = spec.signed_speeds(grid.xs)
-    w = w0[None].copy()
+    w = w0.copy()
     states = [w]
     for step in range(1, n_steps + 1):
         dx = np.zeros_like(w)
@@ -111,29 +135,104 @@ def _reference_forward(spec, w0, control, grid):
         w[np.abs(w) < np.finfo(float).tiny] = 0.0
         w[:, k:, -1] = control(step * dt)
         states.append(w)
-    return np.concatenate(states)
+    return np.stack(states, axis=1)
+
+
+def _check_forward(traj, spec, w0, control, grid, steps, stride, chunk):
+    states = _reference_forward(spec, w0, control, grid)
+    snap = _snapshot_steps(steps, stride)
+    expected = {
+        "snapshots": states[:, snap],
+        "snapshot_times": np.array(snap) * traj.dt,
+        "boundary_left": states[..., 0],
+        "boundary_right": states[..., -1],
+        "norms_l2": _l2_rows(states, grid.h),
+        "norms_linf": np.max(np.abs(states), axis=-1),
+        "controls": states[:, :, spec.k:, -1],
+    }
+    assert traj.diagnostics["steps"] == steps and traj.diagnostics["chunk"] == chunk
+    for name, value in expected.items():
+        got = getattr(traj, name)
+        if name != "snapshot_times" and got.ndim < value.ndim:
+            got = got[None]
+        assert np.array_equal(got, value), name
 
 
 @settings(max_examples=40, deadline=None)
-@given(systems(), st.integers(8, 24), st.floats(0.1, 1.0), SEEDS,
+@given(systems(), st.integers(8, 24), STEPS, STRIDES, SEEDS,
        st.sampled_from([1.0, 1e-300, 1e-306, 1e-308]))
-def test_forward_matches_fresh_array_reference(spec, N, T, seed, scale):
+def test_forward_matches_fresh_array_reference(spec, N, steps, stride, seed, scale):
     rng = np.random.default_rng(seed)
-    grid = GridSpec(N=N, cfl=0.9, T=T)
+    grid = _grid(spec, N, steps)
     w0 = scale * rng.standard_normal((spec.n, N + 1))
-    control = _random_controls(rng, (spec.m,), T)
+    control = _random_controls(rng, (spec.m,), grid.T)
     control.values *= scale
     traj = solve_forward(spec, StateField(w0, 0.0, grid.xs), control.as_closure(), grid,
-                         snapshot_stride=1)
-    states = _reference_forward(spec, w0, control, grid)
-    sq = states * states
+                         snapshot_stride=stride)
+    _check_forward(traj, spec, w0[None], control, grid, steps, stride, K)
+
+
+@settings(max_examples=8, deadline=None)
+@given(systems(), st.integers(1, 5), STRIDES, SEEDS, st.sampled_from([1.0, 1e-306]))
+def test_large_batch_one_state_per_chunk_matches_reference(spec, steps, stride, seed, scale):
+    rng = np.random.default_rng(seed)
+    N = 24
+    b = 256 * 1024 // (spec.n * (N + 1) * 8) + 1  # one batch state exceeds 256 KiB
+    grid = _grid(spec, N, steps)
+    inits = scale * rng.standard_normal((b, spec.n, N + 1))
+    controls = _random_controls(rng, (b, spec.m), grid.T)
+    controls.values *= scale
+    traj = solve_forward(spec, inits, controls.as_closure(), grid, snapshot_stride=stride)
+    _check_forward(traj, spec, inits, controls, grid, steps, stride, 1)
+
+
+def _reference_dual(spec, S, B, v0, T, grid):
+    """States (b, n_steps+1, n, N+1) of the dual scheme stepped with fresh arrays."""
+    k, h = spec.k, grid.h
+    n_steps = max(1, int(np.ceil(T / grid.dt_for(spec.lambda_max) - 1e-12)))
+    ds = T / n_steps
+    sig = spec.signed_speeds(grid.xs)
+    v = v0.copy()
+    states = [v]
+    for _ in range(n_steps):
+        G = sig * v
+        v = v.copy()
+        v[:, :k, :-1] = v[:, :k, :-1] - ds / h * (G[:, :k, 1:] - G[:, :k, :-1])
+        v[:, :k, -1] = 0.0
+        v[:, k:, 1:] = v[:, k:, 1:] - ds / h * (G[:, k:, 1:] - G[:, k:, :-1])
+        rhs = (-B.T @ (sig[:k, 0] * v[:, :k, 0])[..., None])[..., 0]
+        if S is not None:
+            vals = S.value_nodes(grid.xs)
+            smp, spp = np.transpose(vals[:k, k:], (1, 0, 2)), np.transpose(vals[k:, k:], (1, 0, 2))
+            integrand = np.einsum("pkq,bkq->bpq", smp, v[:, :k]) + np.einsum(
+                "pmq,bmq->bpq", spp, v[:, k:])
+            rhs = rhs + h * (np.sum(integrand, axis=-1)
+                             - 0.5 * (integrand[..., 0] + integrand[..., -1]))
+        v[:, k:, 0] = rhs / sig[k:, 0]
+        states.append(v)
+    return np.stack(states, axis=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(systems(), st.integers(1, 3), st.integers(8, 24), STEPS, STRIDES, SEEDS, st.booleans())
+def test_dual_matches_fresh_array_reference(spec, b, N, steps, stride, seed, with_source):
+    rng = np.random.default_rng(seed)
+    grid = _grid(spec, N, steps)
+    S = None
+    if with_source:
+        values = rng.standard_normal((spec.n, spec.n, N + 1))
+        values[:, : spec.k] = 0.0
+        S = _Source(values)
+    data = rng.standard_normal((b, spec.n, N + 1))
+    dual = solve_dual(spec, S, spec.B, data, grid.T, grid, snapshot_stride=stride)
+    states = _reference_dual(spec, S, spec.B, data, grid.T, grid)
+    snap = _snapshot_steps(steps, stride)
     expected = {
-        "snapshots": states,
-        "boundary_left": states[:, :, 0],
-        "boundary_right": states[:, :, -1],
-        "norms_l2": np.sqrt(grid.h * (np.sum(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1]))),
-        "norms_linf": np.max(np.abs(states), axis=-1),
-        "controls": states[:, spec.k:, -1],
+        "snapshots": states[:, snap],
+        "snapshot_times": np.array(snap) * dual.dt,
+        "observation": states[:, :, spec.k:, -1],
+        "norms_l2": _l2_rows(states, grid.h),
     }
+    assert dual.diagnostics == {"steps": steps, "dt": dual.dt, "chunk": K}
     for name, value in expected.items():
-        assert np.array_equal(getattr(traj, name), value), name
+        assert np.array_equal(getattr(dual, name), value), name

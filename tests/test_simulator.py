@@ -315,3 +315,35 @@ def test_dual_with_source_matrix_runs():
     assert np.all(np.isfinite(dual.snapshots))
     # the nonlocal boundary term keeps feeding the system: v(-T) is nonzero
     assert np.max(np.abs(dual.terminal_state().values)) > 1e-6
+
+
+def test_snapshots_are_not_held_twice():
+    import tracemalloc
+
+    spec = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 2.0]])
+    grid = GridSpec(N=2000, cfl=0.9, T=1.7)
+    w0 = state_from_exprs([None, "exp(-((x-0.5)/0.1)**2)", "exp(-((x-0.3)/0.1)**2)"], grid, 3)
+    tracemalloc.start()
+    try:
+        traj = solve_forward(spec, w0, zero_control(2), grid, snapshot_stride=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in vars(traj).values() if isinstance(a, np.ndarray))
+    assert traj.snapshots.nbytes > 36e6
+    assert peak < 1.3 * held
+
+
+def test_diagnostics_report_steps_dt_chunk_and_doublings():
+    lin = build_system(1, 1, [1.0, 1.0], b=[[0.5]])
+    grid = GridSpec(N=64, cfl=0.9, T=0.5)
+    w0 = state_from_exprs([None, "exp(-((x-0.5)/0.1)**2)"], grid, 2)
+    traj = solve_forward(lin, w0, zero_control(1), grid)
+    assert traj.diagnostics == {
+        "steps": traj.times.size - 1, "dt": traj.dt, "chunk": 64, "max_substep_doublings": 0
+    }
+    # speed 1 + w2^2 reaches 2 on this unit bump: the CFL check halves the step once
+    quasi = build_system(1, 1, [1.0, "1 + w2**2"], b=[[0.5]])
+    assert solve_forward(quasi, w0, zero_control(1), grid).diagnostics["max_substep_doublings"] == 1
+    dual = solve_dual(lin, None, lin.B, w0, 0.5, grid)
+    assert dual.diagnostics == {"steps": dual.times.size - 1, "dt": dual.dt, "chunk": 64}
