@@ -40,16 +40,23 @@ def write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_lines(path, header, lines):
+    """The header, then the given lines (each ending in a newline); the bytes
+    are those of write_csv for the same cells."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as f:  # line by line: no table of Python floats at once
+        f.write(",".join(header) + "\n")
+        f.writelines(lines)
+
+
 def write_float_csv(path, header, columns):
     """write_csv for a table of floats given by columns (1-D arrays or 2-D blocks).
 
     repr of a Python float is fmt, so the bytes are those of write_csv.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as f:  # row by row: no table of Python floats at once
-        f.write(",".join(header) + "\n")
-        f.writelines(",".join(map(repr, row.tolist())) + "\n" for row in np.column_stack(columns))
+    rows = np.column_stack(columns)
+    _write_lines(path, header, (",".join(map(repr, row.tolist())) + "\n" for row in rows))
 
 
 def _sanitize(obj):
@@ -112,32 +119,28 @@ def read_binary_snapshot(path) -> StateField:
     return StateField(values, t, np.linspace(0.0, 1.0, N + 1))
 
 
+def _write_matrix_lines(path, header, nodes, values):
+    """A line per node and entry (i, j) of the (n, n, nodes) ``values``: the
+    node's cells, i, j and the value; every cell is formatted once."""
+    n = values.shape[0]
+    entries = [f"{i + 1},{j + 1}," for i in range(n) for j in range(n)]
+    per_node = values.reshape(n * n, -1).T.tolist()
+    lines = (
+        f"{node}{ij}{v!r}\n" for node, vals in zip(nodes, per_node) for ij, v in zip(entries, vals)
+    )
+    _write_lines(path, header, lines)
+
+
 def write_kernel_csv(path, kernel):
-    header = ["x", "y", "i", "j", "K_ij"]
-    xs = kernel.xs
-
-    def rows():
-        for p in range(kernel.NK + 1):
-            for q in range(p + 1):
-                idx = p * (p + 1) // 2 + q
-                for i in range(kernel.n):
-                    for j in range(kernel.n):
-                        yield [xs[p], xs[q], i + 1, j + 1, kernel.values[i, j, idx]]
-
-    write_csv(path, header, rows())
+    xs = [repr(x) for x in kernel.xs.tolist()]
+    # node order of the triangle grid: x_p, then y_q <= x_p
+    nodes = [f"{xs[p]},{xs[q]}," for p in range(kernel.NK + 1) for q in range(p + 1)]
+    _write_matrix_lines(path, ["x", "y", "i", "j", "K_ij"], nodes, kernel.values)
 
 
 def write_source_csv(path, source):
-    header = ["x", "i", "j", "S_ij"]
-    n = source.k + source.m
-
-    def rows():
-        for q, x in enumerate(source.xs):
-            for i in range(n):
-                for j in range(n):
-                    yield [x, i + 1, j + 1, source.values[i, j, q]]
-
-    write_csv(path, header, rows())
+    nodes = [f"{x!r}," for x in source.xs.tolist()]
+    _write_matrix_lines(path, ["x", "i", "j", "S_ij"], nodes, source.values)
 
 
 def write_control_csv(path, signal, k: int):

@@ -30,6 +30,18 @@ K = min(64, states per 256 KiB) states; after every K steps, and after the
 last one, the recorder fills the traces, norms and strided snapshots from the
 whole chunk at once.  The state the closure receives is a view of a slot that
 is overwritten 2K steps later: copy it to keep it.
+
+A forward run is at rest when its whole batch state is exactly zero: at the
+start, or after a step whose flushed result is all zero and whose controls,
+just written, are all zero.  The next step of a run at rest fills its slot
+with 0.0 and skips the update and the flush; the closure is still called and
+its controls checked as in any step.  This is exact: the update is linear in
+the state, so with finite speeds and coupling it gives +-0.0 in every cell,
+which the flush makes +0.0.  It holds only for state-independent speeds and
+coupling that are finite on the grid and a reflection without a hook, which
+may map 0 to up to 1e-12.  The test reads the step's |w| pass, taken before
+the new controls overwrite the old ones, so it may miss a rest (previous
+controls of about 1e-308) but never skips a step that would not give zero.
 """
 
 from __future__ import annotations
@@ -104,7 +116,7 @@ class Trajectory:
     norms_l2: np.ndarray  # (n_steps+1, n)
     norms_linf: np.ndarray  # (n_steps+1, n)
     controls: np.ndarray = field(default=None, repr=False)  # (n_steps+1, m)
-    # steps, dt, chunk (states per chunk buffer), max_substep_doublings
+    # steps, dt, chunk (states per chunk buffer), max_substep_doublings, rest_steps
     diagnostics: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -197,6 +209,11 @@ def solve_forward(
     For state-dependent speeds the CFL condition is re-checked every step and
     the step is split in halves until it holds again.
 
+    While the run is at rest (all state zero, the controls just written all
+    zero; state-independent speeds, finite speeds and coupling, no reflection
+    hook) a step writes 0.0 without the update: the result is the same bits.
+    ``diagnostics["rest_steps"]`` counts these steps.
+
     ``w0`` may instead be an array of shape (b, n, N+1), the initial states of
     b runs that advance together (state-independent speeds only); the closure
     then receives that (b, n, N+1) array and returns shape (b, m).
@@ -226,6 +243,16 @@ def solve_forward(
     cw = None if cvals is None else np.empty_like(w)
     small = np.empty(w.shape, dtype=bool)
     doublings = 0
+    # at rest, a step maps the zero state to +-0.0, which the flush makes +0.0:
+    # see the module docstring
+    can_rest = (
+        lam_static is not None
+        and spec.reflection.hook is None
+        and np.isfinite(lam_static).all()
+        and (cvals is None or np.isfinite(cvals).all())
+    )
+    at_rest = can_rest and not w.any()
+    rest_steps = 0
 
     def substep(w, lam, step_dt, out):
         """out = w + step_dt*(lam*dx [+ C w]) with the reflection at x = 0; dx is
@@ -247,28 +274,36 @@ def solve_forward(
     for steps, chunk in rec.chunks():
         for step, w_new, absw in zip(steps, chunk, rec.scratch):
             t_new = step * dt
-            if spec.state_dependent:
-                for doubled in range(_MAX_SUBSTEP_DOUBLINGS + 1):
-                    wtry, sub_dt = w, dt / 2**doubled
-                    for _ in range(2**doubled):
-                        lam = spec.signed_speeds(xs, wtry[0])
-                        if np.max(np.abs(lam)) * sub_dt / h > 1.0 + 1e-12:
-                            break
-                        wtry = substep(wtry, lam, sub_dt, np.empty_like(w))
-                    else:  # every sub-step met the CFL condition
-                        break
-                else:
-                    raise CFLViolation(f"CFL could not be restored by halving at t = {t_new:.6g}")
-                np.copyto(w_new, wtry)
-                doublings = max(doublings, doubled)
+            if at_rest:
+                w_new.fill(0.0)
+                rest_steps += 1
+                peak = 0.0
             else:
-                substep(w, lam_static, dt, w_new)
-            # one |w| pass serves the flush and the finite check
-            np.abs(w_new, out=absw)
-            np.less(absw, _TINY, out=small)
-            np.copyto(w_new, 0.0, where=small)
-            if not absw.max() < np.inf:  # NaN or inf
-                raise NonFiniteState(f"state blew up at t = {t_new:.6g}")
+                if spec.state_dependent:
+                    for doubled in range(_MAX_SUBSTEP_DOUBLINGS + 1):
+                        wtry, sub_dt = w, dt / 2**doubled
+                        for _ in range(2**doubled):
+                            lam = spec.signed_speeds(xs, wtry[0])
+                            if np.max(np.abs(lam)) * sub_dt / h > 1.0 + 1e-12:
+                                break
+                            wtry = substep(wtry, lam, sub_dt, np.empty_like(w))
+                        else:  # every sub-step met the CFL condition
+                            break
+                    else:
+                        raise CFLViolation(
+                            f"CFL could not be restored by halving at t = {t_new:.6g}"
+                        )
+                    np.copyto(w_new, wtry)
+                    doublings = max(doublings, doubled)
+                else:
+                    substep(w, lam_static, dt, w_new)
+                # one |w| pass serves the flush, the finite check and the rest test
+                np.abs(w_new, out=absw)
+                np.less(absw, _TINY, out=small)
+                np.copyto(w_new, 0.0, where=small)
+                peak = absw.max()
+                if not peak < np.inf:  # NaN or inf
+                    raise NonFiniteState(f"state blew up at t = {t_new:.6g}")
             aux["step"] = step
             state_view = w_new if batched else _state_view(w_new[0], t_new, xs)
             try:
@@ -283,6 +318,7 @@ def solve_forward(
                     f"at t={t_new:.6g}"
                 )
             w_new[:, k:, -1] = ctrl
+            at_rest = can_rest and peak < _TINY and not ctrl.any()
             w = w_new
         absc = np.abs(chunk, out=rec.scratch[: len(steps)])
         bl[:, steps.start : steps.stop] = chunk[..., 0].swapaxes(0, 1)
@@ -301,7 +337,9 @@ def solve_forward(
         norms_l2=unbatch(rec.norms_l2),
         norms_linf=unbatch(nlinf),
         controls=unbatch(rec.right[..., k:].copy()),
-        diagnostics={**rec.diagnostics, "max_substep_doublings": doublings},
+        diagnostics={
+            **rec.diagnostics, "max_substep_doublings": doublings, "rest_steps": rest_steps
+        },
     )
 
 

@@ -1,7 +1,8 @@
 """Property tests on random admissible systems with k, m <= 2: a batched run
 is the same computation as its runs done one at a time, and the solvers,
-with their reused buffers and their records taken one chunk of steps at a
-time, compute what fresh-array reference loops do."""
+with their reused buffers, their records taken one chunk of steps at a time
+and the forward steps they skip at rest, compute what fresh-array reference
+loops do, bit for bit."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -98,9 +99,9 @@ STEPS = st.one_of(st.sampled_from([1, K - 1, K, K + 1, 2 * K, 2 * K + 1]),
 STRIDES = st.sampled_from([1, 3, 7, "auto", 10**9])
 
 
-def _grid(spec, N, steps):
+def _grid(spec, N, steps, cfl=0.9):
     """A grid on which both solvers take exactly ``steps`` steps (the dual over grid.T)."""
-    return GridSpec(N=N, cfl=0.9, T=steps * GridSpec(N=N, cfl=0.9).dt_for(spec.lambda_max))
+    return GridSpec(N=N, cfl=cfl, T=steps * GridSpec(N=N, cfl=cfl).dt_for(spec.lambda_max))
 
 
 def _snapshot_steps(steps, stride):
@@ -113,21 +114,26 @@ def _l2_rows(states, h):
     return np.sqrt(h * (np.sum(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1])))
 
 
+def _bits(a):
+    """Bit patterns, which tell -0.0 from 0.0 where np.array_equal does not."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 def _reference_forward(spec, w0, control, grid):
     """States (b, n_steps+1, n, N+1) of the upwind scheme stepped with fresh
     arrays: the update with its reflection, then every entry below the
-    smallest normal double set to zero, then the control column."""
+    smallest normal double set to zero, then the control column.  Speeds that
+    depend on the state (a single run) are taken at the state before the step."""
     k, h = spec.k, grid.h
     n_steps = max(1, int(np.ceil(grid.T / grid.dt_for(spec.lambda_max) - 1e-12)))
     dt = grid.T / n_steps
-    lam = spec.signed_speeds(grid.xs)
     w = w0.copy()
     states = [w]
     for step in range(1, n_steps + 1):
         dx = np.zeros_like(w)
         dx[:, :k, 1:] = (w[:, :k, 1:] - w[:, :k, :-1]) / h
         dx[:, k:, :-1] = (w[:, k:, 1:] - w[:, k:, :-1]) / h
-        rhs = lam * dx
+        rhs = spec.signed_speeds(grid.xs, w[0] if spec.state_dependent else None) * dx
         if not spec.coupling.is_zero:
             rhs += np.einsum("ijq,bjq->biq", spec.coupling_nodes(grid.xs), w)
         w = w + dt * rhs
@@ -139,6 +145,8 @@ def _reference_forward(spec, w0, control, grid):
 
 
 def _check_forward(traj, spec, w0, control, grid, steps, stride, chunk):
+    """Every record of ``traj`` equals the reference run's, bit for bit; returns
+    the reference states."""
     states = _reference_forward(spec, w0, control, grid)
     snap = _snapshot_steps(steps, stride)
     expected = {
@@ -155,7 +163,8 @@ def _check_forward(traj, spec, w0, control, grid, steps, stride, chunk):
         got = getattr(traj, name)
         if name != "snapshot_times" and got.ndim < value.ndim:
             got = got[None]
-        assert np.array_equal(got, value), name
+        assert np.array_equal(_bits(got), _bits(value)), name
+    return states
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,6 +193,70 @@ def test_large_batch_one_state_per_chunk_matches_reference(spec, steps, stride, 
     controls.values *= scale
     traj = solve_forward(spec, inits, controls.as_closure(), grid, snapshot_stride=stride)
     _check_forward(traj, spec, inits, controls, grid, steps, stride, 1)
+
+
+def _signed_zeros(rng, shape):
+    return np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+
+
+def _by_step(values, dt):
+    """A closure (also callable with the time alone) that returns values[step]."""
+    return lambda t, *_: values[round(t / dt)]
+
+
+@st.composite
+def transports(draw):
+    """1x1 systems with one constant speed both ways: at CFL 1 a step moves each
+    component one node, so a run comes back to rest once its waves have left,
+    after it has written (and the solver reused) chunk slots."""
+    v = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return build_system(1, 1, [v, v], b=[[draw(st.floats(-1.5, 1.5))]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(systems(), transports()), st.integers(1, 3), st.integers(8, 24),
+       st.integers(1, 4 * K), SEEDS, st.data())
+def test_forward_at_rest_matches_reference_bit_for_bit(spec, b, N, steps, seed, data):
+    """Zero data and +-0.0 controls up to a drawn step, random controls up to a
+    second one, then +-0.0 again; systems() covers coupling on and off."""
+    rng = np.random.default_rng(seed)
+    grid = _grid(spec, N, steps, cfl=1.0)
+    on = data.draw(st.integers(1, steps + 1), label="first step with random controls")
+    off = data.draw(st.integers(on, steps + 1), label="first step with zero controls again")
+    values = _signed_zeros(rng, (steps + 1, b, spec.m))
+    values[on:off] = rng.standard_normal((off - on, b, spec.m))
+    control = _by_step(values, grid.T / steps)
+    w0 = _signed_zeros(rng, (b, spec.n, N + 1))
+    traj = solve_forward(spec, w0, control, grid, snapshot_stride=1)
+    states = _check_forward(traj, spec, w0, control, grid, steps, 1, K)
+    # a step is skipped when the whole batch before it is zero
+    assert traj.diagnostics["rest_steps"] == sum(not states[:, s].any() for s in range(steps))
+
+
+def test_hooked_reflection_is_never_at_rest():
+    # hook(0) = 1e-13 passes the hook check, which allows 1e-12: every step
+    # reflects it into the state, so zero data and zero controls are not a rest
+    spec = build_system(1, 1, [1.0, 2.0], b=[[0.5]], hook=lambda wp: 0.5 * wp + 1e-13)
+    grid = _grid(spec, 16, 40)
+    w0 = np.zeros((2, spec.n, 17))
+    control = _by_step(np.zeros((41, 2, 1)), grid.T / 40)
+    traj = solve_forward(spec, w0, control, grid, snapshot_stride=1)
+    assert traj.diagnostics["rest_steps"] == 0
+    states = _check_forward(traj, spec, w0, control, grid, 40, 1, K)
+    assert states[:, 1:, 0, 0].min() > 0.0
+
+
+def test_state_dependent_speeds_are_never_at_rest():
+    spec = build_system(1, 1, [1.0, "1 + w2**2"], b=[[0.5]])
+    grid = _grid(spec, 16, 40)
+    values = np.zeros((41, 1))
+    values[20:] = 0.1 * np.random.default_rng(0).standard_normal((21, 1))
+    control = _by_step(values, grid.T / 40)
+    w0 = StateField(np.zeros((spec.n, 17)), 0.0, grid.xs)
+    traj = solve_forward(spec, w0, control, grid, snapshot_stride=1)
+    assert traj.diagnostics["rest_steps"] == 0
+    assert traj.diagnostics["max_substep_doublings"] == 0
+    _check_forward(traj, spec, w0.values[None], control, grid, 40, 1, K)
 
 
 def _reference_dual(spec, S, B, v0, T, grid):

@@ -12,11 +12,14 @@ from hypctrl.cli import main
 from hypctrl.config import load_config
 from hypctrl.controller import null_control_openloop
 from hypctrl.core import ConfigError, GridSpec, StateField, build_system
+from hypctrl.backstepping import Kernel, SourceMatrix
 from hypctrl.outputs import (
     read_binary_snapshot,
     write_binary_snapshot,
     write_csv,
     write_float_csv,
+    write_kernel_csv,
+    write_source_csv,
 )
 
 BASE_CFG = """
@@ -152,6 +155,36 @@ def test_float_csv_bytes_match_cell_writer(tmp_path):
     rows = ([times[s]] + [block[s, c] for c in range(3)] for s in range(50))
     write_csv(tmp_path / "cells.csv", header, rows)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def _special_values(rng, shape):
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    values.reshape(-1)[:4] = [-0.0, 5e-310, np.nan, np.inf]
+    return values
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("NK", [8, 13])
+def test_kernel_and_source_csv_bytes_match_row_writer(tmp_path, n, NK):
+    rng = np.random.default_rng(n * NK)
+    kernel = Kernel(n=n, k=1, NK=NK, values=_special_values(rng, (n, n, (NK + 1) * (NK + 2) // 2)))
+    source = SourceMatrix(k=1, m=n - 1, xs=kernel.xs, values=_special_values(rng, (n, n, NK + 1)))
+    write_kernel_csv(tmp_path / "kernel.csv", kernel)
+    write_source_csv(tmp_path / "source.csv", source)
+    # the row writers these replaced: one list of cells per line, each cell formatted alone
+    xs = kernel.xs
+    kernel_rows = (
+        [xs[p], xs[q], i + 1, j + 1, kernel.values[i, j, p * (p + 1) // 2 + q]]
+        for p in range(NK + 1) for q in range(p + 1) for i in range(n) for j in range(n)
+    )
+    source_rows = (
+        [x, i + 1, j + 1, source.values[i, j, q]]
+        for q, x in enumerate(source.xs) for i in range(n) for j in range(n)
+    )
+    write_csv(tmp_path / "kernel_rows.csv", ["x", "y", "i", "j", "K_ij"], kernel_rows)
+    write_csv(tmp_path / "source_rows.csv", ["x", "i", "j", "S_ij"], source_rows)
+    for name in ("kernel", "source"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_rows.csv").read_bytes()
 
 
 def _run_twice(argv, tmp_path, names):

@@ -340,7 +340,8 @@ def test_diagnostics_report_steps_dt_chunk_and_doublings():
     w0 = state_from_exprs([None, "exp(-((x-0.5)/0.1)**2)"], grid, 2)
     traj = solve_forward(lin, w0, zero_control(1), grid)
     assert traj.diagnostics == {
-        "steps": traj.times.size - 1, "dt": traj.dt, "chunk": 64, "max_substep_doublings": 0
+        "steps": traj.times.size - 1, "dt": traj.dt, "chunk": 64, "max_substep_doublings": 0,
+        "rest_steps": 0,
     }
     # speed 1 + w2^2 reaches 2 on this unit bump: the CFL check halves the step once
     quasi = build_system(1, 1, [1.0, "1 + w2**2"], b=[[0.5]])
