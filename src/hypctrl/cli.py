@@ -15,7 +15,7 @@ import numpy as np
 
 from . import backstepping as bs
 from . import bmatrix, controller, outputs
-from .config import load_config
+from .config import SETTINGS, load_config
 from .core import (
     GridSpec,
     HypctrlError,
@@ -45,61 +45,45 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="hypctrl", description=__doc__)
     sub = p.add_subparsers(dest="command", metavar="command")
 
-    def common(sp, grid_flags=True):
+    def command(name, help, grid_flags=True):
+        """Subparser with the common flags and one flag per ``SETTINGS`` key;
+        a command's ``t`` setting reads ``--T``."""
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None)
         if grid_flags:
             sp.add_argument("--N", type=int, default=None, help="grid cells")
             sp.add_argument("--T", type=float, default=None, help="time horizon")
+        for key, (cast, default, flag) in SETTINGS.get(name, {}).items():
+            if flag and key != "t":
+                sp.add_argument("--" + key.replace("_", "-"), type=cast, default=None,
+                                help=f"default: [{name}] {key}, else {default:g}")
+        return sp
 
-    sp = sub.add_parser("times", help="travel times and control-time landmarks")
-    common(sp, grid_flags=False)
+    sp = command("times", "travel times and control-time landmarks", grid_flags=False)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--quad-tol", type=float, default=1e-10)
 
-    sp = sub.add_parser("check-b", help="reflection-matrix class membership")
-    common(sp, grid_flags=False)
+    sp = command("check-b", "reflection-matrix class membership", grid_flags=False)
     sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("simulate", help="forward run with configured controls")
-    common(sp)
+    sp = command("simulate", "forward run with configured controls")
     sp.add_argument("--snap-times", type=_float_list, default=[],
                     help="comma-separated snapshot times in [0, T]")
     sp.add_argument("--binary", action="store_true", help="also write a binary terminal snapshot")
 
-    sp = sub.add_parser("dual", help="backward dual run with observation trace")
-    common(sp)
+    sp = command("dual", "backward dual run with observation trace")
     sp.add_argument("--use-kernel", type=int, default=0, metavar="NK",
                     help="solve the kernel at this resolution and use its source matrix")
 
-    sp = sub.add_parser("kernel", help="solve the kernel equations and export")
-    common(sp, grid_flags=False)
-    sp.add_argument("--nk", type=int, default=None)
-    sp.add_argument("--tolerance", type=float, default=None)
-    sp.add_argument("--max-iters", type=int, default=None)
-
-    sp = sub.add_parser("feedback", help="synthesize and run the finite-time feedback")
-    common(sp)
-
-    sp = sub.add_parser("nullctrl", help="open-loop least-squares null control")
-    common(sp)
-    sp.add_argument("--segments", type=int, default=None)
-    sp.add_argument("--reg", type=float, default=None)
-
-    sp = sub.add_parser("witness", help="below-optimal-time witness construction")
-    common(sp)
-    sp.add_argument("--samples", type=int, default=None, help="random controls to try")
-
-    sp = sub.add_parser("observability", help="Monte Carlo observability estimate")
-    common(sp)
-    sp.add_argument("--samples", type=int, default=None)
-
-    sp = sub.add_parser("sweep", help="parameter sweep of null-control residuals")
-    common(sp)
+    command("kernel", "solve the kernel equations and export", grid_flags=False)
+    command("feedback", "synthesize and run the finite-time feedback")
+    command("nullctrl", "open-loop least-squares null control")
+    command("witness", "below-optimal-time witness construction")
+    command("observability", "Monte Carlo observability estimate")
+    sp = command("sweep", "parameter sweep of null-control residuals")
     sp.add_argument("--jobs", type=int, default=None, help="ignored; points run one by one")
-    sp.add_argument("--segments", type=int, default=None)
-    sp.add_argument("--reg", type=float, default=None)
     return p
 
 
@@ -117,9 +101,7 @@ def _seed(args, cfg) -> int:
 # subcommands
 # --------------------------------------------------------------------------- #
 
-def _cmd_times(args) -> int:
-    cfg = load_config(args.config)
-    spec = cfg.system()
+def _cmd_times(args, cfg, spec) -> int:
     report = time_report(spec, args.quad_tol).as_dict()
     if args.json:
         import json
@@ -131,9 +113,7 @@ def _cmd_times(args) -> int:
     return 0
 
 
-def _cmd_check_b(args) -> int:
-    cfg = load_config(args.config)
-    spec = cfg.system()
+def _cmd_check_b(args, cfg, spec) -> int:
     rep = bmatrix.class_report(spec.B)
     if args.json:
         import json
@@ -157,9 +137,7 @@ def _cmd_check_b(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    spec = cfg.system()
+def _cmd_simulate(args, cfg, spec) -> int:
     grid = cfg.grid(N=args.N, T=args.T)
     w0 = cfg.initial_state(grid, spec.n)
     closure = cfg.control_closure(spec.k, spec.m)
@@ -189,12 +167,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_dual(args) -> int:
-    cfg = load_config(args.config)
-    spec = cfg.system()
-    T = args.T if args.T is not None else cfg.get("dual", "t", float, cfg.grid().T)
+def _cmd_dual(args, cfg, spec) -> int:
+    T = cfg.setting("dual", "t", args.T)
     grid = cfg.grid(N=args.N, T=T)
-    v0 = cfg.dual_initial(grid, spec.n)
+    v0 = cfg.initial_state(grid, spec.n, section="dual", prefix="v")
     S = None
     if args.use_kernel:
         base, gauge = bs.preprocess_diagonal(spec)
@@ -212,16 +188,10 @@ def _cmd_dual(args) -> int:
     return 0
 
 
-def _cmd_kernel(args) -> int:
-    cfg = load_config(args.config)
-    spec = cfg.system()
-    NK = args.nk if args.nk is not None else cfg.get("kernel", "nk", int, 64)
-    tol = args.tolerance if args.tolerance is not None else cfg.get(
-        "kernel", "tolerance", float, 1e-10
-    )
-    iters = args.max_iters if args.max_iters is not None else cfg.get(
-        "kernel", "max_iters", int, 200
-    )
+def _cmd_kernel(args, cfg, spec) -> int:
+    NK = cfg.setting("kernel", "nk", args.nk)
+    tol = cfg.setting("kernel", "tolerance", args.tolerance)
+    iters = cfg.setting("kernel", "max_iters", args.max_iters)
     base, gauge = bs.preprocess_diagonal(spec)
     kernel = bs.solve_kernel(base, NK=NK, max_iters=iters, fp_tolerance=tol)
     source = bs.source_matrix(kernel, base)
@@ -247,10 +217,8 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
-def _cmd_feedback(args) -> int:
-    cfg = load_config(args.config)
-    spec = cfg.system()
-    T = args.T if args.T is not None else cfg.get("feedback", "t", float, cfg.grid().T)
+def _cmd_feedback(args, cfg, spec) -> int:
+    T = cfg.setting("feedback", "t", args.T)
     grid = cfg.grid(N=args.N, T=T)
     w0 = cfg.initial_state(grid, spec.n)
     law = controller.synthesize_feedback(spec, spec.B, T, w0)
@@ -277,14 +245,10 @@ def _cmd_feedback(args) -> int:
     return 0
 
 
-def _cmd_nullctrl(args) -> int:
-    cfg = load_config(args.config)
-    spec = cfg.system()
-    T = args.T if args.T is not None else cfg.get("nullctrl", "t", float, cfg.grid().T)
-    segments = args.segments if args.segments is not None else cfg.get(
-        "nullctrl", "segments", int, 64
-    )
-    reg = args.reg if args.reg is not None else cfg.get("nullctrl", "reg", float, 1e-8)
+def _cmd_nullctrl(args, cfg, spec) -> int:
+    T = cfg.setting("nullctrl", "t", args.T)
+    segments = cfg.setting("nullctrl", "segments", args.segments)
+    reg = cfg.setting("nullctrl", "reg", args.reg)
     grid = cfg.grid(N=args.N)
     w0 = cfg.initial_state(grid, spec.n)
     res = controller.null_control_openloop(spec, w0, T, grid, reg=reg, segments=segments)
@@ -305,14 +269,10 @@ def _cmd_nullctrl(args) -> int:
     return 0
 
 
-def _cmd_witness(args) -> int:
-    cfg = load_config(args.config)
-    spec = cfg.system()
-    T = args.T if args.T is not None else cfg.get("witness", "t", float, cfg.grid().T)
-    samples = args.samples if args.samples is not None else cfg.get(
-        "witness", "samples", int, 100
-    )
-    amplitude = cfg.get("witness", "amplitude", float, 1.0)
+def _cmd_witness(args, cfg, spec) -> int:
+    T = cfg.setting("witness", "t", args.T)
+    samples = cfg.setting("witness", "samples", args.samples)
+    amplitude = cfg.setting("witness", "amplitude")
     grid = cfg.grid(N=args.N, T=T)
     wit = controller.optimality_witness(spec, spec.B, T, grid, amplitude=amplitude)
     rng = np.random.default_rng(_seed(args, cfg))
@@ -343,13 +303,9 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _cmd_observability(args) -> int:
-    cfg = load_config(args.config)
-    spec = cfg.system()
-    T = args.T if args.T is not None else cfg.get("observability", "t", float, cfg.grid().T)
-    samples = args.samples if args.samples is not None else cfg.get(
-        "observability", "samples", int, 16
-    )
+def _cmd_observability(args, cfg, spec) -> int:
+    T = cfg.setting("observability", "t", args.T)
+    samples = cfg.setting("observability", "samples", args.samples)
     grid = cfg.grid(N=args.N)
     rng = np.random.default_rng(_seed(args, cfg))
     res = controller.verify_observability(spec, None, spec.B, T, samples, grid, rng=rng)
@@ -367,17 +323,15 @@ def _cmd_observability(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    base_spec = cfg.system()
-    T = args.T if args.T is not None else cfg.get("sweep", "t", float, cfg.grid().T)
-    segments = args.segments if args.segments is not None else cfg.get(
-        "sweep", "segments", int, 32
-    )
-    reg = args.reg if args.reg is not None else cfg.get("sweep", "reg", float, 1e-8)
-    gammas = _floats_or(cfg.get("sweep", "gamma_values"), [1.0])
-    bscales = _floats_or(cfg.get("sweep", "b_scale_values"), [1.0])
+def _cmd_sweep(args, cfg, base_spec) -> int:
+    T = cfg.setting("sweep", "t", args.T)
+    segments = cfg.setting("sweep", "segments", args.segments)
+    reg = cfg.setting("sweep", "reg", args.reg)
+    gammas = cfg.setting("sweep", "gamma_values")
+    bscales = cfg.setting("sweep", "b_scale_values")
     grid = cfg.grid(N=args.N)
+    # refuse a bad horizon or least-squares setting once, not as NaN rows
+    controller.openloop_grid(grid, T, reg, segments)
 
     from .core import build_system
 
@@ -417,12 +371,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _floats_or(raw, default):
-    if raw is None:
-        return default
-    return [float(p) for p in str(raw).replace(",", " ").split()]
-
-
 _COMMANDS = {
     "times": _cmd_times,
     "check-b": _cmd_check_b,
@@ -443,7 +391,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required")
-        return _COMMANDS[args.command](args)
+        cfg = load_config(args.config)
+        return _COMMANDS[args.command](args, cfg, cfg.system())
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -2,15 +2,19 @@
 
 The format is INI-style; expressions are plain strings in x (speeds,
 coupling entries, initial data) or t (open-loop controls).  Unknown sections
-or keys are rejected by name so typos fail loudly, and a fixed seed makes
-every downstream draw reproducible.
+or keys are rejected by name so typos fail loudly, a value that does not
+parse is refused with its section and key, and a fixed seed makes every
+downstream draw reproducible.  ``SETTINGS`` declares each command's settings
+once: their types, defaults and which of them the CLI also takes as flags.
 """
 
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,23 +31,6 @@ from .core import (
     validate_system,
 )
 from .expressions import parse_expression
-
-_KNOWN_KEYS = {
-    "speeds": None,  # k, m, lambdaI / lambdaI_x / lambdaI_values (checked dynamically)
-    "coupling": {"matrix", "gamma"},  # plus cI_J entries
-    "boundary": {"b"},
-    "grid": {"n", "cfl", "t"},
-    "initial": None,  # wI
-    "control": None,  # wI
-    "dual": None,  # vI, t
-    "kernel": {"nk", "tolerance", "max_iters"},
-    "feedback": {"t"},
-    "nullctrl": {"t", "segments", "reg"},
-    "witness": {"t", "samples", "amplitude"},
-    "observability": {"t", "samples"},
-    "sweep": {"gamma_values", "b_scale_values", "t", "segments", "reg"},
-    "run": {"seed", "jobs", "out"},  # jobs: accepted, no effect
-}
 
 
 def _floats(text: str) -> list[float]:
@@ -63,6 +50,51 @@ def _matrix(text: str) -> np.ndarray:
     return np.asarray(data, dtype=float)
 
 
+class Setting(NamedTuple):
+    cast: Callable
+    default: object  # None for ``t``: the horizon of ``[grid] t``
+    flag: bool = True  # also settable by a command-line flag
+
+
+_T = Setting(float, None)
+
+# command section -> key -> setting; the CLI flags, the keys these sections
+# accept and every default come from here
+SETTINGS = {
+    "dual": {"t": _T},
+    "kernel": {
+        "nk": Setting(int, 64),
+        "tolerance": Setting(float, 1e-10),
+        "max_iters": Setting(int, 200),
+    },
+    "feedback": {"t": _T},
+    "nullctrl": {"t": _T, "segments": Setting(int, 64), "reg": Setting(float, 1e-8)},
+    "witness": {"t": _T, "samples": Setting(int, 100), "amplitude": Setting(float, 1.0, False)},
+    "observability": {"t": _T, "samples": Setting(int, 16)},
+    "sweep": {
+        "gamma_values": Setting(_floats, (1.0,), False),
+        "b_scale_values": Setting(_floats, (1.0,), False),
+        "t": _T,
+        "segments": Setting(int, 32),
+        "reg": Setting(float, 1e-8),
+    },
+}
+
+_KNOWN_KEYS = {
+    "speeds": {"k", "m"},
+    "coupling": {"matrix", "gamma"},
+    "boundary": {"b"},
+    "grid": {"n", "cfl", "t"},
+    "initial": set(),
+    "control": set(),
+    "run": {"seed", "jobs", "out"},  # jobs: accepted, no effect
+    **{section: set(keys) for section, keys in SETTINGS.items()},
+}
+# the numbered keys a section takes besides its fixed ones
+_NUMBERED = {"speeds": "lambda.*", "coupling": "c.*_.*", "initial": "w.*", "control": "w.*",
+             "dual": "v.*"}
+
+
 @dataclass
 class ExperimentConfig:
     path: str
@@ -79,8 +111,18 @@ class ExperimentConfig:
         raw = self.sections[section][key]
         try:
             return cast(raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from None
+
+    def setting(self, command: str, key: str, flag=None):
+        """A command setting from ``SETTINGS``: the flag value if given, else
+        ``[command] key`` from the file, else its default."""
+        if flag is not None:
+            return flag
+        cast, default, _ = SETTINGS[command][key]
+        if key == "t":
+            default = self.grid().T
+        return self.get(command, key, cast, default)
 
     # ---- builders ------------------------------------------------------- #
 
@@ -88,11 +130,11 @@ class ExperimentConfig:
         sec = self.sections.get("speeds")
         if sec is None:
             raise ConfigError("missing [speeds] section")
-        try:
-            k = int(sec["k"])
-            m = int(sec["m"])
-        except KeyError as exc:
-            raise ConfigError(f"missing key {exc.args[0]!r} in [speeds]") from None
+        for key in ("k", "m"):
+            if key not in sec:
+                raise ConfigError(f"missing key {key!r} in [speeds]")
+        k = self.get("speeds", "k", int)
+        m = self.get("speeds", "m", int)
         n = k + m
         speeds = []
         for i in range(1, n + 1):
@@ -104,22 +146,25 @@ class ExperimentConfig:
                 except ValueError:
                     speeds.append(raw)
             elif f"{name}_x" in sec and f"{name}_values" in sec:
-                speeds.append(
-                    (np.asarray(_floats(sec[f"{name}_x"])), np.asarray(_floats(sec[f"{name}_values"])))
-                )
+                speeds.append((
+                    np.asarray(self.get("speeds", f"{name}_x", _floats)),
+                    np.asarray(self.get("speeds", f"{name}_values", _floats)),
+                ))
             else:
                 raise ConfigError(f"missing key {name!r} in [speeds]")
         profile = SpeedProfile(k, m, speeds)
 
         csec = self.sections.get("coupling", {})
-        gamma = float(csec.get("gamma", 1.0))
-        entries = {
-            (int(key[1 : key.index("_")]) - 1, int(key[key.index("_") + 1 :]) - 1): val
-            for key, val in csec.items()
-            if key.startswith("c") and "_" in key
-        }
+        gamma = self.get("coupling", "gamma", float, 1.0)
+        entries = {}
+        for key, val in csec.items():
+            if re.fullmatch(_NUMBERED["coupling"], key):
+                index = re.fullmatch(r"c(\d+)_(\d+)", key)
+                if index is None:
+                    raise ConfigError(f"bad entry key [coupling] {key}: expected cI_J")
+                entries[int(index[1]) - 1, int(index[2]) - 1] = val
         if "matrix" in csec:
-            mat = _matrix(csec["matrix"])
+            mat = self.get("coupling", "matrix", _matrix)
             if mat.shape != (n, n):
                 raise ConfigError(f"[coupling] matrix must be {n}x{n}, got {mat.shape}")
             coupling = CouplingField(n, constant=mat, gamma=gamma)
@@ -128,29 +173,24 @@ class ExperimentConfig:
         else:
             coupling = CouplingField(n, gamma=gamma)
 
-        bsec = self.sections.get("boundary", {})
-        if "b" not in bsec:
+        if not self.has("boundary", "b"):
             raise ConfigError("missing key 'b' in [boundary]")
-        B = _matrix(bsec["b"])
+        B = self.get("boundary", "b", _matrix)
         if B.shape != (k, m):
             raise ConfigError(f"[boundary] b must be {k}x{m}, got {B.shape}")
         return validate_system(profile, coupling, ReflectionMatrix(B))
 
-    def grid(self, N=None, T=None, cfl=None) -> GridSpec:
-        sec = self.sections.get("grid", {})
-        n_val = N if N is not None else int(sec.get("n", 256))
-        cfl_val = cfl if cfl is not None else float(sec.get("cfl", 0.9))
-        t_val = T if T is not None else float(sec.get("t", 1.0))
-        return GridSpec(N=n_val, cfl=cfl_val, T=t_val)
+    def grid(self, N=None, T=None) -> GridSpec:
+        return GridSpec(
+            N=N if N is not None else self.get("grid", "n", int, 256),
+            cfl=self.get("grid", "cfl", float, 0.9),
+            T=T if T is not None else self.get("grid", "t", float, 1.0),
+        )
 
-    def initial_state(self, grid: GridSpec, n: int) -> StateField:
-        sec = self.sections.get("initial", {})
-        exprs = [sec.get(f"w{i + 1}") for i in range(n)]
-        return state_from_exprs(exprs, grid, n)
-
-    def dual_initial(self, grid: GridSpec, n: int) -> StateField:
-        sec = self.sections.get("dual", {})
-        exprs = [sec.get(f"v{i + 1}") for i in range(n)]
+    def initial_state(self, grid: GridSpec, n: int, section="initial", prefix="w") -> StateField:
+        """Data w1..wn of ``[initial]``; the dual's v1..vn with ``[dual]``, "v"."""
+        sec = self.sections.get(section, {})
+        exprs = [sec.get(f"{prefix}{i + 1}") for i in range(n)]
         return state_from_exprs(exprs, grid, n)
 
     def control_closure(self, k: int, m: int):
@@ -184,28 +224,14 @@ def load_config(path) -> ExperimentConfig:
     for name in parser.sections():
         if name not in _KNOWN_KEYS:
             raise ConfigError(f"unknown section [{name}] in {path}")
-        known = _KNOWN_KEYS[name]
         body = dict(parser.items(name))
         for key in body:
-            if known is not None and key not in known:
-                if name == "coupling" and key.startswith("c") and "_" in key:
-                    continue
+            numbered = name in _NUMBERED and re.fullmatch(_NUMBERED[name], key)
+            if key not in _KNOWN_KEYS[name] and not numbered:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
-            if known is None:
-                ok = (
-                    (name == "speeds" and (key in ("k", "m") or key.startswith("lambda")))
-                    or (name in ("initial", "control") and key.startswith("w"))
-                    or (name == "dual" and (key.startswith("v") or key == "t"))
-                )
-                if not ok:
-                    raise ConfigError(f"unknown key {key!r} in section [{name}]")
         sections[name] = body
 
-    run = sections.get("run", {})
-    cfg = ExperimentConfig(
-        path=str(path),
-        sections=sections,
-        seed=int(run.get("seed", 0)),
-        out=run.get("out", "."),
-    )
+    cfg = ExperimentConfig(path=str(path), sections=sections)
+    cfg.seed = cfg.get("run", "seed", int, 0)
+    cfg.out = cfg.get("run", "out", str, ".")
     return cfg

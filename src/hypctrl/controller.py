@@ -13,7 +13,8 @@ are C^1 ramps that match the initial trace at x = 1, equal exactly zero from
 delta/2 on (delta = T - T_opt), and switch the state-fed part on smoothly.
 The positions invert the cumulative travel time, on the current state frozen
 in time when the speeds depend on it; no characteristic is integrated (the
-RK4 ``characteristic_flow`` is public API and the tests' reference).
+RK4 ``characteristic_flow``, which reads the state through a callable
+accessor, is public API and the tests' reference).
 """
 
 from __future__ import annotations
@@ -275,6 +276,15 @@ def _flat_l2_weights(n: int, xs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.tile(w, n))
 
 
+def openloop_grid(grid: GridSpec, T: float, reg: float, segments: int) -> GridSpec:
+    """The grid of a least-squares null control over [0, T], its settings checked."""
+    if segments < 1:
+        raise ValidationError(f"need at least one control segment, got segments = {segments}")
+    if not reg >= 0.0:
+        raise ValidationError(f"regularization must be >= 0, got reg = {reg}")
+    return GridSpec(N=grid.N, cfl=grid.cfl, T=T)
+
+
 def null_control_openloop(
     spec: SystemSpec,
     w0: StateField,
@@ -298,7 +308,7 @@ def null_control_openloop(
     if spec.reflection.hook is not None:
         raise ValidationError("open-loop least squares requires a linear reflection")
     m = spec.m
-    run_grid = GridSpec(N=grid.N, cfl=grid.cfl, T=T)
+    run_grid = openloop_grid(grid, T, reg, segments)
     xs = run_grid.xs
     sqw = _flat_l2_weights(spec.n, xs)
 

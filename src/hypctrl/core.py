@@ -393,8 +393,8 @@ class GridSpec:
             raise ValidationError("need at least N = 8 cells")
         if not (0.0 < self.cfl <= 1.0):
             raise ValidationError("CFL number must lie in (0, 1]")
-        if self.T <= 0.0:
-            raise ValidationError("time horizon must be positive")
+        if not (0.0 < self.T < np.inf):
+            raise ValidationError(f"time horizon must be finite and positive, got T = {self.T}")
 
     @property
     def h(self) -> float:

@@ -134,18 +134,6 @@ class Trajectory:
         idx = int(np.argmin(np.abs(self.snapshot_times - t)))
         return StateField(self.snapshots[idx].copy(), float(self.snapshot_times[idx]), self.xs)
 
-    def state_vector_at(self, t: float, x: float) -> np.ndarray:
-        """All components at (t, x), linear in time between stored snapshots."""
-        ts = self.snapshot_times
-        t = float(np.clip(t, ts[0], ts[-1]))
-        j = int(np.searchsorted(ts, t))
-        j = max(1, min(j, ts.size - 1))
-        t0, t1 = ts[j - 1], ts[j]
-        theta = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        cols0 = np.array([np.interp(x, self.xs, row) for row in self.snapshots[j - 1]])
-        cols1 = np.array([np.interp(x, self.xs, row) for row in self.snapshots[j]])
-        return (1.0 - theta) * cols0 + theta * cols1
-
 
 def _resolve_stride(n_steps: int, snapshot_stride) -> int:
     if snapshot_stride in (None, "auto"):
@@ -491,8 +479,8 @@ def characteristic_flow(
     """Position at time t of the component-j characteristic through (s, xi).
 
     dx/dt = +lambda_j for j <= k, -lambda_j for j > k; classical 4-stage
-    Runge-Kutta, fixed step.  ``state`` supplies w(t, x) for state-dependent
-    speeds: a Trajectory, or any callable (time, x) -> state vector.
+    Runge-Kutta, fixed step.  For state-dependent speeds, ``state`` is a
+    callable (time, x) -> state vector that supplies w(t, x).
     """
     if not (1 <= j <= spec.n):
         raise DimensionMismatch(f"component index {j} outside 1..{spec.n}")
@@ -503,14 +491,10 @@ def characteristic_flow(
 
     if spec.state_dependent:
         if state is None:
-            raise OutOfDomain("state-dependent speeds need a trajectory or state accessor")
-        if isinstance(state, Trajectory):
-            accessor = state.state_vector_at
-        else:
-            accessor = state
+            raise OutOfDomain("state-dependent speeds need a state accessor")
 
         def vel(time, x):
-            return sgn * float(speed.evaluate(np.asarray([x]), accessor(time, x))[0])
+            return sgn * float(speed.evaluate(np.asarray([x]), state(time, x))[0])
 
     else:
 

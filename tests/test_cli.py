@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hypctrl
-from hypctrl.cli import main
+from hypctrl.cli import _build_parser, main
 from hypctrl.config import load_config
 from hypctrl.controller import null_control_openloop
 from hypctrl.core import ConfigError, GridSpec, StateField, build_system
@@ -440,3 +440,117 @@ def test_simulate_snap_times_outside_horizon_refused(cfg_path, tmp_path, capsys,
     assert main(argv) == 2
     assert f"snapshot time {bad} outside [0, T = 1.5]" in capsys.readouterr().err
     assert not (out / "snapshot_t0.5.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, old, new, named",
+    [
+        ("simulate", "gamma = 1.0", "gamma = abc", "[coupling] gamma"),
+        ("simulate", "seed = 1234", "seed = x", "[run] seed"),
+        ("simulate", "n = 96", "n = 6x", "[grid] n"),
+        ("simulate", "cfl = 0.9", "cfl = abc", "[grid] cfl"),
+        ("simulate", "t = 1.5", "t = abc", "[grid] t"),
+        ("simulate", "k = 1", "k = one", "[speeds] k"),
+        ("simulate", "m = 1", "m = one", "[speeds] m"),
+        ("sweep", "[run]", "[sweep]\ngamma_values = 0, abc\n\n[run]", "[sweep] gamma_values"),
+        ("simulate", "gamma = 1.0", "gamma = 1.0\nc1_x = 1", "[coupling] c1_x"),
+    ],
+)
+def test_bad_config_value_names_section_and_key(tmp_path, capsys, command, old, new, named):
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE_CFG.replace(old, new))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and named in err
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "dual", "feedback", "nullctrl", "witness", "observability", "sweep"]
+)
+@pytest.mark.parametrize("T", ["nan", "inf"])
+def test_non_finite_horizon_refused(tmp_path, capsys, command, T):
+    path = tmp_path / "sys.cfg"
+    path.write_text(BASE_CFG + "\n[dual]\nv2 = sin(pi*x)\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--T", T, "--N", "16", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"time horizon must be finite and positive, got T = {T}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["nullctrl", "sweep"])
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--segments", "0", "segments = 0"), ("--segments", "-1", "segments = -1"),
+     ("--reg", "nan", "reg = nan"), ("--reg", "-1", "reg = -1.0")],
+)
+def test_bad_null_control_setting_refused(cfg_path, tmp_path, capsys, command, flag, value, named):
+    # the sweep refuses once, before its points, instead of writing NaN rows
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg_path), "--T", "2", "--N", "16", "--out", str(out)]
+    assert main(argv + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and named in err
+    assert not out.exists()
+
+
+# every option of every subcommand; the config-only settings of
+# config.SETTINGS, such as [witness] amplitude, must not gain a flag
+_COMMON_OPTIONS = {"-h", "--help", "--config", "--out", "--seed"}
+_GRID_OPTIONS = _COMMON_OPTIONS | {"--N", "--T"}
+_COMMAND_OPTIONS = {
+    "times": _COMMON_OPTIONS | {"--json", "--quad-tol"},
+    "check-b": _COMMON_OPTIONS | {"--json"},
+    "simulate": _GRID_OPTIONS | {"--snap-times", "--binary"},
+    "dual": _GRID_OPTIONS | {"--use-kernel"},
+    "kernel": _COMMON_OPTIONS | {"--nk", "--tolerance", "--max-iters"},
+    "feedback": _GRID_OPTIONS,
+    "nullctrl": _GRID_OPTIONS | {"--segments", "--reg"},
+    "witness": _GRID_OPTIONS | {"--samples"},
+    "observability": _GRID_OPTIONS | {"--samples"},
+    "sweep": _GRID_OPTIONS | {"--jobs", "--segments", "--reg"},
+}
+
+
+def test_every_subcommand_keeps_exactly_its_options():
+    (subparsers,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    options = {name: set(sp._option_string_actions) for name, sp in subparsers.choices.items()}
+    assert options == _COMMAND_OPTIONS
+
+
+def test_nullctrl_settings_follow_flag_then_file_then_default(tmp_path):
+    def report(cfg_text, *flags):
+        path = tmp_path / "prec.cfg"
+        path.write_text(cfg_text)
+        out = tmp_path / "out"
+        assert main(["nullctrl", "--config", str(path), "--N", "16", "--out", str(out), *flags]) == 0
+        rep = json.loads((out / "nullctrl_report.json").read_text())
+        return rep["T"], rep["segments"], rep["reg"]
+
+    in_file = BASE_CFG + "\n[nullctrl]\nt = 2.0\nsegments = 5\nreg = 1e-6\n"
+    assert report(in_file, "--T", "2.5", "--segments", "3", "--reg", "1e-4") == (2.5, 3, 1e-4)
+    assert report(in_file) == (2.0, 5, 1e-6)
+    assert report(BASE_CFG) == (1.5, 64, 1e-8)  # t falls back to [grid] t
+
+
+def test_kernel_max_iters_flag_overrides_file(tmp_path, capsys):
+    path = tmp_path / "ker.cfg"
+    path.write_text(COUPLED_CFG + "\n[kernel]\nnk = 16\nmax_iters = 1\n")
+    argv = ["kernel", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert main(argv + ["--max-iters", "200"]) == 0
+    assert json.loads((tmp_path / "out" / "kernel_report.json").read_text())["NK"] == 16
+
+
+def test_sweep_values_come_from_file_else_default(tmp_path):
+    def gammas(cfg_text):
+        path = tmp_path / "values.cfg"
+        path.write_text(cfg_text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--N", "16", "--out", str(out)]) == 0
+        rows = np.genfromtxt(out / "sweep.csv", delimiter=",", names=True, ndmin=1)
+        return rows["gamma"].tolist(), rows["b_scale"].tolist()
+
+    section = "[sweep]\nsegments = 2\n"
+    assert gammas(BASE_CFG + section) == ([1.0], [1.0])
+    assert gammas(BASE_CFG + section + "gamma_values = 0, 0.5\n") == ([0.0, 0.5], [1.0, 1.0])
