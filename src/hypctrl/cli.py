@@ -249,7 +249,7 @@ def _cmd_nullctrl(args, cfg, spec) -> int:
     T = cfg.setting("nullctrl", "t", args.T)
     segments = cfg.setting("nullctrl", "segments", args.segments)
     reg = cfg.setting("nullctrl", "reg", args.reg)
-    grid = cfg.grid(N=args.N)
+    grid = cfg.grid(N=args.N, T=T)
     w0 = cfg.initial_state(grid, spec.n)
     res = controller.null_control_openloop(spec, w0, T, grid, reg=reg, segments=segments)
     out = _outdir(args, cfg)
@@ -306,7 +306,7 @@ def _cmd_witness(args, cfg, spec) -> int:
 def _cmd_observability(args, cfg, spec) -> int:
     T = cfg.setting("observability", "t", args.T)
     samples = cfg.setting("observability", "samples", args.samples)
-    grid = cfg.grid(N=args.N)
+    grid = cfg.grid(N=args.N, T=T)
     rng = np.random.default_rng(_seed(args, cfg))
     res = controller.verify_observability(spec, None, spec.B, T, samples, grid, rng=rng)
     out = _outdir(args, cfg)
@@ -329,7 +329,7 @@ def _cmd_sweep(args, cfg, base_spec) -> int:
     reg = cfg.setting("sweep", "reg", args.reg)
     gammas = cfg.setting("sweep", "gamma_values")
     bscales = cfg.setting("sweep", "b_scale_values")
-    grid = cfg.grid(N=args.N)
+    grid = cfg.grid(N=args.N, T=T)
     # refuse a bad horizon or least-squares setting once, not as NaN rows
     controller.openloop_grid(grid, T, reg, segments)
 

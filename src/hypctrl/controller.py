@@ -185,7 +185,17 @@ def synthesize_feedback(
     one-sided slope), so the closed-loop boundary trace starts without a jump.
     For state-independent speeds the argument positions are time-invariant and
     are found once here by inverting the cumulative travel times.
+
+    The law ignores the coupling C(x) and applies the linear elimination maps
+    of B, so a coupled system or a reflection with a nonlinear hook is refused
+    (``NotApplicable``) instead of being driven to a state the law misses.
     """
+    if spec.coupling_bound > 1e-14:
+        raise NotApplicable(
+            f"finite-time feedback requires zero coupling, got max |C| = {spec.coupling_bound:.3g}"
+        )
+    if spec.reflection.hook is not None:
+        raise NotApplicable("finite-time feedback requires a reflection without a nonlinear hook")
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if not in_class_B(B):
         raise NotInClassB("feedback needs an admissible reflection matrix")
@@ -280,8 +290,8 @@ def openloop_grid(grid: GridSpec, T: float, reg: float, segments: int) -> GridSp
     """The grid of a least-squares null control over [0, T], its settings checked."""
     if segments < 1:
         raise ValidationError(f"need at least one control segment, got segments = {segments}")
-    if not reg >= 0.0:
-        raise ValidationError(f"regularization must be >= 0, got reg = {reg}")
+    if not 0.0 <= reg < np.inf:
+        raise ValidationError(f"regularization must be finite and >= 0, got reg = {reg}")
     return GridSpec(N=grid.N, cfl=grid.cfl, T=T)
 
 
@@ -538,6 +548,8 @@ def verify_witness(
 
     Returns (max relative deviation, list of probe values).
     """
+    if n_controls < 1:
+        raise ValidationError(f"need at least one random control, got samples = {n_controls}")
     rng = rng or np.random.default_rng(0)
     if T is None:
         T = grid.T
@@ -603,6 +615,8 @@ def verify_observability(
     vanishing denominator count as RATIO_CAP (the constraint is vacuous
     there).
     """
+    if samples < 1:
+        raise ValidationError(f"need at least one random sample, got samples = {samples}")
     rng = rng or np.random.default_rng(0)
     xs = grid.xs
     n = spec.n

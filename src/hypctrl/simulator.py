@@ -11,6 +11,21 @@ The dual system runs backward in time in conservative form
 d_t v = d_x(Sigma v), which absorbs the Sigma' zero-order term exactly and
 needs no derivative of the speeds.
 
+The constants of a step are built once per run, not applied to the state on
+every step.  A forward step is
+
+    out = dw;  out *= coef;  out[:, i] += (dt C_ij) w[:, j];  out += w
+
+with dw the upwind differences, coef = signed speeds * dt/h per cell and one
+multiply-add for each coupling entry C_ij that is nonzero on the grid; then
+the reflection at x = 0.  State-dependent speeds build coef and dt C_ij per
+sub-step from that sub-step's speeds and length.  A dual step differences
+the flux (sigma ds/h) v, and its source integral is one trapezoid-weighted
+(n (N+1), m) operator op[(j, q), p] = h_q S_{j,k+p}(x_q), applied to each
+run's flattened state by its own matrix-vector product.  Both regroup the
+arithmetic of w + dt (lambda dw/h + C w) and of the per-component sums, so
+they differ from those by roundoff only.
+
 Both solvers advance a batch of b independent runs in one stepping loop: the
 state has shape (b, n, N+1), and a single run is the batch b = 1.
 
@@ -220,6 +235,10 @@ def solve_forward(
 
     cvals = None if spec.coupling.is_zero else spec.coupling_nodes(xs)
     lam_static = None if spec.state_dependent else spec.signed_speeds(xs)
+    # the coupling entries that are nonzero somewhere on the grid, as (i, j, C_ij)
+    entries = [] if cvals is None else [
+        (i, j, cvals[i, j]) for i in range(n) for j in range(n) if cvals[i, j].any()
+    ]
 
     aux = {"grid": grid, "spec": spec, "dt": dt, "h": h, "step": 0}
 
@@ -227,8 +246,8 @@ def solve_forward(
     bl, nlinf = np.empty((2, b, n_steps + 1, n))
     bl[:, 0], nlinf[:, 0] = w[:, :, 0], np.max(np.abs(w), axis=-1)
 
-    # buffers reused every step: the coupling term and the flush mask
-    cw = None if cvals is None else np.empty_like(w)
+    # buffers reused every step: one component's coupling term and the flush mask
+    cw = np.empty((b, xs.size)) if entries else None
     small = np.empty(w.shape, dtype=bool)
     doublings = 0
     # at rest, a step maps the zero state to +-0.0, which the flush makes +0.0:
@@ -242,22 +261,27 @@ def solve_forward(
     at_rest = can_rest and not w.any()
     rest_steps = 0
 
-    def substep(w, lam, step_dt, out):
-        """out = w + step_dt*(lam*dx [+ C w]) with the reflection at x = 0; dx is
-        formed in out itself, which keeps a step's working set small."""
+    def coefficients(lam, step_dt):
+        """The constants of a step of length step_dt: coef = lam*dt/h per cell and
+        (i, j, dt*C_ij) per coupling entry."""
+        return lam * (step_dt / h), [(i, j, step_dt * c) for i, j, c in entries]
+
+    def substep(w, coef, dt_coupling, out):
+        """out = w + coef*dw + sum of dt*C_ij*w_j, with the reflection at x = 0;
+        dw is formed in out itself, which keeps a step's working set small."""
         np.subtract(w[:, :k, 1:], w[:, :k, :-1], out=out[:, :k, 1:])
         np.subtract(w[:, k:, 1:], w[:, k:, :-1], out=out[:, k:, :-1])
         out[:, :k, 0] = 0.0
         out[:, k:, -1] = 0.0
-        np.divide(out, h, out=out)
-        np.multiply(lam, out, out=out)
-        if cw is not None:
-            np.einsum("ijq,bjq->biq", cvals, w, out=cw)
-            np.add(out, cw, out=out)
-        np.multiply(step_dt, out, out=out)
+        np.multiply(out, coef, out=out)
+        for i, j, dtc in dt_coupling:
+            np.multiply(dtc, w[:, j], out=cw)
+            np.add(out[:, i], cw, out=out[:, i])
         np.add(w, out, out=out)
         out[:, :k, 0] = spec.reflection.apply(out[:, k:, 0])
         return out
+
+    static = None if lam_static is None else coefficients(lam_static, dt)
 
     for steps, chunk in rec.chunks():
         for step, w_new, absw in zip(steps, chunk, rec.scratch):
@@ -274,7 +298,7 @@ def solve_forward(
                             lam = spec.signed_speeds(xs, wtry[0])
                             if np.max(np.abs(lam)) * sub_dt / h > 1.0 + 1e-12:
                                 break
-                            wtry = substep(wtry, lam, sub_dt, np.empty_like(w))
+                            wtry = substep(wtry, *coefficients(lam, sub_dt), np.empty_like(w))
                         else:  # every sub-step met the CFL condition
                             break
                     else:
@@ -284,7 +308,7 @@ def solve_forward(
                     np.copyto(w_new, wtry)
                     doublings = max(doublings, doubled)
                 else:
-                    substep(w, lam_static, dt, w_new)
+                    substep(w, *static, w_new)
                 # one |w| pass serves the flush, the finite check and the rest test
                 np.abs(w_new, out=absw)
                 np.less(absw, _TINY, out=small)
@@ -395,46 +419,44 @@ def solve_dual(
     if np.min(sig_plus_0) < 1e-12:
         raise SingularBoundarySpeed("a positive speed vanishes at x = 0")
 
-    if S is None:
-        smp_t = spp_t = None
-    else:
+    op = None
+    if S is not None:
         svals = S.value_nodes(xs)  # (n, n, N+1) including any scale
         if np.max(np.abs(svals[:, :k, :]), initial=0.0) > 1e-10 * max(
             1.0, np.max(np.abs(svals))
         ):
             raise ValidationError("source matrix must have zero first k columns")
-        smp_t = np.transpose(svals[:k, k:, :], (1, 0, 2))  # (m, k, N+1)
-        spp_t = np.transpose(svals[k:, k:, :], (1, 0, 2))  # (m, m, N+1)
+        # the trapezoid source integral as one operator on the flattened state:
+        # op[(j, q), p] = h * weight_q * S_{j, k+p}(x_q)
+        weights = np.full(xs.size, h)
+        weights[[0, -1]] = 0.5 * h
+        op = (svals[:, k:, :] * weights).transpose(0, 2, 1).reshape(n * xs.size, m)
 
     dt_target = grid.dt_for(spec.lambda_max)
     n_steps = max(1, int(np.ceil(T / dt_target - 1e-12)))
     ds = T / n_steps
+    flux = sig * (ds / h)
 
     rec = _Recorder(v, n_steps, snapshot_stride, ds, h)
+    b = v.shape[0]
 
     for steps, chunk in rec.chunks():
         # the flux G and its differences are formed in the scratch slot and the
         # new state's slot, which keeps a step's working set small
         for step, v_new, G in zip(steps, chunk, rec.scratch):
-            np.multiply(sig, v, out=G)
+            np.multiply(flux, v, out=G)
             # rows < k move leftward in reversed time: forward flux difference
             np.subtract(G[:, :k, 1:], G[:, :k, :-1], out=v_new[:, :k, :-1])
             # rows >= k move rightward in reversed time: backward flux difference
             np.subtract(G[:, k:, 1:], G[:, k:, :-1], out=v_new[:, k:, 1:])
             v_new[:, :k, -1] = v_new[:, k:, 0] = 0.0  # no difference reaches these
-            np.multiply(ds / h, v_new, out=v_new)
             # v_new[:, k:, 0] becomes v[:, k:, 0]: a placeholder for the integral endpoint
             np.subtract(v, v_new, out=v_new)
             v_new[:, :k, -1] = 0.0
             # one matrix-vector product per run, so each run rounds as if alone
             rhs = (-B.T @ (sig_minus_0 * v_new[:, :k, 0])[..., None])[..., 0]
-            if smp_t is not None:
-                integrand = np.einsum("pkq,bkq->bpq", smp_t, v_new[:, :k]) + np.einsum(
-                    "pmq,bmq->bpq", spp_t, v_new[:, k:]
-                )
-                rhs = rhs + h * (
-                    np.sum(integrand, axis=-1) - 0.5 * (integrand[..., 0] + integrand[..., -1])
-                )
+            if op is not None:
+                rhs = rhs + (v_new.reshape(b, 1, -1) @ op)[:, 0]
             v_new[:, k:, 0] = rhs / sig_plus_0
             if not np.all(np.isfinite(v_new)):
                 raise NonFiniteState(f"dual state blew up at t = {-step * ds:.6g}")

@@ -295,7 +295,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     t0 = time.time()
     cfg = tmp_path / "det.cfg"
     cfg.write_text(_DET_CFG)
-    # the witness construction requires zero coupling
+    # the witness construction and the feedback require zero coupling
     cfg0 = tmp_path / "det0.cfg"
     cfg0.write_text(_DET_CFG.replace("matrix = 0 0.4; 0.4 0", "matrix = 0 0; 0 0"))
     commands = [
@@ -304,7 +304,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         ["simulate", "--config", str(cfg), "--binary"],
         ["dual", "--config", str(cfg), "--T", "1.0", "--N", "64"],
         ["kernel", "--config", str(cfg), "--nk", "16"],
-        ["feedback", "--config", str(cfg), "--N", "128"],
+        ["feedback", "--config", str(cfg0), "--N", "128"],
         ["nullctrl", "--config", str(cfg), "--T", "2.4", "--segments", "8", "--N", "64"],
         ["witness", "--config", str(cfg0), "--T", "1.0", "--N", "128", "--samples", "3"],
         ["observability", "--config", str(cfg), "--T", "1.0", "--N", "64", "--samples", "2"],

@@ -482,7 +482,7 @@ def test_non_finite_horizon_refused(tmp_path, capsys, command, T):
 @pytest.mark.parametrize(
     "flag, value, named",
     [("--segments", "0", "segments = 0"), ("--segments", "-1", "segments = -1"),
-     ("--reg", "nan", "reg = nan"), ("--reg", "-1", "reg = -1.0")],
+     ("--reg", "nan", "reg = nan"), ("--reg", "-1", "reg = -1.0"), ("--reg", "inf", "reg = inf")],
 )
 def test_bad_null_control_setting_refused(cfg_path, tmp_path, capsys, command, flag, value, named):
     # the sweep refuses once, before its points, instead of writing NaN rows
@@ -491,6 +491,42 @@ def test_bad_null_control_setting_refused(cfg_path, tmp_path, capsys, command, f
     assert main(argv + [flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["witness", "observability"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_no_samples_refused(cfg_path, tmp_path, capsys, command, samples):
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg_path), "--T", "1.0", "--N", "16", "--out", str(out)]
+    assert main(argv + ["--samples", samples]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and f"samples = {samples}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, written", [
+    ("nullctrl", ["--segments", "4"], "nullctrl_report.json"),
+    ("observability", ["--samples", "2"], "observability_report.json"),
+    ("sweep", ["--segments", "4"], "sweep.csv"),
+])
+def test_grid_is_built_at_the_horizon_run(tmp_path, command, flags, written):
+    # [grid] t = 0 is not a horizon, but the command runs at --T 2
+    path = tmp_path / "sys.cfg"
+    path.write_text(BASE_CFG.replace("t = 1.5", "t = 0"))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--T", "2", "--N", "16", "--out", str(out)]
+    assert main(argv + flags) == 0
+    assert (out / written).is_file()
+
+
+def test_feedback_refuses_coupled_system(tmp_path, capsys):
+    path = tmp_path / "coupled.cfg"
+    path.write_text(BASE_CFG.replace("matrix = 0 0; 0 0", "matrix = 0 0.4; 0.4 0"))
+    out = tmp_path / "out"
+    argv = ["feedback", "--config", str(path), "--T", "2.2", "--N", "64", "--out", str(out)]
+    assert main(argv) == 2
+    assert "finite-time feedback requires zero coupling" in capsys.readouterr().err
     assert not out.exists()
 
 

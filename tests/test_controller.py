@@ -61,6 +61,21 @@ def test_synthesize_rejects_bad_inputs():
         synthesize_feedback(spec2, [[1.0, 0.0]], 2.0, w02)
 
 
+def test_synthesize_refuses_coupling_and_hook():
+    # the law ignores C(x) and uses the linear elimination maps of B
+    grid = GridSpec(N=128, cfl=0.9, T=2.2)
+    coupled = build_system(1, 1, [1.0, 1.0], coupling=[[0.0, 0.1], [0.1, 0.0]], b=[[0.5]])
+    w0 = state_from_exprs(_bump_exprs(), grid, 2)
+    with pytest.raises(NotApplicable, match="zero coupling"):
+        synthesize_feedback(coupled, [[0.5]], 2.2, w0)
+    hooked = build_system(1, 1, [1.0, 1.0], b=[[0.5]], hook=lambda wp: 0.5 * wp + 0.1 * wp**2)
+    with pytest.raises(NotApplicable, match="nonlinear hook"):
+        synthesize_feedback(hooked, [[0.5]], 2.2, w0)
+    # coupling below the threshold the witness uses is taken as zero
+    faint = build_system(1, 1, [1.0, 1.0], coupling=[[0.0, 1e-15], [0.0, 0.0]], b=[[0.5]])
+    assert synthesize_feedback(faint, [[0.5]], 2.2, w0).Topt == pytest.approx(2.0)
+
+
 def test_compatibility_warning():
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.5]])
     grid = GridSpec(N=128, cfl=0.9, T=2.2)
