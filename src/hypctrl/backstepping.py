@@ -43,6 +43,8 @@ from .core import (
 from .times import cumulative_travel
 from .simulator import Trajectory
 
+_GAUGE_CELLS = 2048  # cells of the grid the diagonal gauge is integrated on
+
 # anchor kinds
 _DIAG = 0
 _X1_ZERO = 1
@@ -143,7 +145,7 @@ class DiagonalGauge:
         return StateField(state.values / fac, state.t, state.xs)
 
 
-def preprocess_diagonal(spec: SystemSpec, n_fine: int = 2048):
+def preprocess_diagonal(spec: SystemSpec):
     """Equivalent system with zero-diagonal coupling, plus the gauge record.
 
     The state change w~_i = exp(int_0^x C_ii/Sigma_ii) w_i cancels C_ii and
@@ -153,7 +155,7 @@ def preprocess_diagonal(spec: SystemSpec, n_fine: int = 2048):
     if spec.state_dependent:
         raise ValidationError("diagonal preprocessing requires state-independent speeds")
     n = spec.n
-    xs = np.linspace(0.0, 1.0, n_fine + 1)
+    xs = np.linspace(0.0, 1.0, _GAUGE_CELLS + 1)
     cvals = spec.coupling_nodes(xs)  # includes gamma
     diag = np.stack([cvals[i, i] for i in range(n)])
     if np.max(np.abs(diag), initial=0.0) <= 1e-14 * max(1.0, spec.coupling_bound):
@@ -400,6 +402,12 @@ def solve_kernel(
         raise ValidationError("kernel equations require state-independent speeds")
     if NK < 8:
         raise ValidationError("kernel grid too coarse")
+    if max_iters < 1:
+        raise ValidationError(f"need at least one kernel sweep, got max_iters = {max_iters}")
+    if not 0.0 < fp_tolerance < np.inf:
+        raise ValidationError(
+            f"kernel tolerance must be finite and positive, got tolerance = {fp_tolerance}"
+        )
     n, k, m = spec.n, spec.k, spec.m
     check_x = np.linspace(0.0, 1.0, 513)
     cdiag = spec.coupling_nodes(check_x)
@@ -561,22 +569,19 @@ class SourceMatrix:
         return out
 
 
-def source_matrix(kernel: Kernel, spec: SystemSpec, B=None) -> SourceMatrix:
+def source_matrix(kernel: Kernel, spec: SystemSpec) -> SourceMatrix:
     """Assemble S(x) = K(x,0) Sigma(0) Q and report the S_++ lower triangle.
 
-    Q stacks (0_k B; 0_mk I_m), so the first k columns of S vanish exactly;
-    the lower-triangle magnitude of S_++ measures how well the fitted kernel
-    boundary data achieved the structural zeros.
+    Q stacks (0_k B; 0_mk I_m) with the system's B, so the first k columns of
+    S vanish exactly; the lower-triangle magnitude of S_++ measures how well
+    the fitted kernel boundary data achieved the structural zeros.
     """
-    if B is None:
-        B = spec.B
-    B = np.atleast_2d(np.asarray(B, dtype=float))
     n, k, m = kernel.n, kernel.k, spec.m
-    if B.shape != (k, m):
-        raise DimensionMismatch(f"B must be {k}x{m}")
+    if (n, k) != (spec.n, spec.k):
+        raise DimensionMismatch(f"kernel has n = {n}, k = {k}; the system {spec.n}, {spec.k}")
     sig0 = spec.signed_speeds(np.array([0.0]))[:, 0]
     Q = np.zeros((n, n))
-    Q[:k, k:] = B
+    Q[:k, k:] = spec.B
     Q[k:, k:] = np.eye(m)
     Ky0 = kernel.at_y0()  # (n, n, NK+1)
     S = np.einsum("ilx,l,lj->ijx", Ky0, sig0, Q)

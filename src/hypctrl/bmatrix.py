@@ -21,10 +21,10 @@ from .core import IndexOutOfRange, NotInClassB, ValidationError
 SINGULAR_TOLERANCE = 1e-12
 
 
-def trailing_minor_invertible(B, i: int, singular_tolerance: float = SINGULAR_TOLERANCE):
+def trailing_minor_invertible(B, i: int):
     """Whether the trailing i-by-i minor is invertible, plus its reciprocal condition.
 
-    Invertibility means |det| above singular_tolerance times the matrix entry
+    Invertibility means |det| above SINGULAR_TOLERANCE times the matrix entry
     scale (to the i-th power, since the determinant scales that way).
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -36,7 +36,7 @@ def trailing_minor_invertible(B, i: int, singular_tolerance: float = SINGULAR_TO
     det = float(np.linalg.det(sub))
     sv = np.linalg.svd(sub, compute_uv=False)
     rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    return abs(det) > singular_tolerance * scale**i, rcond
+    return abs(det) > SINGULAR_TOLERANCE * scale**i, rcond
 
 
 def in_class_B(B) -> bool:
@@ -118,7 +118,7 @@ class EliminationMaps:
         return w_plus
 
 
-def boundary_elimination(B, extend: bool = True) -> EliminationMaps:
+def boundary_elimination(B) -> EliminationMaps:
     """Derive the elimination maps by direct dense solves of the trailing blocks.
 
     Level j solves the last j rows of w_- = B w_+ with the last j negative
@@ -132,7 +132,7 @@ def boundary_elimination(B, extend: bool = True) -> EliminationMaps:
     if not in_class_B(B):
         raise NotInClassB("matrix is not admissible: some trailing minor is singular")
     levels = min(k, m - 1)
-    if extend and min(k, m) > levels and trailing_minor_invertible(B, min(k, m))[0]:
+    if min(k, m) > levels and trailing_minor_invertible(B, min(k, m))[0]:
         levels = min(k, m)
     maps = []
     for j in range(1, levels + 1):

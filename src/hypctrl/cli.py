@@ -176,7 +176,7 @@ def _cmd_dual(args, cfg, spec) -> int:
         base, gauge = bs.preprocess_diagonal(spec)
         kernel = bs.solve_kernel(base, NK=args.use_kernel)
         S = bs.source_matrix(kernel, base)
-    dual = solve_dual(spec, S, spec.B, v0, T, grid)
+    dual = solve_dual(spec, S, v0, grid)
     out = _outdir(args, cfg)
     outputs.write_float_csv(
         out / "observation.csv",
@@ -221,8 +221,8 @@ def _cmd_feedback(args, cfg, spec) -> int:
     T = cfg.setting("feedback", "t", args.T)
     grid = cfg.grid(N=args.N, T=T)
     w0 = cfg.initial_state(grid, spec.n)
-    law = controller.synthesize_feedback(spec, spec.B, T, w0)
-    traj, rep = controller.run_closed_loop(spec, law, w0, grid)
+    law = controller.synthesize_feedback(spec, T, w0)
+    traj, rep = controller.run_closed_loop(law, w0, grid)
     out = _outdir(args, cfg)
     outputs.write_norms_csv(out / "closed_loop_norms.csv", traj)
     outputs.write_json(
@@ -251,7 +251,7 @@ def _cmd_nullctrl(args, cfg, spec) -> int:
     reg = cfg.setting("nullctrl", "reg", args.reg)
     grid = cfg.grid(N=args.N, T=T)
     w0 = cfg.initial_state(grid, spec.n)
-    res = controller.null_control_openloop(spec, w0, T, grid, reg=reg, segments=segments)
+    res = controller.null_control_openloop(spec, w0, grid, reg=reg, segments=segments)
     out = _outdir(args, cfg)
     outputs.write_control_csv(out / "control.csv", res.signal, spec.k)
     outputs.write_json(
@@ -274,11 +274,9 @@ def _cmd_witness(args, cfg, spec) -> int:
     samples = cfg.setting("witness", "samples", args.samples)
     amplitude = cfg.setting("witness", "amplitude")
     grid = cfg.grid(N=args.N, T=T)
-    wit = controller.optimality_witness(spec, spec.B, T, grid, amplitude=amplitude)
+    wit = controller.optimality_witness(spec, grid, amplitude=amplitude)
     rng = np.random.default_rng(_seed(args, cfg))
-    deviation, values = controller.verify_witness(
-        spec, spec.B, wit, grid, n_controls=samples, rng=rng, T=T
-    )
+    deviation, values = controller.verify_witness(spec, wit, grid, n_controls=samples, rng=rng)
     out = _outdir(args, cfg)
     outputs.write_snapshot_csv(out / "witness_initial.csv", wit.w0)
     outputs.write_json(
@@ -308,7 +306,7 @@ def _cmd_observability(args, cfg, spec) -> int:
     samples = cfg.setting("observability", "samples", args.samples)
     grid = cfg.grid(N=args.N, T=T)
     rng = np.random.default_rng(_seed(args, cfg))
-    res = controller.verify_observability(spec, None, spec.B, T, samples, grid, rng=rng)
+    res = controller.verify_observability(spec, None, samples, grid, rng=rng)
     out = _outdir(args, cfg)
     outputs.write_csv(
         out / "observability_samples.csv",
@@ -330,8 +328,9 @@ def _cmd_sweep(args, cfg, base_spec) -> int:
     gammas = cfg.setting("sweep", "gamma_values")
     bscales = cfg.setting("sweep", "b_scale_values")
     grid = cfg.grid(N=args.N, T=T)
-    # refuse a bad horizon or least-squares setting once, not as NaN rows
-    controller.openloop_grid(grid, T, reg, segments)
+    # refuse a bad least-squares setting once, not as NaN rows; every point
+    # has the speeds, and so the time steps, of the base system
+    controller.check_null_control(base_spec, grid, reg, segments)
 
     from .core import build_system
 
@@ -350,9 +349,7 @@ def _cmd_sweep(args, cfg, base_spec) -> int:
                 b=bscale * base_spec.B,
             )
             w0 = cfg.initial_state(grid, spec.n)
-            res = controller.null_control_openloop(
-                spec, w0, T, grid, reg=reg, segments=segments
-            )
+            res = controller.null_control_openloop(spec, w0, grid, reg=reg, segments=segments)
             return gamma, bscale, res.residual, res.condition
         except HypctrlError:
             return gamma, bscale, float("nan"), float("nan")

@@ -200,7 +200,7 @@ class ExperimentConfig:
             raw = sec.get(f"w{k + i + 1}")
             exprs.append(parse_expression(raw, ("t",)) if raw is not None else None)
 
-        def closure(t, state, aux):
+        def closure(t, state):
             out = np.zeros(m)
             for i, e in enumerate(exprs):
                 if e is not None:

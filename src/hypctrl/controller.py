@@ -15,6 +15,10 @@ The positions invert the cumulative travel time, on the current state frozen
 in time when the speeds depend on it; no characteristic is integrated (the
 RK4 ``characteristic_flow``, which reads the state through a callable
 accessor, is public API and the tests' reference).
+
+Every entry point reads B from ``spec.B`` and the run horizon from ``grid.T``;
+the ``T`` of ``synthesize_feedback`` is the law's target time, not a horizon.
+The law is a boundary closure ``law(t, state)`` that holds its system.
 """
 
 from __future__ import annotations
@@ -121,7 +125,7 @@ class FeedbackLaw:
             )
         return positions
 
-    def __call__(self, t: float, state: StateField, aux) -> np.ndarray:
+    def __call__(self, t: float, state: StateField) -> np.ndarray:
         k, m = self.spec.k, self.spec.m
         ctrl = np.zeros(m)
         self.last_reads = []
@@ -145,19 +149,18 @@ class FeedbackLaw:
         return ctrl
 
 
-def check_compatibility(spec: SystemSpec, w0: StateField, tolerance: Optional[float] = None):
+def check_compatibility(spec: SystemSpec, w0: StateField):
     """Residuals of the corner conditions at (t, x) = (0, 0).
 
     Order zero: w_-(0,0) = B(w_+(0,0)).  Order one: the spatial derivatives
     must satisfy the differentiated relation with the diagonal speed blocks.
-    Returns (r0, r1, tolerance).
+    Returns (r0, r1, tolerance); the tolerance is 10 h max(1, max |dw/dx|).
     """
     k = spec.k
     h = float(w0.xs[1] - w0.xs[0])
     d0 = (w0.values[:, 1] - w0.values[:, 0]) / h
     deriv_scale = float(np.max(np.abs((w0.values[:, 1:] - w0.values[:, :-1]) / h), initial=0.0))
-    if tolerance is None:
-        tolerance = 10.0 * h * max(1.0, deriv_scale)
+    tolerance = 10.0 * h * max(1.0, deriv_scale)
     corner = w0.values[:, 0]
     r0 = float(np.max(np.abs(corner[:k] - spec.reflection.apply(corner[k:])), initial=0.0))
     sig0 = spec.signed_speeds(
@@ -174,7 +177,6 @@ def check_compatibility(spec: SystemSpec, w0: StateField, tolerance: Optional[fl
 
 def synthesize_feedback(
     spec: SystemSpec,
-    B,
     T: float,
     w0: StateField,
     strict_compat: bool = False,
@@ -196,8 +198,7 @@ def synthesize_feedback(
         )
     if spec.reflection.hook is not None:
         raise NotApplicable("finite-time feedback requires a reflection without a nonlinear hook")
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if not in_class_B(B):
+    if not in_class_B(spec.B):
         raise NotInClassB("feedback needs an admissible reflection matrix")
     k, m = spec.k, spec.m
     tau = travel_times(spec)
@@ -216,7 +217,7 @@ def synthesize_feedback(
             raise CompatibilityViolated(msg)
         warnings.warn(msg, stacklevel=2)
 
-    maps = boundary_elimination(B)
+    maps = boundary_elimination(spec.B)
     h = float(w0.xs[1] - w0.xs[0])
     corner1 = w0.values[:, -1]
     lam1 = spec.lambdas(np.array([1.0]), corner1 if spec.state_dependent else None)[:, 0]
@@ -247,8 +248,9 @@ class StabilizationReport:
     first_below_1e3: Optional[float]
 
 
-def run_closed_loop(spec: SystemSpec, law: FeedbackLaw, w0: StateField, grid: GridSpec):
-    traj = solve_forward(spec, w0, law, grid)
+def run_closed_loop(law: FeedbackLaw, w0: StateField, grid: GridSpec):
+    """Run the law's system from w0 under the law over [0, grid.T]."""
+    traj = solve_forward(law.spec, w0, law, grid)
     total = np.max(traj.norms_linf, axis=1)
     initial = float(total[0])
     report = StabilizationReport(
@@ -286,25 +288,30 @@ def _flat_l2_weights(n: int, xs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.tile(w, n))
 
 
-def openloop_grid(grid: GridSpec, T: float, reg: float, segments: int) -> GridSpec:
-    """The grid of a least-squares null control over [0, T], its settings checked."""
+def check_null_control(spec: SystemSpec, grid: GridSpec, reg: float, segments: int):
+    """Refuse bad least-squares settings.  More segments than time steps
+    leave basis responses at zero and grow the Gram matrix as segments^2."""
     if segments < 1:
         raise ValidationError(f"need at least one control segment, got segments = {segments}")
     if not 0.0 <= reg < np.inf:
         raise ValidationError(f"regularization must be finite and >= 0, got reg = {reg}")
-    return GridSpec(N=grid.N, cfl=grid.cfl, T=T)
+    n_steps, _ = grid.steps(spec.lambda_max)
+    if segments > n_steps:
+        raise ValidationError(
+            f"need at most one control segment per time step, got segments = {segments} "
+            f"for {n_steps} steps"
+        )
 
 
 def null_control_openloop(
     spec: SystemSpec,
     w0: StateField,
-    T: float,
     grid: GridSpec,
     reg: float = 1e-8,
     segments: int = 64,
     target: Optional[StateField] = None,
 ) -> NullControlResult:
-    """Least-norm steering with piecewise-constant controls.
+    """Least-norm steering over [0, grid.T] with piecewise-constant controls.
 
     Each channel is parameterized by ``segments`` piecewise-constant pieces;
     the m*segments basis responses plus the free response assemble the
@@ -317,28 +324,28 @@ def null_control_openloop(
         raise ValidationError("open-loop least squares requires state-independent speeds")
     if spec.reflection.hook is not None:
         raise ValidationError("open-loop least squares requires a linear reflection")
-    m = spec.m
-    run_grid = openloop_grid(grid, T, reg, segments)
-    xs = run_grid.xs
+    check_null_control(spec, grid, reg, segments)
+    m, T = spec.m, grid.T
+    xs = grid.xs
     sqw = _flat_l2_weights(spec.n, xs)
 
     def seg_index(t: float) -> int:
         return min(int(t / T * segments), segments - 1)
 
-    free = solve_forward(spec, w0, zero_control(m), run_grid, snapshot_stride=10**9)
+    free = solve_forward(spec, w0, zero_control(m), grid, snapshot_stride=10**9)
     free_flat = free.terminal_state().values.ravel() * sqw
     zero_init = StateField(np.zeros_like(w0.values), 0.0, xs)
 
     cols = []
     for c in range(m):
         for s in range(segments):
-            def basis(t, state, aux, _c=c, _s=s):
+            def basis(t, state, _c=c, _s=s):
                 out = np.zeros(m)
                 if seg_index(t) == _s:
                     out[_c] = 1.0
                 return out
 
-            resp = solve_forward(spec, zero_init, basis, run_grid, snapshot_stride=10**9)
+            resp = solve_forward(spec, zero_init, basis, grid, snapshot_stride=10**9)
             cols.append(resp.terminal_state().values.ravel() * sqw)
     A = np.column_stack(cols)
 
@@ -352,11 +359,11 @@ def null_control_openloop(
     sv = np.linalg.svd(A, compute_uv=False)
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
-    def assembled(t, state, aux):
+    def assembled(t, state):
         si = seg_index(t)
         return np.array([W[c * segments + si] for c in range(m)])
 
-    final = solve_forward(spec, w0, assembled, run_grid, snapshot_stride=10**9)
+    final = solve_forward(spec, w0, assembled, grid, snapshot_stride=10**9)
     term_flat = final.terminal_state().values.ravel() * sqw
     err = np.linalg.norm(term_flat - target_flat)
     scale = np.linalg.norm(w0.values.ravel() * sqw)
@@ -401,12 +408,10 @@ class Witness:
 
 def optimality_witness(
     spec: SystemSpec,
-    B,
-    T: float,
     grid: GridSpec,
     amplitude: float = 1.0,
 ) -> Witness:
-    """Initial datum plus probe whose value at time T no control can change.
+    """Initial datum plus probe whose value at T = grid.T no control can change.
 
     Works for zero coupling and state-independent speeds, below the optimal
     time, with all trailing minors up to min{k, m} invertible.  Pair
@@ -417,7 +422,7 @@ def optimality_witness(
     from the maximizing term of the optimal time is preferred; otherwise the
     feasible candidate with the widest timing margin wins.
     """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    B, T = spec.B, grid.T
     k, m = spec.k, spec.m
     if spec.coupling_bound > 1e-14:
         raise NotApplicable("witness construction requires zero coupling")
@@ -537,32 +542,27 @@ def optimality_witness(
 
 def verify_witness(
     spec: SystemSpec,
-    B,
     witness: Witness,
     grid: GridSpec,
     n_controls: int = 100,
     rng: Optional[np.random.Generator] = None,
-    T: Optional[float] = None,
 ):
-    """Probe deviation under random controls (plus the zero control).
+    """Probe deviation at grid.T under random controls (plus the zero control).
 
     Returns (max relative deviation, list of probe values).
     """
     if n_controls < 1:
         raise ValidationError(f"need at least one random control, got samples = {n_controls}")
     rng = rng or np.random.default_rng(0)
-    if T is None:
-        T = grid.T
-    run_grid = GridSpec(N=grid.N, cfl=grid.cfl, T=T)
     scale = max(abs(witness.expected), 1e-12)
     # run 0 gets the zero control; all runs advance as one batch
     amps = np.zeros((n_controls + 1, spec.m, 9))
     amps[1:] = rng.normal(0.0, scale, size=(n_controls, spec.m, 9))
-    controls = ControlSignal(times=np.linspace(0.0, T, 9), values=amps)
+    controls = ControlSignal(times=np.linspace(0.0, grid.T, 9), values=amps)
     inits = np.broadcast_to(witness.w0.values, amps.shape[:1] + witness.w0.values.shape)
-    runs = solve_forward(spec, inits, controls.as_closure(), run_grid, snapshot_stride=10**9)
+    runs = solve_forward(spec, inits, controls.as_closure(), grid, snapshot_stride=10**9)
     probes = runs.snapshots[:, -1, witness.probe_component - 1]
-    values = [float(np.interp(witness.probe_x, run_grid.xs, row)) for row in probes]
+    values = [float(np.interp(witness.probe_x, grid.xs, row)) for row in probes]
     deviations = [abs(v - witness.expected) / scale for v in values]
     return max(deviations), values
 
@@ -598,18 +598,15 @@ def _l2_total(vals: np.ndarray, xs: np.ndarray):
 def verify_observability(
     spec: SystemSpec,
     S,
-    B,
-    T: float,
     samples: int,
     grid: GridSpec,
     rng: Optional[np.random.Generator] = None,
-    include_adversarial: bool = True,
 ) -> ObservabilityResult:
     """Monte Carlo lower-constant estimate for the dual observation inequality.
 
     Random band-limited terminal data of unit L2 norm are run backward for
-    time T; the estimate is the minimum of observation energy over the norm of
-    v(-T).  Deterministic bump candidates placed farthest from the observed
+    time T = grid.T; the estimate is the minimum of observation energy over
+    the norm of v(-T).  Deterministic bump candidates placed farthest from the observed
     boundary are added to the pool: a finite random draw alone cannot expose
     the unobservable data that exist below the optimal time.  Ratios with a
     vanishing denominator count as RATIO_CAP (the constraint is vacuous
@@ -629,19 +626,17 @@ def verify_observability(
             vals /= norm
         pool.append(vals)
         labels.append(f"random_{s}")
-    if include_adversarial:
-        for comp in range(1, n + 1):
-            vals = np.zeros((n, xs.size))
-            center = 0.8 if comp <= spec.k else 0.2
-            vals[comp - 1] = _bump(xs, center, 0.15, 1.0)
-            norm = _l2_total(vals, xs)
-            if norm > 0:
-                vals /= norm
-            pool.append(vals)
-            labels.append(f"bump_component_{comp}")
+    for comp in range(1, n + 1):
+        vals = np.zeros((n, xs.size))
+        center = 0.8 if comp <= spec.k else 0.2
+        vals[comp - 1] = _bump(xs, center, 0.15, 1.0)
+        norm = _l2_total(vals, xs)
+        if norm > 0:
+            vals /= norm
+        pool.append(vals)
+        labels.append(f"bump_component_{comp}")
 
-    run_grid = GridSpec(N=grid.N, cfl=grid.cfl, T=T)
-    dual = solve_dual(spec, S, B, np.stack(pool), T, run_grid, snapshot_stride=10**9)
+    dual = solve_dual(spec, S, np.stack(pool), grid, snapshot_stride=10**9)
     num = dual.observation_energy()
     den = _l2_total(dual.snapshots[:, -1], xs) ** 2
     ratios = np.where(den > 1e-14, np.minimum(num / np.maximum(den, 1e-14), RATIO_CAP), RATIO_CAP)

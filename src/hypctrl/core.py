@@ -407,6 +407,12 @@ class GridSpec:
     def dt_for(self, lambda_max: float) -> float:
         return self.cfl * self.h / lambda_max
 
+    def steps(self, lambda_max: float) -> tuple[int, float]:
+        """(n_steps, dt): the fewest equal steps over [0, T] no longer than
+        ``dt_for(lambda_max)``, the step rule of both solvers."""
+        n_steps = max(1, int(np.ceil(self.T / self.dt_for(lambda_max) - 1e-12)))
+        return n_steps, self.T / n_steps
+
 
 @dataclass
 class StateField:
@@ -478,7 +484,7 @@ class ControlSignal:
         return slope * (t - ts[j]) + vs[..., j]
 
     def as_closure(self):
-        def closure(t, state, aux):
+        def closure(t, state):
             return self(t)
 
         return closure
@@ -528,7 +534,6 @@ def validate_system(
     profile: SpeedProfile,
     coupling: CouplingField,
     reflection: ReflectionMatrix,
-    validation_points: int = VALIDATION_POINTS,
 ) -> SystemSpec:
     """Check ordering, positivity and boundedness; freeze the result.
 
@@ -549,7 +554,7 @@ def validate_system(
         raise NonFiniteEntry("reflection matrix has non-finite entries")
     reflection.check_hook()
 
-    xs = np.linspace(0.0, 1.0, validation_points)
+    xs = np.linspace(0.0, 1.0, VALIDATION_POINTS)
     zero_state = np.zeros(n) if profile.state_dependent else None
     lam = profile.lambdas(xs, zero_state)
     if not np.all(np.isfinite(lam)):

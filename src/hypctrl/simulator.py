@@ -27,7 +27,9 @@ arithmetic of w + dt (lambda dw/h + C w) and of the per-component sums, so
 they differ from those by roundoff only.
 
 Both solvers advance a batch of b independent runs in one stepping loop: the
-state has shape (b, n, N+1), and a single run is the batch b = 1.
+state has shape (b, n, N+1), and a single run is the batch b = 1.  Both run
+over [0, grid.T] in the grid.steps(lambda_max) equal steps and read B from
+the system; the forward closure is called as closure(t, state).
 
 After each forward step (with its reflection, before the finite check and the
 boundary closure) every state entry with |w| below the smallest normal double,
@@ -89,7 +91,7 @@ _CHUNK_BYTES = 256 * 1024
 
 
 def zero_control(m: int) -> Callable:
-    def closure(t, state, aux):
+    def closure(t, state):
         return np.zeros(m)
 
     return closure
@@ -203,9 +205,9 @@ def solve_forward(
     grid: GridSpec,
     snapshot_stride=None,
 ) -> Trajectory:
-    """Run the upwind scheme on [0, T].
+    """Run the upwind scheme on [0, grid.T].
 
-    ``boundary_at_1(t, state, aux)`` must return the m incoming values at
+    ``boundary_at_1(t, state)`` must return the m incoming values at
     x = 1 for time t; it is called once per step with the freshly updated
     state (boundary at x = 1 still pending) and must be side-effect free.
     That state is a view of a buffer the solver reuses; copy it to keep it.
@@ -229,9 +231,7 @@ def solve_forward(
         raise ValidationError("state-dependent speeds allow a single run only")
     b = w.shape[0]
     ctrl_shape = (b, spec.m) if batched else (spec.m,)
-    dt_target = grid.dt_for(spec.lambda_max)
-    n_steps = max(1, int(np.ceil(grid.T / dt_target - 1e-12)))
-    dt = grid.T / n_steps
+    n_steps, dt = grid.steps(spec.lambda_max)
 
     cvals = None if spec.coupling.is_zero else spec.coupling_nodes(xs)
     lam_static = None if spec.state_dependent else spec.signed_speeds(xs)
@@ -239,8 +239,6 @@ def solve_forward(
     entries = [] if cvals is None else [
         (i, j, cvals[i, j]) for i in range(n) for j in range(n) if cvals[i, j].any()
     ]
-
-    aux = {"grid": grid, "spec": spec, "dt": dt, "h": h, "step": 0}
 
     rec = _Recorder(w, n_steps, snapshot_stride, dt, h)
     bl, nlinf = np.empty((2, b, n_steps + 1, n))
@@ -316,10 +314,9 @@ def solve_forward(
                 peak = absw.max()
                 if not peak < np.inf:  # NaN or inf
                     raise NonFiniteState(f"state blew up at t = {t_new:.6g}")
-            aux["step"] = step
             state_view = w_new if batched else _state_view(w_new[0], t_new, xs)
             try:
-                ctrl = np.asarray(boundary_at_1(t_new, state_view, aux), dtype=float)
+                ctrl = np.asarray(boundary_at_1(t_new, state_view), dtype=float)
             except Exception as exc:  # noqa: BLE001 - report as a solver failure
                 raise BoundaryClosureFailure(
                     f"boundary closure failed at t={t_new:.6g}: {exc}"
@@ -388,13 +385,11 @@ class DualTrajectory:
 def solve_dual(
     spec: SystemSpec,
     S,
-    B,
     v_at_0: StateField | np.ndarray,
-    T: float,
     grid: GridSpec,
     snapshot_stride=None,
 ) -> DualTrajectory:
-    """Integrate the dual system backward from v(0, .) to t = -T.
+    """Integrate the dual system backward from v(0, .) to t = -grid.T.
 
     The boundary conditions are v_-(t, 1) = 0 and the nonlocal relation
     Sigma_+(0) v_+(t, 0) = -B^T Sigma_-(0) v_-(t, 0) + the source-matrix
@@ -405,12 +400,9 @@ def solve_dual(
     """
     if spec.state_dependent:
         raise ValidationError("dual solver requires state-independent speeds")
-    n, k, m = spec.n, spec.k, spec.m
+    n, k, m, B = spec.n, spec.k, spec.m, spec.B
     xs = grid.xs
     h = grid.h
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if B.shape != (k, m):
-        raise DimensionMismatch(f"B must be {k}x{m}")
     v, batched = _as_batch(v_at_0, (n, xs.size), "dual initial state")
 
     sig = spec.signed_speeds(xs)  # (n, N+1)
@@ -432,9 +424,7 @@ def solve_dual(
         weights[[0, -1]] = 0.5 * h
         op = (svals[:, k:, :] * weights).transpose(0, 2, 1).reshape(n * xs.size, m)
 
-    dt_target = grid.dt_for(spec.lambda_max)
-    n_steps = max(1, int(np.ceil(T / dt_target - 1e-12)))
-    ds = T / n_steps
+    n_steps, ds = grid.steps(spec.lambda_max)
     flux = sig * (ds / h)
 
     rec = _Recorder(v, n_steps, snapshot_stride, ds, h)

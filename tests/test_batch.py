@@ -82,11 +82,11 @@ def test_batched_dual_equals_single_runs(spec, b, N, T, seed, with_source):
         values[:, : spec.k] = 0.0
         S = _Source(values)
     data = rng.standard_normal((b, spec.n, N + 1))
-    batch = solve_dual(spec, S, spec.B, data, T, grid, snapshot_stride=1)
+    batch = solve_dual(spec, S, data, grid, snapshot_stride=1)
     energies = batch.observation_energy()
     for i in range(b):
         v0 = StateField(data[i], 0.0, grid.xs)
-        single = solve_dual(spec, S, spec.B, v0, T, grid, snapshot_stride=1)
+        single = solve_dual(spec, S, v0, grid, snapshot_stride=1)
         for name in ("snapshots", "observation", "norms_l2"):
             assert np.array_equal(getattr(batch, name)[i], getattr(single, name)), name
         assert energies[i] == single.observation_energy()
@@ -333,7 +333,7 @@ def test_dual_matches_fresh_array_reference(spec, b, N, steps, stride, seed, wit
         values[:, : spec.k] = 0.0
         S = _Source(values)
     data = rng.standard_normal((b, spec.n, N + 1))
-    dual = solve_dual(spec, S, spec.B, data, grid.T, grid, snapshot_stride=stride)
+    dual = solve_dual(spec, S, data, grid, snapshot_stride=stride)
     states = _reference_dual(spec, S, spec.B, data, grid.T, grid)
     snap = _snapshot_steps(steps, stride)
     expected = {
@@ -374,6 +374,6 @@ def test_solvers_stay_within_roundoff_of_pre_change_grouping(spec, b, N, steps, 
         values = rng.standard_normal((spec.n, spec.n, N + 1))
         values[:, : spec.k] = 0.0
         S = _Source(values)
-    dual = solve_dual(spec, S, spec.B, data, grid.T, grid, snapshot_stride=1)
+    dual = solve_dual(spec, S, data, grid, snapshot_stride=1)
     ref = _reference_dual(spec, S, spec.B, data, grid.T, grid, before=True)
     assert _relative_gap(dual.snapshots, ref) <= PRE_CHANGE_BOUND

@@ -235,9 +235,9 @@ def test_sweep_gamma_zero_matches_uncoupled_run(tmp_path):
     # gamma = 0 must match a direct uncoupled solve exactly
     spec = build_system(1, 1, ["1 + x", 2.0], b=[[0.5]])
     cfg = load_config(path)
-    grid = cfg.grid()
+    grid = cfg.grid(T=2.4)
     w0 = cfg.initial_state(grid, 2)
-    direct = null_control_openloop(spec, w0, 2.4, grid, segments=12)
+    direct = null_control_openloop(spec, w0, grid, segments=12)
     assert float(rows["residual"]) == pytest.approx(direct.residual, abs=1e-14)
 
 
@@ -264,6 +264,22 @@ def test_kernel_max_iters_exit_code(tmp_path, capsys):
     argv = ["kernel", "--config", str(path), "--nk", "32", "--max-iters", "1", "--out", str(tmp_path)]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--max-iters", "0", "max_iters = 0"), ("--tolerance", "-1", "tolerance = -1.0"),
+     ("--tolerance", "nan", "tolerance = nan")],
+)
+def test_bad_kernel_setting_refused(tmp_path, capsys, flag, value, named):
+    path = tmp_path / "ker.cfg"
+    path.write_text(COUPLED_CFG)
+    out = tmp_path / "out"
+    argv = ["kernel", "--config", str(path), "--nk", "16", "--out", str(out)]
+    assert main(argv + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and named in err
+    assert not out.exists()
 
 
 def test_kernel_divergence_exit_code(tmp_path, capsys):
@@ -482,7 +498,8 @@ def test_non_finite_horizon_refused(tmp_path, capsys, command, T):
 @pytest.mark.parametrize(
     "flag, value, named",
     [("--segments", "0", "segments = 0"), ("--segments", "-1", "segments = -1"),
-     ("--reg", "nan", "reg = nan"), ("--reg", "-1", "reg = -1.0"), ("--reg", "inf", "reg = inf")],
+     ("--reg", "nan", "reg = nan"), ("--reg", "-1", "reg = -1.0"), ("--reg", "inf", "reg = inf"),
+     ("--segments", "1000", "segments = 1000 for 72 steps")],
 )
 def test_bad_null_control_setting_refused(cfg_path, tmp_path, capsys, command, flag, value, named):
     # the sweep refuses once, before its points, instead of writing NaN rows
@@ -559,7 +576,8 @@ def test_nullctrl_settings_follow_flag_then_file_then_default(tmp_path):
         path = tmp_path / "prec.cfg"
         path.write_text(cfg_text)
         out = tmp_path / "out"
-        assert main(["nullctrl", "--config", str(path), "--N", "16", "--out", str(out), *flags]) == 0
+        # N = 32: at N = 16 the default 64 segments exceed the 54 steps over [grid] t
+        assert main(["nullctrl", "--config", str(path), "--N", "32", "--out", str(out), *flags]) == 0
         rep = json.loads((out / "nullctrl_report.json").read_text())
         return rep["T"], rep["segments"], rep["reg"]
 

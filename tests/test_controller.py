@@ -54,11 +54,11 @@ def test_synthesize_rejects_bad_inputs():
     grid = GridSpec(N=128, cfl=0.9, T=2.2)
     w0 = state_from_exprs(_bump_exprs(), grid, 2)
     with pytest.raises(TimeTooShort):
-        synthesize_feedback(spec, [[0.5]], 1.9, w0)
+        synthesize_feedback(spec, 1.9, w0)
     spec2 = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 0.0]])
     w02 = state_from_exprs([None, None, None], grid, 3)
     with pytest.raises(NotInClassB):
-        synthesize_feedback(spec2, [[1.0, 0.0]], 2.0, w02)
+        synthesize_feedback(spec2, 2.0, w02)
 
 
 def test_synthesize_refuses_coupling_and_hook():
@@ -67,13 +67,13 @@ def test_synthesize_refuses_coupling_and_hook():
     coupled = build_system(1, 1, [1.0, 1.0], coupling=[[0.0, 0.1], [0.1, 0.0]], b=[[0.5]])
     w0 = state_from_exprs(_bump_exprs(), grid, 2)
     with pytest.raises(NotApplicable, match="zero coupling"):
-        synthesize_feedback(coupled, [[0.5]], 2.2, w0)
+        synthesize_feedback(coupled, 2.2, w0)
     hooked = build_system(1, 1, [1.0, 1.0], b=[[0.5]], hook=lambda wp: 0.5 * wp + 0.1 * wp**2)
     with pytest.raises(NotApplicable, match="nonlinear hook"):
-        synthesize_feedback(hooked, [[0.5]], 2.2, w0)
+        synthesize_feedback(hooked, 2.2, w0)
     # coupling below the threshold the witness uses is taken as zero
     faint = build_system(1, 1, [1.0, 1.0], coupling=[[0.0, 1e-15], [0.0, 0.0]], b=[[0.5]])
-    assert synthesize_feedback(faint, [[0.5]], 2.2, w0).Topt == pytest.approx(2.0)
+    assert synthesize_feedback(faint, 2.2, w0).Topt == pytest.approx(2.0)
 
 
 def test_compatibility_warning():
@@ -83,10 +83,10 @@ def test_compatibility_warning():
     r0, r1, tol = check_compatibility(spec, bad)
     assert r0 > tol
     with pytest.warns(UserWarning):
-        synthesize_feedback(spec, [[0.5]], 2.2, bad)
+        synthesize_feedback(spec, 2.2, bad)
     # strict mode refuses instead; a validation error (CLI exit code 2)
     with pytest.raises(CompatibilityViolated, match="corner compatibility") as info:
-        synthesize_feedback(spec, [[0.5]], 2.2, bad, strict_compat=True)
+        synthesize_feedback(spec, 2.2, bad, strict_compat=True)
     assert isinstance(info.value, ValidationError)
 
 
@@ -94,7 +94,7 @@ def test_delays_and_arg_positions_linear():
     spec = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 2.0]])
     grid = GridSpec(N=200, cfl=0.9, T=1.7)
     w0 = state_from_exprs([None, None, None], grid, 3)
-    law = synthesize_feedback(spec, [[1.0, 2.0]], 1.7, w0)
+    law = synthesize_feedback(spec, 1.7, w0)
     assert law.delays == pytest.approx({2: 1.0, 3: 0.5})
     # component 2 (speed 1, leftward) reaching x=0 at t+0.5 sits at x=0.5 now
     assert law.arg_positions[1][0] == pytest.approx(0.5, abs=1e-6)
@@ -104,8 +104,8 @@ def test_zero_state_stays_zero_under_feedback():
     spec = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 2.0]])
     grid = GridSpec(N=128, cfl=0.9, T=1.7)
     w0 = StateField(np.zeros((3, 129)), 0.0, grid.xs)
-    law = synthesize_feedback(spec, [[1.0, 2.0]], 1.7, w0)
-    traj, rep = run_closed_loop(spec, law, w0, grid)
+    law = synthesize_feedback(spec, 1.7, w0)
+    traj, rep = run_closed_loop(law, w0, grid)
     assert np.all(traj.snapshots == 0.0)
     assert np.all(traj.controls == 0.0)
 
@@ -118,8 +118,8 @@ def test_feedback_never_reads_the_boundary_it_sets():
         grid,
         3,
     )
-    law = synthesize_feedback(spec, [[1.0, 2.0]], 1.7, w0)
-    run_closed_loop(spec, law, w0, grid)
+    law = synthesize_feedback(spec, 1.7, w0)
+    run_closed_loop(law, w0, grid)
     assert law.last_reads, "the level map should have read interior values"
     for level, comp, pos in law.last_reads:
         assert pos < 1.0
@@ -130,10 +130,10 @@ def test_scaling_equivariance():
     grid = GridSpec(N=256, cfl=0.9, T=2.2)
     w0 = state_from_exprs(_bump_exprs(), grid, 2)
     w0s = StateField(3.0 * w0.values, 0.0, grid.xs)
-    law = synthesize_feedback(spec, [[0.5]], 2.2, w0)
-    laws = synthesize_feedback(spec, [[0.5]], 2.2, w0s)
-    t1, _ = run_closed_loop(spec, law, w0, grid)
-    t2, _ = run_closed_loop(spec, laws, w0s, grid)
+    law = synthesize_feedback(spec, 2.2, w0)
+    laws = synthesize_feedback(spec, 2.2, w0s)
+    t1, _ = run_closed_loop(law, w0, grid)
+    t2, _ = run_closed_loop(laws, w0s, grid)
     assert np.max(np.abs(t2.snapshots[-1] - 3.0 * t1.snapshots[-1])) < 1e-10
     assert np.max(np.abs(t2.controls - 3.0 * t1.controls)) < 1e-10
 
@@ -142,8 +142,8 @@ def test_closed_loop_stabilizes_2x2():
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.5]])
     grid = GridSpec(N=600, cfl=0.9, T=2.2)
     w0 = state_from_exprs(_bump_exprs(), grid, 2)
-    law = synthesize_feedback(spec, [[0.5]], 2.2, w0)
-    traj, rep = run_closed_loop(spec, law, w0, grid)
+    law = synthesize_feedback(spec, 2.2, w0)
+    traj, rep = run_closed_loop(law, w0, grid)
     assert rep.terminal_rel <= 1e-2
     assert rep.first_below_1e2 is not None and rep.first_below_1e2 < 2.2
 
@@ -162,8 +162,8 @@ def test_closed_loop_tail_is_flushed_not_subnormal():
         grid,
         3,
     )
-    law = synthesize_feedback(spec, [[1.0, 2.0]], 1.7, w0)
-    traj, rep = run_closed_loop(spec, law, w0, grid)
+    law = synthesize_feedback(spec, 1.7, w0)
+    traj, rep = run_closed_loop(law, w0, grid)
     subnormal = (traj.snapshots != 0.0) & (np.abs(traj.snapshots) < np.finfo(float).tiny)
     assert not np.any(subnormal)
     assert rep.terminal_rel == pytest.approx(0.0013501505614244233, rel=1e-12)
@@ -179,8 +179,8 @@ def test_closed_loop_quasilinear_small_data():
         w0 = state_from_exprs(
             ["0.08*exp(-((x-0.5)/0.08)**2)", "0.1*exp(-((x-0.4)/0.09)**2)"], grid, 2
         )
-        law = synthesize_feedback(ql, [[0.5]], T, w0)
-        traj, rep = run_closed_loop(ql, law, w0, grid)
+        law = synthesize_feedback(ql, T, w0)
+        traj, rep = run_closed_loop(law, w0, grid)
         rels[N] = rep.terminal_rel
     assert rels[400] <= 5e-2
     # grid refinement consistency: both resolutions agree the state is small
@@ -209,7 +209,7 @@ def test_quasilinear_read_positions_match_characteristic_flow(amps, centres, N):
     spec = build_system(1, 2, QL_SPEEDS, b=QL_B)
     grid = GridSpec(N=N, cfl=0.9, T=1.8)
     state = _ql_state(grid, amps, centres)
-    law = synthesize_feedback(spec, QL_B, 1.8, state)
+    law = synthesize_feedback(spec, 1.8, state)
     (position,) = law.read_positions(state)[1]
     delay = cumulative_travel(spec, 2, state=state)[1][-1]
 
@@ -230,9 +230,9 @@ def test_closed_loop_quasilinear_reads_state_and_refines():
     for N in (100, 400):
         grid = GridSpec(N=N, cfl=0.9, T=T)
         w0 = _ql_state(grid, [0.7, 0.9, 0.6], [0.5, 0.45, 0.55])
-        law = synthesize_feedback(spec, QL_B, T, w0)
+        law = synthesize_feedback(spec, T, w0)
         assert law.levels == 1
-        traj, rep = run_closed_loop(spec, law, w0, grid)
+        traj, rep = run_closed_loop(law, w0, grid)
         rels[N] = rep.terminal_rel
     assert rels[100] <= 1e-2
     assert rels[400] <= 0.1 * rels[100]
@@ -242,7 +242,7 @@ def test_null_control_zero_data():
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.5]])
     grid = GridSpec(N=64, cfl=0.9, T=2.2)
     w0 = StateField(np.zeros((2, 65)), 0.0, grid.xs)
-    res = null_control_openloop(spec, w0, 2.2, grid, segments=8)
+    res = null_control_openloop(spec, w0, grid, segments=8)
     assert res.terminal_norm == pytest.approx(0.0, abs=1e-12)
     assert np.max(np.abs(res.signal.values)) < 1e-9
 
@@ -252,7 +252,7 @@ def test_null_control_residual_ladder():
     grid = GridSpec(N=128, cfl=0.9, T=2.4)
     w0 = state_from_exprs(_bump_exprs(), grid, 2)
     residuals = [
-        null_control_openloop(spec, w0, T, grid, segments=24).residual
+        null_control_openloop(spec, w0, GridSpec(N=128, cfl=0.9, T=T), segments=24).residual
         for T in (1.4, 1.9, 2.4)
     ]
     assert residuals[0] >= residuals[1] - 1e-9
@@ -266,7 +266,7 @@ def test_null_control_exact_target():
     target = state_from_exprs(
         ["0.2*exp(-((x-0.6)/0.15)**2)", "0.3*exp(-((x-0.4)/0.15)**2)"], grid, 2
     )
-    res = null_control_openloop(spec, w0, 2.4, grid, segments=48, target=target)
+    res = null_control_openloop(spec, w0, grid, segments=48, target=target)
     assert res.residual <= 5e-2
 
 
@@ -274,23 +274,21 @@ def test_witness_not_applicable_cases():
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.5]])
     grid = GridSpec(N=128, cfl=0.9, T=1.0)
     with pytest.raises(NotApplicable):
-        optimality_witness(spec, [[0.5]], 2.5, grid)  # T >= T_opt
+        optimality_witness(spec, GridSpec(N=128, cfl=0.9, T=2.5))  # T >= T_opt
     coupled = build_system(1, 1, [1.0, 1.0], coupling=[[0.0, 0.5], [0.5, 0.0]], b=[[0.5]])
     with pytest.raises(NotApplicable):
-        optimality_witness(coupled, [[0.5]], 1.0, grid)
+        optimality_witness(coupled, grid)
     degenerate = build_system(1, 1, [1.0, 1.0], b=[[0.0]])
     with pytest.raises(NotApplicable):
-        optimality_witness(degenerate, [[0.0]], 1.0, grid)
+        optimality_witness(degenerate, grid)
 
 
 def test_witness_probe_unreachable():
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.5]])
     grid = GridSpec(N=400, cfl=0.9, T=1.0)
-    wit = optimality_witness(spec, [[0.5]], 1.0, grid)
+    wit = optimality_witness(spec, grid)
     assert wit.expected == pytest.approx(0.5)
-    dev, values = verify_witness(
-        spec, [[0.5]], wit, grid, n_controls=20, rng=np.random.default_rng(8), T=1.0
-    )
+    dev, values = verify_witness(spec, wit, grid, n_controls=20, rng=np.random.default_rng(8))
     assert dev < 0.1
     # the zero-control probe value is the expected one
     assert values[0] == pytest.approx(wit.expected, rel=0.05)
@@ -301,11 +299,9 @@ def test_witness_direct_candidate_for_zero_row():
     # slow component can still hide a bump from every control
     spec = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 2.0]])
     grid = GridSpec(N=256, cfl=0.9, T=0.5)
-    wit = optimality_witness(spec, [[1.0, 2.0]], 0.5, grid)
+    wit = optimality_witness(spec, grid)
     assert wit.bump_component in (1, 2, 3)
-    dev, _ = verify_witness(
-        spec, [[1.0, 2.0]], wit, grid, n_controls=10, rng=np.random.default_rng(9), T=0.5
-    )
+    dev, _ = verify_witness(spec, wit, grid, n_controls=10, rng=np.random.default_rng(9))
     assert dev < 0.1
 
 
@@ -318,7 +314,7 @@ def test_observability_scale_invariance():
     ratios = []
     for scale in (1.0, 5.0):
         v0 = StateField(scale * vals, 0.0, grid.xs)
-        dual = solve_dual(spec, None, spec.B, v0, 0.6, grid)
+        dual = solve_dual(spec, None, v0, grid)
         num = dual.observation_energy()
         h = grid.h
         term = dual.terminal_state().values
@@ -330,11 +326,10 @@ def test_observability_scale_invariance():
 
 def test_observability_dichotomy_small():
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.0]])
-    grid = GridSpec(N=300, cfl=0.9, T=1.0)
     rng = np.random.default_rng(10)
-    high = verify_observability(spec, None, spec.B, 2.5, 4, grid, rng=rng)
+    high = verify_observability(spec, None, 4, GridSpec(N=300, cfl=0.9, T=2.5), rng=rng)
     assert high.estimate > 0.1
-    low = verify_observability(spec, None, spec.B, 0.3, 4, grid, rng=rng)
+    low = verify_observability(spec, None, 4, GridSpec(N=300, cfl=0.9, T=0.3), rng=rng)
     assert low.estimate < 1e-3
 
 
@@ -350,9 +345,9 @@ def test_closed_loop_two_levels_m_greater_k():
     grid = GridSpec(N=600, cfl=0.9, T=T)
     exprs = [f"{0.2 + 0.1 * i}*exp(-((x - {0.35 + 0.06 * i})/0.07)**2)" for i in range(5)]
     w0 = state_from_exprs(exprs, grid, 5)
-    law = synthesize_feedback(spec, B, T, w0)
+    law = synthesize_feedback(spec, T, w0)
     assert len(law.maps.maps) >= 2
-    traj, rep = run_closed_loop(spec, law, w0, grid)
+    traj, rep = run_closed_loop(law, w0, grid)
     assert rep.terminal_rel <= 5e-2
 
 
@@ -366,8 +361,8 @@ def test_closed_loop_m_equals_k():
     grid = GridSpec(N=600, cfl=0.9, T=T)
     exprs = [f"{0.3 + 0.1 * i}*exp(-((x - {0.4 + 0.05 * i})/0.07)**2)" for i in range(4)]
     w0 = state_from_exprs(exprs, grid, 4)
-    law = synthesize_feedback(spec, B, T, w0)
-    traj, rep = run_closed_loop(spec, law, w0, grid)
+    law = synthesize_feedback(spec, T, w0)
+    traj, rep = run_closed_loop(law, w0, grid)
     assert rep.terminal_rel <= 5e-2
 
 
@@ -382,9 +377,9 @@ def test_closed_loop_m_less_than_k_pure_ramp():
     grid = GridSpec(N=600, cfl=0.9, T=T)
     exprs = [f"{0.3 + 0.1 * i}*exp(-((x - {0.4 + 0.05 * i})/0.08)**2)" for i in range(3)]
     w0 = state_from_exprs(exprs, grid, 3)
-    law = synthesize_feedback(spec, B, T, w0)
+    law = synthesize_feedback(spec, T, w0)
     assert law.levels == 0
-    traj, rep = run_closed_loop(spec, law, w0, grid)
+    traj, rep = run_closed_loop(law, w0, grid)
     assert rep.terminal_rel <= 5e-2
 
 
@@ -397,6 +392,6 @@ def test_null_control_multichannel():
         grid,
         3,
     )
-    res = null_control_openloop(spec, w0, 1.7, grid, segments=24)
+    res = null_control_openloop(spec, w0, grid, segments=24)
     assert res.signal.m == 2
     assert res.residual <= 1e-2

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import hypctrl
 from hypctrl.core import (
     ControlSignal,
     CouplingField,
@@ -160,3 +163,14 @@ def test_coupling_piecewise_constant_samples():
     assert out[0, 0, 0] == 1.0  # left sample rules the cell
     assert out[0, 0, 1] == 2.0
     assert out[0, 0, 2] == 3.0
+
+
+def test_public_functions_take_b_from_the_system_and_t_from_the_grid():
+    # a second copy of B or of the horizon could disagree with the first
+    for name in hypctrl.__all__:
+        obj = getattr(hypctrl, name)
+        if not inspect.isfunction(obj):
+            continue
+        params = inspect.signature(obj).parameters
+        assert not ("spec" in params and "B" in params), name
+        assert not ("grid" in params and "T" in params), name

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypctrl.core import (
     ControlSignal,
@@ -83,7 +85,7 @@ def test_linearity_superposition():
     a, b = 2.0, -3.0
     combo = StateField(a * wa.values + b * wb.values, 0.0, grid.xs)
 
-    def combo_ctrl(t, state, aux):
+    def combo_ctrl(t, state):
         return a * siga(t) + b * sigb(t)
 
     ta = solve_forward(spec, wa, siga.as_closure(), grid)
@@ -120,6 +122,22 @@ def test_boundary_traces_recorded():
     assert np.allclose(traj.boundary_left[1:, 0], 0.5 * traj.boundary_left[1:, 1])
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(8, 64), st.floats(0.2, 1.0), st.floats(0.01, 2.0),
+       st.floats(0.25, 2.0), st.floats(0.25, 2.0))
+def test_grid_steps_is_the_step_rule_of_both_solvers(N, cfl, T, speed_minus, speed_plus):
+    spec = build_system(1, 1, [speed_minus, speed_plus], b=[[0.5]])
+    grid = GridSpec(N=N, cfl=cfl, T=T)
+    n_steps, dt = grid.steps(spec.lambda_max)
+    # the fewest equal steps over [0, T] that keep the CFL number
+    dt_cfl = grid.dt_for(spec.lambda_max)
+    assert dt <= dt_cfl * (1 + 1e-12)
+    assert n_steps == 1 or (n_steps - 1) * dt_cfl < T * (1 + 1e-12)
+    w0 = StateField(np.zeros((2, N + 1)), 0.0, grid.xs)
+    for run in (solve_forward(spec, w0, zero_control(1), grid), solve_dual(spec, None, w0, grid)):
+        assert (run.times.size - 1, run.dt) == (n_steps, dt)
+
+
 # --------------------------------------------------------------------------- #
 # dual solver
 # --------------------------------------------------------------------------- #
@@ -128,7 +146,7 @@ def test_dual_zero_data():
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.0]])
     grid = GridSpec(N=64, cfl=0.9, T=1.0)
     v0 = StateField(np.zeros((2, 65)), 0.0, grid.xs)
-    dual = solve_dual(spec, None, spec.B, v0, 1.0, grid)
+    dual = solve_dual(spec, None, v0, grid)
     assert np.all(dual.snapshots == 0.0)
     assert dual.observation_energy() == 0.0
 
@@ -138,7 +156,7 @@ def test_dual_decoupled_transport_and_flux_balance():
     grid = GridSpec(N=400, cfl=0.9, T=0.4)
     vals = np.vstack([np.zeros(grid.N + 1), _bump(grid.xs, 0.5, 0.15)])
     v0 = StateField(vals, 0.0, grid.xs)
-    dual = solve_dual(spec, None, spec.B, v0, 0.4, grid, snapshot_stride=1)
+    dual = solve_dual(spec, None, v0, grid, snapshot_stride=1)
     # v_+ transports rightward in reversed time
     term = dual.terminal_state().values[1]
     exact = np.where(grid.xs - 0.4 >= 0.0, _bump(grid.xs - 0.4, 0.5, 0.15), 0.0)
@@ -161,7 +179,7 @@ def test_dual_reflection_trace_oracle():
     prof_1 = lambda x: _bump(x, 0.6, 0.15)
     prof_2 = lambda x: _bump(x, 0.4, 0.15)
     v0 = StateField(np.vstack([prof_1(grid.xs), prof_2(grid.xs)]), 0.0, grid.xs)
-    dual = solve_dual(spec, None, spec.B, v0, 2.0, grid)
+    dual = solve_dual(spec, None, v0, grid)
     ss = dual.times
     # hand-traced: v2 trace at x=1 is the initial v2 profile for s < 1, then
     # the v1 profile reflected at x=0 with factor b*lambda1/lambda2
@@ -175,7 +193,7 @@ def test_dual_minus_trace_pinned_to_zero():
     grid = GridSpec(N=100, cfl=0.9, T=0.5)
     rng = np.random.default_rng(4)
     v0 = StateField(rng.standard_normal((2, 101)), 0.0, grid.xs)
-    dual = solve_dual(spec, None, spec.B, v0, 0.5, grid, snapshot_stride=1)
+    dual = solve_dual(spec, None, v0, grid, snapshot_stride=1)
     assert np.all(dual.snapshots[1:, 0, -1] == 0.0)
 
 
@@ -248,13 +266,13 @@ def test_boundary_closure_failure_wrapped():
     grid = GridSpec(N=64, cfl=0.9, T=0.5)
     w0 = StateField(np.zeros((2, 65)), 0.0, grid.xs)
 
-    def broken(t, state, aux):
+    def broken(t, state):
         raise RuntimeError("boom")
 
     with pytest.raises(BoundaryClosureFailure, match="boom"):
         solve_forward(spec, w0, broken, grid)
 
-    def wrong_shape(t, state, aux):
+    def wrong_shape(t, state):
         return np.zeros(3)
 
     with pytest.raises(BoundaryClosureFailure):
@@ -294,7 +312,7 @@ def test_dual_self_convergence_order():
         grid = GridSpec(N=N, cfl=0.9, T=0.5)
         vals = np.vstack([_bump(grid.xs, 0.6, 0.2), _bump(grid.xs, 0.4, 0.2)])
         v0 = StateField(vals, 0.0, grid.xs)
-        dual = solve_dual(spec, None, spec.B, v0, 0.5, grid)
+        dual = solve_dual(spec, None, v0, grid)
         terminal[N] = dual.terminal_state().values
     errs = [
         np.max(np.abs(terminal[N] - terminal[2 * N][:, ::2])) for N in (250, 500)
@@ -311,7 +329,7 @@ def test_dual_with_source_matrix_runs():
     S = source_matrix(kernel, spec)
     grid = GridSpec(N=200, cfl=0.9, T=1.5)
     vals = np.vstack([_bump(grid.xs, 0.6, 0.2), _bump(grid.xs, 0.4, 0.2)])
-    dual = solve_dual(spec, S, spec.B, StateField(vals, 0.0, grid.xs), 1.5, grid)
+    dual = solve_dual(spec, S, StateField(vals, 0.0, grid.xs), grid)
     assert np.all(np.isfinite(dual.snapshots))
     # the nonlocal boundary term keeps feeding the system: v(-T) is nonzero
     assert np.max(np.abs(dual.terminal_state().values)) > 1e-6
@@ -346,5 +364,5 @@ def test_diagnostics_report_steps_dt_chunk_and_doublings():
     # speed 1 + w2^2 reaches 2 on this unit bump: the CFL check halves the step once
     quasi = build_system(1, 1, [1.0, "1 + w2**2"], b=[[0.5]])
     assert solve_forward(quasi, w0, zero_control(1), grid).diagnostics["max_substep_doublings"] == 1
-    dual = solve_dual(lin, None, lin.B, w0, 0.5, grid)
+    dual = solve_dual(lin, None, w0, grid)
     assert dual.diagnostics == {"steps": dual.times.size - 1, "dt": dual.dt, "chunk": 64}
