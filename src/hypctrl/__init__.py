@@ -17,7 +17,6 @@ from .core import (
     SystemSpec,
     ValidationError,
     build_system,
-    eval_speeds,
     state_from_exprs,
     validate_system,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "SystemSpec",
     "ValidationError",
     "build_system",
-    "eval_speeds",
     "state_from_exprs",
     "validate_system",
     "legacy_times",

@@ -40,16 +40,15 @@ from .core import (
     ValidationError,
     validate_system,
 )
-from .times import cumulative_travel
+from .times import cumulative_trapezoid, cumulative_travel
 from .simulator import Trajectory
 
 _GAUGE_CELLS = 2048  # cells of the grid the diagonal gauge is integrated on
 
-# anchor kinds
+# anchor kinds: the diagonal, fitted data on y = 0, zero data on any other edge
 _DIAG = 0
-_X1_ZERO = 1
-_Y0_FIT = 2
-_Y0_ZERO = 3
+_Y0_FIT = 1
+_ZERO = 2
 
 
 def _tri_size(NK: int) -> int:
@@ -135,14 +134,15 @@ class DiagonalGauge:
     def factor_at(self, i: int, x):
         return np.interp(x, self.xs, self.factors[i])
 
+    def _factors_on(self, xs) -> np.ndarray:
+        return np.vstack([np.interp(xs, self.xs, row) for row in self.factors])
+
     def apply(self, state: StateField) -> StateField:
         """Original variables -> gauged variables."""
-        fac = np.vstack([np.interp(state.xs, self.xs, row) for row in self.factors])
-        return StateField(state.values * fac, state.t, state.xs)
+        return StateField(state.values * self._factors_on(state.xs), state.t, state.xs)
 
     def unapply(self, state: StateField) -> StateField:
-        fac = np.vstack([np.interp(state.xs, self.xs, row) for row in self.factors])
-        return StateField(state.values / fac, state.t, state.xs)
+        return StateField(state.values / self._factors_on(state.xs), state.t, state.xs)
 
 
 def preprocess_diagonal(spec: SystemSpec):
@@ -162,16 +162,7 @@ def preprocess_diagonal(spec: SystemSpec):
         gauge = DiagonalGauge(xs=xs, factors=np.ones((n, xs.size)), identity=True)
         return spec, gauge
 
-    sig = spec.signed_speeds(xs)
-    integrand = diag / sig
-    cum = np.concatenate(
-        [
-            np.zeros((n, 1)),
-            np.cumsum(0.5 * (integrand[:, 1:] + integrand[:, :-1]) * np.diff(xs), axis=1),
-        ],
-        axis=1,
-    )
-    factors = np.exp(cum)
+    factors = np.exp(cumulative_trapezoid(diag / spec.signed_speeds(xs), xs))
     ratio = factors[:, None, :] / factors[None, :, :]  # (i, j, x)
     new_c = cvals * ratio
     for i in range(n):
@@ -268,30 +259,27 @@ def _entry_geometry(spec, i, j, tables, NK):
     a = np.interp(xs_pts, xf_i, Tf_i)
     b = np.interp(ys_pts, xf_j, Tf_j)
 
-    # backward edge events (inf where the coordinate moves the other way)
-    inf = np.inf
-    tau_edge = np.full(n_pts, inf)
-    edge_kind = np.full(n_pts, -1, dtype=int)
+    # backward edge events: every point leaves through x = 1 (s_i < 0) or
+    # x = 0 (s_i > 0), unless y = 0 comes first
+    tau_edge = np.full(n_pts, np.inf)
+    anchor_kind = np.full(n_pts, _ZERO)
     if s_i < 0:  # x increases backward: exits through x = 1
-        tau_x1 = Ti_full - a
-        better = tau_x1 < tau_edge
-        tau_edge = np.where(better, tau_x1, tau_edge)
-        edge_kind = np.where(better, _X1_ZERO, edge_kind)
+        tau_edge = Ti_full - a
     if s_j > 0:  # y decreases backward: exits through y = 0
         better = b < tau_edge
         tau_edge = np.where(better, b, tau_edge)
-        edge_kind = np.where(
-            better, _Y0_FIT if (i >= k and j >= k and j <= i) else _Y0_ZERO, edge_kind
-        )
+        if j <= i:  # the lower triangle of the positive block, as j >= k here
+            anchor_kind[better] = _Y0_FIT
     if s_i > 0:  # guard: x = 0 (geometrically never first, only roundoff)
         better = a < tau_edge
         tau_edge = np.where(better, a, tau_edge)
-        edge_kind = np.where(better, _Y0_ZERO, edge_kind)
+        anchor_kind[better] = _ZERO
 
-    anchor_kind = edge_kind.copy()
+    # the anchor position matters only where it carries data: on the
+    # diagonal and on a fitted y = 0
     s_anchor = -tau_edge
-    anchor_x = np.where(anchor_kind == _X1_ZERO, 1.0, np.interp(a - s_i * tau_edge, Tf_i, xf_i))
-    anchor_y = np.where(anchor_kind == _X1_ZERO, np.interp(b - s_j * tau_edge, Tf_j, xf_j), 0.0)
+    anchor_x = np.interp(a - s_i * tau_edge, Tf_i, xf_i)
+    anchor_y = np.zeros(n_pts)
 
     if i != j:
         # the characteristic through (x,y) meets the diagonal where
@@ -308,7 +296,7 @@ def _entry_geometry(spec, i, j, tables, NK):
         eps = 1e-12
         backward_touch = in_range & (tau_diag >= -eps) & (tau_diag <= tau_edge + eps)
         # forward touch: sigma = -tau_diag, must beat the forward edge events
-        sigma_edge = np.full(n_pts, inf)
+        sigma_edge = np.full(n_pts, np.inf)
         if s_i < 0:
             sigma_edge = np.minimum(sigma_edge, a)
         else:
@@ -349,8 +337,7 @@ def _entry_geometry(spec, i, j, tables, NK):
     sig_samp = s_j * lam_j
     lam_j_pts = spec.profile.speeds[j].evaluate(ys_pts)
     sig_pts = s_j * lam_j_pts
-    lam_j_anchor = spec.profile.speeds[j].evaluate(np.clip(anchor_y, 0.0, 1.0))
-    sig_anchor = s_j * lam_j_anchor
+    sig_anchor = s_j * spec.profile.speeds[j].evaluate(anchor_y)
 
     cvals = spec.coupling_nodes(np.clip(y_samp, 0.0, 1.0))  # (n, n, total), gamma included
     src_coef = cvals[:, j, :] * sig_samp  # row l: Sigma_jj(y) * C_lj(y)

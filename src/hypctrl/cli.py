@@ -8,6 +8,7 @@ witness, observability, sweep.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -104,8 +105,6 @@ def _seed(args, cfg) -> int:
 def _cmd_times(args, cfg, spec) -> int:
     report = time_report(spec, args.quad_tol).as_dict()
     if args.json:
-        import json
-
         print(json.dumps(outputs._sanitize(report), sort_keys=True))
     else:
         for key, value in report.items():
@@ -116,8 +115,6 @@ def _cmd_times(args, cfg, spec) -> int:
 def _cmd_check_b(args, cfg, spec) -> int:
     rep = bmatrix.class_report(spec.B)
     if args.json:
-        import json
-
         print(json.dumps(outputs._sanitize(rep), sort_keys=True))
     else:
         print(f"in class B:  {'yes' if rep['in_class_B'] else 'no'}")

@@ -73,11 +73,11 @@ class CubicRamp:
 
 @dataclass
 class AuxiliaryDynamics:
-    """Per controlled component: the (zeta, eta) ramp pair and the switch time."""
+    """A zeta ramp per controlled component, the shared eta ramp and the switch time."""
 
     delta: float
     zetas: dict  # component (1-based) -> CubicRamp
-    etas: dict
+    eta: CubicRamp
 
 
 # --------------------------------------------------------------------------- #
@@ -130,11 +130,11 @@ class FeedbackLaw:
         ctrl = np.zeros(m)
         self.last_reads = []
         positions = self.read_positions(state) if self.spec.state_dependent else self.arg_positions
+        eta = self.ramps.eta(t)
         # outermost level first; each line only reads interior state values
         for j in range(1, self.levels + 1):
             comp = k + m + 1 - j
             zeta = self.ramps.zetas[comp](t)
-            eta = self.ramps.etas[comp](t)
             if eta < 1.0:
                 args = np.empty(m - j)
                 for idx, l in enumerate(range(k + 1, k + m - j + 1)):
@@ -221,14 +221,13 @@ def synthesize_feedback(
     h = float(w0.xs[1] - w0.xs[0])
     corner1 = w0.values[:, -1]
     lam1 = spec.lambdas(np.array([1.0]), corner1 if spec.state_dependent else None)[:, 0]
-    zetas, etas = {}, {}
+    zetas = {}
     half = delta / 2.0
     for comp in range(k + 1, k + m + 1):
         trace0 = float(w0.values[comp - 1, -1])
         slope_x = float((w0.values[comp - 1, -1] - w0.values[comp - 1, -2]) / h)
         zetas[comp] = CubicRamp(trace0, lam1[comp - 1] * slope_x, half)
-        etas[comp] = CubicRamp(1.0, 0.0, half)
-    ramps = AuxiliaryDynamics(delta=delta, zetas=zetas, etas=etas)
+    ramps = AuxiliaryDynamics(delta=delta, zetas=zetas, eta=CubicRamp(1.0, 0.0, half))
 
     delays = {k + p + 1: float(tau[k + p]) for p in range(m)}
     law = FeedbackLaw(
@@ -281,24 +280,19 @@ class NullControlResult:
     terminal_norm: float
 
 
-def _flat_l2_weights(n: int, xs: np.ndarray) -> np.ndarray:
-    h = xs[1] - xs[0]
-    w = np.full(xs.size, h)
-    w[0] = w[-1] = h / 2.0
-    return np.sqrt(np.tile(w, n))
-
-
 def check_null_control(spec: SystemSpec, grid: GridSpec, reg: float, segments: int):
-    """Refuse bad least-squares settings.  More segments than time steps
-    leave basis responses at zero and grow the Gram matrix as segments^2."""
+    """Refuse bad least-squares settings.  The closure is first called at
+    t = dt, so with as many segments as time steps (or more) segment 0 gets
+    no step: its basis response stays zero, the condition is inf and the
+    Gram matrix grows as segments^2 for nothing."""
     if segments < 1:
         raise ValidationError(f"need at least one control segment, got segments = {segments}")
     if not 0.0 <= reg < np.inf:
         raise ValidationError(f"regularization must be finite and >= 0, got reg = {reg}")
     n_steps, _ = grid.steps(spec.lambda_max)
-    if segments > n_steps:
+    if segments >= n_steps:
         raise ValidationError(
-            f"need at most one control segment per time step, got segments = {segments} "
+            f"need fewer control segments than time steps, got segments = {segments} "
             f"for {n_steps} steps"
         )
 
@@ -327,7 +321,7 @@ def null_control_openloop(
     check_null_control(spec, grid, reg, segments)
     m, T = spec.m, grid.T
     xs = grid.xs
-    sqw = _flat_l2_weights(spec.n, xs)
+    sqw = np.sqrt(np.tile(grid.weights, spec.n))
 
     def seg_index(t: float) -> int:
         return min(int(t / T * segments), segments - 1)
@@ -354,14 +348,13 @@ def null_control_openloop(
     )
     rhs = target_flat - free_flat
     gram = A.T @ A + reg * np.eye(A.shape[1])
-    W = np.linalg.solve(gram, A.T @ rhs)
+    W = np.linalg.solve(gram, A.T @ rhs).reshape(m, segments)
 
     sv = np.linalg.svd(A, compute_uv=False)
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
     def assembled(t, state):
-        si = seg_index(t)
-        return np.array([W[c * segments + si] for c in range(m)])
+        return W[:, seg_index(t)]
 
     final = solve_forward(spec, w0, assembled, grid, snapshot_stride=10**9)
     term_flat = final.terminal_state().values.ravel() * sqw
@@ -371,10 +364,8 @@ def null_control_openloop(
         scale = max(scale, np.linalg.norm(target_flat))
     residual = float(err / scale) if scale > 0 else float(err)
 
-    sig_values = np.stack(
-        [[W[c * segments + seg_index(t)] for t in final.times] for c in range(m)]
-    )
-    signal = ControlSignal(times=final.times, values=sig_values)
+    seg = np.minimum((final.times / T * segments).astype(int), segments - 1)
+    signal = ControlSignal(times=final.times, values=W[:, seg])
     return NullControlResult(
         signal=signal,
         residual=residual,
@@ -499,24 +490,18 @@ def optimality_witness(
     else:
         (comp,) = payload
         margin = tau[comp - 1] - T
-        if comp <= k:
-            t_start = 0.5 * margin
-            center = t_inv(comp - 1, t_start)
-            probe_x = t_inv(comp - 1, t_start + T)
-            width_t = 0.35 * margin
-            halfwidth = min(
-                abs(center - t_inv(comp - 1, max(0.0, t_start - width_t))),
-                abs(t_inv(comp - 1, t_start + width_t) - center),
-            )
-        else:
-            t_start = T + 0.5 * margin
-            center = t_inv(comp - 1, t_start)
-            probe_x = t_inv(comp - 1, t_start - T)
-            width_t = 0.35 * margin
-            halfwidth = min(
-                abs(center - t_inv(comp - 1, t_start - width_t)),
-                abs(t_inv(comp - 1, min(tau[comp - 1], t_start + width_t)) - center),
-            )
+        # in travel time from x = 0: a rightward bump starts at margin/2 and
+        # ends at the probe T later; a leftward one starts T + margin/2 and
+        # ends T earlier.  Either way t_start +- 0.35 margin stays in (0, tau).
+        rightward = comp <= k
+        t_start = 0.5 * margin + (0.0 if rightward else T)
+        center = t_inv(comp - 1, t_start)
+        probe_x = t_inv(comp - 1, t_start + (T if rightward else -T))
+        width_t = 0.35 * margin
+        halfwidth = min(
+            abs(center - t_inv(comp - 1, t_start - width_t)),
+            abs(t_inv(comp - 1, t_start + width_t) - center),
+        )
         bump_comp = comp
         probe_comp = comp
         expected = float(amplitude)

@@ -11,6 +11,7 @@ act at x = 1 on the last m components.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -282,12 +283,8 @@ class CouplingField:
         return cls(n, constant=np.zeros((n, n)))
 
     def with_gamma(self, gamma: float) -> "CouplingField":
-        out = CouplingField.__new__(CouplingField)
-        out.n = self.n
+        out = copy.copy(self)
         out.gamma = float(gamma)
-        out._constant = self._constant
-        out._entries = self._entries
-        out._samples = self._samples
         return out
 
     @property
@@ -406,6 +403,13 @@ class GridSpec:
 
     def dt_for(self, lambda_max: float) -> float:
         return self.cfl * self.h / lambda_max
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights of the nodes xs: h inside, h/2 at both ends."""
+        w = np.full(self.N + 1, self.h)
+        w[[0, -1]] = 0.5 * self.h
+        return w
 
     def steps(self, lambda_max: float) -> tuple[int, float]:
         """(n_steps, dt): the fewest equal steps over [0, T] no longer than
@@ -595,24 +599,6 @@ def validate_system(
         coupling_bound=coupling_bound,
         state_dependent=profile.state_dependent,
     )
-
-
-def eval_speeds(spec: SystemSpec, x, y=None) -> np.ndarray:
-    """Signed speeds (-lambda_1, .., -lambda_k, lambda_{k+1}, ..) at position x.
-
-    ``y`` is the state vector, required exactly when the spec is
-    state-dependent.
-    """
-    scalar = np.ndim(x) == 0
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
-        raise OutOfDomain(f"position {x} outside [0, 1]")
-    if spec.state_dependent and y is None:
-        raise OutOfDomain("state-dependent speeds need the state argument")
-    if not spec.state_dependent and y is not None:
-        raise OutOfDomain("state argument supplied for state-independent speeds")
-    out = spec.signed_speeds(xa, y)
-    return out[:, 0] if scalar else out
 
 
 def build_system(

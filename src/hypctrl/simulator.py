@@ -143,9 +143,6 @@ class Trajectory:
     def terminal_state(self) -> StateField:
         return StateField(self.snapshots[-1].copy(), float(self.snapshot_times[-1]), self.xs)
 
-    def initial_state(self) -> StateField:
-        return StateField(self.snapshots[0].copy(), float(self.snapshot_times[0]), self.xs)
-
     def state_at(self, t: float) -> StateField:
         """Snapshot nearest to t (snapshots may be strided)."""
         idx = int(np.argmin(np.abs(self.snapshot_times - t)))
@@ -419,10 +416,8 @@ def solve_dual(
         ):
             raise ValidationError("source matrix must have zero first k columns")
         # the trapezoid source integral as one operator on the flattened state:
-        # op[(j, q), p] = h * weight_q * S_{j, k+p}(x_q)
-        weights = np.full(xs.size, h)
-        weights[[0, -1]] = 0.5 * h
-        op = (svals[:, k:, :] * weights).transpose(0, 2, 1).reshape(n * xs.size, m)
+        # op[(j, q), p] = h_q S_{j, k+p}(x_q)
+        op = (svals[:, k:, :] * grid.weights).transpose(0, 2, 1).reshape(n * xs.size, m)
 
     n_steps, ds = grid.steps(spec.lambda_max)
     flux = sig * (ds / h)

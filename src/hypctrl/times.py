@@ -85,31 +85,6 @@ def travel_times(spec: SystemSpec, quad_tolerance: float = 1e-10) -> np.ndarray:
     return taus
 
 
-def travel_time_error_bounds(spec: SystemSpec, quad_tolerance: float = 1e-10) -> np.ndarray:
-    """Per-component error bound on tau_i.
-
-    Closed-form speeds are integrated adaptively to ``quad_tolerance``;
-    sampled speeds use the trapezoid rule, whose bound is the cellwise
-    h^2/12 curvature estimate of the integrand built from second difference
-    quotients.
-    """
-    bounds = np.full(spec.n, quad_tolerance)
-    for i, speed in enumerate(spec.profile.speeds):
-        if isinstance(speed, SampledSpeed):
-            f = 1.0 / speed.values
-            xs = speed.xs
-            if xs.size < 3:
-                bounds[i] = np.inf
-                continue
-            mid = 0.5 * (xs[2:] - xs[:-2])
-            curv = np.abs((f[2:] - f[1:-1]) / (xs[2:] - xs[1:-1])
-                          - (f[1:-1] - f[:-2]) / (xs[1:-1] - xs[:-2])) / mid
-            curv_cell = np.concatenate([[curv[0]], 0.5 * (curv[1:] + curv[:-1]), [curv[-1]]])
-            h_cell = np.diff(xs)
-            bounds[i] = float(np.sum(h_cell**3 / 12.0 * curv_cell))
-    return bounds
-
-
 def legacy_times(tau: np.ndarray, k: int, m: int) -> tuple[float, float]:
     """(T1, T2) exactly as defined above."""
     tau = np.asarray(tau, dtype=float)
@@ -191,8 +166,10 @@ def cumulative_travel(spec: SystemSpec, i: int, n_fine: int = 4096, state=None):
     if isinstance(state, StateField):
         state = np.array([np.interp(xs, state.xs, row) for row in state.values])
     lam = spec.profile.speeds[i].evaluate(xs, state)
-    integrand = 1.0 / lam
-    ts = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(xs))]
-    )
-    return xs, ts
+    return xs, cumulative_trapezoid(1.0 / lam, xs)
+
+
+def cumulative_trapezoid(f: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of the samples f from xs[0] to each node, along the last axis."""
+    steps = np.cumsum(0.5 * (f[..., 1:] + f[..., :-1]) * np.diff(xs), axis=-1)
+    return np.concatenate([np.zeros(f.shape[:-1] + (1,)), steps], axis=-1)

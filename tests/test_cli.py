@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import hypctrl
+from hypctrl import cli, core
 from hypctrl.cli import _build_parser, main
 from hypctrl.config import load_config
 from hypctrl.controller import null_control_openloop
@@ -104,6 +106,27 @@ def test_bad_config_expression_exit_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and "1 + y" in err
+
+
+_ERROR_CLASSES = [
+    cls for _, cls in inspect.getmembers(core, inspect.isclass)
+    if issubclass(cls, core.HypctrlError) and cls.__module__ == core.__name__
+    and cls not in (core.HypctrlError, core.ValidationError, core.NumericalError)
+]
+
+
+@pytest.mark.parametrize("error", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_class_maps_to_exit_code(cfg_path, capsys, monkeypatch, error):
+    validation = issubclass(error, core.ValidationError)
+    assert validation != issubclass(error, core.NumericalError)
+
+    def command(args, cfg, spec):
+        raise error("raised by the command")
+
+    monkeypatch.setitem(cli._COMMANDS, "times", command)
+    assert main(["times", "--config", str(cfg_path)]) == (2 if validation else 3)
+    kind = "validation error" if validation else "numerical failure"
+    assert capsys.readouterr().err == f"{kind}: raised by the command\n"
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -499,7 +522,8 @@ def test_non_finite_horizon_refused(tmp_path, capsys, command, T):
     "flag, value, named",
     [("--segments", "0", "segments = 0"), ("--segments", "-1", "segments = -1"),
      ("--reg", "nan", "reg = nan"), ("--reg", "-1", "reg = -1.0"), ("--reg", "inf", "reg = inf"),
-     ("--segments", "1000", "segments = 1000 for 72 steps")],
+     ("--segments", "1000", "segments = 1000 for 72 steps"),
+     ("--segments", "72", "segments = 72 for 72 steps")],
 )
 def test_bad_null_control_setting_refused(cfg_path, tmp_path, capsys, command, flag, value, named):
     # the sweep refuses once, before its points, instead of writing NaN rows

@@ -247,6 +247,18 @@ def test_null_control_zero_data():
     assert np.max(np.abs(res.signal.values)) < 1e-9
 
 
+def test_null_control_needs_fewer_segments_than_steps():
+    # 5 steps: the closure is first called at t = dt, already in segment 1 of
+    # 5, so a fifth segment would leave segment 0 without a step
+    spec = build_system(1, 1, [1.0, 1.0], b=[[0.5]])
+    grid = GridSpec(N=8, cfl=0.9, T=0.5)
+    w0 = state_from_exprs(["0", "sin(pi*x)"], grid, 2)
+    assert grid.steps(spec.lambda_max)[0] == 5
+    with pytest.raises(ValidationError, match="segments = 5 for 5 steps"):
+        null_control_openloop(spec, w0, grid, segments=5)
+    assert null_control_openloop(spec, w0, grid, segments=4).condition == 3.4225109212496103
+
+
 def test_null_control_residual_ladder():
     spec = build_system(1, 1, [1.0, 1.0], coupling=[[0.0, 0.2], [0.2, 0.0]], b=[[0.5]])
     grid = GridSpec(N=128, cfl=0.9, T=2.4)
@@ -303,6 +315,24 @@ def test_witness_direct_candidate_for_zero_row():
     assert wit.bump_component in (1, 2, 3)
     dev, _ = verify_witness(spec, wit, grid, n_controls=10, rng=np.random.default_rng(9))
     assert dev < 0.1
+
+
+@pytest.mark.parametrize(
+    "k, m, speeds, B, T, expected",
+    [
+        # rightward bump (component 2 of k = 2)
+        (2, 2, [4.0, 1.0, 1.0, 4.0], [[0.0, 1.0], [1.0, 1.0]], 0.62,
+         (2, 0.81, 0.19, 0.13299999999999995)),
+        # leftward bump (component 2 of k = 1), x-dependent speed
+        (1, 2, ["2 - x", "0.4 + 0.1*x", 0.7], [[0.0, 1.0]], 2.0,
+         (2, 0.04655595216525538, 0.9424746000313052, 0.03987353548086181)),
+    ],
+)
+def test_witness_direct_candidate_exact_values(k, m, speeds, B, T, expected):
+    wit = optimality_witness(build_system(k, m, speeds, b=B), GridSpec(N=200, cfl=0.9, T=T))
+    assert "travels for time" in wit.description  # the direct candidate
+    assert wit.probe_component == wit.bump_component
+    assert (wit.bump_component, wit.probe_x, wit.bump_center, wit.bump_halfwidth) == expected
 
 
 def test_observability_scale_invariance():

@@ -11,13 +11,11 @@ from hypctrl.core import (
     GridSpec,
     NonFiniteEntry,
     OrderingViolated,
-    OutOfDomain,
     ReflectionMatrix,
     SpeedProfile,
     StateField,
     ValidationError,
     build_system,
-    eval_speeds,
     validate_system,
 )
 
@@ -61,35 +59,14 @@ def test_nonfinite_rejected():
         build_system(1, 1, [1.0, 2.0], b=[[np.nan]])
 
 
-def test_eval_speeds_signs_and_values():
-    spec = build_system(1, 1, [1.0, 2.0], b=[[0.0]])
-    assert np.allclose(eval_speeds(spec, 0.3), [-1.0, 2.0])
-    spec2 = build_system(1, 1, [1.0, "1 + x"], b=[[0.0]])
-    assert eval_speeds(spec2, 1.0)[1] == pytest.approx(2.0)
-
-
-def test_eval_speeds_sampled_interpolation():
+def test_sampled_speed_interpolation():
     xs = np.array([0.0, 0.5, 1.0])
     vals = np.array([1.0, 2.0, 1.5])
     spec = build_system(1, 1, [3.0, (xs, vals)], b=[[0.0]])
     # midpoint of two samples is the linear interpolant
-    assert eval_speeds(spec, 0.25)[1] == pytest.approx(1.5)
+    assert spec.signed_speeds([0.25])[1, 0] == pytest.approx(1.5)
     # sample points reproduce samples exactly
-    for x, v in zip(xs, vals):
-        assert eval_speeds(spec, x)[1] == v
-
-
-def test_eval_speeds_domain_and_state_checks():
-    spec = build_system(1, 1, [1.0, 2.0], b=[[0.0]])
-    with pytest.raises(OutOfDomain):
-        eval_speeds(spec, 1.5)
-    with pytest.raises(OutOfDomain):
-        eval_speeds(spec, 0.5, y=np.zeros(2))
-    ql = build_system(1, 1, [1.0, "2 + 0.1*w2**2"], b=[[0.0]])
-    with pytest.raises(OutOfDomain):
-        eval_speeds(ql, 0.5)
-    out = eval_speeds(ql, 0.5, y=np.array([0.0, 2.0]))
-    assert out[1] == pytest.approx(2.4)
+    assert np.array_equal(spec.signed_speeds(xs)[1], vals)
 
 
 def test_validation_idempotent():
@@ -114,10 +91,9 @@ def test_sign_pattern_property():
         # negative block decreasing, positive block increasing
         speeds = list(base[:k][::-1]) + list(base[k:])
         spec = build_system(k, m, speeds, b=rng.standard_normal((k, m)))
-        for x in xs:
-            s = eval_speeds(spec, x)
-            assert np.all(s[:k] < 0)
-            assert np.all(s[k:] > 0)
+        s = spec.signed_speeds(xs)
+        assert np.all(s[:k] < 0)
+        assert np.all(s[k:] > 0)
 
 
 def test_nonlinear_hook_checked():

@@ -134,14 +134,3 @@ def test_cumulative_travel_monotone():
     assert ts[0] == 0.0
     assert np.all(np.diff(ts) > 0)
     assert ts[-1] == pytest.approx(np.log(2.0), abs=1e-7)
-
-
-def test_sampled_error_bound_covers_truth():
-    from hypctrl.times import travel_time_error_bounds
-
-    xs = np.linspace(0.0, 1.0, 101)
-    spec = build_system(1, 1, [(xs, 1.0 + xs), 5.0], b=[[0.0]])
-    tau = travel_times(spec)
-    bounds = travel_time_error_bounds(spec)
-    assert abs(tau[0] - np.log(2.0)) <= 5 * bounds[0]
-    assert bounds[1] == 1e-10  # closed-form entry keeps the quadrature tolerance
