@@ -131,9 +131,6 @@ class DiagonalGauge:
     factors: np.ndarray  # (n, len(xs)); identity gauge has all ones
     identity: bool = False
 
-    def factor_at(self, i: int, x):
-        return np.interp(x, self.xs, self.factors[i])
-
     def _factors_on(self, xs) -> np.ndarray:
         return np.vstack([np.interp(xs, self.xs, row) for row in self.factors])
 
@@ -182,7 +179,6 @@ class KernelReport:
     final_change: float
     residual_linf: float
     residual_per_entry: np.ndarray
-    converged: bool
     changes: list = field(default_factory=list)
 
 
@@ -240,9 +236,11 @@ class Kernel:
 def _entry_geometry(spec, i, j, tables, NK):
     """Anchor classification and integration paths for one kernel entry.
 
-    Returns a dict consumed by the sweep: anchor kinds/positions, the
+    Returns what the sweep reads: the fixed anchor data (C_ij/(sigma_j -
+    sigma_i) sigma_j where the characteristic meets the diagonal, else 0),
+    the points anchored on fitted y = 0 data with their x and sigma_j, the
     interpolation corners and weights of all path sample points, trapezoid
-    weights, segment starts, and fixed multiplicative data.
+    weights, segment starts, and the coupling coefficients along the paths.
     """
     k = spec.k
     h = 1.0 / NK
@@ -333,43 +331,33 @@ def _entry_geometry(spec, i, j, tables, NK):
     x_samp = np.interp(a_samp, Tf_i, xf_i)
     y_samp = np.interp(b_samp, Tf_j, xf_j)
 
-    lam_j = spec.profile.speeds[j].evaluate(np.clip(y_samp, 0.0, 1.0))
-    sig_samp = s_j * lam_j
-    lam_j_pts = spec.profile.speeds[j].evaluate(ys_pts)
-    sig_pts = s_j * lam_j_pts
-    sig_anchor = s_j * spec.profile.speeds[j].evaluate(anchor_y)
-
-    cvals = spec.coupling_nodes(np.clip(y_samp, 0.0, 1.0))  # (n, n, total), gamma included
-    src_coef = cvals[:, j, :] * sig_samp  # row l: Sigma_jj(y) * C_lj(y)
+    y_clip = np.clip(y_samp, 0.0, 1.0)
+    sig_samp = s_j * spec.profile.speeds[j].evaluate(y_clip)
+    # row l: Sigma_jj(y) * C_lj(y); the (n, n, total) coupling dies at once
+    src_coef = spec.coupling_nodes(y_clip)[:, j, :] * sig_samp
     nz_rows = [l for l in range(spec.n) if np.max(np.abs(src_coef[l]), initial=0.0) > 0.0]
+    interp = _triangle_interp(x_samp, y_samp, NK) if nz_rows else None
 
-    geom = {
-        "i": i,
-        "j": j,
-        "anchor_kind": anchor_kind,
-        "anchor_x": anchor_x,
-        "anchor_sig": sig_anchor,
-        "sig_pts": sig_pts,
+    sig_anchor = s_j * spec.profile.speeds[j].evaluate(anchor_y)
+    anchor = np.zeros(n_pts)
+    diag = anchor_kind == _DIAG
+    if np.any(diag):
+        d = anchor_x[diag]
+        denom = s_j * spec.profile.speeds[j].evaluate(d) - s_i * spec.profile.speeds[i].evaluate(d)
+        anchor[diag] = spec.coupling_nodes(d)[i, j, :] / denom * sig_anchor[diag]
+    fit = anchor_kind == _Y0_FIT
+    return {
+        "anchor": anchor,
+        "fit": fit,
+        "fit_x": anchor_x[fit],
+        "fit_sig": sig_anchor[fit],
+        "sig_pts": s_j * spec.profile.speeds[j].evaluate(ys_pts),
         "seg_starts": seg_starts,
         "wts": wts,
         "src_coef": src_coef,
         "nz_rows": nz_rows,
-        "interp": _triangle_interp(x_samp, y_samp, NK) if nz_rows else None,
+        "interp": interp,
     }
-    if i != j:
-        diag_mask = anchor_kind == _DIAG
-        dvals = np.zeros(n_pts)
-        if np.any(diag_mask):
-            d = anchor_x[diag_mask]
-            cd = spec.coupling_nodes(d)[i, j, :]
-            lam_i_d = spec.profile.speeds[i].evaluate(d)
-            lam_j_d = spec.profile.speeds[j].evaluate(d)
-            denom = s_j * lam_j_d - s_i * lam_i_d
-            dvals[diag_mask] = cd / denom
-        geom["diag_value"] = dvals
-    else:
-        geom["diag_value"] = np.zeros(n_pts)
-    return geom
 
 
 def solve_kernel(
@@ -418,18 +406,13 @@ def solve_kernel(
 
     changes = []
     grew = 0
-    converged = False
     for it in range(1, max_iters + 1):
         K_new = np.empty_like(K)
         for i in range(n):
             for j in range(n):
                 g = geoms[i][j]
-                kind = g["anchor_kind"]
-                anchor = np.where(kind == _DIAG, g["diag_value"] * g["anchor_sig"], 0.0)
-                fit_mask = kind == _Y0_FIT
-                if np.any(fit_mask):
-                    data = np.interp(g["anchor_x"][fit_mask], nodes_x, gfit[i, j])
-                    anchor[fit_mask] = data * g["anchor_sig"][fit_mask]
+                anchor = g["anchor"].copy()
+                anchor[g["fit"]] = np.interp(g["fit_x"], nodes_x, gfit[i, j]) * g["fit_sig"]
                 if g["nz_rows"]:
                     acc = np.zeros(g["wts"].size)
                     for l in g["nz_rows"]:
@@ -462,9 +445,8 @@ def solve_kernel(
             grew = 0
         changes.append(change)
         if change < fp_tolerance:
-            converged = True
             break
-    if not converged:
+    else:
         raise MaxItersExceeded(
             f"kernel iteration did not reach {fp_tolerance:g} in {max_iters} sweeps "
             f"(last change {changes[-1]:.3e})"
@@ -477,7 +459,6 @@ def solve_kernel(
         final_change=changes[-1],
         residual_linf=res_linf,
         residual_per_entry=res_entries,
-        converged=True,
         changes=changes,
     )
     return kernel

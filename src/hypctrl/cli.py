@@ -95,7 +95,10 @@ def _outdir(args, cfg) -> Path:
 
 
 def _seed(args, cfg) -> int:
-    return args.seed if args.seed is not None else cfg.seed
+    seed = args.seed if args.seed is not None else cfg.seed
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got seed = {seed}")
+    return seed
 
 
 # --------------------------------------------------------------------------- #
@@ -227,7 +230,7 @@ def _cmd_feedback(args, cfg, spec) -> int:
         {
             "T": T,
             "T_opt": law.Topt,
-            "delta": law.ramps.delta,
+            "delta": law.T - law.Topt,
             "initial_linf": rep.initial_linf,
             "terminal_linf": rep.terminal_linf,
             "terminal_rel": rep.terminal_rel,
@@ -271,8 +274,8 @@ def _cmd_witness(args, cfg, spec) -> int:
     samples = cfg.setting("witness", "samples", args.samples)
     amplitude = cfg.setting("witness", "amplitude")
     grid = cfg.grid(N=args.N, T=T)
-    wit = controller.optimality_witness(spec, grid, amplitude=amplitude)
     rng = np.random.default_rng(_seed(args, cfg))
+    wit = controller.optimality_witness(spec, grid, amplitude=amplitude)
     deviation, values = controller.verify_witness(spec, wit, grid, n_controls=samples, rng=rng)
     out = _outdir(args, cfg)
     outputs.write_snapshot_csv(out / "witness_initial.csv", wit.w0)

@@ -8,13 +8,16 @@ The feedback prescribes the m incoming values at x = 1.  Elimination level j
 where the arguments are the current values of components k+1..k+m-j at the
 positions whose characteristics reach x = 0 exactly when the emitted control
 arrives there (after the travel time of the controlled component); the
-remaining controlled components follow their zeta ramp alone.  zeta and eta
-are C^1 ramps that match the initial trace at x = 1, equal exactly zero from
-delta/2 on (delta = T - T_opt), and switch the state-fed part on smoothly.
-The positions invert the cumulative travel time, on the current state frozen
-in time when the speeds depend on it; no characteristic is integrated (the
-RK4 ``characteristic_flow``, which reads the state through a callable
-accessor, is public API and the tests' reference).
+remaining controlled components follow their zeta ramp alone.  The law holds
+one zeta ramp per channel, which matches that channel's initial trace at
+x = 1, and one eta ramp, which switches the state-fed part on smoothly; all
+are C^1 and equal exactly zero from (T - T_opt)/2 on.  A call starts from
+the m zeta values and, while eta < 1, adds (1 - eta) M_j to each level's
+channel; only then does it find the positions.  They invert the cumulative
+travel time, on the current state frozen in time when the speeds depend on
+it; no characteristic is integrated (the RK4 ``characteristic_flow``, which
+reads the state through a callable accessor, is public API and the tests'
+reference).
 
 Every entry point reads B from ``spec.B`` and the run horizon from ``grid.T``;
 the ``T`` of ``synthesize_feedback`` is the law's target time, not a horizon.
@@ -71,15 +74,6 @@ class CubicRamp:
         return self.value0 * h00 + self.slope0 * self.half * h10
 
 
-@dataclass
-class AuxiliaryDynamics:
-    """A zeta ramp per controlled component, the shared eta ramp and the switch time."""
-
-    delta: float
-    zetas: dict  # component (1-based) -> CubicRamp
-    eta: CubicRamp
-
-
 # --------------------------------------------------------------------------- #
 # feedback law
 # --------------------------------------------------------------------------- #
@@ -90,7 +84,8 @@ class FeedbackLaw:
 
     spec: SystemSpec
     maps: EliminationMaps
-    ramps: AuxiliaryDynamics
+    zetas: list  # a CubicRamp per channel: zetas[p] feeds component k+1+p
+    eta: CubicRamp
     delays: dict  # controlled component -> travel time across [0, 1]
     arg_positions: dict = field(default_factory=dict)  # level -> array of positions
     T: float = 0.0
@@ -127,25 +122,21 @@ class FeedbackLaw:
 
     def __call__(self, t: float, state: StateField) -> np.ndarray:
         k, m = self.spec.k, self.spec.m
-        ctrl = np.zeros(m)
+        ctrl = np.array([zeta(t) for zeta in self.zetas])
         self.last_reads = []
-        positions = self.read_positions(state) if self.spec.state_dependent else self.arg_positions
-        eta = self.ramps.eta(t)
-        # outermost level first; each line only reads interior state values
-        for j in range(1, self.levels + 1):
-            comp = k + m + 1 - j
-            zeta = self.ramps.zetas[comp](t)
-            if eta < 1.0:
+        eta = self.eta(t)
+        if eta < 1.0:
+            positions = (
+                self.read_positions(state) if self.spec.state_dependent else self.arg_positions
+            )
+            # outermost level first; each line only reads interior state values
+            for j in range(1, self.levels + 1):
                 args = np.empty(m - j)
                 for idx, l in enumerate(range(k + 1, k + m - j + 1)):
                     pos = float(positions[j][idx])
                     args[idx] = np.interp(pos, state.xs, state.values[l - 1])
                     self.last_reads.append((j, l, pos))
-                ctrl[comp - k - 1] = zeta + (1.0 - eta) * self.maps.by_level(j)(args)
-            else:
-                ctrl[comp - k - 1] = zeta
-        for comp in range(k + 1, k + m - self.levels + 1):
-            ctrl[comp - k - 1] = self.ramps.zetas[comp](t)
+                ctrl[m - j] += (1.0 - eta) * self.maps.by_level(j)(args)
         return ctrl
 
 
@@ -205,7 +196,6 @@ def synthesize_feedback(
     topt, _, _ = optimal_time_argmax(tau, k, m)
     if T <= topt:
         raise TimeTooShort(f"target time {T} must exceed T_opt = {topt:.6g}")
-    delta = T - topt
 
     r0, r1, tol = check_compatibility(spec, w0)
     if max(r0, r1) > tol:
@@ -221,17 +211,19 @@ def synthesize_feedback(
     h = float(w0.xs[1] - w0.xs[0])
     corner1 = w0.values[:, -1]
     lam1 = spec.lambdas(np.array([1.0]), corner1 if spec.state_dependent else None)[:, 0]
-    zetas = {}
-    half = delta / 2.0
-    for comp in range(k + 1, k + m + 1):
-        trace0 = float(w0.values[comp - 1, -1])
-        slope_x = float((w0.values[comp - 1, -1] - w0.values[comp - 1, -2]) / h)
-        zetas[comp] = CubicRamp(trace0, lam1[comp - 1] * slope_x, half)
-    ramps = AuxiliaryDynamics(delta=delta, zetas=zetas, eta=CubicRamp(1.0, 0.0, half))
-
+    half = (T - topt) / 2.0
+    zetas = [
+        CubicRamp(
+            float(w0.values[comp, -1]),
+            lam1[comp] * float((w0.values[comp, -1] - w0.values[comp, -2]) / h),
+            half,
+        )
+        for comp in range(k, k + m)
+    ]
     delays = {k + p + 1: float(tau[k + p]) for p in range(m)}
     law = FeedbackLaw(
-        spec=spec, maps=maps, ramps=ramps, delays=delays, T=T, Topt=float(topt)
+        spec=spec, maps=maps, zetas=zetas, eta=CubicRamp(1.0, 0.0, half), delays=delays,
+        T=T, Topt=float(topt),
     )
     if not spec.state_dependent:
         law.arg_positions = law.read_positions()
@@ -277,7 +269,6 @@ class NullControlResult:
     residual: float
     condition: float
     ill_conditioned: bool
-    terminal_norm: float
 
 
 def check_null_control(spec: SystemSpec, grid: GridSpec, reg: float, segments: int):
@@ -371,7 +362,6 @@ def null_control_openloop(
         residual=residual,
         condition=condition,
         ill_conditioned=bool(condition > 1e12),
-        terminal_norm=float(err),
     )
 
 

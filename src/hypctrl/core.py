@@ -12,7 +12,7 @@ act at x = 1 on the last m components.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -511,9 +511,7 @@ class SystemSpec:
     k: int
     m: int
     n: int
-    lambda_min: float
     lambda_max: float
-    lipschitz: np.ndarray = field(repr=False)
     coupling_bound: float = 0.0
     state_dependent: bool = False
 
@@ -578,9 +576,6 @@ def validate_system(
                 f"need lambda_{i + 1}(x) < lambda_{i + 2}(x) on [0, 1] (positive block)"
             )
 
-    dx = xs[1] - xs[0]
-    lipschitz = np.max(np.abs(np.diff(lam, axis=1)), axis=1) / dx
-
     cvals = coupling.evaluate(xs)
     if not np.all(np.isfinite(cvals)):
         raise NonFiniteEntry("coupling field has non-finite values on the validation grid")
@@ -593,9 +588,7 @@ def validate_system(
         k=k,
         m=m,
         n=n,
-        lambda_min=float(np.min(lam)),
         lambda_max=float(np.max(lam)),
-        lipschitz=lipschitz,
         coupling_bound=coupling_bound,
         state_dependent=profile.state_dependent,
     )

@@ -31,23 +31,17 @@ def _cell(v) -> str:
     return str(v)
 
 
-def write_csv(path, header, rows):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _write_lines(path, header, lines):
-    """The header, then the given lines (each ending in a newline); the bytes
-    are those of write_csv for the same cells."""
+    """The header, then the given lines (each ending in a newline)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:  # line by line: no table of Python floats at once
         f.write(",".join(header) + "\n")
         f.writelines(lines)
+
+
+def write_csv(path, header, rows):
+    _write_lines(path, header, (",".join(_cell(v) for v in row) + "\n" for row in rows))
 
 
 def write_float_csv(path, header, columns):

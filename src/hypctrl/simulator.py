@@ -44,9 +44,12 @@ Each stepping loop has a per-step core, which does only what the next step
 or the boundary closure needs, and a per-chunk recorder.  The core writes each
 new state into the next slot of one of two alternating chunk buffers of
 K = min(64, states per 256 KiB) states; after every K steps, and after the
-last one, the recorder fills the traces, norms and strided snapshots from the
-whole chunk at once.  The state the closure receives is a view of a slot that
-is overwritten 2K steps later: copy it to keep it.
+last one, the recorder fills the incoming trace at x = 1 (the forward run's
+controls, the dual's observation) and the strided snapshots from the whole
+chunk at once.  The forward solver also fills its per-component L2 and Linf
+norms there, from the |chunk| pass it makes anyway; the dual records no
+norms.  The state the closure receives is a view of a slot that is
+overwritten 2K steps later: copy it to keep it.
 
 A forward run is at rest when its whole batch state is exactly zero: at the
 start, or after a step whose flushed result is all zero and whose controls,
@@ -98,7 +101,7 @@ def zero_control(m: int) -> Callable:
 
 
 def _l2(w: np.ndarray, h: float, sq=None) -> np.ndarray:
-    """Trapezoid L2 norm along x; ``sq`` is an optional buffer for w*w."""
+    """Trapezoid L2 norm along x; ``sq`` is an optional buffer for w*w (may be w)."""
     sq = np.multiply(w, w, out=sq)
     return np.sqrt(h * (np.add.reduce(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1])))
 
@@ -128,11 +131,9 @@ class Trajectory:
     times: np.ndarray
     snapshot_times: np.ndarray
     snapshots: np.ndarray  # (n_snap, n, N+1)
-    boundary_left: np.ndarray  # (n_steps+1, n), trace at x = 0
-    boundary_right: np.ndarray  # (n_steps+1, n), trace at x = 1
     norms_l2: np.ndarray  # (n_steps+1, n)
     norms_linf: np.ndarray  # (n_steps+1, n)
-    controls: np.ndarray = field(default=None, repr=False)  # (n_steps+1, m)
+    controls: np.ndarray = field(default=None, repr=False)  # (n_steps+1, m), inflow at x = 1
     # steps, dt, chunk (states per chunk buffer), max_substep_doublings, rest_steps
     diagnostics: dict = field(default_factory=dict, repr=False)
 
@@ -150,7 +151,7 @@ class Trajectory:
 
 
 def _resolve_stride(n_steps: int, snapshot_stride) -> int:
-    if snapshot_stride in (None, "auto"):
+    if snapshot_stride is None:
         return max(1, int(np.ceil((n_steps + 1) / 512)))
     stride = int(snapshot_stride)
     if stride < 1:
@@ -160,21 +161,20 @@ def _resolve_stride(n_steps: int, snapshot_stride) -> int:
 
 class _Recorder:
     """The states of a run, K per chunk in two alternating chunk buffers, and
-    what both solvers record from a chunk: the trace at x = 1, the L2 norms
-    and the strided snapshots.  ``scratch`` has a slot per chunk slot: work
-    space of the step that fills that slot, then of the chunk's records."""
+    what both solvers record from a chunk: the incoming trace at x = 1 (rows
+    k:) and the strided snapshots.  ``scratch`` has a slot per chunk slot:
+    work space of the step that fills that slot, then of the chunk's records."""
 
-    def __init__(self, w: np.ndarray, n_steps: int, snapshot_stride, dt: float, h: float):
+    def __init__(self, w: np.ndarray, k: int, n_steps: int, snapshot_stride, dt: float):
         self.K = min(64, max(1, _CHUNK_BYTES // w.nbytes))
         self.bufs = [np.empty((self.K,) + w.shape) for _ in range(2)]
         self.scratch = np.empty((self.K,) + w.shape)
         stride = _resolve_stride(n_steps, snapshot_stride)
         self.snap_steps = sorted({*range(0, n_steps + 1, stride), n_steps})
         self.snapshots = np.empty((w.shape[0], len(self.snap_steps)) + w.shape[1:])
-        self.right = np.empty((w.shape[0], n_steps + 1, w.shape[1]))
-        self.norms_l2 = np.empty_like(self.right)
-        self.snapshots[:, 0], self.right[:, 0], self.norms_l2[:, 0] = w, w[..., -1], _l2(w, h)
-        self.n_steps, self.h = n_steps, h
+        self.inflow = np.empty((w.shape[0], n_steps + 1, w.shape[1] - k))
+        self.snapshots[:, 0], self.inflow[:, 0] = w, w[:, k:, -1]
+        self.k, self.n_steps = k, n_steps
         self.diagnostics = {"steps": n_steps, "dt": dt, "chunk": self.K}
 
     def chunks(self):
@@ -183,12 +183,9 @@ class _Recorder:
             steps = range(lo + 1, min(lo + self.K, self.n_steps) + 1)
             yield steps, self.bufs[lo // self.K % 2][: len(steps)]
 
-    def record(self, steps: range, chunk: np.ndarray, mag: np.ndarray):
-        """Records of a filled chunk; ``mag`` equals it in magnitude and is
-        squared into ``scratch``."""
-        rows = slice(steps.start, steps.stop)
-        self.right[:, rows] = chunk[..., -1].swapaxes(0, 1)
-        self.norms_l2[:, rows] = _l2(mag, self.h, self.scratch[: len(steps)]).swapaxes(0, 1)
+    def record(self, steps: range, chunk: np.ndarray):
+        """Records of a filled chunk."""
+        self.inflow[:, steps.start : steps.stop] = chunk[:, :, self.k :, -1].swapaxes(0, 1)
         i, j = bisect_left(self.snap_steps, steps.start), bisect_left(self.snap_steps, steps.stop)
         if i < j:  # most chunks of a strided run hold no snapshot
             slots = np.subtract(self.snap_steps[i:j], steps.start)
@@ -237,9 +234,9 @@ def solve_forward(
         (i, j, cvals[i, j]) for i in range(n) for j in range(n) if cvals[i, j].any()
     ]
 
-    rec = _Recorder(w, n_steps, snapshot_stride, dt, h)
-    bl, nlinf = np.empty((2, b, n_steps + 1, n))
-    bl[:, 0], nlinf[:, 0] = w[:, :, 0], np.max(np.abs(w), axis=-1)
+    rec = _Recorder(w, k, n_steps, snapshot_stride, dt)
+    nl2, nlinf = np.empty((2, b, n_steps + 1, n))
+    nl2[:, 0], nlinf[:, 0] = _l2(w, h), np.max(np.abs(w), axis=-1)
 
     # buffers reused every step: one component's coupling term and the flush mask
     cw = np.empty((b, xs.size)) if entries else None
@@ -326,10 +323,11 @@ def solve_forward(
             w_new[:, k:, -1] = ctrl
             at_rest = can_rest and peak < _TINY and not ctrl.any()
             w = w_new
+        rows = slice(steps.start, steps.stop)
         absc = np.abs(chunk, out=rec.scratch[: len(steps)])
-        bl[:, steps.start : steps.stop] = chunk[..., 0].swapaxes(0, 1)
-        nlinf[:, steps.start : steps.stop] = absc.max(axis=-1).swapaxes(0, 1)
-        rec.record(steps, chunk, absc)
+        nlinf[:, rows] = absc.max(axis=-1).swapaxes(0, 1)
+        nl2[:, rows] = _l2(absc, h, absc).swapaxes(0, 1)
+        rec.record(steps, chunk)
 
     unbatch = (lambda a: a) if batched else (lambda a: a[0])
     return Trajectory(
@@ -338,11 +336,9 @@ def solve_forward(
         times=np.arange(n_steps + 1) * dt,
         snapshot_times=np.array(rec.snap_steps) * dt,
         snapshots=unbatch(rec.snapshots),
-        boundary_left=unbatch(bl),
-        boundary_right=unbatch(rec.right),
-        norms_l2=unbatch(rec.norms_l2),
+        norms_l2=unbatch(nl2),
         norms_linf=unbatch(nlinf),
-        controls=unbatch(rec.right[..., k:].copy()),
+        controls=unbatch(rec.inflow),
         diagnostics={
             **rec.diagnostics, "max_substep_doublings": doublings, "rest_steps": rest_steps
         },
@@ -363,7 +359,6 @@ class DualTrajectory:
     snapshot_times: np.ndarray
     snapshots: np.ndarray
     observation: np.ndarray  # v_+(-s, 1), shape (n_steps+1, m)
-    norms_l2: np.ndarray
     diagnostics: dict = field(default_factory=dict, repr=False)  # steps, dt, chunk
 
     @property
@@ -422,7 +417,7 @@ def solve_dual(
     n_steps, ds = grid.steps(spec.lambda_max)
     flux = sig * (ds / h)
 
-    rec = _Recorder(v, n_steps, snapshot_stride, ds, h)
+    rec = _Recorder(v, k, n_steps, snapshot_stride, ds)
     b = v.shape[0]
 
     for steps, chunk in rec.chunks():
@@ -446,7 +441,7 @@ def solve_dual(
             if not np.all(np.isfinite(v_new)):
                 raise NonFiniteState(f"dual state blew up at t = {-step * ds:.6g}")
             v = v_new
-        rec.record(steps, chunk, chunk)
+        rec.record(steps, chunk)
 
     unbatch = (lambda a: a) if batched else (lambda a: a[0])
     return DualTrajectory(
@@ -455,8 +450,7 @@ def solve_dual(
         times=np.arange(n_steps + 1) * ds,
         snapshot_times=np.array(rec.snap_steps) * ds,
         snapshots=unbatch(rec.snapshots),
-        observation=unbatch(rec.right[..., k:].copy()),
-        norms_l2=unbatch(rec.norms_l2),
+        observation=unbatch(rec.inflow),
         diagnostics=rec.diagnostics,
     )
 

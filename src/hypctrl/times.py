@@ -21,6 +21,7 @@ from .core import (
     SampledSpeed,
     StateField,
     SystemSpec,
+    ValidationError,
 )
 
 _MAX_DEPTH = 50
@@ -70,8 +71,10 @@ def travel_times(spec: SystemSpec, quad_tolerance: float = 1e-10) -> np.ndarray:
     the trapezoid rule on their own sample grid (no extra smoothness is
     available there).
     """
-    if quad_tolerance <= 0:
-        raise DimensionMismatch("quadrature tolerance must be positive")
+    if not 0.0 < quad_tolerance < np.inf:
+        raise ValidationError(
+            f"quadrature tolerance must be finite and positive, got quad_tol = {quad_tolerance}"
+        )
     zero_state = np.zeros(spec.n) if spec.state_dependent else None
     taus = np.empty(spec.n)
     for i, speed in enumerate(spec.profile.speeds):

@@ -92,9 +92,8 @@ def test_preprocess_gauge_closed_form():
         b=[[0.1], [0.2]],
     )
     out, gauge = preprocess_diagonal(spec)
-    xs = np.linspace(0.0, 1.0, 11)
     # component 1 has speed -2, so the multiplier is exp(-c x / 2)
-    assert np.allclose(gauge.factor_at(0, xs), np.exp(-c * xs / 2.0), atol=1e-8)
+    assert np.allclose(gauge.factors[0], np.exp(-c * gauge.xs / 2.0), atol=1e-8)
     assert out.coupling_bound < 1e-10
 
 
@@ -259,8 +258,6 @@ def test_transformed_trajectory_residual_refines():
             times=traj.times,
             snapshot_times=traj.snapshot_times,
             snapshots=u_snaps,
-            boundary_left=traj.boundary_left,
-            boundary_right=traj.boundary_right,
             norms_l2=traj.norms_l2,
             norms_linf=traj.norms_linf,
         )

@@ -535,6 +535,31 @@ def test_bad_null_control_setting_refused(cfg_path, tmp_path, capsys, command, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, named", [("nan", "quad_tol = nan"), ("inf", "quad_tol = inf"),
+                                          ("0", "quad_tol = 0.0")])
+def test_bad_quad_tolerance_refused(cfg_path, capsys, value, named):
+    # nan never converged (exit 3) and inf stopped at the first Simpson step (exit 0)
+    assert main(["times", "--config", str(cfg_path), "--quad-tol", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and named in err
+
+
+@pytest.mark.parametrize("command", ["witness", "observability"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_negative_seed_refused(cfg_path, tmp_path, capsys, command, via):
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg_path), "--T", "1.0", "--N", "16", "--out", str(out)]
+    if via == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg_path.write_text(BASE_CFG.replace("seed = 1234", "seed = -4"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert ("seed = -1" if via == "flag" else "seed = -4") in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["witness", "observability"])
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_no_samples_refused(cfg_path, tmp_path, capsys, command, samples):

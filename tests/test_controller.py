@@ -243,7 +243,7 @@ def test_null_control_zero_data():
     grid = GridSpec(N=64, cfl=0.9, T=2.2)
     w0 = StateField(np.zeros((2, 65)), 0.0, grid.xs)
     res = null_control_openloop(spec, w0, grid, segments=8)
-    assert res.terminal_norm == pytest.approx(0.0, abs=1e-12)
+    assert res.residual == pytest.approx(0.0, abs=1e-12)
     assert np.max(np.abs(res.signal.values)) < 1e-9
 
 
@@ -306,13 +306,14 @@ def test_witness_probe_unreachable():
     assert values[0] == pytest.approx(wit.expected, rel=0.05)
 
 
-def test_witness_direct_candidate_for_zero_row():
-    # with a zero reflection row the reflected path carries nothing, but a
-    # slow component can still hide a bump from every control
+def test_witness_pair_candidate_through_reflection():
+    # B = [1 2] has no zero entry: a bump in the fast positive component 3
+    # reflects at x = 0 into component 1 before any control reaches x = 0
     spec = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 2.0]])
     grid = GridSpec(N=256, cfl=0.9, T=0.5)
     wit = optimality_witness(spec, grid)
-    assert wit.bump_component in (1, 2, 3)
+    assert (wit.bump_component, wit.probe_component) == (3, 1)
+    assert "reflects at x=0" in wit.description
     dev, _ = verify_witness(spec, wit, grid, n_controls=10, rng=np.random.default_rng(9))
     assert dev < 0.1
 

@@ -22,7 +22,7 @@ from hypctrl.core import (
 
 def test_validate_constant_system():
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.5]])
-    assert spec.lambda_min == 1.0
+    assert spec.lambda_max == 1.0
     assert spec.k == spec.m == 1
 
 
@@ -75,9 +75,7 @@ def test_validation_idempotent():
     refl = ReflectionMatrix([[0.5]])
     s1 = validate_system(profile, coupling, refl)
     s2 = validate_system(profile, coupling, refl)
-    assert s1.lambda_min == s2.lambda_min
     assert s1.lambda_max == s2.lambda_max
-    assert np.array_equal(s1.lipschitz, s2.lipschitz)
     assert s1.coupling_bound == s2.coupling_bound
 
 
