@@ -19,10 +19,18 @@ diagonal data; the remaining free data is zero on {x=1} and, on {y=0}, for
 the positive-block rows it is fitted each sweep so that the lower triangle of
 the target source block S_++ vanishes.  The multiplicative Sigma'_jj term is
 absorbed exactly by integrating K*Sigma_jj(y) along the characteristic.
+
+The path samples of these integrals grow as NK^3 (1.1 million for a 2x2 at
+NK = 128) and set the solve's memory.  The sweep holds 64 + 8 r bytes per
+sample, for r nonzero coupling rows C_lj of the entry's column: three corner
+indices, four corner weights, one trapezoid weight and r coefficients.
+``KernelReport.diagnostics`` gives the sample count, the bytes held and the
+geometry and sweep times.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,55 +75,76 @@ def _tri_points(NK: int):
 
 
 def _triangle_interp(xq, yq, NK: int):
-    """Corner indices and weights, each (4, M), interpolating triangle-grid
-    samples at points (xq, yq).
+    """Corner indices (3, M) and weights (4, M) interpolating triangle-grid
+    samples at the points (xq, yq), two float arrays this call overwrites.
 
     Bilinear inside cells below the diagonal; cells cut by the diagonal use
     the affine interpolant on their lower triangle (corner 2 then repeats
-    corner 0 with weight 0).  Points are clipped into the closed triangle first.
+    corner 0 with weight 0).  Corner 3, (p+1, q+1), always sits one index
+    after corner 1, so it is not stored.  Points are clipped into the closed
+    triangle first.
     """
-    xq = np.clip(np.asarray(xq, dtype=float), 0.0, 1.0)
-    yq = np.clip(np.asarray(yq, dtype=float), 0.0, None)
-    yq = np.minimum(yq, xq)
-    p = np.clip((xq * NK).astype(int), 0, NK - 1)
-    q = np.clip((yq * NK).astype(int), 0, NK - 1)
-    q = np.minimum(q, p)
-    fx = np.clip(xq * NK - p, 0.0, 1.0)
-    fy = np.clip(yq * NK - q, 0.0, 1.0)
+    np.clip(xq, 0.0, 1.0, out=xq)
+    np.clip(yq, 0.0, None, out=yq)
+    np.minimum(yq, xq, out=yq)
+    xq *= NK
+    yq *= NK
+    p = xq.astype(np.intp)
+    np.clip(p, 0, NK - 1, out=p)
+    q = yq.astype(np.intp)
+    np.clip(q, 0, NK - 1, out=q)
+    np.minimum(q, p, out=q)
+    fx = np.subtract(xq, p, out=xq)
+    np.clip(fx, 0.0, 1.0, out=fx)
+    fy = np.subtract(yq, q, out=yq)
+    np.clip(fy, 0.0, 1.0, out=fy)
     on_diag = q == p
-    fy = np.where(on_diag, np.minimum(fy, fx), fy)
+    np.minimum(fy, fx, out=fy, where=on_diag)
 
-    M = xq.size
-    cols = np.empty((4, M), dtype=int)
-    wts = np.empty((4, M))
-    # generic bilinear corners
-    cols[0] = _tri_index(p, q)
-    cols[1] = _tri_index(p + 1, q)
-    cols[2] = _tri_index(p, q + 1)
-    cols[3] = _tri_index(p + 1, q + 1)
-    wts[0] = (1 - fx) * (1 - fy)
-    wts[1] = fx * (1 - fy)
-    wts[2] = (1 - fx) * fy
-    wts[3] = fx * fy
+    cols = np.empty((3, xq.size), dtype=np.intp)
+    np.add(p, 1, out=cols[0])
+    cols[0] *= p
+    cols[0] //= 2
+    cols[0] += q  # (p, q)
+    np.add(cols[0], p, out=cols[1])
+    cols[1] += 1  # (p+1, q)
+    np.add(cols[0], ~on_diag, out=cols[2])  # (p, q+1), or (p, p) on a cut cell
+    del p, q
+
+    wts = np.empty((4, xq.size))
+    np.subtract(1.0, fx, out=wts[2])
+    np.subtract(1.0, fy, out=wts[1])
+    np.multiply(wts[2], wts[1], out=wts[0])  # (1 - fx)(1 - fy)
+    wts[1] *= fx  # fx (1 - fy)
+    wts[2] *= fy  # (1 - fx) fy
+    np.multiply(fx, fy, out=wts[3])
     # diagonal-cut cells: affine on (p,p), (p+1,p), (p+1,p+1)
     if np.any(on_diag):
-        cols[2, on_diag] = _tri_index(p[on_diag], q[on_diag])
-        wts[0, on_diag] = 1 - fx[on_diag]
-        wts[1, on_diag] = fx[on_diag] - fy[on_diag]
-        wts[3, on_diag] = fy[on_diag]
-        wts[2, on_diag] = 0.0
+        np.subtract(1.0, fx, out=wts[0], where=on_diag)
+        np.subtract(fx, fy, out=wts[1], where=on_diag)
+        np.copyto(wts[2], 0.0, where=on_diag)
+        np.copyto(wts[3], fy, where=on_diag)
     return cols, wts
 
 
-def _gather(cols, wts, values):
+def _gather(cols, wts, values, out=None, buf=None):
     """Interpolate ``values`` (..., n_pts) at the points of ``_triangle_interp``.
 
+    Writes into ``out`` and uses ``buf`` as scratch, each (..., M), when given.
     The corners are summed in ascending triangle index (0, 2, 1, 3); the last
     bits of the kernel values, and so of its CSV export, depend on this order.
+    Corner 3 is corner 1's right neighbour, read through ``values[..., 1:]``.
     """
-    out = wts[0] * values[..., cols[0]]
-    for c in (2, 1, 3):
-        out += wts[c] * values[..., cols[c]]
+    shape = values.shape[:-1] + cols.shape[1:]
+    out = np.empty(shape) if out is None else out
+    buf = np.empty(shape) if buf is None else buf
+    np.take(values, cols[0], axis=-1, out=out, mode="clip")
+    out *= wts[0]
+    for w, idx, src in ((wts[2], cols[2], values), (wts[1], cols[1], values),
+                        (wts[3], cols[1], values[..., 1:])):
+        np.take(src, idx, axis=-1, out=buf, mode="clip")
+        buf *= w
+        out += buf
     return out
 
 
@@ -180,6 +209,8 @@ class KernelReport:
     residual_linf: float
     residual_per_entry: np.ndarray
     changes: list = field(default_factory=list)
+    # path samples, bytes the sweep holds for them, geometry and sweep seconds
+    diagnostics: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -203,7 +234,7 @@ class Kernel:
     def rows_at(self, x, ys) -> np.ndarray:
         """K at the points (x, ys), broadcast together and flattened: (M, n, n)."""
         xq, yq = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(ys, dtype=float))
-        cols, wts = _triangle_interp(xq.ravel(), yq.ravel(), self.NK)
+        cols, wts = _triangle_interp(xq.ravel().copy(), yq.ravel().copy(), self.NK)
         return np.moveaxis(_gather(cols, wts, self.values), -1, 0)
 
     def volterra_operator(self, xs) -> np.ndarray:
@@ -238,9 +269,10 @@ def _entry_geometry(spec, i, j, tables, NK):
 
     Returns what the sweep reads: the fixed anchor data (C_ij/(sigma_j -
     sigma_i) sigma_j where the characteristic meets the diagonal, else 0),
-    the points anchored on fitted y = 0 data with their x and sigma_j, the
-    interpolation corners and weights of all path sample points, trapezoid
-    weights, segment starts, and the coupling coefficients along the paths.
+    the points anchored on fitted y = 0 data with their x and sigma_j and,
+    when some C_lj is nonzero on the paths, those rows l with their
+    coefficients Sigma_jj C_lj along the paths, the interpolation corners and
+    weights of all path sample points, trapezoid weights and segment starts.
     """
     k = spec.k
     h = 1.0 / NK
@@ -308,6 +340,23 @@ def _entry_geometry(spec, i, j, tables, NK):
         anchor_x = np.where(touched, d, anchor_x)
         anchor_y = np.where(touched, d, anchor_y)
 
+    sig_anchor = s_j * spec.profile.speeds[j].evaluate(anchor_y)
+    anchor = np.zeros(n_pts)
+    diag = anchor_kind == _DIAG
+    if np.any(diag):
+        d = anchor_x[diag]
+        denom = s_j * spec.profile.speeds[j].evaluate(d) - s_i * spec.profile.speeds[i].evaluate(d)
+        anchor[diag] = spec.coupling.column(d, j)[i] / denom * sig_anchor[diag]
+    fit = anchor_kind == _Y0_FIT
+    geom = {
+        "anchor": anchor,
+        "fit": fit,
+        "fit_x": anchor_x[fit],
+        "fit_sig": sig_anchor[fit],
+        "sig_pts": s_j * spec.profile.speeds[j].evaluate(ys_pts),
+        "rows": [],
+    }
+
     # path samples from the anchor to the point, trapezoid in the flow time
     dtau = h / spec.lambda_max
     lengths = np.maximum(1, np.ceil(np.abs(s_anchor) / dtau).astype(int))
@@ -319,45 +368,26 @@ def _entry_geometry(spec, i, j, tables, NK):
     rel = local * np.repeat(1.0 / lengths, lengths + 1)
     rel[ends] = 1.0
     s_samp = np.repeat(s_anchor, lengths + 1) * (1.0 - rel)
-    deltas = -s_anchor / lengths
-    wts = np.repeat(deltas, lengths + 1)
-    is_end = np.zeros(total, dtype=bool)
-    is_end[seg_starts] = True
-    is_end[ends] = True
-    wts[is_end] *= 0.5
+    del local, rel  # each temporary goes once read: the last entry's build sets the peak
+    x_samp = np.interp(np.repeat(a, lengths + 1) + s_i * s_samp, Tf_i, xf_i)
+    y_samp = np.interp(np.repeat(b, lengths + 1) + s_j * s_samp, Tf_j, xf_j)
+    del s_samp
 
-    a_samp = np.repeat(a, lengths + 1) + s_i * s_samp
-    b_samp = np.repeat(b, lengths + 1) + s_j * s_samp
-    x_samp = np.interp(a_samp, Tf_i, xf_i)
-    y_samp = np.interp(b_samp, Tf_j, xf_j)
-
-    y_clip = np.clip(y_samp, 0.0, 1.0)
-    sig_samp = s_j * spec.profile.speeds[j].evaluate(y_clip)
-    # row l: Sigma_jj(y) * C_lj(y); the (n, n, total) coupling dies at once
-    src_coef = spec.coupling_nodes(y_clip)[:, j, :] * sig_samp
-    nz_rows = [l for l in range(spec.n) if np.max(np.abs(src_coef[l]), initial=0.0) > 0.0]
-    interp = _triangle_interp(x_samp, y_samp, NK) if nz_rows else None
-
-    sig_anchor = s_j * spec.profile.speeds[j].evaluate(anchor_y)
-    anchor = np.zeros(n_pts)
-    diag = anchor_kind == _DIAG
-    if np.any(diag):
-        d = anchor_x[diag]
-        denom = s_j * spec.profile.speeds[j].evaluate(d) - s_i * spec.profile.speeds[i].evaluate(d)
-        anchor[diag] = spec.coupling_nodes(d)[i, j, :] / denom * sig_anchor[diag]
-    fit = anchor_kind == _Y0_FIT
-    return {
-        "anchor": anchor,
-        "fit": fit,
-        "fit_x": anchor_x[fit],
-        "fit_sig": sig_anchor[fit],
-        "sig_pts": s_j * spec.profile.speeds[j].evaluate(ys_pts),
-        "seg_starts": seg_starts,
-        "wts": wts,
-        "src_coef": src_coef,
-        "nz_rows": nz_rows,
-        "interp": interp,
-    }
+    # row l: Sigma_jj(y) * C_lj(y), kept only where it is nonzero; y is clipped
+    # in place, which leaves its triangle interpolation unchanged
+    np.clip(y_samp, 0.0, 1.0, out=y_samp)
+    coef = spec.coupling.column(y_samp, j)
+    coef *= s_j * spec.profile.speeds[j].evaluate(y_samp)
+    rows = [l for l in range(spec.n) if np.max(np.abs(coef[l]), initial=0.0) > 0.0]
+    if not rows:
+        return geom
+    coef = coef[rows] if len(rows) < spec.n else coef
+    wts = np.repeat(-s_anchor / lengths, lengths + 1)
+    wts[seg_starts] *= 0.5
+    wts[ends] *= 0.5
+    interp = _triangle_interp(x_samp, y_samp, NK)
+    geom.update(rows=rows, coef=coef, seg_starts=seg_starts, wts=wts, interp=interp)
+    return geom
 
 
 def solve_kernel(
@@ -376,7 +406,7 @@ def solve_kernel(
     if spec.state_dependent:
         raise ValidationError("kernel equations require state-independent speeds")
     if NK < 8:
-        raise ValidationError("kernel grid too coarse")
+        raise ValidationError(f"kernel grid too coarse: need NK >= 8, got NK = {NK}")
     if max_iters < 1:
         raise ValidationError(f"need at least one kernel sweep, got max_iters = {max_iters}")
     if not 0.0 < fp_tolerance < np.inf:
@@ -392,8 +422,14 @@ def solve_kernel(
             "coupling has nonzero diagonal entries; run preprocess_diagonal first"
         )
 
+    t0 = time.perf_counter()
     tables = [cumulative_travel(spec, i, n_fine=max(4096, 8 * NK)) for i in range(n)]
     geoms = [[_entry_geometry(spec, i, j, tables, NK) for j in range(n)] for i in range(n)]
+    t1 = time.perf_counter()
+    paths = [g for row in geoms for g in row if g["rows"]]
+    samples = sum(g["wts"].size for g in paths)
+    # the gather of each row l writes into these, sliced to the entry's samples
+    out_buf, tmp_buf, acc_buf = np.empty((3, max((g["wts"].size for g in paths), default=0)))
 
     n_pts = _tri_size(NK)
     nodes_x = np.linspace(0.0, 1.0, NK + 1)
@@ -413,11 +449,16 @@ def solve_kernel(
                 g = geoms[i][j]
                 anchor = g["anchor"].copy()
                 anchor[g["fit"]] = np.interp(g["fit_x"], nodes_x, gfit[i, j]) * g["fit_sig"]
-                if g["nz_rows"]:
-                    acc = np.zeros(g["wts"].size)
-                    for l in g["nz_rows"]:
-                        acc += g["src_coef"][l] * _gather(*g["interp"], K[i, l])
-                    integral = np.add.reduceat(g["wts"] * acc, g["seg_starts"])
+                if g["rows"]:
+                    M = g["wts"].size
+                    acc = acc_buf[:M]
+                    acc.fill(0.0)
+                    for l, coef in zip(g["rows"], g["coef"]):
+                        term = _gather(*g["interp"], K[i, l], out_buf[:M], tmp_buf[:M])
+                        term *= coef
+                        acc += term
+                    acc *= g["wts"]
+                    integral = np.add.reduceat(acc, g["seg_starts"])
                 else:
                     integral = 0.0
                 K_new[i, j] = (anchor + integral) / g["sig_pts"]
@@ -452,6 +493,14 @@ def solve_kernel(
             f"(last change {changes[-1]:.3e})"
         )
 
+    t2 = time.perf_counter()
+    held = [a for row in geoms for g in row for a in (*g.values(), *g.get("interp", ()))]
+    diagnostics = {
+        "samples": samples,
+        "geometry_bytes": sum(a.nbytes for a in held if isinstance(a, np.ndarray)),
+        "geometry_s": t1 - t0,
+        "sweeps_s": t2 - t1,
+    }
     kernel = Kernel(n=n, k=k, NK=NK, values=K)
     res_linf, res_entries = kernel_pde_residual(kernel, spec)
     kernel.report = KernelReport(
@@ -460,6 +509,7 @@ def solve_kernel(
         residual_linf=res_linf,
         residual_per_entry=res_entries,
         changes=changes,
+        diagnostics=diagnostics,
     )
     return kernel
 

@@ -317,6 +317,27 @@ class CouplingField:
             out = np.moveaxis(mats[idx], 0, 2)
         return self.gamma * out
 
+    def column(self, x, j: int) -> np.ndarray:
+        """gamma * C[:, j] at positions x, shape (n, len(x)); equal to
+        ``evaluate(x)[:, j]`` without building the other n - 1 columns."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if self._constant is not None:
+            out = np.repeat(self._constant[:, j, None], x.size, axis=1)
+        elif self._entries is not None:
+            out = np.zeros((self.n, x.size))
+            for i in range(self.n):
+                e = self._entries[i][j]
+                if isinstance(e, float):
+                    out[i] = e
+                elif e is not None:
+                    out[i] = np.broadcast_to(np.asarray(e(x=x), dtype=float), x.shape)
+        else:
+            xs, mats = self._samples
+            idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 1)
+            out = mats[:, :, j].T[:, idx]
+        out *= self.gamma
+        return out
+
 
 # --------------------------------------------------------------------------- #
 # reflection

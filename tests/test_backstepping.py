@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from hypctrl.backstepping import (
     Kernel,
+    _gather,
+    _triangle_interp,
     inverse_transform,
     kernel_pde_residual,
     preprocess_diagonal,
@@ -69,6 +73,30 @@ def test_residual_halves_under_refinement():
     r32 = solve_kernel(spec, NK=32).report.residual_linf
     r64 = solve_kernel(spec, NK=64).report.residual_linf
     assert 0.35 <= r64 / r32 <= 0.65
+
+
+@pytest.mark.parametrize("spec", [
+    _coupled_2x2(c12=0.1, c21=0.1),
+    build_system(1, 2, ["1 + 0.5*x", "1 + 0.25*x", "2 - 0.25*x"],
+                 coupling=[[0, 0.2, 0.1], [0.15, 0, 0.2], [0.1, 0.25, 0]], b=[[1, 2]]),
+], ids=["2x2", "3x3"])
+def test_kernel_memory_per_path_sample(spec):
+    # the path samples grow as NK^3 and set the solve's peak memory; the sweep
+    # holds 72-80 bytes per sample and the last entry's build adds the rest
+    tracemalloc.start()
+    try:
+        ker = solve_kernel(spec, NK=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 105 * ker.report.diagnostics["samples"]
+
+
+def test_kernel_diagnostics_keys():
+    diag = solve_kernel(_coupled_2x2(), NK=16).report.diagnostics
+    assert sorted(diag) == ["geometry_bytes", "geometry_s", "samples", "sweeps_s"]
+    assert diag["samples"] > 0 and diag["geometry_bytes"] > 0
+    assert diag["geometry_s"] > 0.0 and diag["sweeps_s"] > 0.0
 
 
 def test_diagonal_coupling_rejected():
@@ -176,6 +204,41 @@ def _kernel_at(values, NK, x, y):
         return (1 - fx) * node(p, p) + (fx - fy) * node(p + 1, p) + fy * node(p + 1, p + 1)
     return ((1 - fx) * (1 - fy) * node(p, q) + fx * (1 - fy) * node(p + 1, q)
             + (1 - fx) * fy * node(p, q + 1) + fx * fy * node(p + 1, q + 1))
+
+
+@pytest.mark.parametrize("NK, n", [(8, 2), (13, 3)])
+def test_row_gather_matches_full_gather(NK, n):
+    rng = np.random.default_rng(NK)
+    values = rng.uniform(-1.0, 1.0, (n, n, (NK + 1) * (NK + 2) // 2))
+    # random points, nodes, diagonal points and points outside the triangle
+    xq = np.concatenate([rng.uniform(-0.1, 1.1, 300), np.arange(NK + 1) / NK, [0.3, 1.0]])
+    yq = np.concatenate([rng.uniform(-0.1, 1.1, 300), np.arange(NK + 1) / NK, [0.1, 0.0]])
+    cols, wts = _triangle_interp(xq.copy(), yq.copy(), NK)
+    full = _gather(cols, wts, values)
+    assert np.array_equal(np.moveaxis(full, -1, 0), Kernel(n, 1, NK, values).rows_at(xq, yq))
+    out, buf = np.empty((2, xq.size))
+    for i in range(n):
+        for l in range(n):
+            assert np.array_equal(_gather(cols, wts, values[i, l], out, buf), full[i, l])
+
+    # the four-corner form, summed in the same order, gives the same bits
+    x = np.clip(xq, 0.0, 1.0)
+    y = np.minimum(np.clip(yq, 0.0, None), x)
+    p = np.clip((x * NK).astype(int), 0, NK - 1)
+    q = np.minimum(np.clip((y * NK).astype(int), 0, NK - 1), p)
+    fx = np.clip(x * NK - p, 0.0, 1.0)
+    fy = np.clip(y * NK - q, 0.0, 1.0)
+    cut = q == p
+    fy = np.where(cut, np.minimum(fy, fx), fy)
+    corners = [
+        (np.where(cut, 1 - fx, (1 - fx) * (1 - fy)), p, q),
+        (np.where(cut, 0.0, (1 - fx) * fy), p, np.where(cut, q, q + 1)),
+        (np.where(cut, fx - fy, fx * (1 - fy)), p + 1, q),
+        (np.where(cut, fy, fx * fy), p + 1, q + 1),
+    ]
+    ref = sum((w * values[..., a * (a + 1) // 2 + b] for w, a, b in corners[1:]),
+              corners[0][0] * values[..., p * (p + 1) // 2 + q])
+    assert np.array_equal(full, ref)
 
 
 @settings(max_examples=20, deadline=None)

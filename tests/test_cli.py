@@ -292,7 +292,7 @@ def test_kernel_max_iters_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, value, named",
     [("--max-iters", "0", "max_iters = 0"), ("--tolerance", "-1", "tolerance = -1.0"),
-     ("--tolerance", "nan", "tolerance = nan")],
+     ("--tolerance", "nan", "tolerance = nan"), ("--nk", "7", "need NK >= 8, got NK = 7")],
 )
 def test_bad_kernel_setting_refused(tmp_path, capsys, flag, value, named):
     path = tmp_path / "ker.cfg"
@@ -302,6 +302,16 @@ def test_bad_kernel_setting_refused(tmp_path, capsys, flag, value, named):
     assert main(argv + [flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and named in err
+    assert not out.exists()
+
+
+def test_dual_kernel_grid_too_coarse(tmp_path, capsys):
+    path = tmp_path / "dual.cfg"
+    path.write_text(COUPLED_CFG + "\n[dual]\nv1 = 0\nv2 = sin(pi*x)\nt = 1.0\n")
+    out = tmp_path / "out"
+    argv = ["dual", "--config", str(path), "--N", "64", "--use-kernel", "7", "--out", str(out)]
+    assert main(argv) == 2
+    assert "need NK >= 8, got NK = 7" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -139,6 +139,20 @@ def test_coupling_piecewise_constant_samples():
     assert out[0, 0, 2] == 3.0
 
 
+@pytest.mark.parametrize("coupling", [
+    CouplingField(3, constant=[[0.0, 1.5, -2.0], [0.25, 0.0, 3.0], [1.0, -0.5, 0.0]], gamma=0.7),
+    CouplingField(3, entries={(0, 1): "sin(3*x) + 1", (1, 0): 0.25, (2, 1): "x**2 - 0.5"},
+                  gamma=1.3),
+    CouplingField(3, samples=(np.linspace(0.0, 1.0, 7), np.arange(63.0).reshape(7, 3, 3) / 7),
+                  gamma=-0.3),
+], ids=["constant", "expression", "sampled"])
+def test_coupling_column_matches_evaluate(coupling):
+    x = np.concatenate([np.linspace(-0.1, 1.1, 41), [1 / 3, 0.5]])
+    full = coupling.evaluate(x)
+    for j in range(3):
+        assert np.array_equal(coupling.column(x, j), full[:, j])
+
+
 def test_public_functions_take_b_from_the_system_and_t_from_the_grid():
     # a second copy of B or of the horizon could disagree with the first
     for name in hypctrl.__all__:

@@ -7,8 +7,9 @@ writes each workload's inputs into WORKDIR with
 ``perfbench.workloads.generate`` from this checkout.  Every task runs once:
 a CLI task through ``hypctrl.cli.main``, hashing each file it writes, its
 standard output and its exit code; the ``volterra`` task through the library,
-as the benchmark worker runs it, hashing the kernel values and every
-``transform`` and ``inverse_transform`` array.  Paths are relative to
+as the benchmark worker runs it, hashing the kernel values, the kernel's
+sweep history (``report.changes``) and every ``transform`` and
+``inverse_transform`` array.  Paths are relative to
 WORKDIR, so two checkouts run in different work directories print the same
 JSON when their outputs agree.
 """
@@ -49,7 +50,10 @@ def _volterra(task) -> dict:
     kernel = bs.solve_kernel(base, NK=task["nk"])
     states = np.load(task["states"], allow_pickle=False)
     xs = np.linspace(0.0, 1.0, states.shape[-1])
-    hashes = {"K": _array_sha(kernel.values)}
+    hashes = {
+        "K": _array_sha(kernel.values),
+        "changes": _array_sha(np.asarray(kernel.report.changes, dtype=float)),
+    }
     for s, values in enumerate(states):
         u = bs.transform(StateField(values, 0.0, xs), kernel)
         hashes[f"transform_{s}"] = _array_sha(u.values)
