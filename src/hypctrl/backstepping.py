@@ -357,6 +357,9 @@ def _entry_geometry(spec, i, j, tables, NK):
         "rows": [],
     }
 
+    if spec.coupling.column_is_zero(j):  # no source term: the paths are never read
+        return geom
+
     # path samples from the anchor to the point, trapezoid in the flow time
     dtau = h / spec.lambda_max
     lengths = np.maximum(1, np.ceil(np.abs(s_anchor) / dtau).astype(int))

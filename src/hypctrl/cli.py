@@ -64,7 +64,6 @@ def _build_parser() -> _Parser:
 
     sp = command("times", "travel times and control-time landmarks", grid_flags=False)
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--quad-tol", type=float, default=1e-10)
 
     sp = command("check-b", "reflection-matrix class membership", grid_flags=False)
     sp.add_argument("--json", action="store_true")
@@ -106,7 +105,7 @@ def _seed(args, cfg) -> int:
 # --------------------------------------------------------------------------- #
 
 def _cmd_times(args, cfg, spec) -> int:
-    report = time_report(spec, args.quad_tol).as_dict()
+    report = time_report(spec).as_dict()
     if args.json:
         print(json.dumps(outputs._sanitize(report), sort_keys=True))
     else:

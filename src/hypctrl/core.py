@@ -80,10 +80,6 @@ class ConfigError(ValidationError):
     pass
 
 
-class QuadratureNonConvergent(NumericalError):
-    pass
-
-
 class CFLViolation(NumericalError):
     pass
 
@@ -289,9 +285,16 @@ class CouplingField:
 
     @property
     def is_zero(self) -> bool:
-        return self.gamma == 0.0 or (
-            self._constant is not None and not np.any(self._constant)
-        )
+        return all(self.column_is_zero(j) for j in range(self.n))
+
+    def column_is_zero(self, j: int) -> bool:
+        """Whether gamma * C[:, j] is zero everywhere, read exactly off the
+        representation: an expression entry never counts as zero."""
+        if self.gamma == 0.0:
+            return True
+        if self._entries is not None:
+            return all(row[j] in (None, 0.0) for row in self._entries)
+        return not np.any((self._constant if self._samples is None else self._samples[1])[..., j])
 
     def evaluate(self, x) -> np.ndarray:
         """gamma * C at positions x, shape (n, n, len(x))."""

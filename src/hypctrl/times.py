@@ -7,6 +7,10 @@ tau_i = integral of 1/lambda_i over [0, 1].  From these, three landmark times:
     T2    = tau_k + tau_{k+1}
     T_opt = max{tau_1 + tau_{m+1}, ..., tau_k + tau_{m+k}, tau_{k+1}}   (m >= k)
           = max{tau_{k+1-m} + tau_{k+1}, ..., tau_k + tau_{k+m}}        (m < k)
+
+Both primitives read one sampling of the slowness 1/lambda_i on 4096 uniform
+cells: ``travel_times`` by composite Simpson, ``cumulative_travel`` by a
+running trapezoid into the tables that the kernel, witness and feedback invert.
 """
 
 from __future__ import annotations
@@ -15,76 +19,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DimensionMismatch,
-    QuadratureNonConvergent,
-    SampledSpeed,
-    StateField,
-    SystemSpec,
-    ValidationError,
-)
-
-_MAX_DEPTH = 50
+from .core import DimensionMismatch, StateField, SystemSpec, ValidationError
 
 
-def _adaptive_simpson(f, a, b, tol, reverse=False):
-    """Adaptive composite Simpson with interval bisection.
-
-    ``reverse`` flips the recursion order of the two half-intervals; the
-    result must agree within tolerance either way.
-    """
-
-    def simpson(x0, x2, f0, f2):
-        x1 = 0.5 * (x0 + x2)
-        f1 = f(x1)
-        return x1, f1, (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f2, whole, x1, f1, tol, depth):
-        lm, flm, left = simpson(x0, x1, f0, f1)
-        rm, frm, right = simpson(x1, x2, f1, f2)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        if depth >= _MAX_DEPTH:
-            raise QuadratureNonConvergent(
-                f"adaptive Simpson did not converge on [{x0}, {x2}]"
-            )
-        parts = [
-            (x0, x1, f0, f1, left, lm, flm),
-            (x1, x2, f1, f2, right, rm, frm),
-        ]
-        if reverse:
-            parts.reverse()
-        return sum(
-            recurse(*p, tol / 2.0, depth + 1) for p in parts
-        )
-
-    fa, fb = f(a), f(b)
-    x1, f1, whole = simpson(a, b, fa, fb)
-    return recurse(a, b, fa, fb, whole, x1, f1, tol, 0)
+def _slowness(spec: SystemSpec, i: int, n_fine: int = 4096, state=None):
+    """Nodes of n_fine uniform cells on [0, 1] and 1/lambda_i there, refused
+    unless finite and positive (a speed may vanish between validation nodes).
+    ``state`` may be a StateField, frozen in time and interpolated onto them."""
+    xs = np.linspace(0.0, 1.0, n_fine + 1)
+    if isinstance(state, StateField):
+        state = np.array([np.interp(xs, state.xs, row) for row in state.values])
+    with np.errstate(divide="ignore"):
+        f = 1.0 / spec.profile.speeds[i].evaluate(xs, state)
+    if not (f.min() > 0.0 and f.max() < np.inf):  # NaN fails both
+        bad = xs[~((f > 0.0) & (f < np.inf))][0]
+        raise ValidationError(f"lambda_{i + 1} is not finite and positive at x = {bad:.17g}")
+    return xs, f
 
 
-def travel_times(spec: SystemSpec, quad_tolerance: float = 1e-10) -> np.ndarray:
-    """tau_i for every component.
-
-    Closed-form and constant speeds use adaptive Simpson; sampled speeds use
-    the trapezoid rule on their own sample grid (no extra smoothness is
-    available there).
-    """
-    if not 0.0 < quad_tolerance < np.inf:
-        raise ValidationError(
-            f"quadrature tolerance must be finite and positive, got quad_tol = {quad_tolerance}"
-        )
-    zero_state = np.zeros(spec.n) if spec.state_dependent else None
+def travel_times(spec: SystemSpec) -> np.ndarray:
+    """tau_i for every component: composite Simpson over the samples that
+    ``cumulative_travel`` reads, at the zero state for state-dependent speeds."""
+    state = np.zeros(spec.n) if spec.state_dependent else None
     taus = np.empty(spec.n)
-    for i, speed in enumerate(spec.profile.speeds):
-        if isinstance(speed, SampledSpeed):
-            taus[i] = np.trapezoid(1.0 / speed.values, speed.xs)
-        else:
-            def f(x, _s=speed):
-                return float(1.0 / _s.evaluate(np.asarray([x]), zero_state)[0])
-
-            taus[i] = _adaptive_simpson(f, 0.0, 1.0, quad_tolerance)
+    for i in range(spec.n):
+        f = _slowness(spec, i, state=state)[1]
+        h = 1.0 / (f.size - 1)
+        taus[i] = (f[0] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum() + f[-1]) * h / 3.0
     return taus
 
 
@@ -151,8 +112,8 @@ class TimeReport:
         return d
 
 
-def time_report(spec: SystemSpec, quad_tolerance: float = 1e-10) -> TimeReport:
-    tau = travel_times(spec, quad_tolerance)
+def time_report(spec: SystemSpec) -> TimeReport:
+    tau = travel_times(spec)
     t1, t2 = legacy_times(tau, spec.k, spec.m)
     topt, kind, idx = optimal_time_argmax(tau, spec.k, spec.m)
     return TimeReport(spec.k, spec.m, tau, t1, t2, topt, kind, idx)
@@ -165,11 +126,8 @@ def cumulative_travel(spec: SystemSpec, i: int, n_fine: int = 4096, state=None):
     the kernel solver, the witness and the feedback to locate characteristics.
     ``state`` may be a StateField, frozen in time and interpolated onto xs.
     """
-    xs = np.linspace(0.0, 1.0, n_fine + 1)
-    if isinstance(state, StateField):
-        state = np.array([np.interp(xs, state.xs, row) for row in state.values])
-    lam = spec.profile.speeds[i].evaluate(xs, state)
-    return xs, cumulative_trapezoid(1.0 / lam, xs)
+    xs, f = _slowness(spec, i, n_fine, state)
+    return xs, cumulative_trapezoid(f, xs)
 
 
 def cumulative_trapezoid(f: np.ndarray, xs: np.ndarray) -> np.ndarray:

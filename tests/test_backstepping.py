@@ -92,6 +92,20 @@ def test_kernel_memory_per_path_sample(spec):
     assert peak <= 105 * ker.report.diagnostics["samples"]
 
 
+def test_zero_coupling_samples_no_paths():
+    # a zero coupling column is read off its representation before any path is
+    # sampled; building and dropping the paths peaked at 16.5 MB here
+    spec = build_system(1, 1, [1.0, 1.0], b=[[0.5]])
+    tracemalloc.start()
+    try:
+        ker = solve_kernel(spec, NK=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ker.report.diagnostics["samples"] == 0 and np.all(ker.values == 0.0)
+    assert peak < 6e6
+
+
 def test_kernel_diagnostics_keys():
     diag = solve_kernel(_coupled_2x2(), NK=16).report.diagnostics
     assert sorted(diag) == ["geometry_bytes", "geometry_s", "samples", "sweeps_s"]

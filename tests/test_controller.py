@@ -76,6 +76,18 @@ def test_synthesize_refuses_coupling_and_hook():
     assert synthesize_feedback(faint, 2.2, w0).Topt == pytest.approx(2.0)
 
 
+def test_feedback_on_sampled_speed_just_above_topt():
+    # T_opt = 0.5 ln 2 + ln(4/3) + 1 = 1.63426 on the piecewise-linear profile; a
+    # trapezoid rule on the three samples put it at 1.6667 and refused T = 1.65
+    spec = build_system(1, 1, [([0.0, 0.5, 1.0], [1.0, 2.0, 1.5]), 1.0], b=[[0.5]])
+    grid = GridSpec(N=256, cfl=0.9, T=1.8)
+    w0 = state_from_exprs(_bump_exprs(), grid, 2)
+    law = synthesize_feedback(spec, 1.65, w0)
+    assert law.Topt == pytest.approx(0.5 * np.log(2.0) + np.log(4.0 / 3.0) + 1.0, abs=1e-13)
+    _, rep = run_closed_loop(law, w0, grid)
+    assert rep.terminal_rel < 1e-12
+
+
 def test_compatibility_warning():
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.5]])
     grid = GridSpec(N=128, cfl=0.9, T=2.2)
@@ -326,7 +338,7 @@ def test_witness_pair_candidate_through_reflection():
          (2, 0.81, 0.19, 0.13299999999999995)),
         # leftward bump (component 2 of k = 1), x-dependent speed
         (1, 2, ["2 - x", "0.4 + 0.1*x", 0.7], [[0.0, 1.0]], 2.0,
-         (2, 0.04655595216525538, 0.9424746000313052, 0.03987353548086181)),
+         (2, 0.04655595216525395, 0.9424746000313035, 0.0398735354808607)),
     ],
 )
 def test_witness_direct_candidate_exact_values(k, m, speeds, B, T, expected):

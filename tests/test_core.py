@@ -153,6 +153,20 @@ def test_coupling_column_matches_evaluate(coupling):
         assert np.array_equal(coupling.column(x, j), full[:, j])
 
 
+def test_coupling_column_is_zero_read_from_representation():
+    # exact: only absent entries and 0.0 count, never an expression that is zero
+    mats = np.zeros((3, 2, 2))
+    mats[1, 0, 1] = 0.5
+    cases = [
+        (CouplingField(2, constant=[[0.0, 0.3], [0.0, 0.0]]), [True, False]),
+        (CouplingField(2, entries={(0, 1): "0*x", (1, 0): 0.0}), [True, False]),
+        (CouplingField(2, samples=(np.linspace(0.0, 1.0, 3), mats)), [True, False]),
+        (CouplingField(2, constant=[[0.0, 0.3], [0.2, 0.0]], gamma=0.0), [True, True]),
+    ]
+    for coupling, zero in cases:
+        assert [coupling.column_is_zero(j) for j in range(2)] == zero
+
+
 def test_public_functions_take_b_from_the_system_and_t_from_the_grid():
     # a second copy of B or of the horizon could disagree with the first
     for name in hypctrl.__all__:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from hypctrl.core import (
     ControlSignal,
     GridSpec,
+    OutOfDomain,
+    SingularBoundarySpeed,
     StateField,
     build_system,
     state_from_exprs,
@@ -202,6 +204,12 @@ def test_dual_minus_trace_pinned_to_zero():
 # characteristic flow
 # --------------------------------------------------------------------------- #
 
+def test_flow_start_outside_domain_refused():
+    spec = build_system(1, 1, [1.0, 1.0], b=[[0.0]])
+    with pytest.raises(OutOfDomain, match="start position 1.5"):
+        characteristic_flow(spec, 1, s=0.0, xi=1.5, t=0.1)
+
+
 def test_flow_constant_leftward():
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.0]])
     res = characteristic_flow(spec, 2, s=0.0, xi=1.0, t=1.0)
@@ -367,3 +375,11 @@ def test_diagnostics_report_steps_dt_chunk_and_doublings():
     assert solve_forward(quasi, w0, zero_control(1), grid).diagnostics["max_substep_doublings"] == 1
     dual = solve_dual(lin, None, w0, grid)
     assert dual.diagnostics == {"steps": dual.times.size - 1, "dt": dual.dt, "chunk": 64}
+
+
+def test_dual_refuses_vanishing_boundary_speed():
+    # lambda_2(0) = 1e-13 passes validation, but the dual divides by it at x = 0
+    spec = build_system(1, 1, [1.0, "1e-13 + x"], b=[[0.5]])
+    grid = GridSpec(N=32, cfl=0.9, T=0.5)
+    with pytest.raises(SingularBoundarySpeed):
+        solve_dual(spec, None, StateField(np.zeros((2, 33)), 0.0, grid.xs), grid)

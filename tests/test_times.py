@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from hypctrl.core import DimensionMismatch, QuadratureNonConvergent, build_system
+from hypctrl.core import DimensionMismatch, ValidationError, build_system
 from hypctrl.times import (
-    _adaptive_simpson,
     cumulative_travel,
     legacy_times,
     optimal_time,
@@ -31,6 +30,21 @@ def test_affine_speed_log():
 def test_reciprocal_speed():
     tau = travel_times(_spec_with_speed("1 / (1 + x)"))
     assert tau[0] == pytest.approx(1.5, abs=1e-10)
+
+
+def test_constant_speeds_exact():
+    # the Simpson sum in the order (f0 + 4 odd + 2 even + fN) h / 3 is exact here
+    spec = build_system(1, 1, [1.0, 2.0], b=[[0.0]])
+    assert list(travel_times(spec)) == [1.0, 0.5]
+
+
+def test_sampled_speed_is_piecewise_linear():
+    # samples (0, 1), (0.5, 2), (1, 1.5): the profile the solvers and the tables
+    # use; a trapezoid rule on the three samples gives 2/3
+    spec = build_system(1, 1, [([0.0, 0.5, 1.0], [1.0, 2.0, 1.5]), 5.0], b=[[0.0]])
+    exact = 0.5 * np.log(2.0) + np.log(4.0 / 3.0)
+    assert travel_times(spec)[0] == pytest.approx(exact, abs=1e-13)
+    assert cumulative_travel(spec, 0)[1][-1] == pytest.approx(exact, abs=1e-7)
 
 
 def test_sampled_speed_trapezoid():
@@ -103,20 +117,13 @@ def test_dimension_checks():
         legacy_times(np.array([1.0]), 1, 1)
 
 
-def test_subdivision_order_invariance():
-    f = lambda x: 1.0 / (1.0 + x)
-    tol = 1e-10
-    left_first = _adaptive_simpson(f, 0.0, 1.0, tol)
-    right_first = _adaptive_simpson(f, 0.0, 1.0, tol, reverse=True)
-    assert abs(left_first - right_first) <= tol
-
-
-def test_quadrature_failure_reported():
-    def singular(x):
-        return x ** -0.5 if x > 0 else float("inf")
-
-    with pytest.raises(QuadratureNonConvergent):
-        _adaptive_simpson(singular, 0.0, 1.0, 1e-12)
+def test_vanishing_speed_refused():
+    # 1/lambda_1 is inf at the node x = 2050/4096, which the validation grid misses;
+    # the kernel tables held that inf until the shared sampler refused it
+    spec = _spec_with_speed("abs(x - 0.50048828125)")
+    for primitive in (travel_times, lambda s: cumulative_travel(s, 0)):
+        with pytest.raises(ValidationError, match="lambda_1 .* x = 0.50048828125"):
+            primitive(spec)
 
 
 def test_time_report_fields():

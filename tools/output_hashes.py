@@ -9,9 +9,11 @@ a CLI task through ``hypctrl.cli.main``, hashing each file it writes, its
 standard output and its exit code; the ``volterra`` task through the library,
 as the benchmark worker runs it, hashing the kernel values, the kernel's
 sweep history (``report.changes``) and every ``transform`` and
-``inverse_transform`` array.  Paths are relative to
-WORKDIR, so two checkouts run in different work directories print the same
-JSON when their outputs agree.
+``inverse_transform`` array.  No task runs ``times`` or ``check-b``, so
+the standard output and exit code of both with ``--json`` are hashed for
+every generated config, under ``CONFIG:times`` and ``CONFIG:check-b``.
+Paths are relative to WORKDIR, so two checkouts run in different work
+directories print the same JSON when their outputs agree.
 """
 
 from __future__ import annotations
@@ -61,14 +63,18 @@ def _volterra(task) -> dict:
     return hashes
 
 
-def _cli(task) -> dict:
+def _run(argv) -> dict:
     from hypctrl import cli
 
-    argv = [task["command"], "--config", task["config"], "--out", task["out"], *task["args"]]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(argv)
-    hashes = {"stdout": _sha(stdout.getvalue().encode()), "exit_code": code}
+    return {"stdout": _sha(stdout.getvalue().encode()), "exit_code": code}
+
+
+def _cli(task) -> dict:
+    argv = [task["command"], "--config", task["config"], "--out", task["out"], *task["args"]]
+    hashes = _run(argv)
     out = Path(task["out"])
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         hashes[str(path.relative_to(out))] = _sha(path.read_bytes())
@@ -91,9 +97,13 @@ def main(argv=None) -> int:
     os.chdir(workdir)
     result = {}
     for workload in WORKLOADS:
-        for task in generate(workload, seed, workload):
+        tasks = generate(workload, seed, workload)
+        for task in tasks:
             run = _volterra if task["command"] == "volterra" else _cli
             result[f"{workload}/{task['name']}"] = run(task)
+        for config in sorted({task["config"] for task in tasks}):
+            for command in ("times", "check-b"):
+                result[f"{config}:{command}"] = _run([command, "--config", config, "--json"])
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0
 
