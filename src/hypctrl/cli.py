@@ -143,7 +143,8 @@ def _cmd_simulate(args, cfg, spec) -> int:
     for t in args.snap_times:
         if not 0.0 <= t <= grid.T:
             raise ValidationError(f"snapshot time {t:g} outside [0, T = {grid.T:g}]")
-    traj = solve_forward(spec, w0, closure, grid)
+    # the snapshot series only where a --snap-times file is taken from it
+    traj = solve_forward(spec, w0, closure, grid, None if args.snap_times else 10**9)
     out = _outdir(args, cfg)
     outputs.write_norms_csv(out / "norms.csv", traj)
     # each file holds the stored snapshot nearest the requested time; record its time
@@ -175,7 +176,7 @@ def _cmd_dual(args, cfg, spec) -> int:
         base, gauge = bs.preprocess_diagonal(spec)
         kernel = bs.solve_kernel(base, NK=args.use_kernel)
         S = bs.source_matrix(kernel, base)
-    dual = solve_dual(spec, S, v0, grid)
+    dual = solve_dual(spec, S, v0, grid, snapshot_stride=10**9)
     out = _outdir(args, cfg)
     outputs.write_float_csv(
         out / "observation.csv",
@@ -350,7 +351,12 @@ def _cmd_sweep(args, cfg, base_spec) -> int:
             w0 = cfg.initial_state(grid, spec.n)
             res = controller.null_control_openloop(spec, w0, grid, reg=reg, segments=segments)
             return gamma, bscale, res.residual, res.condition
-        except HypctrlError:
+        except HypctrlError as exc:
+            print(
+                f"sweep: gamma = {gamma:g} b_scale = {bscale:g} failed: "
+                f"{type(exc).__name__}: {exc}",
+                file=sys.stderr,
+            )
             return gamma, bscale, float("nan"), float("nan")
 
     results = [run_point(p) for p in points]

@@ -38,7 +38,10 @@ entry, so each batch member still equals its single run.  The upwind tail
 behind a decay to zero would otherwise shrink into the subnormal range, where
 arithmetic takes the slow hardware path.  A linear run with data scaled below
 about 1e-290 therefore no longer scales exactly.  Control values are written
-as the closure returns them.  The dual solver does not flush.
+as the closure returns them.  A forward step's arithmetic runs with overflow
+and invalid-operation warnings off, since a state that is not finite is
+refused by name; the boundary closure and the speeds run under the caller's
+settings.  The dual solver does not flush.
 
 Each stepping loop has a per-step core, which does only what the next step
 or the boundary closure needs, and a per-chunk recorder.  The core writes each
@@ -258,6 +261,8 @@ def solve_forward(
         (i, j, dt*C_ij) per coupling entry."""
         return lam * (step_dt / h), [(i, j, step_dt * c) for i, j, c in entries]
 
+    # a state that overflows is refused below by name, not warned about
+    @np.errstate(over="ignore", invalid="ignore")
     def substep(w, coef, dt_coupling, out):
         """out = w + coef*dw + sum of dt*C_ij*w_j, with the reflection at x = 0;
         dw is formed in out itself, which keeps a step's working set small."""

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypctrl.core import ControlSignal, GridSpec, StateField, build_system
+from hypctrl.core import ControlSignal, CouplingField, GridSpec, StateField, build_system
 from hypctrl.simulator import solve_dual, solve_forward
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -27,8 +27,22 @@ def systems(draw):
     speeds = [f"{v / 4} * (1 + {slope}*x)" for v in neg + pos]
     entries = st.floats(-1.5, 1.5, allow_nan=False)
     B = np.array(draw(st.lists(entries, min_size=k * m, max_size=k * m))).reshape(k, m)
-    C = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
-    return build_system(k, m, speeds, coupling=C, b=B, gamma=draw(st.sampled_from([0.0, 1.0])))
+    C = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    gamma = draw(st.sampled_from([0.0, 1.0]))
+    # the constant matrix through build_system, or per-entry coupling of which
+    # each entry is constant or varies in x
+    varies = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    if not any(varies) and draw(st.booleans()):
+        return build_system(
+            k, m, speeds, coupling=np.array(C).reshape(n, n), b=B, gamma=gamma
+        )
+    coupling = CouplingField(
+        n,
+        entries={divmod(e, n): f"{c!r}*(1 + 0.5*x)" if v else c
+                 for e, (c, v) in enumerate(zip(C, varies))},
+        gamma=gamma,
+    )
+    return build_system(k, m, speeds, coupling=coupling, b=B)
 
 
 class _Source:

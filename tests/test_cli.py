@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -406,8 +407,9 @@ def test_dual_command(tmp_path):
     assert obs["t"][-1] == pytest.approx(-1.0)
 
 
-def test_sweep_failed_point_writes_nan_row(tmp_path):
-    # gamma = 1e308 overflows the forward run; that point alone reads nan
+def test_sweep_failed_point_writes_nan_row(tmp_path, capsys):
+    # gamma = 1e308 overflows the forward run; that point alone reads nan, and
+    # its cause goes to stderr without a numpy overflow warning
     cfg_text = BASE_CFG.replace(
         "[run]",
         "[sweep]\ngamma_values = 1 1e308\nb_scale_values = 1\nt = 2.4\nsegments = 12\n\n[run]",
@@ -415,11 +417,17 @@ def test_sweep_failed_point_writes_nan_row(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text(cfg_text)
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["sweep", "--config", str(path), "--N", "32", "--out", str(out)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 3 and rows[2] == "1e+308,1.0,nan,nan"
     assert "nan" not in rows[1]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("sweep: gamma = 1e+308 b_scale = 1 failed: NonFiniteState: "
+                             "state blew up at t = ")
 
 
 def test_sweep_grid_above_topt_all_controllable(tmp_path):
@@ -513,6 +521,47 @@ def test_singular_boundary_speed_exit_codes(tmp_path, capsys):
     zero.write_text(BASE_CFG.replace("lambda2 = 2", "lambda2 = x") + dual)
     assert main(argv + [str(zero)]) == 2
     assert "touches zero" in capsys.readouterr().err
+
+
+ONE_BY_TWO_CFG = """
+[speeds]
+k = 1
+m = 2
+lambda1 = 1
+lambda2 = 1
+lambda3 = 2
+
+[boundary]
+b = 1 2
+
+[grid]
+n = 2000
+cfl = 0.9
+t = 1.7
+
+[initial]
+w1 = 0.5*exp(-((x - 0.5)/0.08)**2)
+w2 = exp(-((x - 0.45)/0.08)**2)
+w3 = 0.7*exp(-((x - 0.55)/0.08)**2)
+"""
+
+
+@pytest.mark.parametrize("command, args", [("feedback", []), ("simulate", ["--T", "0.5"])])
+def test_forward_commands_store_no_snapshot_series(tmp_path, command, args):
+    # 7,556 (2,223) steps at N = 2000: the default stride would keep 505 (446)
+    # states of 48 kB, 24 (21) MB, that neither command writes; they keep the
+    # first and the last state
+    import tracemalloc
+
+    path = tmp_path / "one_by_two.cfg"
+    path.write_text(ONE_BY_TWO_CFG)
+    tracemalloc.start()
+    try:
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out"), *args]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_simulate_snap_times_record_actual_time(cfg_path, tmp_path):

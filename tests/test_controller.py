@@ -26,7 +26,7 @@ from hypctrl.core import (
     build_system,
     state_from_exprs,
 )
-from hypctrl.simulator import characteristic_flow, solve_dual
+from hypctrl.simulator import characteristic_flow, solve_dual, solve_forward
 from hypctrl.times import cumulative_travel
 
 
@@ -117,7 +117,7 @@ def test_zero_state_stays_zero_under_feedback():
     grid = GridSpec(N=128, cfl=0.9, T=1.7)
     w0 = StateField(np.zeros((3, 129)), 0.0, grid.xs)
     law = synthesize_feedback(spec, 1.7, w0)
-    traj, rep = run_closed_loop(law, w0, grid)
+    traj = solve_forward(spec, w0, law, grid)
     assert np.all(traj.snapshots == 0.0)
     assert np.all(traj.controls == 0.0)
 
@@ -175,10 +175,29 @@ def test_closed_loop_tail_is_flushed_not_subnormal():
         3,
     )
     law = synthesize_feedback(spec, 1.7, w0)
-    traj, rep = run_closed_loop(law, w0, grid)
+    traj = solve_forward(spec, w0, law, grid)
     subnormal = (traj.snapshots != 0.0) & (np.abs(traj.snapshots) < np.finfo(float).tiny)
     assert not np.any(subnormal)
+    _, rep = run_closed_loop(law, w0, grid)
     assert rep.terminal_rel == pytest.approx(0.0013501505614244233, rel=1e-12)
+
+
+def test_closed_loop_keeps_initial_and_terminal_state():
+    spec = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 2.0]])
+    grid = GridSpec(N=200, cfl=0.9, T=1.7)
+    w0 = state_from_exprs(
+        ["0.3*exp(-((x-0.5)/0.1)**2)", "exp(-((x-0.45)/0.1)**2)", "0.5*exp(-((x-0.55)/0.1)**2)"],
+        grid,
+        3,
+    )
+    law = synthesize_feedback(spec, 1.7, w0)
+    traj, _ = run_closed_loop(law, w0, grid)
+    full = solve_forward(spec, w0, law, grid)
+    assert traj.snapshots.shape == (2, 3, 201)
+    assert np.array_equal(traj.snapshot_times, [0.0, full.times[-1]])
+    assert np.array_equal(traj.snapshots[0], w0.values)
+    assert np.array_equal(traj.snapshots[-1], full.snapshots[-1])
+    assert np.array_equal(traj.norms_linf, full.norms_linf)
 
 
 def test_closed_loop_quasilinear_small_data():

@@ -12,6 +12,9 @@ sweep history (``report.changes``) and every ``transform`` and
 ``inverse_transform`` array.  No task runs ``times`` or ``check-b``, so
 the standard output and exit code of both with ``--json`` are hashed for
 every generated config, under ``CONFIG:times`` and ``CONFIG:check-b``.
+No task passes ``--snap-times`` either, so every ``simulate`` task also
+runs once more with ``--snap-times 0.5,1`` added, under
+``WORKLOAD/TASK:snap-times``: the run that keeps the snapshot series.
 Paths are relative to WORKDIR, so two checkouts run in different work
 directories print the same JSON when their outputs agree.
 """
@@ -101,6 +104,10 @@ def main(argv=None) -> int:
         for task in tasks:
             run = _volterra if task["command"] == "volterra" else _cli
             result[f"{workload}/{task['name']}"] = run(task)
+            if task["command"] == "simulate":
+                snaps = {**task, "out": task["out"] + "-snap-times",
+                         "args": [*task["args"], "--snap-times", "0.5,1"]}
+                result[f"{workload}/{task['name']}:snap-times"] = _cli(snaps)
         for config in sorted({task["config"] for task in tasks}):
             for command in ("times", "check-b"):
                 result[f"{config}:{command}"] = _run([command, "--config", config, "--json"])
