@@ -15,9 +15,10 @@ are C^1 and equal exactly zero from (T - T_opt)/2 on.  A call starts from
 the m zeta values and, while eta < 1, adds (1 - eta) M_j to each level's
 channel; only then does it find the positions.  They invert the cumulative
 travel time, on the current state frozen in time when the speeds depend on
-it; no characteristic is integrated (the RK4 ``characteristic_flow``, which
-reads the state through a callable accessor, is public API and the tests'
-reference).
+it, and each is read through its grid cell, found once per grid for fixed
+positions; no characteristic is integrated (the RK4
+``characteristic_flow``, which reads the state through a callable accessor,
+is public API and the tests' reference).
 
 Every entry point reads B from ``spec.B`` and the run horizon from ``grid.T``;
 the ``T`` of ``synthesize_feedback`` is the law's target time, not a horizon.
@@ -78,9 +79,48 @@ class CubicRamp:
 # feedback law
 # --------------------------------------------------------------------------- #
 
+def _read_cells(positions: dict, k: int, xs: np.ndarray) -> tuple:
+    """The cells of the reads at ``positions`` (level -> positions of its
+    arguments) on nodes xs, and the (level, component, position) of each read.
+
+    cells[j] holds one cell (row, q, off, span) per argument l of level j:
+    row = l - 1, q the node with xs[q] <= pos < xs[q+1], off = pos - xs[q]
+    and span = xs[q+1] - xs[q], as np.interp finds them; off is None where
+    np.interp returns v[q]: pos on a node, left of xs[0] (q = 0) or from
+    xs[-1] on (q = N).
+    """
+    last = xs.size - 1
+    cells, reads = {}, []
+    for j, level_positions in positions.items():
+        cells[j] = []
+        for row, pos in enumerate(map(float, level_positions), start=k):
+            q = min(max(int(np.searchsorted(xs, pos, side="right")) - 1, 0), last)
+            node = xs.item(q)
+            if q == last or pos <= node:
+                cells[j].append((row, q, None, None))
+            else:
+                cells[j].append((row, q, pos - node, xs.item(q + 1) - node))
+            reads.append((j, row + 1, pos))
+    return cells, tuple(reads)
+
+
+def _read(values: np.ndarray, cell: tuple) -> float:
+    """The value at a cell's position, by np.interp's own formula: bit for bit
+    np.interp(pos, xs, values[row]) for a finite position and row."""
+    row, q, off, span = cell
+    lo = values.item(row, q)
+    return lo if off is None else (values.item(row, q + 1) - lo) / span * off + lo
+
+
 @dataclass
 class FeedbackLaw:
-    """Boundary closure of the feedback; read positions are fixed unless speeds depend on w."""
+    """Boundary closure of the feedback; read positions are fixed unless speeds depend on w.
+
+    Fixed positions are turned into their grid cells (node, offset, width) once
+    per grid, on the first call that passes a state on it; state-dependent
+    positions get theirs on every call, through the same helper.  The level
+    maps' argument counts are checked once, when the law is built.
+    """
 
     spec: SystemSpec
     maps: EliminationMaps
@@ -90,7 +130,18 @@ class FeedbackLaw:
     arg_positions: dict = field(default_factory=dict)  # level -> array of positions
     T: float = 0.0
     Topt: float = 0.0
-    last_reads: list = field(default_factory=list)
+    last_reads: tuple = ()  # (level, component, position) of each read of the last call
+    # (xs, positions, (cells, reads)) of the fixed positions on the last grid seen
+    _fixed: tuple = field(default=(None, None, None), init=False, repr=False)
+
+    def __post_init__(self):
+        m = self.spec.m
+        for j in range(1, self.levels + 1):
+            size = self.maps.by_level(j).coef.size
+            if size != m - j:
+                raise ValidationError(
+                    f"elimination map level {j} expects {size} arguments, the law gives {m - j}"
+                )
 
     @property
     def levels(self) -> int:
@@ -120,23 +171,27 @@ class FeedbackLaw:
             )
         return positions
 
+    def _cells(self, state: StateField) -> tuple:
+        """(cells, reads) of this call's positions on the state's grid."""
+        if self.spec.state_dependent:
+            return _read_cells(self.read_positions(state), self.spec.k, state.xs)
+        xs, positions, found = self._fixed
+        if xs is not state.xs or positions is not self.arg_positions:
+            found = _read_cells(self.arg_positions, self.spec.k, state.xs)
+            self._fixed = (state.xs, self.arg_positions, found)
+        return found
+
     def __call__(self, t: float, state: StateField) -> np.ndarray:
-        k, m = self.spec.k, self.spec.m
+        m = self.spec.m
         ctrl = np.array([zeta(t) for zeta in self.zetas])
-        self.last_reads = []
+        self.last_reads = ()
         eta = self.eta(t)
         if eta < 1.0:
-            positions = (
-                self.read_positions(state) if self.spec.state_dependent else self.arg_positions
-            )
+            cells, self.last_reads = self._cells(state)
             # outermost level first; each line only reads interior state values
             for j in range(1, self.levels + 1):
-                args = np.empty(m - j)
-                for idx, l in enumerate(range(k + 1, k + m - j + 1)):
-                    pos = float(positions[j][idx])
-                    args[idx] = np.interp(pos, state.xs, state.values[l - 1])
-                    self.last_reads.append((j, l, pos))
-                ctrl[m - j] += (1.0 - eta) * self.maps.by_level(j)(args)
+                args = np.array([_read(state.values, cell) for cell in cells[j]])
+                ctrl[m - j] += (1.0 - eta) * float(self.maps.by_level(j).coef @ args)
         return ctrl
 
 

@@ -368,14 +368,21 @@ class ReflectionMatrix:
     def m(self) -> int:
         return self.B.shape[1]
 
-    def apply(self, w_plus: np.ndarray) -> np.ndarray:
-        """Reflected values: (m,) -> (k,), or row by row (b, m) -> (b, k)."""
+    def apply(self, w_plus: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Reflected values: (m,) -> (k,), or row by row (b, m) -> (b, k).
+
+        ``out``, of shape (k, 1) or (b, k, 1), receives them in place; without
+        a hook the products are formed there."""
         w_plus = np.asarray(w_plus, dtype=float)
-        if self.hook is None:
-            return (self.B @ w_plus[..., None])[..., 0]  # one matrix-vector product per row
+        if self.hook is None:  # one matrix-vector product per row
+            return np.matmul(self.B, w_plus[..., None], out=out)[..., 0]
         if w_plus.ndim == 2:
-            return np.array([self.apply(row) for row in w_plus])
-        return np.asarray(self.hook(w_plus), dtype=float)
+            values = np.array([self.apply(row) for row in w_plus])
+        else:
+            values = np.asarray(self.hook(w_plus), dtype=float)
+        if out is not None:
+            out[..., 0] = values
+        return values
 
     def check_hook(self):
         if self.hook is None:

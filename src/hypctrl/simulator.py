@@ -17,12 +17,16 @@ every step.  A forward step is
     out = dw;  out *= coef;  out[:, i] += (dt C_ij) w[:, j];  out += w
 
 with dw the upwind differences, coef = signed speeds * dt/h per cell and one
-multiply-add for each coupling entry C_ij that is nonzero on the grid; then
-the reflection at x = 0.  State-dependent speeds build coef and dt C_ij per
-sub-step from that sub-step's speeds and length.  A dual step differences
-the flux (sigma ds/h) v, and its source integral is one trapezoid-weighted
-(n (N+1), m) operator op[(j, q), p] = h_q S_{j,k+p}(x_q), applied to each
-run's flattened state by its own matrix-vector product.  Both regroup the
+multiply-add for each coupling entry C_ij that is nonzero on the grid: by the
+scalar dt C_ij where the entry is constant on the grid, which is sorted out
+once per run, and by its node values elsewhere.  Then the reflection at
+x = 0, which ReflectionMatrix.apply writes in place into out (without a
+hook, its matrix-vector products are formed there).  State-dependent speeds
+build coef and dt C_ij per sub-step from that sub-step's speeds and length.
+A dual step differences the flux (sigma ds/h) v, and its source integral is
+one trapezoid-weighted (n (N+1), m) operator op[(j, q), p] = h_q
+S_{j,k+p}(x_q), applied to each run's flattened state by its own
+matrix-vector product.  Both regroup the
 arithmetic of w + dt (lambda dw/h + C w) and of the per-component sums, so
 they differ from those by roundoff only.
 
@@ -37,11 +41,13 @@ np.finfo(float).tiny ~ 2.2e-308, is set to 0.0: flush-to-zero, entry by
 entry, so each batch member still equals its single run.  The upwind tail
 behind a decay to zero would otherwise shrink into the subnormal range, where
 arithmetic takes the slow hardware path.  A linear run with data scaled below
-about 1e-290 therefore no longer scales exactly.  Control values are written
-as the closure returns them.  A forward step's arithmetic runs with overflow
-and invalid-operation warnings off, since a state that is not finite is
-refused by name; the boundary closure and the speeds run under the caller's
-settings.  The dual solver does not flush.
+about 1e-290 therefore no longer scales exactly.  Control values are checked
+as Python floats (shape, finiteness, and whether all are zero for the rest
+test below, where -0.0 counts as zero) and written as the closure returns
+them.  A forward step's arithmetic runs with overflow and invalid-operation
+warnings off, since a state that is not finite is refused by name; the
+boundary closure and the speeds run under the caller's settings.  The dual
+solver does not flush.
 
 Each stepping loop has a per-step core, which does only what the next step
 or the boundary closure needs, and a per-chunk recorder.  The core writes each
@@ -69,6 +75,7 @@ controls of about 1e-308) but never skips a step that would not give zero.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -232,10 +239,12 @@ def solve_forward(
 
     cvals = None if spec.coupling.is_zero else spec.coupling_nodes(xs)
     lam_static = None if spec.state_dependent else spec.signed_speeds(xs)
-    # the coupling entries that are nonzero somewhere on the grid, as (i, j, C_ij)
+    # the coupling entries that are nonzero somewhere on the grid, as (i, j, C_ij),
+    # C_ij a scalar where it is constant on the grid
     entries = [] if cvals is None else [
         (i, j, cvals[i, j]) for i in range(n) for j in range(n) if cvals[i, j].any()
     ]
+    entries = [(i, j, float(c[0]) if (c == c[0]).all() else c) for i, j, c in entries]
 
     rec = _Recorder(w, k, n_steps, snapshot_stride, dt)
     nl2, nlinf = np.empty((2, b, n_steps + 1, n))
@@ -275,7 +284,7 @@ def solve_forward(
             np.multiply(dtc, w[:, j], out=cw)
             np.add(out[:, i], cw, out=out[:, i])
         np.add(w, out, out=out)
-        out[:, :k, 0] = spec.reflection.apply(out[:, k:, 0])
+        spec.reflection.apply(out[:, k:, 0], out=out[:, :k, :1])
         return out
 
     static = None if lam_static is None else coefficients(lam_static, dt)
@@ -320,13 +329,15 @@ def solve_forward(
                 raise BoundaryClosureFailure(
                     f"boundary closure failed at t={t_new:.6g}: {exc}"
                 ) from exc
-            if ctrl.shape != ctrl_shape or not np.isfinite(ctrl).all():
+            # checked as Python floats: faster than numpy reductions on b*m values
+            vals = ctrl.ravel().tolist()
+            if ctrl.shape != ctrl_shape or not all(map(math.isfinite, vals)):
                 raise BoundaryClosureFailure(
                     f"boundary closure must return finite values of shape {ctrl_shape} "
                     f"at t={t_new:.6g}"
                 )
             w_new[:, k:, -1] = ctrl
-            at_rest = can_rest and peak < _TINY and not ctrl.any()
+            at_rest = can_rest and peak < _TINY and not any(vals)
             w = w_new
         rows = slice(steps.start, steps.stop)
         absc = np.abs(chunk, out=rec.scratch[: len(steps)])

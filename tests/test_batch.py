@@ -6,7 +6,7 @@ loops do, bit for bit; and they stay within roundoff of the grouping their
 arithmetic had before the step constants were built once per run."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from hypctrl.core import ControlSignal, CouplingField, GridSpec, StateField, build_system
@@ -31,11 +31,11 @@ def systems(draw):
     gamma = draw(st.sampled_from([0.0, 1.0]))
     # the constant matrix through build_system, or per-entry coupling of which
     # each entry is constant or varies in x
-    varies = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-    if not any(varies) and draw(st.booleans()):
+    if draw(st.booleans()):
         return build_system(
             k, m, speeds, coupling=np.array(C).reshape(n, n), b=B, gamma=gamma
         )
+    varies = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     coupling = CouplingField(
         n,
         entries={divmod(e, n): f"{c!r}*(1 + 0.5*x)" if v else c
@@ -43,6 +43,26 @@ def systems(draw):
         gamma=gamma,
     )
     return build_system(k, m, speeds, coupling=coupling, b=B)
+
+
+def _entry_kinds(spec):
+    """How solve_forward multiplies each coupling entry nonzero on a grid:
+    "scalar" where it is constant there, "nodes" where it varies."""
+    if spec.coupling.is_zero:
+        return set()
+    C = spec.coupling_nodes(GridSpec(N=8).xs)
+    return {"scalar" if (c == c[0]).all() else "nodes" for c in C.reshape(-1, 9) if c.any()}
+
+
+def test_systems_draw_both_coupling_branches():
+    """systems() draws the constant-matrix form (every entry a scalar) and
+    per-entry coupling that mixes entries constant and varying in x, so the
+    bit-for-bit properties below meet both branches of the step."""
+    quiet = settings(database=None, derandomize=True, max_examples=200,
+                     phases=[Phase.generate])
+    find(systems(), lambda s: s.coupling._constant is not None
+         and _entry_kinds(s) == {"scalar"}, settings=quiet)
+    find(systems(), lambda s: _entry_kinds(s) == {"scalar", "nodes"}, settings=quiet)
 
 
 class _Source:

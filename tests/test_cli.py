@@ -506,6 +506,16 @@ def test_cfl_violation_exit_code(tmp_path, capsys):
     path.write_text(BASE_CFG.replace("lambda2 = 2", "lambda2 = 2 + 1e5*w2**2"))
     assert main(["simulate", "--config", str(path), "--N", "32", "--out", str(tmp_path)]) == 3
     assert "CFL could not be restored" in capsys.readouterr().err
+    # the solver test's case: lambda_2 = 1 + 1e6 w2^2 on a unit bump, N = 64, T = 0.2
+    cfg = (BASE_CFG.replace("lambda1 = 1 + x", "lambda1 = 1")
+           .replace("lambda2 = 2", "lambda2 = 1 + 1e6*w2**2")
+           .replace("w2 = exp(-((x - 0.5)/0.12)**2)", "w2 = exp(-((x - 0.5)/0.1)**2)")
+           .replace("t = 1.5", "t = 0.2"))
+    path.write_text(cfg)
+    assert main(["simulate", "--config", str(path), "--N", "64", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: CFL could not be restored by halving at t = 0.0133333\n"
+    )
 
 
 def test_singular_boundary_speed_exit_codes(tmp_path, capsys):

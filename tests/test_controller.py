@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from hypctrl.controller import (
     CubicRamp,
+    _read,
+    _read_cells,
     check_compatibility,
     null_control_openloop,
     optimality_witness,
@@ -110,6 +112,32 @@ def test_delays_and_arg_positions_linear():
     assert law.delays == pytest.approx({2: 1.0, 3: 0.5})
     # component 2 (speed 1, leftward) reaching x=0 at t+0.5 sits at x=0.5 now
     assert law.arg_positions[1][0] == pytest.approx(0.5, abs=1e-6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(8, 400), st.integers(0, 2**32 - 1), st.data())
+def test_cell_read_equals_np_interp_bit_for_bit(N, seed, data):
+    """The law's read through its precomputed cell is np.interp's value, for
+    positions inside cells, on nodes, at 0.0 and 1.0, and on finite rows of
+    any scale, signed zeros included."""
+    xs = np.linspace(0.0, 1.0, N + 1)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((3, N + 1)) * 10.0 ** rng.integers(-300, 300, (3, N + 1))
+    values[rng.random((3, N + 1)) < 0.1] = -0.0
+    position = st.one_of(
+        st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]), st.integers(0, N).map(xs.item)
+    )
+    positions = {
+        1: np.array(data.draw(st.lists(position, min_size=2, max_size=2))),
+        2: np.array(data.draw(st.lists(position, min_size=1, max_size=1))),
+    }
+    cells, reads = _read_cells(positions, 1, xs)
+    expected_reads = [(1, 2, positions[1][0]), (1, 3, positions[1][1]), (2, 2, positions[2][0])]
+    assert list(reads) == expected_reads
+    for (j, component, pos), cell in zip(reads, cells[1] + cells[2]):
+        got = np.float64(_read(values, cell))
+        want = np.interp(pos, xs, values[component - 1])
+        assert got.view(np.int64) == want.view(np.int64), (pos, cell)
 
 
 def test_zero_state_stays_zero_under_feedback():

@@ -291,6 +291,30 @@ def test_boundary_closure_failure_wrapped():
     with pytest.raises(BoundaryClosureFailure, match=r"\(3, 1\)"):
         solve_forward(spec, np.zeros((3, 2, 65)), zero_control(1), grid)
 
+    # one entry that is not finite, from step 10 on, in a single run of a 1x2
+    # and in one row of a batch of 51: refused at that step's time
+    wide = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 2.0]])
+    _, dt = grid.steps(wide.lambda_max)
+    at_step_10 = rf"at t={10 * dt:.6g}$"
+    for bad in (np.nan, np.inf, -np.inf):
+        for shape, entry in (((2,), (1,)), ((51, 2), (17, 0))):
+
+            def closure(t, state, shape=shape, entry=entry, bad=bad):
+                ctrl = np.zeros(shape)
+                if t >= 10 * dt:
+                    ctrl[entry] = bad
+                return ctrl
+
+            inits = np.zeros((3, 65)) if len(shape) == 1 else np.zeros((51, 3, 65))
+            w0 = StateField(inits, 0.0, grid.xs) if len(shape) == 1 else inits
+            with pytest.raises(BoundaryClosureFailure, match=at_step_10):
+                solve_forward(wide, w0, closure, grid)
+
+    # controls of -0.0 leave a run at rest, as 0.0 does: every step is skipped
+    traj = solve_forward(spec, StateField(np.zeros((2, 65)), 0.0, grid.xs),
+                         lambda t, state: np.array([-0.0]), grid)
+    assert traj.diagnostics["rest_steps"] == traj.diagnostics["steps"] == 36
+
 
 def test_batch_refused_for_state_dependent_speeds():
     from hypctrl.core import ValidationError
@@ -375,6 +399,18 @@ def test_diagnostics_report_steps_dt_chunk_and_doublings():
     assert solve_forward(quasi, w0, zero_control(1), grid).diagnostics["max_substep_doublings"] == 1
     dual = solve_dual(lin, None, w0, grid)
     assert dual.diagnostics == {"steps": dual.times.size - 1, "dt": dual.dt, "chunk": 64}
+
+
+def test_cfl_violation_raised_when_halving_cannot_restore_it():
+    from hypctrl.core import CFLViolation
+
+    # dt is set by the speeds at w = 0 (lambda_max = 1); the unit bump in w2
+    # makes lambda_2 about 1e6, beyond 2**12 halvings of the first step
+    spec = build_system(1, 1, [1.0, "1 + 1e6*w2**2"], b=[[0.5]])
+    grid = GridSpec(N=64, cfl=0.9, T=0.2)
+    w0 = state_from_exprs([None, "exp(-((x-0.5)/0.1)**2)"], grid, 2)
+    with pytest.raises(CFLViolation, match=r"by halving at t = 0\.0133333$"):
+        solve_forward(spec, w0, zero_control(1), grid)
 
 
 def test_dual_refuses_vanishing_boundary_speed():

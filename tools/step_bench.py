@@ -1,0 +1,220 @@
+"""Microseconds per computed forward step and per feedback-law call, two
+source trees against each other, interleaved.
+
+    python3 tools/step_bench.py PARENT_SRC CHANGE_SRC [--seed S] [--rounds R] [--label TEXT]
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  The
+shapes are those of the ``linear`` benchmark workload, built from the config
+files ``perfbench.workloads.generate`` writes for SEED:
+
+- ``coupled_2x2_N128``: the coupled 2x2 of ``nullctrl`` and ``sweep``
+  (N = 128, CFL 0.95, T = 2.2), one run;
+- ``witness_b51_N400``: the uncoupled 2x2 of ``witness``, a batch of 51 runs
+  from random states (N = 400, T = 1.0);
+- ``feedback_1x2_N4000``: the 1x2 of ``feedback`` under its law (N = 4000),
+  over the first 0.3 of its horizon, where the law reads the state;
+- ``coupled_2x2_N4000``: the coupled 2x2 of ``simulate`` (N = 4000) over 0.3;
+- ``law_call``: one call of the ``feedback`` law on its initial state, at
+  2000 times spread over [0, 0.3].
+
+Runs without a law get a constant nonzero control, so no step is at rest.  A
+step's cost is the run's time over its computed steps, ``steps`` minus
+``rest_steps`` of its diagnostics; the benchmark tracer's ``us_per_step``
+counts the steps skipped at rest as well.
+
+Each round is one fresh process that imports both trees, under two package
+names, and times the two sides alternately, run by run; a figure is the
+minimum over a shape's repeats.  The side that goes first alternates between
+repeats and between rounds.  One record (the config, the seed, the host as
+``perfbench.run.run_record`` describes it, with the time of
+``perfbench.worker.reference_block``, and every round of both sides) is
+appended to ``BENCH_step.json`` at the root of this checkout, and a summary
+(median per side, the median over rounds of change / parent, rounds in which
+the change was faster) is printed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import json
+import subprocess
+import sys
+import tempfile
+import time
+import warnings
+from pathlib import Path
+from statistics import median
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_step.json"
+SIDES = ("parent", "change")
+
+# name -> (config file, N, grid T or None for the config's, batch size or None, repeats)
+SHAPES = {
+    "coupled_2x2_N128": ("coupled.cfg", 128, None, None, 15),
+    "witness_b51_N400": ("witness.cfg", 400, None, 51, 7),
+    "feedback_1x2_N4000": ("feedback.cfg", 4000, 0.3, None, 3),
+    "coupled_2x2_N4000": ("coupled_long.cfg", 4000, 0.3, None, 5),
+}
+LAW_CALLS, LAW_REPEATS = 2000, 7
+
+
+def _load(src: str, alias: str):
+    """The hypctrl package in src, imported under the name alias."""
+    init = Path(src) / "hypctrl" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        alias, init, submodule_search_locations=[str(init.parent)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _inputs(pkg: str, shape: str, workdir: str, rng):
+    """(run, law_calls) of one side: run() solves the shape and returns seconds
+    per computed step, law_calls() seconds per law call (None without a law)."""
+    import numpy as np
+
+    config = importlib.import_module(pkg + ".config")
+    controller = importlib.import_module(pkg + ".controller")
+    solve_forward = importlib.import_module(pkg + ".simulator").solve_forward
+    cfg_name, N, T, batch, _ = SHAPES[shape]
+    cfg = config.load_config(Path(workdir) / cfg_name)
+    spec = cfg.system()
+    grid = cfg.grid(N=N, T=T)
+    law = None
+    if batch is None:
+        w0 = cfg.initial_state(grid, spec.n)
+        control = np.full(spec.m, 0.1)
+    else:
+        w0 = rng.standard_normal((batch, spec.n, N + 1))
+        control = np.full((batch, spec.m), 0.1)
+    if shape.startswith("feedback"):
+        closure = law = controller.synthesize_feedback(spec, cfg.grid().T, w0)
+    else:
+        def closure(t, state):
+            return control
+
+    def run():
+        start = time.perf_counter()
+        traj = solve_forward(spec, w0, closure, grid, snapshot_stride=10**9)
+        elapsed = time.perf_counter() - start
+        return elapsed / (traj.diagnostics["steps"] - traj.diagnostics.get("rest_steps", 0))
+
+    def law_calls():
+        times = np.linspace(0.0, 0.3, LAW_CALLS)
+        start = time.perf_counter()
+        for t in times:
+            law(t, w0)
+        return (time.perf_counter() - start) / LAW_CALLS
+
+    return run, (law_calls if law is not None else None)
+
+
+def _worker(srcs: dict, seed: int, workdir: str, first: int) -> dict:
+    """side -> shape -> us per computed step (law_call: us per call), both
+    sides timed alternately in this process; ``first`` is the side that starts."""
+    import numpy as np
+
+    warnings.simplefilter("ignore")  # corner-compatibility warnings of the drawn data
+    packages = {side: _load(src, "hypctrl_" + side).__name__ for side, src in srcs.items()}
+    result = {side: {} for side in SIDES}
+    for shape, (*_, repeats) in SHAPES.items():
+        runs = {side: _inputs(packages[side], shape, workdir, np.random.default_rng(seed))
+                for side in SIDES}
+        timed = [(shape, repeats, {side: runs[side][0] for side in SIDES})]
+        if runs["parent"][1] is not None:
+            timed.append(("law_call", LAW_REPEATS, {side: runs[side][1] for side in SIDES}))
+        for name, count, funcs in timed:
+            best = dict.fromkeys(SIDES, float("inf"))
+            for r in range(count):
+                order = SIDES if (r + first) % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    best[side] = min(best[side], funcs[side]())
+            for side in SIDES:
+                result[side][name] = best[side] * 1e6
+    return result
+
+
+def _run_round(srcs: dict, seed: int, workdir: str, first: int) -> dict:
+    out = subprocess.run(
+        [sys.executable, __file__, srcs["parent"], srcs["change"], "--worker",
+         "--seed", str(seed), "--workdir", workdir, "--first", str(first)],
+        check=True, capture_output=True, text=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--seed", type=int, default=16)
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--label", default="", help="what the change is, for the record")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--workdir", help=argparse.SUPPRESS)
+    parser.add_argument("--first", type=int, default=0, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    srcs = {
+        "parent": str(Path(args.parent_src).resolve()),
+        "change": str(Path(args.change_src).resolve()),
+    }
+    if args.worker:
+        print(json.dumps(_worker(srcs, args.seed, args.workdir, args.first)))
+        return 0
+
+    sys.path.insert(0, str(ROOT))
+    from perfbench.run import run_record
+    from perfbench.workloads import generate
+    from perfbench.worker import reference_block
+
+    rounds = []
+    with tempfile.TemporaryDirectory() as workdir:
+        generate("linear", args.seed, workdir)
+        reference_ms = min(reference_block() for _ in range(3)) * 1e3
+        for r in range(args.rounds):
+            rounds.append(_run_round(srcs, args.seed, workdir, r % 2))
+
+    summary = {}
+    for name in rounds[0]["parent"]:
+        parent = [r["parent"][name] for r in rounds]
+        change = [r["change"][name] for r in rounds]
+        summary[name] = {
+            "parent_median_us": median(parent),
+            "change_median_us": median(change),
+            # change / parent within each round, whose two sides share the host's state
+            "round_ratio_median": median(c / p for p, c in zip(parent, change)),
+            "change_faster_rounds": sum(c < p for p, c in zip(parent, change)),
+        }
+    record = {
+        "config": {
+            "label": args.label,
+            "shapes": {name: dict(zip(("config", "N", "T", "batch", "repeats"), spec))
+                       for name, spec in SHAPES.items()},
+            "law_calls": LAW_CALLS,
+            "law_repeats": LAW_REPEATS,
+            "rounds": args.rounds,
+            "unit": "us per computed step (law_call: us per call), min over repeats",
+        },
+        "seed": args.seed,
+        "host": {**run_record("linear", args.seed), "reference_ms": reference_ms},
+        "rounds": rounds,
+        "summary": summary,
+    }
+    records = json.loads(OUT.read_text()) if OUT.exists() else []
+    records.append(record)
+    OUT.write_text(json.dumps(records, indent=1) + "\n")
+
+    print(f"{'shape':<20} {'parent us':>10} {'change us':>10} {'ratio':>7} {'faster':>7}")
+    for name, s in summary.items():
+        print(f"{name:<20} {s['parent_median_us']:>10.2f} {s['change_median_us']:>10.2f} "
+              f"{s['round_ratio_median']:>7.3f} {s['change_faster_rounds']:>4}/{args.rounds}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
