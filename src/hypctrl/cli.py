@@ -105,7 +105,7 @@ def _seed(args, cfg) -> int:
 # --------------------------------------------------------------------------- #
 
 def _cmd_times(args, cfg, spec) -> int:
-    report = time_report(spec).as_dict()
+    report = time_report(spec)
     if args.json:
         print(json.dumps(outputs._sanitize(report), sort_keys=True))
     else:

@@ -87,7 +87,7 @@ _KNOWN_KEYS = {
     "grid": {"n", "cfl", "t"},
     "initial": set(),
     "control": set(),
-    "run": {"seed", "jobs", "out"},  # jobs: accepted, no effect
+    "run": {"seed", "out"},
     **{section: set(keys) for section, keys in SETTINGS.items()},
 }
 # the numbered keys a section takes besides its fixed ones

@@ -15,14 +15,14 @@ are C^1 and equal exactly zero from (T - T_opt)/2 on.  A call starts from
 the m zeta values and, while eta < 1, adds (1 - eta) M_j to each level's
 channel; only then does it find the positions.  They invert the cumulative
 travel time, on the current state frozen in time when the speeds depend on
-it, and each is read through its grid cell, found once per grid for fixed
-positions; no characteristic is integrated (the RK4
+it, and each is read through its grid cell, found when the law is built for
+fixed positions; no characteristic is integrated (the RK4
 ``characteristic_flow``, which reads the state through a callable accessor,
 is public API and the tests' reference).
 
 Every entry point reads B from ``spec.B`` and the run horizon from ``grid.T``;
 the ``T`` of ``synthesize_feedback`` is the law's target time, not a horizon.
-The law is a boundary closure ``law(t, state)`` that holds its system.
+The law is a boundary closure ``law(t, values)`` bound to its system and grid.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .bmatrix import EliminationMaps, boundary_elimination, in_class_B, trailing
 from .core import (
     CompatibilityViolated,
     ControlSignal,
+    DimensionMismatch,
     GridSpec,
     NotApplicable,
     NotInClassB,
@@ -116,10 +117,10 @@ def _read(values: np.ndarray, cell: tuple) -> float:
 class FeedbackLaw:
     """Boundary closure of the feedback; read positions are fixed unless speeds depend on w.
 
-    Fixed positions are turned into their grid cells (node, offset, width) once
-    per grid, on the first call that passes a state on it; state-dependent
-    positions get theirs on every call, through the same helper.  The level
-    maps' argument counts are checked once, when the law is built.
+    The law reads (n, N+1) state values on ``xs``, its initial state's grid,
+    and refuses to read other shapes.  Fixed positions get their cells (node,
+    offset, width) when the law is built, state-dependent ones on every call,
+    through the same helper; the level maps' argument counts are checked once.
     """
 
     spec: SystemSpec
@@ -127,12 +128,13 @@ class FeedbackLaw:
     zetas: list  # a CubicRamp per channel: zetas[p] feeds component k+1+p
     eta: CubicRamp
     delays: dict  # controlled component -> travel time across [0, 1]
+    xs: np.ndarray  # the grid the law reads the state on
     arg_positions: dict = field(default_factory=dict)  # level -> array of positions
     T: float = 0.0
     Topt: float = 0.0
+    cells: dict = field(default_factory=dict, repr=False)  # of the fixed positions on xs
+    reads: tuple = ()  # (level, component, position) of each read at the fixed positions
     last_reads: tuple = ()  # (level, component, position) of each read of the last call
-    # (xs, positions, (cells, reads)) of the fixed positions on the last grid seen
-    _fixed: tuple = field(default=(None, None, None), init=False, repr=False)
 
     def __post_init__(self):
         m = self.spec.m
@@ -171,26 +173,23 @@ class FeedbackLaw:
             )
         return positions
 
-    def _cells(self, state: StateField) -> tuple:
-        """(cells, reads) of this call's positions on the state's grid."""
-        if self.spec.state_dependent:
-            return _read_cells(self.read_positions(state), self.spec.k, state.xs)
-        xs, positions, found = self._fixed
-        if xs is not state.xs or positions is not self.arg_positions:
-            found = _read_cells(self.arg_positions, self.spec.k, state.xs)
-            self._fixed = (state.xs, self.arg_positions, found)
-        return found
-
-    def __call__(self, t: float, state: StateField) -> np.ndarray:
+    def __call__(self, t: float, values: np.ndarray) -> np.ndarray:
         m = self.spec.m
         ctrl = np.array([zeta(t) for zeta in self.zetas])
         self.last_reads = ()
         eta = self.eta(t)
         if eta < 1.0:
-            cells, self.last_reads = self._cells(state)
+            if values.shape != (self.spec.n, self.xs.size):
+                raise DimensionMismatch(
+                    f"state of shape {values.shape}, the law reads on N = {self.xs.size - 1}"
+                )
+            cells, self.last_reads = self.cells, self.reads
+            if self.spec.state_dependent:
+                positions = self.read_positions(StateField(values, t, self.xs))
+                cells, self.last_reads = _read_cells(positions, self.spec.k, self.xs)
             # outermost level first; each line only reads interior state values
             for j in range(1, self.levels + 1):
-                args = np.array([_read(state.values, cell) for cell in cells[j]])
+                args = np.array([_read(values, cell) for cell in cells[j]])
                 ctrl[m - j] += (1.0 - eta) * float(self.maps.by_level(j).coef @ args)
         return ctrl
 
@@ -278,10 +277,11 @@ def synthesize_feedback(
     delays = {k + p + 1: float(tau[k + p]) for p in range(m)}
     law = FeedbackLaw(
         spec=spec, maps=maps, zetas=zetas, eta=CubicRamp(1.0, 0.0, half), delays=delays,
-        T=T, Topt=float(topt),
+        xs=w0.xs, T=T, Topt=float(topt),
     )
     if not spec.state_dependent:
         law.arg_positions = law.read_positions()
+        law.cells, law.reads = _read_cells(law.arg_positions, k, w0.xs)
     return law
 
 
@@ -641,7 +641,8 @@ def verify_observability(
     boundary are added to the pool: a finite random draw alone cannot expose
     the unobservable data that exist below the optimal time.  Ratios with a
     vanishing denominator count as RATIO_CAP (the constraint is vacuous
-    there).
+    there).  Like ``solve_dual`` it has no coupling term: with S = None the
+    estimate is that of the uncoupled system, whatever C is.
     """
     if samples < 1:
         raise ValidationError(f"need at least one random sample, got samples = {samples}")

@@ -33,7 +33,7 @@ they differ from those by roundoff only.
 Both solvers advance a batch of b independent runs in one stepping loop: the
 state has shape (b, n, N+1), and a single run is the batch b = 1.  Both run
 over [0, grid.T] in the grid.steps(lambda_max) equal steps and read B from
-the system; the forward closure is called as closure(t, state).
+the system; the forward closure is called as closure(t, values).
 
 After each forward step (with its reflection, before the finite check and the
 boundary closure) every state entry with |w| below the smallest normal double,
@@ -57,7 +57,7 @@ last one, the recorder fills the incoming trace at x = 1 (the forward run's
 controls, the dual's observation) and the strided snapshots from the whole
 chunk at once.  The forward solver also fills its per-component L2 and Linf
 norms there, from the |chunk| pass it makes anyway; the dual records no
-norms.  The state the closure receives is a view of a slot that is
+norms.  The state array the closure receives is a view of a slot that is
 overwritten 2K steps later: copy it to keep it.
 
 A forward run is at rest when its whole batch state is exactly zero: at the
@@ -123,13 +123,6 @@ def _as_batch(state, shape: tuple, what: str):
     if w.ndim != 3 or w.shape[1:] != shape:
         raise DimensionMismatch(f"{what} must have shape {shape} per run, got {w.shape}")
     return w, batched
-
-
-def _state_view(values: np.ndarray, t: float, xs: np.ndarray) -> StateField:
-    """StateField around values the solver has already checked: no copy, no scan."""
-    view = object.__new__(StateField)
-    view.values, view.t, view.xs = values, t, xs
-    return view
 
 
 @dataclass
@@ -211,10 +204,10 @@ def solve_forward(
 ) -> Trajectory:
     """Run the upwind scheme on [0, grid.T].
 
-    ``boundary_at_1(t, state)`` must return the m incoming values at
-    x = 1 for time t; it is called once per step with the freshly updated
-    state (boundary at x = 1 still pending) and must be side-effect free.
-    That state is a view of a buffer the solver reuses; copy it to keep it.
+    ``boundary_at_1(t, values)`` must return the m incoming values at x = 1
+    for time t; it is called once per step with the freshly updated (n, N+1)
+    state values (boundary at x = 1 still pending), a view of a buffer the
+    solver reuses (copy it to keep it), and must be side-effect free.
     For state-dependent speeds the CFL condition is re-checked every step and
     the step is split in halves until it holds again.
 
@@ -288,6 +281,7 @@ def solve_forward(
         return out
 
     static = None if lam_static is None else coefficients(lam_static, dt)
+    unbatch = (lambda a: a) if batched else (lambda a: a[0])
 
     for steps, chunk in rec.chunks():
         for step, w_new, absw in zip(steps, chunk, rec.scratch):
@@ -322,9 +316,8 @@ def solve_forward(
                 peak = absw.max()
                 if not peak < np.inf:  # NaN or inf
                     raise NonFiniteState(f"state blew up at t = {t_new:.6g}")
-            state_view = w_new if batched else _state_view(w_new[0], t_new, xs)
             try:
-                ctrl = np.asarray(boundary_at_1(t_new, state_view), dtype=float)
+                ctrl = np.asarray(boundary_at_1(t_new, unbatch(w_new)), dtype=float)
             except Exception as exc:  # noqa: BLE001 - report as a solver failure
                 raise BoundaryClosureFailure(
                     f"boundary closure failed at t={t_new:.6g}: {exc}"
@@ -345,7 +338,6 @@ def solve_forward(
         nl2[:, rows] = _l2(absc, h, absc).swapaxes(0, 1)
         rec.record(steps, chunk)
 
-    unbatch = (lambda a: a) if batched else (lambda a: a[0])
     return Trajectory(
         grid=grid,
         dt=dt,
@@ -398,6 +390,9 @@ def solve_dual(
     snapshot_stride=None,
 ) -> DualTrajectory:
     """Integrate the dual system backward from v(0, .) to t = -grid.T.
+
+    It has no coupling term: C enters only through S (from a backstepping
+    kernel), so with S = None and C != 0 this is the uncoupled system's dual.
 
     The boundary conditions are v_-(t, 1) = 0 and the nonlocal relation
     Sigma_+(0) v_+(t, 0) = -B^T Sigma_-(0) v_-(t, 0) + the source-matrix

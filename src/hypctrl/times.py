@@ -15,8 +15,6 @@ running trapezoid into the tables that the kernel, witness and feedback invert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import DimensionMismatch, StateField, SystemSpec, ValidationError
@@ -87,36 +85,14 @@ def optimal_time_argmax(tau: np.ndarray, k: int, m: int):
     return float(value), kind, index
 
 
-@dataclass
-class TimeReport:
-    k: int
-    m: int
-    tau: np.ndarray
-    T1: float
-    T2: float
-    Topt: float
-    argmax_kind: str
-    argmax_index: int
-
-    def as_dict(self) -> dict:
-        d = {"k": self.k, "m": self.m}
-        for i, t in enumerate(self.tau):
-            d[f"tau_{i + 1}"] = float(t)
-        d.update(
-            T1=self.T1,
-            T2=self.T2,
-            T_opt=self.Topt,
-            argmax_kind=self.argmax_kind,
-            argmax_index=self.argmax_index,
-        )
-        return d
-
-
-def time_report(spec: SystemSpec) -> TimeReport:
+def time_report(spec: SystemSpec) -> dict:
+    """k, m, each tau_i, T1, T2, T_opt and the maximizing term, as ``times`` prints them."""
     tau = travel_times(spec)
     t1, t2 = legacy_times(tau, spec.k, spec.m)
     topt, kind, idx = optimal_time_argmax(tau, spec.k, spec.m)
-    return TimeReport(spec.k, spec.m, tau, t1, t2, topt, kind, idx)
+    taus = {f"tau_{i + 1}": float(t) for i, t in enumerate(tau)}
+    return {"k": spec.k, "m": spec.m, **taus, "T1": t1, "T2": t2, "T_opt": topt,
+            "argmax_kind": kind, "argmax_index": idx}
 
 
 def cumulative_travel(spec: SystemSpec, i: int, n_fine: int = 4096, state=None):

@@ -169,6 +169,16 @@ def test_unknown_section_rejected(tmp_path):
         load_config(path)
 
 
+def test_run_jobs_key_rejected(tmp_path, capsys):
+    # [run] jobs had no effect and is no longer a key: refused as any unknown key
+    path = tmp_path / "jobs.cfg"
+    path.write_text(BASE_CFG + "jobs = 2\n")
+    with pytest.raises(ConfigError, match=r"'jobs' in section \[run\]"):
+        load_config(path)
+    assert main(["times", "--config", str(path)]) == 2
+    assert "'jobs'" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     assert main([]) == 1
     assert main(["times"]) == 1  # missing --config

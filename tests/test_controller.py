@@ -18,6 +18,7 @@ from hypctrl.controller import (
     verify_witness,
 )
 from hypctrl.core import (
+    BoundaryClosureFailure,
     CompatibilityViolated,
     GridSpec,
     NotApplicable,
@@ -112,6 +113,19 @@ def test_delays_and_arg_positions_linear():
     assert law.delays == pytest.approx({2: 1.0, 3: 0.5})
     # component 2 (speed 1, leftward) reaching x=0 at t+0.5 sits at x=0.5 now
     assert law.arg_positions[1][0] == pytest.approx(0.5, abs=1e-6)
+    # a call reads there, through the cells found when the law was built
+    law(0.05, w0.values)
+    assert law.last_reads == law.reads == ((1, 2, law.arg_positions[1][0]),)
+
+
+def test_law_refuses_a_state_on_another_grid():
+    # the law is bound to the grid of the state it was built from
+    spec = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 2.0]])
+    exprs = ["0.3*exp(-((x-0.5)/0.1)**2)", "exp(-((x-0.45)/0.1)**2)", "0*x"]
+    coarse, fine = (GridSpec(N=N, cfl=0.9, T=1.7) for N in (200, 400))
+    law = synthesize_feedback(spec, 1.7, state_from_exprs(exprs, coarse, 3))
+    with pytest.raises(BoundaryClosureFailure, match=r"shape \(3, 401\).*N = 200"):
+        solve_forward(spec, state_from_exprs(exprs, fine, 3), law, fine)
 
 
 @settings(max_examples=80, deadline=None)

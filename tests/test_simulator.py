@@ -268,6 +268,29 @@ def test_quasilinear_small_data_runs():
     assert np.all(np.isfinite(traj.terminal_state().values))
 
 
+@pytest.mark.parametrize("shape", [(3, 33), (4, 3, 33)], ids=["single", "batch"])
+def test_closure_receives_the_state_array(shape):
+    # a single run's closure gets the (n, N+1) values, a batch's (b, n, N+1):
+    # the step's state before its controls are written, which here are the
+    # initial trace at x = 1 on every step, so it equals the step's snapshot
+    spec = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 2.0]])
+    grid = GridSpec(N=32, cfl=0.9, T=0.4)
+    inits = np.random.default_rng(3).standard_normal(shape)
+    batched = len(shape) == 3
+    seen = []
+
+    def closure(t, values):
+        assert type(values) is np.ndarray and values.shape == shape
+        seen.append(values.copy())
+        return inits[..., 1:, -1]
+
+    w0 = inits if batched else StateField(inits, 0.0, grid.xs)
+    traj = solve_forward(spec, w0, closure, grid, snapshot_stride=1)
+    snapshots = np.moveaxis(traj.snapshots, 1, 0) if batched else traj.snapshots
+    assert len(seen) == traj.diagnostics["steps"] > 1
+    assert np.array_equal(seen, snapshots[1:])
+
+
 def test_boundary_closure_failure_wrapped():
     from hypctrl.core import BoundaryClosureFailure
 

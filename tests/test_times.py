@@ -128,9 +128,10 @@ def test_vanishing_speed_refused():
 
 def test_time_report_fields():
     spec = build_system(1, 1, ["1 + x", 2.0], b=[[0.5]])
-    rep = time_report(spec)
-    assert rep.Topt == pytest.approx(np.log(2.0) + 0.5, abs=1e-9)
-    d = rep.as_dict()
+    d = time_report(spec)
+    assert list(d) == ["k", "m", "tau_1", "tau_2", "T1", "T2", "T_opt", "argmax_kind",
+                       "argmax_index"]
+    assert d["T_opt"] == pytest.approx(np.log(2.0) + 0.5, abs=1e-9)
     assert d["tau_1"] == pytest.approx(np.log(2.0), abs=1e-9)
     assert d["T_opt"] == pytest.approx(d["T1"])
 

@@ -14,8 +14,8 @@ files ``perfbench.workloads.generate`` writes for SEED:
 - ``feedback_1x2_N4000``: the 1x2 of ``feedback`` under its law (N = 4000),
   over the first 0.3 of its horizon, where the law reads the state;
 - ``coupled_2x2_N4000``: the coupled 2x2 of ``simulate`` (N = 4000) over 0.3;
-- ``law_call``: one call of the ``feedback`` law on its initial state, at
-  2000 times spread over [0, 0.3].
+- ``law_call``: one call of the ``feedback`` law on its initial state's
+  values, as ``solve_forward`` passes them, at 2000 times spread over [0, 0.3].
 
 Runs without a law get a constant nonzero control, so no step is at rest.  A
 step's cost is the run's time over its computed steps, ``steps`` minus
@@ -108,7 +108,7 @@ def _inputs(pkg: str, shape: str, workdir: str, rng):
         times = np.linspace(0.0, 0.3, LAW_CALLS)
         start = time.perf_counter()
         for t in times:
-            law(t, w0)
+            law(t, w0.values)
         return (time.perf_counter() - start) / LAW_CALLS
 
     return run, (law_calls if law is not None else None)
