@@ -12,13 +12,11 @@ from .core import (
     HypctrlError,
     NumericalError,
     ReflectionMatrix,
-    SpeedProfile,
     StateField,
     SystemSpec,
     ValidationError,
     build_system,
     state_from_exprs,
-    validate_system,
 )
 from .times import legacy_times, optimal_time, time_report, travel_times
 from .bmatrix import (
@@ -54,13 +52,11 @@ __all__ = [
     "HypctrlError",
     "NumericalError",
     "ReflectionMatrix",
-    "SpeedProfile",
     "StateField",
     "SystemSpec",
     "ValidationError",
     "build_system",
     "state_from_exprs",
-    "validate_system",
     "legacy_times",
     "optimal_time",
     "time_report",

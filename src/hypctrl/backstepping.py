@@ -46,7 +46,7 @@ from .core import (
     StateField,
     SystemSpec,
     ValidationError,
-    validate_system,
+    build_system,
 )
 from .times import cumulative_trapezoid, cumulative_travel
 from .simulator import Trajectory
@@ -182,7 +182,7 @@ def preprocess_diagonal(spec: SystemSpec):
         raise ValidationError("diagonal preprocessing requires state-independent speeds")
     n = spec.n
     xs = np.linspace(0.0, 1.0, _GAUGE_CELLS + 1)
-    cvals = spec.coupling_nodes(xs)  # includes gamma
+    cvals = spec.coupling.evaluate(xs)  # includes gamma
     diag = np.stack([cvals[i, i] for i in range(n)])
     if np.max(np.abs(diag), initial=0.0) <= 1e-14 * max(1.0, spec.coupling_bound):
         gauge = DiagonalGauge(xs=xs, factors=np.ones((n, xs.size)), identity=True)
@@ -194,7 +194,8 @@ def preprocess_diagonal(spec: SystemSpec):
     for i in range(n):
         new_c[i, i] = 0.0
     coupling = CouplingField(n, samples=(xs, np.moveaxis(new_c, 2, 0)), gamma=1.0)
-    new_spec = validate_system(spec.profile, coupling, spec.reflection)
+    hook = spec.reflection.hook
+    new_spec = build_system(spec.k, spec.m, spec.speeds, coupling, spec.B, hook=hook)
     return new_spec, DiagonalGauge(xs=xs, factors=factors)
 
 
@@ -340,12 +341,12 @@ def _entry_geometry(spec, i, j, tables, NK):
         anchor_x = np.where(touched, d, anchor_x)
         anchor_y = np.where(touched, d, anchor_y)
 
-    sig_anchor = s_j * spec.profile.speeds[j].evaluate(anchor_y)
+    sig_anchor = s_j * spec.speeds[j].evaluate(anchor_y)
     anchor = np.zeros(n_pts)
     diag = anchor_kind == _DIAG
     if np.any(diag):
         d = anchor_x[diag]
-        denom = s_j * spec.profile.speeds[j].evaluate(d) - s_i * spec.profile.speeds[i].evaluate(d)
+        denom = s_j * spec.speeds[j].evaluate(d) - s_i * spec.speeds[i].evaluate(d)
         anchor[diag] = spec.coupling.column(d, j)[i] / denom * sig_anchor[diag]
     fit = anchor_kind == _Y0_FIT
     geom = {
@@ -353,7 +354,7 @@ def _entry_geometry(spec, i, j, tables, NK):
         "fit": fit,
         "fit_x": anchor_x[fit],
         "fit_sig": sig_anchor[fit],
-        "sig_pts": s_j * spec.profile.speeds[j].evaluate(ys_pts),
+        "sig_pts": s_j * spec.speeds[j].evaluate(ys_pts),
         "rows": [],
     }
 
@@ -380,7 +381,7 @@ def _entry_geometry(spec, i, j, tables, NK):
     # in place, which leaves its triangle interpolation unchanged
     np.clip(y_samp, 0.0, 1.0, out=y_samp)
     coef = spec.coupling.column(y_samp, j)
-    coef *= s_j * spec.profile.speeds[j].evaluate(y_samp)
+    coef *= s_j * spec.speeds[j].evaluate(y_samp)
     rows = [l for l in range(spec.n) if np.max(np.abs(coef[l]), initial=0.0) > 0.0]
     if not rows:
         return geom
@@ -418,7 +419,7 @@ def solve_kernel(
         )
     n, k, m = spec.n, spec.k, spec.m
     check_x = np.linspace(0.0, 1.0, 513)
-    cdiag = spec.coupling_nodes(check_x)
+    cdiag = spec.coupling.evaluate(check_x)
     diag_max = max(float(np.max(np.abs(cdiag[i, i]))) for i in range(n))
     if diag_max > 1e-12 * max(1.0, spec.coupling_bound):
         raise DiagonalCouplingPresent(
@@ -541,7 +542,7 @@ def kernel_pde_residual(kernel: Kernel, spec: SystemSpec):
     dstep = h / 4.0
     lam_y_p = spec.lambdas(y_in + dstep)
     lam_y_m = spec.lambdas(y_in - dstep)
-    cvals = spec.coupling_nodes(y_in)
+    cvals = spec.coupling.evaluate(y_in)
 
     res_entries = np.zeros((n, n))
     K = kernel.values

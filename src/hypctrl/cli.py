@@ -342,7 +342,7 @@ def _cmd_sweep(args, cfg, base_spec) -> int:
             spec = build_system(
                 base_spec.k,
                 base_spec.m,
-                base_spec.profile.speeds,
+                base_spec.speeds,
                 coupling=base_spec.coupling.with_gamma(
                     base_spec.coupling.gamma * gamma
                 ),

@@ -22,13 +22,12 @@ from .core import (
     ConfigError,
     ControlSignal,
     CouplingField,
+    DimensionMismatch,
     GridSpec,
-    ReflectionMatrix,
-    SpeedProfile,
     StateField,
     SystemSpec,
+    build_system,
     state_from_exprs,
-    validate_system,
 )
 from .expressions import parse_expression
 
@@ -135,6 +134,8 @@ class ExperimentConfig:
                 raise ConfigError(f"missing key {key!r} in [speeds]")
         k = self.get("speeds", "k", int)
         m = self.get("speeds", "m", int)
+        if k < 1 or m < 1:
+            raise DimensionMismatch("need k >= 1 and m >= 1")
         n = k + m
         speeds = []
         for i in range(1, n + 1):
@@ -152,7 +153,6 @@ class ExperimentConfig:
                 ))
             else:
                 raise ConfigError(f"missing key {name!r} in [speeds]")
-        profile = SpeedProfile(k, m, speeds)
 
         csec = self.sections.get("coupling", {})
         gamma = self.get("coupling", "gamma", float, 1.0)
@@ -178,7 +178,7 @@ class ExperimentConfig:
         B = self.get("boundary", "b", _matrix)
         if B.shape != (k, m):
             raise ConfigError(f"[boundary] b must be {k}x{m}, got {B.shape}")
-        return validate_system(profile, coupling, ReflectionMatrix(B))
+        return build_system(k, m, speeds, coupling, B)
 
     def grid(self, N=None, T=None) -> GridSpec:
         return GridSpec(

@@ -149,14 +149,16 @@ class FeedbackLaw:
     def levels(self) -> int:
         return min(self.spec.k, self.spec.m - 1)
 
-    def read_positions(self, state: Optional[StateField] = None) -> dict:
+    def read_positions(self, values: Optional[np.ndarray] = None) -> dict:
         """level -> positions T_l^{-1}(delay) of the arguments l of that level.
 
-        The delay is the controlled component's travel time; with a ``state``
-        both travel times are taken on it frozen in time.  np.interp returns
-        1.0 past T_l(1), where the characteristic would leave the domain.
+        The delay is the controlled component's travel time; with state
+        ``values`` (n, N+1) on ``xs`` both travel times are taken on them
+        frozen in time.  np.interp returns 1.0 past T_l(1), where the
+        characteristic would leave the domain.
         """
         k, m = self.spec.k, self.spec.m
+        state = None if values is None else (self.xs, values)
         tables = {}
 
         def table(comp):
@@ -167,7 +169,7 @@ class FeedbackLaw:
         positions = {}
         for j in range(1, self.levels + 1):
             comp = k + m + 1 - j
-            delay = self.delays[comp] if state is None else table(comp)[1][-1]
+            delay = self.delays[comp] if values is None else table(comp)[1][-1]
             positions[j] = np.array(
                 [np.interp(delay, table(l)[1], table(l)[0]) for l in range(k + 1, k + m - j + 1)]
             )
@@ -185,7 +187,7 @@ class FeedbackLaw:
                 )
             cells, self.last_reads = self.cells, self.reads
             if self.spec.state_dependent:
-                positions = self.read_positions(StateField(values, t, self.xs))
+                positions = self.read_positions(values)
                 cells, self.last_reads = _read_cells(positions, self.spec.k, self.xs)
             # outermost level first; each line only reads interior state values
             for j in range(1, self.levels + 1):

@@ -7,6 +7,11 @@ last m components carry positive speeds 0 < lambda_{k+1}(x) < ... <
 lambda_{k+m}(x) and travel leftward.  Reflection happens at x = 0 through a
 constant k-by-m matrix B (or a nonlinear hook with Jacobian B at 0), controls
 act at x = 1 on the last m components.
+
+A system is built by ``build_system`` alone.  The frozen SystemSpec it returns
+holds ``speeds`` (a tuple of n Speed), ``coupling`` (a CouplingField),
+``reflection`` (a ReflectionMatrix: B and an optional hook), k, m, n,
+``lambda_max``, ``coupling_bound`` and ``state_dependent``.
 """
 
 from __future__ import annotations
@@ -200,40 +205,6 @@ def as_speed(value, n_state: int = 0) -> Speed:
     raise ValidationError(f"cannot interpret {value!r} as a speed")
 
 
-@dataclass
-class SpeedProfile:
-    """The n = k + m positive speed magnitudes, ordered per component index."""
-
-    k: int
-    m: int
-    speeds: list
-
-    def __post_init__(self):
-        if self.k < 1 or self.m < 1:
-            raise DimensionMismatch("need k >= 1 and m >= 1")
-        self.speeds = [as_speed(s, self.k + self.m) for s in self.speeds]
-        if len(self.speeds) != self.k + self.m:
-            raise DimensionMismatch(
-                f"expected {self.k + self.m} speeds, got {len(self.speeds)}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.k + self.m
-
-    @property
-    def state_dependent(self) -> bool:
-        return any(s.state_dependent for s in self.speeds)
-
-    def lambdas(self, x, state=None) -> np.ndarray:
-        """Positive magnitudes lambda_i at positions x, shape (n, len(x))."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((self.n, x.size))
-        for i, s in enumerate(self.speeds):
-            out[i] = s.evaluate(x, state)
-        return out
-
-
 # --------------------------------------------------------------------------- #
 # coupling
 # --------------------------------------------------------------------------- #
@@ -273,10 +244,6 @@ class CouplingField:
             self._samples = (xs, mats)
         else:
             self._constant = np.zeros((n, n))
-
-    @classmethod
-    def zero(cls, n: int) -> "CouplingField":
-        return cls(n, constant=np.zeros((n, n)))
 
     def with_gamma(self, gamma: float) -> "CouplingField":
         out = copy.copy(self)
@@ -359,14 +326,6 @@ class ReflectionMatrix:
     def __init__(self, B, hook: Optional[Callable] = None):
         self.B = np.atleast_2d(np.asarray(B, dtype=float))
         self.hook = hook
-
-    @property
-    def k(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
 
     def apply(self, w_plus: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Reflected values: (m,) -> (k,), or row by row (b, m) -> (b, k).
@@ -469,9 +428,6 @@ class StateField:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def copy(self) -> "StateField":
-        return StateField(self.values.copy(), self.t, self.xs)
-
 
 def state_from_exprs(exprs: Sequence, grid: GridSpec, n: int, t: float = 0.0) -> StateField:
     """Build a StateField from per-component expressions in x (or callables)."""
@@ -534,9 +490,9 @@ VALIDATION_POINTS = 1025  # 4*256 + 1, finer than any solver grid we ship
 
 @dataclass(frozen=True, eq=False)
 class SystemSpec:
-    """Validated, immutable description of one hyperbolic system."""
+    """Validated, immutable description of one system, made by ``build_system``."""
 
-    profile: SpeedProfile
+    speeds: tuple  # the n Speed objects lambda_1..lambda_n
     coupling: CouplingField
     reflection: ReflectionMatrix
     k: int
@@ -547,36 +503,55 @@ class SystemSpec:
     state_dependent: bool = False
 
     def lambdas(self, x, state=None) -> np.ndarray:
-        return self.profile.lambdas(x, state)
+        """Positive magnitudes lambda_i at positions x, shape (n, len(x))."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty((self.n, x.size))
+        for i, s in enumerate(self.speeds):
+            out[i] = s.evaluate(x, state)
+        return out
 
     def signed_speeds(self, x, state=None) -> np.ndarray:
         """Diagonal of the transport matrix: (-lambda_1..-lambda_k, +lambda_{k+1}..)."""
-        lam = self.profile.lambdas(x, state)
+        lam = self.lambdas(x, state)
         lam[: self.k] *= -1.0
         return lam
-
-    def coupling_nodes(self, x) -> np.ndarray:
-        return self.coupling.evaluate(x)
 
     @property
     def B(self) -> np.ndarray:
         return self.reflection.B
 
 
-def validate_system(
-    profile: SpeedProfile,
-    coupling: CouplingField,
-    reflection: ReflectionMatrix,
+def build_system(
+    k: int,
+    m: int,
+    speeds: Sequence,
+    coupling=None,
+    b=None,
+    gamma: Optional[float] = None,
+    hook: Optional[Callable] = None,
 ) -> SystemSpec:
-    """Check ordering, positivity and boundedness; freeze the result.
+    """Coerce the speeds (``as_speed``), coupling (a CouplingField or a matrix,
+    zero if omitted) and reflection b (zero if omitted), check, freeze.
 
     The speed ordering and the uniform lower bound are checked on a grid finer
     than the solver grids so violations between solver nodes are caught.
     State-dependent speeds are checked at the zero state; their smoothness in
     the state is trusted, not verified.
     """
-    k, m = profile.k, profile.m
+    if k < 1 or m < 1:
+        raise DimensionMismatch("need k >= 1 and m >= 1")
     n = k + m
+    speeds = tuple(as_speed(s, n) for s in speeds)
+    if len(speeds) != n:
+        raise DimensionMismatch(f"expected {n} speeds, got {len(speeds)}")
+    if coupling is None:
+        coupling = CouplingField(n)
+    elif isinstance(coupling, CouplingField):
+        coupling = coupling if gamma is None else coupling.with_gamma(gamma)
+    else:
+        coupling = CouplingField(n, constant=coupling, gamma=1.0 if gamma is None else gamma)
+    reflection = ReflectionMatrix(np.zeros((k, m)) if b is None else b, hook)
+
     if reflection.B.shape != (k, m):
         raise DimensionMismatch(
             f"reflection matrix must be {k}x{m}, got {reflection.B.shape}"
@@ -587,9 +562,10 @@ def validate_system(
         raise NonFiniteEntry("reflection matrix has non-finite entries")
     reflection.check_hook()
 
+    state_dependent = any(s.state_dependent for s in speeds)
     xs = np.linspace(0.0, 1.0, VALIDATION_POINTS)
-    zero_state = np.zeros(n) if profile.state_dependent else None
-    lam = profile.lambdas(xs, zero_state)
+    zero_state = np.zeros(n) if state_dependent else None
+    lam = np.array([s.evaluate(xs, zero_state) for s in speeds])
     if not np.all(np.isfinite(lam)):
         raise NonFiniteEntry("speed profile has non-finite values on the validation grid")
     if np.min(lam) <= 0.0:
@@ -613,7 +589,7 @@ def validate_system(
     coupling_bound = float(np.max(np.abs(cvals))) if cvals.size else 0.0
 
     return SystemSpec(
-        profile=profile,
+        speeds=speeds,
         coupling=coupling,
         reflection=reflection,
         k=k,
@@ -621,31 +597,5 @@ def validate_system(
         n=n,
         lambda_max=float(np.max(lam)),
         coupling_bound=coupling_bound,
-        state_dependent=profile.state_dependent,
+        state_dependent=state_dependent,
     )
-
-
-def build_system(
-    k: int,
-    m: int,
-    speeds: Sequence,
-    coupling=None,
-    b=None,
-    gamma: Optional[float] = None,
-    hook: Optional[Callable] = None,
-) -> SystemSpec:
-    """Convenience wrapper: coerce plain values and validate."""
-    profile = SpeedProfile(k, m, list(speeds))
-    n = k + m
-    if coupling is None:
-        cf = CouplingField.zero(n)
-    elif isinstance(coupling, CouplingField):
-        cf = coupling if gamma is None else coupling.with_gamma(gamma)
-    else:
-        cf = CouplingField(
-            n, constant=np.asarray(coupling, dtype=float), gamma=1.0 if gamma is None else gamma
-        )
-    if b is None:
-        b = np.zeros((k, m))
-    refl = ReflectionMatrix(np.atleast_2d(np.asarray(b, dtype=float)), hook)
-    return validate_system(profile, cf, refl)

@@ -105,10 +105,21 @@ def write_binary_snapshot(path, state: StateField):
 
 
 def read_binary_snapshot(path) -> StateField:
+    """What ``write_binary_snapshot`` wrote, refused unless n >= 1, N >= 1,
+    t is finite and the file is 24 + 8*n*(N+1) bytes long."""
     raw = Path(path).read_bytes()
     if len(raw) < 24:
         raise ValidationError(f"binary snapshot {path} is truncated")
     n, N, t = struct.unpack("<qqd", raw[:24])
+    if n < 1 or N < 1 or not np.isfinite(t):
+        raise ValidationError(
+            f"binary snapshot {path} has a bad header: n = {n}, N = {N}, t = {t}"
+        )
+    expected = 24 + 8 * n * (N + 1)
+    if len(raw) != expected:
+        raise ValidationError(
+            f"binary snapshot {path} has {len(raw)} bytes, not 24 + 8*n*(N+1) = {expected}"
+        )
     values = np.frombuffer(raw[24:], dtype="<f8").reshape(n, N + 1).copy()
     return StateField(values, t, np.linspace(0.0, 1.0, N + 1))
 

@@ -230,7 +230,7 @@ def solve_forward(
     ctrl_shape = (b, spec.m) if batched else (spec.m,)
     n_steps, dt = grid.steps(spec.lambda_max)
 
-    cvals = None if spec.coupling.is_zero else spec.coupling_nodes(xs)
+    cvals = None if spec.coupling.is_zero else spec.coupling.evaluate(xs)
     lam_static = None if spec.state_dependent else spec.signed_speeds(xs)
     # the coupling entries that are nonzero somewhere on the grid, as (i, j, C_ij),
     # C_ij a scalar where it is constant on the grid
@@ -499,7 +499,7 @@ def characteristic_flow(
     if not (0.0 <= xi <= 1.0):
         raise OutOfDomain(f"start position {xi} outside [0, 1]")
     sgn = 1.0 if j <= spec.k else -1.0
-    speed = spec.profile.speeds[j - 1]
+    speed = spec.speeds[j - 1]
 
     if spec.state_dependent:
         if state is None:

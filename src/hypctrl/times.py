@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DimensionMismatch, StateField, SystemSpec, ValidationError
+from .core import DimensionMismatch, SystemSpec, ValidationError
 
 
 def _slowness(spec: SystemSpec, i: int, n_fine: int = 4096, state=None):
     """Nodes of n_fine uniform cells on [0, 1] and 1/lambda_i there, refused
     unless finite and positive (a speed may vanish between validation nodes).
-    ``state`` may be a StateField, frozen in time and interpolated onto them."""
+    ``state`` may be a pair (nodes, values) frozen in time, interpolated onto them."""
     xs = np.linspace(0.0, 1.0, n_fine + 1)
-    if isinstance(state, StateField):
-        state = np.array([np.interp(xs, state.xs, row) for row in state.values])
+    if isinstance(state, tuple):  # values of shape (n, len(nodes))
+        state = np.array([np.interp(xs, state[0], row) for row in state[1]])
     with np.errstate(divide="ignore"):
-        f = 1.0 / spec.profile.speeds[i].evaluate(xs, state)
+        f = 1.0 / spec.speeds[i].evaluate(xs, state)
     if not (f.min() > 0.0 and f.max() < np.inf):  # NaN fails both
         bad = xs[~((f > 0.0) & (f < np.inf))][0]
         raise ValidationError(f"lambda_{i + 1} is not finite and positive at x = {bad:.17g}")
@@ -100,7 +100,7 @@ def cumulative_travel(spec: SystemSpec, i: int, n_fine: int = 4096, state=None):
 
     Strictly increasing, so both directions invert by interpolation.  Used by
     the kernel solver, the witness and the feedback to locate characteristics.
-    ``state`` may be a StateField, frozen in time and interpolated onto xs.
+    ``state`` may be a pair (nodes, values), as ``_slowness`` takes it.
     """
     xs, f = _slowness(spec, i, n_fine, state)
     return xs, cumulative_trapezoid(f, xs)

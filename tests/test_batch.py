@@ -50,7 +50,7 @@ def _entry_kinds(spec):
     "scalar" where it is constant there, "nodes" where it varies."""
     if spec.coupling.is_zero:
         return set()
-    C = spec.coupling_nodes(GridSpec(N=8).xs)
+    C = spec.coupling.evaluate(GridSpec(N=8).xs)
     return {"scalar" if (c == c[0]).all() else "nodes" for c in C.reshape(-1, 9) if c.any()}
 
 
@@ -174,7 +174,7 @@ def _reference_forward(spec, w0, control, grid, before=False):
     k, h, xs = spec.k, grid.h, grid.xs
     n_steps = max(1, int(np.ceil(grid.T / grid.dt_for(spec.lambda_max) - 1e-12)))
     dt = grid.T / n_steps
-    C = None if spec.coupling.is_zero else spec.coupling_nodes(xs)
+    C = None if spec.coupling.is_zero else spec.coupling.evaluate(xs)
     w = w0.copy()
     states = [w]
     for step in range(1, n_steps + 1):

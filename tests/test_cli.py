@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -103,6 +104,15 @@ def test_times_refuses_speed_vanishing_between_validation_nodes(tmp_path, capsys
     assert main(["times", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: lambda_1 is not finite and positive")
+
+
+@pytest.mark.parametrize("sizes", ["k = 0\nm = 1", "k = 1\nm = 0"])
+def test_times_refuses_an_empty_block(tmp_path, capsys, sizes):
+    # refused before any speed or the [boundary] shape is read
+    path = tmp_path / "empty.cfg"
+    path.write_text(BASE_CFG.replace("k = 1\nm = 1", sizes))
+    assert main(["times", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "validation error: need k >= 1 and m >= 1\n"
 
 
 def test_coupling_entries_give_the_matrix_kernel(tmp_path):
@@ -209,6 +219,25 @@ def test_binary_snapshot_round_trip(tmp_path):
     back = read_binary_snapshot(path)
     assert back.t == state.t
     assert np.array_equal(back.values, state.values)
+
+
+def test_binary_snapshot_refuses_malformed_files(tmp_path):
+    path = tmp_path / "snap.bin"
+    write_binary_snapshot(path, StateField(np.ones((2, 9)), 0.5, np.linspace(0.0, 1.0, 9)))
+    good = path.read_bytes()
+    assert len(good) == 24 + 8 * 2 * 9
+    bad = {
+        "8 bytes short": (good[:-8], "has 160 bytes.*= 168"),
+        "3 bytes short": (good[:-3], "has 165 bytes.*= 168"),
+        "negative N": (struct.pack("<qqd", 2, -3, 0.5) + good[24:], "bad header"),
+        "n = 0": (struct.pack("<qqd", 0, 8, 0.5), "bad header"),
+        "N = 0": (struct.pack("<qqd", 2, 0, 0.5) + good[24:40], "bad header"),
+        "NaN t": (struct.pack("<qqd", 2, 8, np.nan) + good[24:], "bad header"),
+    }
+    for raw, message in bad.values():
+        path.write_bytes(raw)
+        with pytest.raises(core.ValidationError, match=message):
+            read_binary_snapshot(path)
 
 
 def test_float_csv_bytes_match_cell_writer(tmp_path):

@@ -283,8 +283,8 @@ def test_quasilinear_read_positions_match_characteristic_flow(amps, centres, N):
     grid = GridSpec(N=N, cfl=0.9, T=1.8)
     state = _ql_state(grid, amps, centres)
     law = synthesize_feedback(spec, 1.8, state)
-    (position,) = law.read_positions(state)[1]
-    delay = cumulative_travel(spec, 2, state=state)[1][-1]
+    (position,) = law.read_positions(state.values)[1]
+    delay = cumulative_travel(spec, 2, state=(state.xs, state.values))[1][-1]
 
     def frozen(time, x):
         return np.array([np.interp(x, state.xs, row) for row in state.values])

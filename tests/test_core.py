@@ -14,11 +14,9 @@ from hypctrl.core import (
     NonFiniteEntry,
     OrderingViolated,
     ReflectionMatrix,
-    SpeedProfile,
     StateField,
     ValidationError,
     build_system,
-    validate_system,
 )
 
 
@@ -48,12 +46,10 @@ def test_ordering_within_blocks_enforced():
 
 
 def test_dimension_mismatch():
-    profile = SpeedProfile(1, 1, [1.0, 2.0])
-    coupling = CouplingField.zero(2)
-    with pytest.raises(DimensionMismatch):
-        validate_system(profile, coupling, ReflectionMatrix(np.zeros((2, 1))))
-    with pytest.raises(DimensionMismatch):
-        validate_system(profile, CouplingField.zero(3), ReflectionMatrix(np.zeros((1, 1))))
+    with pytest.raises(DimensionMismatch, match="reflection matrix must be 1x1"):
+        build_system(1, 1, [1.0, 2.0], b=np.zeros((2, 1)))
+    with pytest.raises(DimensionMismatch, match="coupling field must be 2x2"):
+        build_system(1, 1, [1.0, 2.0], coupling=CouplingField(3), b=[[0.0]])
 
 
 def test_nonfinite_rejected():
@@ -72,11 +68,9 @@ def test_sampled_speed_interpolation():
 
 
 def test_validation_idempotent():
-    profile = SpeedProfile(1, 1, ["1 + x", 2.0])
     coupling = CouplingField(2, constant=[[0.0, 0.2], [0.1, 0.0]])
-    refl = ReflectionMatrix([[0.5]])
-    s1 = validate_system(profile, coupling, refl)
-    s2 = validate_system(profile, coupling, refl)
+    s1 = build_system(1, 1, ["1 + x", 2.0], coupling, b=[[0.5]])
+    s2 = build_system(s1.k, s1.m, s1.speeds, s1.coupling, s1.B)
     assert s1.lambda_max == s2.lambda_max
     assert s1.coupling_bound == s2.coupling_bound
 
