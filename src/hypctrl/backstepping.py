@@ -216,13 +216,23 @@ class KernelReport:
 
 @dataclass
 class Kernel:
-    """Matrix-valued kernel samples on the triangle grid {y_q <= x_p}."""
+    """Matrix-valued kernel samples on the triangle grid {y_q <= x_p}.
+
+    ``values`` is a read-only copy of the samples given, so the Volterra
+    operator that the kernel keeps for its latest grid cannot go stale.
+    """
 
     n: int
     k: int
     NK: int
     values: np.ndarray  # (n, n, n_pts)
     report: Optional[KernelReport] = field(default=None, repr=False)
+    # (values, grid nodes as bytes, operator) of the latest volterra_operator grid
+    _operator: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.values = np.array(self.values, dtype=float)
+        self.values.flags.writeable = False
 
     @property
     def h(self) -> float:
@@ -243,7 +253,14 @@ class Kernel:
 
         Zero above the diagonal q > p, and on row p = 0 (an empty integral).
         Memory grows as N^2 n^2: 8 (N+1)^2 n^2 bytes, 0.5 GB at N = 4000, n = 2.
+        Built once per grid: the kernel keeps the operator of the latest grid,
+        read-only, and returns it again for the same nodes.
         """
+        key = np.asarray(xs, dtype=float).tobytes()
+        kept = self._operator
+        if kept is not None and kept[0] is self.values and kept[1] == key:
+            return kept[2]
+        self._operator = kept = None  # a new grid's operator replaces the old, never beside it
         h = _check_uniform(xs)
         N = xs.size - 1
         p, q = np.tril_indices(N + 1)
@@ -251,6 +268,8 @@ class Kernel:
         op = np.zeros((N + 1, N + 1, self.n, self.n))
         op[p, q] = self.rows_at(xs[p], xs[q]) * wts[:, None, None]
         op[0] = 0.0
+        op.flags.writeable = False
+        self._operator = (self.values, key, op)
         return op
 
     def at_y0(self) -> np.ndarray:

@@ -47,7 +47,7 @@ from .core import (
     ValidationError,
 )
 from .simulator import solve_dual, solve_forward, zero_control
-from .times import cumulative_travel, optimal_time_argmax, travel_times
+from .times import cumulative_travel, frozen_state, optimal_time_argmax, travel_times
 
 RATIO_CAP = 1e12
 
@@ -158,7 +158,8 @@ class FeedbackLaw:
         characteristic would leave the domain.
         """
         k, m = self.spec.k, self.spec.m
-        state = None if values is None else (self.xs, values)
+        # interpolated onto the tables' nodes once, for every table of the call
+        state = None if values is None else frozen_state(self.xs, values)
         tables = {}
 
         def table(comp):

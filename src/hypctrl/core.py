@@ -151,6 +151,8 @@ class ExpressionSpeed(Speed):
         self.state_dependent = any(name.startswith("w") for name in expr.names)
 
     def evaluate(self, x, state=None):
+        """lambda at x, shape of x.  The result may be read-only or share
+        memory with x or the state: copy it to keep or change it."""
         x = np.asarray(x, dtype=float)
         bindings = {"x": x}
         if self.state_dependent:
@@ -163,8 +165,8 @@ class ExpressionSpeed(Speed):
                 name = f"w{i + 1}"
                 if name in self.expr.names:
                     bindings[name] = state[i]
-        out = self.expr(**bindings)
-        return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+        out = np.asarray(self.expr(**bindings), dtype=float)
+        return out if out.shape == x.shape else np.broadcast_to(out, x.shape)
 
     def __repr__(self):
         return f"ExpressionSpeed({self.expr.source!r})"

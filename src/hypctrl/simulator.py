@@ -21,8 +21,15 @@ multiply-add for each coupling entry C_ij that is nonzero on the grid: by the
 scalar dt C_ij where the entry is constant on the grid, which is sorted out
 once per run, and by its node values elsewhere.  Then the reflection at
 x = 0, which ReflectionMatrix.apply writes in place into out (without a
-hook, its matrix-vector products are formed there).  State-dependent speeds
-build coef and dt C_ij per sub-step from that sub-step's speeds and length.
+hook, its matrix-vector products are formed there).
+
+With state-dependent speeds a step is split into 2^d sub-steps of dt/2^d,
+d the least that meets the CFL condition.  The signed speeds sit in one
+buffer held for the run: the rows of speeds that ignore the state are written
+once, the others before each sub-step, each refused (CFLViolation, naming
+lambda_i, t and x) unless finite and positive, by the row min and max that
+the CFL test reads.  The last sub-step writes the step's chunk slot.
+
 A dual step differences the flux (sigma ds/h) v, and its source integral is
 one trapezoid-weighted (n (N+1), m) operator op[(j, q), p] = h_q
 S_{j,k+p}(x_q), applied to each run's flattened state by its own
@@ -209,7 +216,8 @@ def solve_forward(
     state values (boundary at x = 1 still pending), a view of a buffer the
     solver reuses (copy it to keep it), and must be side-effect free.
     For state-dependent speeds the CFL condition is re-checked every step and
-    the step is split in halves until it holds again.
+    the step is split in halves until it holds again; a state-dependent speed
+    that is not finite and positive on a sub-step's state is refused.
 
     While the run is at rest (all state zero, the controls just written all
     zero; state-independent speeds, finite speeds and coupling, no reflection
@@ -258,10 +266,9 @@ def solve_forward(
     at_rest = can_rest and not w.any()
     rest_steps = 0
 
-    def coefficients(lam, step_dt):
-        """The constants of a step of length step_dt: coef = lam*dt/h per cell and
-        (i, j, dt*C_ij) per coupling entry."""
-        return lam * (step_dt / h), [(i, j, step_dt * c) for i, j, c in entries]
+    def coupling_terms(step_dt):
+        """(i, j, dt*C_ij) per coupling entry, for a step of length step_dt."""
+        return [(i, j, step_dt * c) for i, j, c in entries]
 
     # a state that overflows is refused below by name, not warned about
     @np.errstate(over="ignore", invalid="ignore")
@@ -280,7 +287,40 @@ def solve_forward(
         spec.reflection.apply(out[:, k:, 0], out=out[:, :k, :1])
         return out
 
-    static = None if lam_static is None else coefficients(lam_static, dt)
+    dt_coupling = coupling_terms(dt)
+    if not spec.state_dependent:
+        static = (lam_static * (dt / h), dt_coupling)
+    else:
+        sig, coef = np.empty((2, n, xs.size))
+        between = np.empty((2,) + w.shape)  # the states inside a split step
+        moving, fixed_peak = [], 0.0
+        for i, speed in enumerate(spec.speeds):
+            sign = -1.0 if i < k else 1.0
+            if speed.state_dependent:
+                moving.append((i, speed, sign))
+            else:
+                np.multiply(speed.evaluate(xs), sign, out=sig[i])
+                fixed_peak = max(fixed_peak, np.max(np.abs(sig[i])))
+
+        def speeds_at(values, t):
+            """Write the state-dependent rows of sig for the state at time t;
+            return the largest speed.  Upwinding needs every speed finite
+            and positive."""
+            peak = fixed_peak
+            for i, speed, sign in moving:
+                lam = speed.evaluate(xs, values)
+                lo, hi = np.minimum.reduce(lam), np.maximum.reduce(lam)
+                if not (lo > 0.0 and hi < np.inf):  # NaN fails both
+                    # the least speed, or the first NaN; else the first inf
+                    bad = int(np.argmin(lam) if not lo > 0.0 else np.argmax(lam))
+                    raise CFLViolation(
+                        f"lambda_{i + 1} = {lam[bad]:.6g} is not finite and positive "
+                        f"at t = {t:.6g}, x = {xs[bad]:.6g}"
+                    )
+                peak = max(peak, hi)
+                np.multiply(lam, sign, out=sig[i])
+            return peak
+
     unbatch = (lambda a: a) if batched else (lambda a: a[0])
 
     for steps, chunk in rec.chunks():
@@ -293,19 +333,24 @@ def solve_forward(
             else:
                 if spec.state_dependent:
                     for doubled in range(_MAX_SUBSTEP_DOUBLINGS + 1):
-                        wtry, sub_dt = w, dt / 2**doubled
-                        for _ in range(2**doubled):
-                            lam = spec.signed_speeds(xs, wtry[0])
-                            if np.max(np.abs(lam)) * sub_dt / h > 1.0 + 1e-12:
+                        parts = 2**doubled
+                        sub_dt = dt / parts
+                        dtc = dt_coupling if doubled == 0 else coupling_terms(sub_dt)
+                        wtry = w
+                        for part in range(parts):
+                            t_sub = (step - 1) * dt + part * sub_dt
+                            if speeds_at(wtry[0], t_sub) * sub_dt / h > 1.0 + 1e-12:
                                 break
-                            wtry = substep(wtry, *coefficients(lam, sub_dt), np.empty_like(w))
+                            np.multiply(sig, sub_dt / h, out=coef)
+                            # the last sub-step writes the step's own slot
+                            out = w_new if part == parts - 1 else between[part % 2]
+                            wtry = substep(wtry, coef, dtc, out)
                         else:  # every sub-step met the CFL condition
                             break
                     else:
                         raise CFLViolation(
                             f"CFL could not be restored by halving at t = {t_new:.6g}"
                         )
-                    np.copyto(w_new, wtry)
                     doublings = max(doublings, doubled)
                 else:
                     substep(w, *static, w_new)

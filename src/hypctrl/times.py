@@ -20,13 +20,22 @@ import numpy as np
 from .core import DimensionMismatch, SystemSpec, ValidationError
 
 
+def frozen_state(nodes: np.ndarray, values: np.ndarray, n_fine: int = 4096) -> np.ndarray:
+    """State values (n, len(nodes)) frozen in time, interpolated onto the nodes
+    of the n_fine uniform cells that the travel-time tables sample: the
+    ``state`` of several ``cumulative_travel`` calls on one state."""
+    xs = np.linspace(0.0, 1.0, n_fine + 1)
+    return np.array([np.interp(xs, nodes, row) for row in values])
+
+
 def _slowness(spec: SystemSpec, i: int, n_fine: int = 4096, state=None):
     """Nodes of n_fine uniform cells on [0, 1] and 1/lambda_i there, refused
     unless finite and positive (a speed may vanish between validation nodes).
-    ``state`` may be a pair (nodes, values) frozen in time, interpolated onto them."""
+    ``state`` may be a pair (nodes, values) frozen in time, interpolated onto
+    them, or a state vector, or such values already on them (``frozen_state``)."""
     xs = np.linspace(0.0, 1.0, n_fine + 1)
-    if isinstance(state, tuple):  # values of shape (n, len(nodes))
-        state = np.array([np.interp(xs, state[0], row) for row in state[1]])
+    if isinstance(state, tuple):
+        state = frozen_state(*state, n_fine)
     with np.errstate(divide="ignore"):
         f = 1.0 / spec.speeds[i].evaluate(xs, state)
     if not (f.min() > 0.0 and f.max() < np.inf):  # NaN fails both
@@ -100,7 +109,7 @@ def cumulative_travel(spec: SystemSpec, i: int, n_fine: int = 4096, state=None):
 
     Strictly increasing, so both directions invert by interpolation.  Used by
     the kernel solver, the witness and the feedback to locate characteristics.
-    ``state`` may be a pair (nodes, values), as ``_slowness`` takes it.
+    ``state`` may be a pair (nodes, values) or its ``frozen_state``.
     """
     xs, f = _slowness(spec, i, n_fine, state)
     return xs, cumulative_trapezoid(f, xs)

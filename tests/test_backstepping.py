@@ -218,6 +218,39 @@ def test_volterra_round_trip():
         assert rel <= 1e-10
 
 
+def test_volterra_operator_is_built_once_per_kernel_and_grid(monkeypatch):
+    ker = solve_kernel(_coupled_2x2(), NK=16)
+    # read-only values, copied from the array given, keep a kept operator current
+    with pytest.raises(ValueError, match="read-only"):
+        ker.values[0, 1, 5] = 1.0
+    given_values = ker.values.copy()
+    copy = Kernel(ker.n, ker.k, ker.NK, given_values)
+    given_values[:] = 0.0
+    assert np.array_equal(copy.values, ker.values)
+
+    built = []
+    rows_at = Kernel.rows_at
+    monkeypatch.setattr(
+        Kernel, "rows_at", lambda self, x, ys: built.append(self) or rows_at(self, x, ys)
+    )
+    rng = np.random.default_rng(4)
+    # three states on one grid, one on a second grid, one on the first again:
+    # the kernel keeps the latest grid's operator only
+    for N, builds in ((40, 1), (40, 1), (40, 1), (64, 2), (40, 3)):
+        xs = np.linspace(0.0, 1.0, N + 1)
+        w = StateField(rng.standard_normal((2, N + 1)), 0.0, xs)
+        u = transform(w, ker)
+        back = inverse_transform(u, ker)
+        assert sum(b is ker for b in built) == builds
+        op = ker.volterra_operator(xs)
+        assert op.shape == (N + 1, N + 1, 2, 2) and not op.flags.writeable
+        assert ker.volterra_operator(xs.copy()) is op
+        # the same bits as on a fresh kernel per call
+        fresh = [Kernel(ker.n, ker.k, ker.NK, ker.values) for _ in range(2)]
+        assert u.values.tobytes() == transform(w, fresh[0]).values.tobytes()
+        assert back.values.tobytes() == inverse_transform(u, fresh[1]).values.tobytes()
+
+
 def _kernel_at(values, NK, x, y):
     """K(x, y), y <= x, one point at a time: bilinear in the cells below the
     diagonal, affine on the lower triangle of a cell the diagonal cuts."""

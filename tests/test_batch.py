@@ -166,7 +166,9 @@ def _reference_forward(spec, w0, control, grid, before=False):
     """States (b, n_steps+1, n, N+1) of the upwind scheme stepped with fresh
     arrays: the update with its reflection, then every entry below the
     smallest normal double set to zero, then the control column.  Speeds that
-    depend on the state (a single run) are taken at the state before the step.
+    depend on the state (a single run) are taken at the state before each
+    sub-step: as the solver does, a step is split into 2^d sub-steps, for the
+    least d that keeps every sub-step's CFL number within 1 + 1e-12.
 
     The update is w + coef*dw + sum of dt*C_ij*w_j with coef = lam*dt/h, over
     the entries C_ij nonzero on the grid, grouped as the solver groups it;
@@ -175,10 +177,8 @@ def _reference_forward(spec, w0, control, grid, before=False):
     n_steps = max(1, int(np.ceil(grid.T / grid.dt_for(spec.lambda_max) - 1e-12)))
     dt = grid.T / n_steps
     C = None if spec.coupling.is_zero else spec.coupling.evaluate(xs)
-    w = w0.copy()
-    states = [w]
-    for step in range(1, n_steps + 1):
-        lam = spec.signed_speeds(xs, w[0] if spec.state_dependent else None)
+
+    def update(w, lam, dt):
         if before:
             rhs = lam * (_differences(w, k) / h)
             if C is not None:
@@ -191,6 +191,27 @@ def _reference_forward(spec, w0, control, grid, before=False):
                     inc[:, i] = inc[:, i] + (dt * C[i, j]) * w[:, j]
             w = w + inc
         w[:, :k, 0] = spec.reflection.apply(w[:, k:, 0])
+        return w
+
+    def split_step(w):
+        for doubled in range(13):
+            sub_dt, part = dt / 2**doubled, w
+            for _ in range(2**doubled):
+                lam = spec.signed_speeds(xs, part[0])
+                if np.max(np.abs(lam)) * sub_dt / h > 1.0 + 1e-12:
+                    break
+                part = update(part, lam, sub_dt)
+            else:
+                return part
+        raise AssertionError("no split restores the CFL condition")
+
+    w = w0.copy()
+    states = [w]
+    for step in range(1, n_steps + 1):
+        if spec.state_dependent:
+            w = split_step(w)
+        else:
+            w = update(w, spec.signed_speeds(xs), dt)
         w[np.abs(w) < np.finfo(float).tiny] = 0.0
         w[:, k:, -1] = control(step * dt)
         states.append(w)
@@ -282,6 +303,56 @@ def test_forward_at_rest_matches_reference_bit_for_bit(spec, b, N, steps, seed, 
     states = _check_forward(traj, spec, w0, control, grid, steps, 1, K)
     # a step is skipped when the whole batch before it is zero
     assert traj.diagnostics["rest_steps"] == sum(not states[:, s].any() for s in range(steps))
+
+
+@st.composite
+def quasilinear_systems(draw):
+    """(spec, split): a system of systems() with k, m <= 2, its coupling and B,
+    whose speeds are constant, vary in x, or read a state component; at least
+    one reads the state, in either block.  The magnitudes v/4 (v = 2..8)
+    stay 0.25 apart and x adds at most 0.1, so the ordering holds at w = 0.
+    A state-dependent speed adds a*tanh(w_j)^2: a = 20 with ``split``, so a
+    step on a state with |w_j| = 2 needs CFL halving, else a = 0.05, within
+    the margin lambda_max/0.9 - lambda_max >= 0.055 of the grid, so no step
+    is split while the speeds still change with the state."""
+    base = draw(systems())
+    k, n = base.k, base.n
+    split = draw(st.booleans())
+    a = 20.0 if split else 0.05
+    neg = sorted(draw(st.lists(st.integers(2, 8), min_size=k, max_size=k, unique=True)))[::-1]
+    pos = sorted(draw(st.lists(st.integers(2, 8), min_size=n - k, max_size=n - k,
+                               unique=True)))
+    kinds = draw(st.lists(st.sampled_from(["constant", "x", "state"]), min_size=n, max_size=n))
+    kinds[draw(st.integers(0, n - 1))] = "state"
+    speeds = []
+    for v, kind in zip(neg + pos, kinds):
+        if kind == "constant":
+            speeds.append(v / 4)
+        elif kind == "x":
+            speeds.append(f"{v / 4} + 0.1*x")
+        else:
+            j = draw(st.integers(1, n))
+            speeds.append(f"{v / 4} + 0.1*x + {a}*tanh(w{j})**2")
+    return build_system(k, base.m, speeds, coupling=base.coupling, b=base.B), split
+
+
+@settings(max_examples=30, deadline=None)
+@given(quasilinear_systems(), st.integers(8, 24), st.integers(1, K + 2), STRIDES, SEEDS)
+def test_state_dependent_forward_matches_reference_bit_for_bit(system, N, steps, stride, seed):
+    """Only the speeds that read the state are evaluated on each sub-step,
+    into a buffer held for the run, and a step that is not split writes its
+    chunk slot directly: the records equal the fresh-array reference's, which
+    evaluates every speed on every sub-step, bit for bit."""
+    spec, split = system
+    rng = np.random.default_rng(seed)
+    grid = _grid(spec, N, steps)
+    w0 = rng.standard_normal((spec.n, N + 1))
+    w0 *= 2.0 / np.max(np.abs(w0), axis=1, keepdims=True)  # |w_j| = 2 somewhere
+    control = _random_controls(rng, (spec.m,), grid.T)
+    traj = solve_forward(spec, StateField(w0, 0.0, grid.xs), control.as_closure(), grid,
+                         snapshot_stride=stride)
+    _check_forward(traj, spec, w0[None], control, grid, steps, stride, K)
+    assert (traj.diagnostics["max_substep_doublings"] > 0) == split
 
 
 def test_hooked_reflection_is_never_at_rest():

@@ -557,6 +557,20 @@ def test_cfl_violation_exit_code(tmp_path, capsys):
     )
 
 
+def test_speed_that_is_not_positive_exits_3_at_once(tmp_path, capsys):
+    # lambda_2 = 1 - 0.7 w2^2 is -0.183 at the peak of the initial bump
+    cfg = (BASE_CFG.replace("lambda1 = 1 + x", "lambda1 = 1")
+           .replace("lambda2 = 2", "lambda2 = 1.0 - 0.7*w2**2")
+           .replace("w2 = exp(-((x - 0.5)/0.12)**2)", "w2 = 1.3*exp(-((x - 0.5)/0.1)**2)")
+           .replace("t = 1.5", "t = 0.5"))
+    path = tmp_path / "negative.cfg"
+    path.write_text(cfg)
+    assert main(["simulate", "--config", str(path), "--N", "200", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: lambda_2 = -0.183 is not finite and positive at t = 0, x = 0.5\n"
+    )
+
+
 def test_singular_boundary_speed_exit_codes(tmp_path, capsys):
     dual = "\n[dual]\nv1 = 0\nv2 = sin(pi*x)\nt = 0.5\n"
     argv = ["dual", "--N", "32", "--out", str(tmp_path), "--config"]

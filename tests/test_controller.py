@@ -294,6 +294,24 @@ def test_quasilinear_read_positions_match_characteristic_flow(amps, centres, N):
     assert abs(position - ref.position) <= 1e-6
 
 
+def test_quasilinear_law_interpolates_the_state_once_per_call(monkeypatch):
+    import hypctrl.controller as controller
+    from hypctrl.times import frozen_state
+
+    spec = build_system(1, 2, QL_SPEEDS, b=QL_B)
+    state = _ql_state(GridSpec(N=24, cfl=0.9, T=1.8), [0.7, 0.9, 0.6], [0.5, 0.45, 0.55])
+    law = synthesize_feedback(spec, 1.8, state)
+    frozen = []
+    monkeypatch.setattr(controller, "frozen_state",
+                        lambda *a: frozen.append(a) or frozen_state(*a))
+    (position,) = law.read_positions(state.values)[1]
+    assert len(frozen) == 1
+    # the same bits as when each travel-time table interpolates the state itself
+    pair = (state.xs, state.values)
+    xs2, T2 = cumulative_travel(spec, 1, state=pair)
+    assert position == np.interp(cumulative_travel(spec, 2, state=pair)[1][-1], T2, xs2)
+
+
 def test_closed_loop_quasilinear_reads_state_and_refines():
     # 1x2 has one elimination level, so the law reads w2 at state-dependent
     # positions on every step before the switch-off (unlike the 1x1 case)

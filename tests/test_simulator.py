@@ -436,6 +436,27 @@ def test_cfl_violation_raised_when_halving_cannot_restore_it():
         solve_forward(spec, w0, zero_control(1), grid)
 
 
+def test_state_dependent_speed_that_is_not_positive_is_refused_at_once():
+    from hypctrl.core import CFLViolation
+
+    # lambda_2 = 1 - 0.7 w2^2 is -0.183 at the peak of this bump already at
+    # t = 0; upwinding against that flow used to run on and fail late, at
+    # t = 0.0982143, once 2**12 halvings could not restore the CFL condition
+    spec = build_system(1, 1, [1.0, "1.0 - 0.7*w2**2"], b=[[0.5]])
+    grid = GridSpec(N=200, cfl=0.9, T=0.5)
+    w0 = state_from_exprs([None, "1.3*exp(-((x - 0.5)/0.1)**2)"], grid, 2)
+    with pytest.raises(CFLViolation, match=r"^lambda_2 = -0\.183 is not finite and positive "
+                       r"at t = 0, x = 0\.5$"):
+        solve_forward(spec, w0, zero_control(1), grid)
+    # a rightward speed, positive at t = 0: the bump in w2 reaches x = 0 and
+    # reflects into w1 = 0.5 w2, about 1 at its peak, where 2 - 4 w1^2 < 0
+    spec = build_system(1, 1, ["2.0 - 4*w1**2", 1.0], b=[[0.5]])
+    w0 = state_from_exprs([None, "2.5*exp(-((x - 0.25)/0.05)**2)"], grid, 2)
+    with pytest.raises(CFLViolation, match=r"^lambda_1 = -0\.0140256 is not finite and "
+                       r"positive at t = 0\.213004, x = 0$"):
+        solve_forward(spec, w0, zero_control(1), grid)
+
+
 def test_dual_refuses_vanishing_boundary_speed():
     # lambda_2(0) = 1e-13 passes validation, but the dual divides by it at x = 0
     spec = build_system(1, 1, [1.0, "1e-13 + x"], b=[[0.5]])

@@ -1,21 +1,31 @@
-"""Microseconds per computed forward step and per feedback-law call, two
-source trees against each other, interleaved.
+"""Microseconds per computed forward step and per feedback-law call, and
+milliseconds per state of a Volterra round trip, two source trees against
+each other, interleaved.
 
     python3 tools/step_bench.py PARENT_SRC CHANGE_SRC [--seed S] [--rounds R] [--label TEXT]
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  The
-shapes are those of the ``linear`` benchmark workload, built from the config
+shapes are those of the two benchmark workloads, built from the config
 files ``perfbench.workloads.generate`` writes for SEED:
 
-- ``coupled_2x2_N128``: the coupled 2x2 of ``nullctrl`` and ``sweep``
-  (N = 128, CFL 0.95, T = 2.2), one run;
+- ``coupled_2x2_N128``: the coupled 2x2 of ``linear``'s ``nullctrl`` and
+  ``sweep`` (N = 128, CFL 0.95, T = 2.2), one run;
 - ``witness_b51_N400``: the uncoupled 2x2 of ``witness``, a batch of 51 runs
   from random states (N = 400, T = 1.0);
 - ``feedback_1x2_N4000``: the 1x2 of ``feedback`` under its law (N = 4000),
   over the first 0.3 of its horizon, where the law reads the state;
 - ``coupled_2x2_N4000``: the coupled 2x2 of ``simulate`` (N = 4000) over 0.3;
 - ``law_call``: one call of the ``feedback`` law on its initial state's
-  values, as ``solve_forward`` passes them, at 2000 times spread over [0, 0.3].
+  values, as ``solve_forward`` passes them, at 2000 times spread over [0, 0.3];
+- ``quasi_1x2_N2000``: ``kernel_quasilinear``'s ``quasi.cfg``, the 1x2 with
+  speeds 1 + 0.1 w2^2 and 2 + 0.1 w3^2, at N = 2000 (its ``simulate``
+  task's grid) over the first 0.3;
+- ``volterra_round_trip``: ``kernel_quasilinear``'s ``volterra`` task, the
+  transform and inverse of its four states (N = 400) with the NK = 64 kernel
+  of its ``coupled.cfg``, in ms per state.  The kernel is solved once per
+  side; each repeat wraps its values in a fresh ``Kernel``, as the task
+  starts from a fresh kernel, so an operator kept by the kernel is built
+  once per repeat, not once per round.
 
 Runs without a law get a constant nonzero control, so no step is at rest.  A
 step's cost is the run's time over its computed steps, ``steps`` minus
@@ -51,14 +61,24 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_step.json"
 SIDES = ("parent", "change")
 
-# name -> (config file, N, grid T or None for the config's, batch size or None, repeats)
+WORKLOADS = ("linear", "kernel_quasilinear")
+# name -> (workload, config file, N, grid T or None for the config's,
+# batch size or None, repeats)
 SHAPES = {
-    "coupled_2x2_N128": ("coupled.cfg", 128, None, None, 15),
-    "witness_b51_N400": ("witness.cfg", 400, None, 51, 7),
-    "feedback_1x2_N4000": ("feedback.cfg", 4000, 0.3, None, 3),
-    "coupled_2x2_N4000": ("coupled_long.cfg", 4000, 0.3, None, 5),
+    "coupled_2x2_N128": ("linear", "coupled.cfg", 128, None, None, 15),
+    "witness_b51_N400": ("linear", "witness.cfg", 400, None, 51, 7),
+    "feedback_1x2_N4000": ("linear", "feedback.cfg", 4000, 0.3, None, 3),
+    "coupled_2x2_N4000": ("linear", "coupled_long.cfg", 4000, 0.3, None, 5),
+    "quasi_1x2_N2000": ("kernel_quasilinear", "quasi.cfg", 2000, 0.3, None, 5),
 }
 LAW_CALLS, LAW_REPEATS = 2000, 7
+VOLTERRA_REPEATS = 5
+# unit of each figure and its factor from seconds; us for every other name
+UNITS = {"volterra_round_trip": ("ms", 1e3)}
+
+
+def _unit(name: str) -> tuple:
+    return UNITS.get(name, ("us", 1e6))
 
 
 def _load(src: str, alias: str):
@@ -81,8 +101,8 @@ def _inputs(pkg: str, shape: str, workdir: str, rng):
     config = importlib.import_module(pkg + ".config")
     controller = importlib.import_module(pkg + ".controller")
     solve_forward = importlib.import_module(pkg + ".simulator").solve_forward
-    cfg_name, N, T, batch, _ = SHAPES[shape]
-    cfg = config.load_config(Path(workdir) / cfg_name)
+    workload, cfg_name, N, T, batch, _ = SHAPES[shape]
+    cfg = config.load_config(Path(workdir) / workload / cfg_name)
     spec = cfg.system()
     grid = cfg.grid(N=N, T=T)
     law = None
@@ -114,28 +134,58 @@ def _inputs(pkg: str, shape: str, workdir: str, rng):
     return run, (law_calls if law is not None else None)
 
 
+def _volterra(pkg: str, workdir: str):
+    """Seconds per state of the ``volterra`` task's round trips on a fresh
+    ``Kernel`` holding the values of its kernel, solved here once."""
+    import numpy as np
+
+    bs = importlib.import_module(pkg + ".backstepping")
+    config = importlib.import_module(pkg + ".config")
+    StateField = importlib.import_module(pkg + ".core").StateField
+    from perfbench.workloads import VOLTERRA_NK
+
+    folder = Path(workdir) / "kernel_quasilinear"
+    base, _ = bs.preprocess_diagonal(config.load_config(folder / "coupled.cfg").system())
+    solved = bs.solve_kernel(base, NK=VOLTERRA_NK)
+    states = np.load(folder / "volterra_states.npy", allow_pickle=False)
+    xs = np.linspace(0.0, 1.0, states.shape[-1])
+
+    def round_trips():
+        kernel = bs.Kernel(solved.n, solved.k, solved.NK, solved.values)
+        start = time.perf_counter()
+        for values in states:
+            bs.inverse_transform(bs.transform(StateField(values, 0.0, xs), kernel), kernel)
+        return (time.perf_counter() - start) / len(states)
+
+    return round_trips
+
+
 def _worker(srcs: dict, seed: int, workdir: str, first: int) -> dict:
-    """side -> shape -> us per computed step (law_call: us per call), both
-    sides timed alternately in this process; ``first`` is the side that starts."""
+    """side -> shape -> us per computed step (law_call: us per call;
+    volterra_round_trip: ms per state), both sides timed alternately in this
+    process; ``first`` is the side that starts."""
     import numpy as np
 
     warnings.simplefilter("ignore")  # corner-compatibility warnings of the drawn data
     packages = {side: _load(src, "hypctrl_" + side).__name__ for side, src in srcs.items()}
-    result = {side: {} for side in SIDES}
+    timed = []
     for shape, (*_, repeats) in SHAPES.items():
         runs = {side: _inputs(packages[side], shape, workdir, np.random.default_rng(seed))
                 for side in SIDES}
-        timed = [(shape, repeats, {side: runs[side][0] for side in SIDES})]
+        timed.append((shape, repeats, {side: runs[side][0] for side in SIDES}))
         if runs["parent"][1] is not None:
             timed.append(("law_call", LAW_REPEATS, {side: runs[side][1] for side in SIDES}))
-        for name, count, funcs in timed:
-            best = dict.fromkeys(SIDES, float("inf"))
-            for r in range(count):
-                order = SIDES if (r + first) % 2 == 0 else SIDES[::-1]
-                for side in order:
-                    best[side] = min(best[side], funcs[side]())
-            for side in SIDES:
-                result[side][name] = best[side] * 1e6
+    timed.append(("volterra_round_trip", VOLTERRA_REPEATS,
+                  {side: _volterra(packages[side], workdir) for side in SIDES}))
+    result = {side: {} for side in SIDES}
+    for name, count, funcs in timed:
+        best = dict.fromkeys(SIDES, float("inf"))
+        for r in range(count):
+            order = SIDES if (r + first) % 2 == 0 else SIDES[::-1]
+            for side in order:
+                best[side] = min(best[side], funcs[side]())
+        for side in SIDES:
+            result[side][name] = best[side] * _unit(name)[1]
     return result
 
 
@@ -163,18 +213,19 @@ def main(argv=None) -> int:
         "parent": str(Path(args.parent_src).resolve()),
         "change": str(Path(args.change_src).resolve()),
     }
+    sys.path.insert(0, str(ROOT))  # perfbench, in the worker too
     if args.worker:
         print(json.dumps(_worker(srcs, args.seed, args.workdir, args.first)))
         return 0
 
-    sys.path.insert(0, str(ROOT))
     from perfbench.run import run_record
     from perfbench.workloads import generate
     from perfbench.worker import reference_block
 
     rounds = []
     with tempfile.TemporaryDirectory() as workdir:
-        generate("linear", args.seed, workdir)
+        for workload in WORKLOADS:
+            generate(workload, args.seed, Path(workdir) / workload)
         reference_ms = min(reference_block() for _ in range(3)) * 1e3
         for r in range(args.rounds):
             rounds.append(_run_round(srcs, args.seed, workdir, r % 2))
@@ -183,9 +234,10 @@ def main(argv=None) -> int:
     for name in rounds[0]["parent"]:
         parent = [r["parent"][name] for r in rounds]
         change = [r["change"][name] for r in rounds]
+        unit = _unit(name)[0]
         summary[name] = {
-            "parent_median_us": median(parent),
-            "change_median_us": median(change),
+            f"parent_median_{unit}": median(parent),
+            f"change_median_{unit}": median(change),
             # change / parent within each round, whose two sides share the host's state
             "round_ratio_median": median(c / p for p, c in zip(parent, change)),
             "change_faster_rounds": sum(c < p for p, c in zip(parent, change)),
@@ -193,12 +245,16 @@ def main(argv=None) -> int:
     record = {
         "config": {
             "label": args.label,
-            "shapes": {name: dict(zip(("config", "N", "T", "batch", "repeats"), spec))
-                       for name, spec in SHAPES.items()},
+            "shapes": {
+                name: dict(zip(("workload", "config", "N", "T", "batch", "repeats"), spec))
+                for name, spec in SHAPES.items()
+            },
             "law_calls": LAW_CALLS,
             "law_repeats": LAW_REPEATS,
+            "volterra_repeats": VOLTERRA_REPEATS,
             "rounds": args.rounds,
-            "unit": "us per computed step (law_call: us per call), min over repeats",
+            "unit": "us per computed step (law_call: us per call; volterra_round_trip: "
+                    "ms per state), min over repeats",
         },
         "seed": args.seed,
         "host": {**run_record("linear", args.seed), "reference_ms": reference_ms},
@@ -209,9 +265,11 @@ def main(argv=None) -> int:
     records.append(record)
     OUT.write_text(json.dumps(records, indent=1) + "\n")
 
-    print(f"{'shape':<20} {'parent us':>10} {'change us':>10} {'ratio':>7} {'faster':>7}")
+    print(f"{'shape':<20} {'parent':>10} {'change':>10} {'unit':>4} {'ratio':>7} {'faster':>7}")
     for name, s in summary.items():
-        print(f"{name:<20} {s['parent_median_us']:>10.2f} {s['change_median_us']:>10.2f} "
+        unit = _unit(name)[0]
+        parent, change = s[f"parent_median_{unit}"], s[f"change_median_{unit}"]
+        print(f"{name:<20} {parent:>10.2f} {change:>10.2f} {unit:>4} "
               f"{s['round_ratio_median']:>7.3f} {s['change_faster_rounds']:>4}/{args.rounds}")
     return 0
 
