@@ -48,7 +48,7 @@ from .core import (
     ValidationError,
     build_system,
 )
-from .times import cumulative_trapezoid, cumulative_travel
+from .times import N_FINE, cumulative_trapezoid, cumulative_travel
 from .simulator import Trajectory
 
 _GAUGE_CELLS = 2048  # cells of the grid the diagonal gauge is integrated on
@@ -446,7 +446,7 @@ def solve_kernel(
         )
 
     t0 = time.perf_counter()
-    tables = [cumulative_travel(spec, i, n_fine=max(4096, 8 * NK)) for i in range(n)]
+    tables = [cumulative_travel(spec, i, n_fine=max(N_FINE, 8 * NK)) for i in range(n)]
     geoms = [[_entry_geometry(spec, i, j, tables, NK) for j in range(n)] for i in range(n)]
     t1 = time.perf_counter()
     paths = [g for row in geoms for g in row if g["rows"]]

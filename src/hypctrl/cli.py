@@ -17,13 +17,7 @@ import numpy as np
 from . import backstepping as bs
 from . import bmatrix, controller, outputs
 from .config import SETTINGS, load_config
-from .core import (
-    GridSpec,
-    HypctrlError,
-    NumericalError,
-    StateField,
-    ValidationError,
-)
+from .core import HypctrlError, NumericalError, ValidationError, build_system
 from .expressions import ExpressionError
 from .simulator import solve_dual, solve_forward
 from .times import time_report
@@ -46,13 +40,14 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="hypctrl", description=__doc__)
     sub = p.add_subparsers(dest="command", metavar="command")
 
-    def command(name, help, grid_flags=True):
+    def command(name, help, grid_flags=True, draws=False):
         """Subparser with the common flags and one flag per ``SETTINGS`` key;
-        a command's ``t`` setting reads ``--T``."""
+        a command's ``t`` setting reads ``--T``, one that draws takes ``--seed``."""
         sp = sub.add_parser(name, help=help)
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=None)
+        if draws:
+            sp.add_argument("--seed", type=int, default=None)
         if grid_flags:
             sp.add_argument("--N", type=int, default=None, help="grid cells")
             sp.add_argument("--T", type=float, default=None, help="time horizon")
@@ -80,24 +75,27 @@ def _build_parser() -> _Parser:
     command("kernel", "solve the kernel equations and export", grid_flags=False)
     command("feedback", "synthesize and run the finite-time feedback")
     command("nullctrl", "open-loop least-squares null control")
-    command("witness", "below-optimal-time witness construction")
-    command("observability", "Monte Carlo observability estimate")
+    command("witness", "below-optimal-time witness construction", draws=True)
+    command("observability", "Monte Carlo observability estimate", draws=True)
     sp = command("sweep", "parameter sweep of null-control residuals")
     sp.add_argument("--jobs", type=int, default=None, help="ignored; points run one by one")
     return p
 
 
-def _outdir(args, cfg) -> Path:
-    out = Path(args.out if args.out is not None else cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _seed(args, cfg) -> int:
-    seed = args.seed if args.seed is not None else cfg.seed
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got seed = {seed}")
-    return seed
+def _resolve(args, cfg) -> None:
+    """Set each ``SETTINGS`` value of the command on ``args``: its flag if
+    given, else ``[command] key``, else its default (``t`` as ``args.T``,
+    whose default None leaves the horizon to ``[grid] t``); also the output
+    directory and, for a command that draws, its seed."""
+    for key, (cast, default, _) in SETTINGS.get(args.command, {}).items():
+        name = "T" if key == "t" else key
+        if getattr(args, name, None) is None:
+            setattr(args, name, cfg.get(args.command, key, cast, default))
+    args.out = Path(args.out if args.out is not None else cfg.out)
+    if "seed" in vars(args):
+        args.seed = cfg.seed if args.seed is None else args.seed
+        if args.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got seed = {args.seed}")
 
 
 # --------------------------------------------------------------------------- #
@@ -145,21 +143,20 @@ def _cmd_simulate(args, cfg, spec) -> int:
             raise ValidationError(f"snapshot time {t:g} outside [0, T = {grid.T:g}]")
     # the snapshot series only where a --snap-times file is taken from it
     traj = solve_forward(spec, w0, closure, grid, None if args.snap_times else 10**9)
-    out = _outdir(args, cfg)
-    outputs.write_norms_csv(out / "norms.csv", traj)
+    outputs.write_norms_csv(args.out / "norms.csv", traj)
     # each file holds the stored snapshot nearest the requested time; record its time
     taken = {}
     for t in args.snap_times:
         state = traj.state_at(t)
         name = f"snapshot_t{t:g}.csv"
-        outputs.write_snapshot_csv(out / name, state)
+        outputs.write_snapshot_csv(args.out / name, state)
         taken[name] = {"requested": t, "t": state.t}
     if taken:
-        outputs.write_json(out / "snapshots.json", taken)
+        outputs.write_json(args.out / "snapshots.json", taken)
     term = traj.terminal_state()
-    outputs.write_snapshot_csv(out / "terminal.csv", term)
+    outputs.write_snapshot_csv(args.out / "terminal.csv", term)
     if args.binary:
-        outputs.write_binary_snapshot(out / "terminal.bin", term)
+        outputs.write_binary_snapshot(args.out / "terminal.bin", term)
     print(
         f"simulate: T={grid.T} N={grid.N} terminal max|w| = "
         f"{outputs.fmt(np.max(np.abs(term.values)))}"
@@ -168,8 +165,7 @@ def _cmd_simulate(args, cfg, spec) -> int:
 
 
 def _cmd_dual(args, cfg, spec) -> int:
-    T = cfg.setting("dual", "t", args.T)
-    grid = cfg.grid(N=args.N, T=T)
+    grid = cfg.grid(N=args.N, T=args.T)
     v0 = cfg.initial_state(grid, spec.n, section="dual", prefix="v")
     S = None
     if args.use_kernel:
@@ -177,32 +173,28 @@ def _cmd_dual(args, cfg, spec) -> int:
         kernel = bs.solve_kernel(base, NK=args.use_kernel)
         S = bs.source_matrix(kernel, base)
     dual = solve_dual(spec, S, v0, grid, snapshot_stride=10**9)
-    out = _outdir(args, cfg)
     outputs.write_float_csv(
-        out / "observation.csv",
+        args.out / "observation.csv",
         ["t"] + [f"v_{spec.k + 1 + c}" for c in range(spec.m)],
         [-dual.times, dual.observation],
     )
-    outputs.write_snapshot_csv(out / "dual_terminal.csv", dual.terminal_state())
-    print(f"dual: T={T} observation energy = {outputs.fmt(dual.observation_energy())}")
+    outputs.write_snapshot_csv(args.out / "dual_terminal.csv", dual.terminal_state())
+    print(f"dual: T={grid.T} observation energy = {outputs.fmt(dual.observation_energy())}")
     return 0
 
 
 def _cmd_kernel(args, cfg, spec) -> int:
-    NK = cfg.setting("kernel", "nk", args.nk)
-    tol = cfg.setting("kernel", "tolerance", args.tolerance)
-    iters = cfg.setting("kernel", "max_iters", args.max_iters)
     base, gauge = bs.preprocess_diagonal(spec)
-    kernel = bs.solve_kernel(base, NK=NK, max_iters=iters, fp_tolerance=tol)
+    kernel = bs.solve_kernel(base, NK=args.nk, max_iters=args.max_iters,
+                             fp_tolerance=args.tolerance)
     source = bs.source_matrix(kernel, base)
-    out = _outdir(args, cfg)
-    outputs.write_kernel_csv(out / "kernel.csv", kernel)
-    outputs.write_source_csv(out / "source.csv", source)
+    outputs.write_kernel_csv(args.out / "kernel.csv", kernel)
+    outputs.write_source_csv(args.out / "source.csv", source)
     rep = kernel.report
     outputs.write_json(
-        out / "kernel_report.json",
+        args.out / "kernel_report.json",
         {
-            "NK": NK,
+            "NK": args.nk,
             "iterations": rep.iterations,
             "final_change": rep.final_change,
             "residual_linf": rep.residual_linf,
@@ -211,24 +203,22 @@ def _cmd_kernel(args, cfg, spec) -> int:
         },
     )
     print(
-        f"kernel: NK={NK} iterations={rep.iterations} residual={outputs.fmt(rep.residual_linf)} "
-        f"S_++ lower max={outputs.fmt(source.lower_triangle_max)}"
+        f"kernel: NK={args.nk} iterations={rep.iterations} "
+        f"residual={outputs.fmt(rep.residual_linf)} S_++ lower max={outputs.fmt(source.lower_triangle_max)}"
     )
     return 0
 
 
 def _cmd_feedback(args, cfg, spec) -> int:
-    T = cfg.setting("feedback", "t", args.T)
-    grid = cfg.grid(N=args.N, T=T)
+    grid = cfg.grid(N=args.N, T=args.T)
     w0 = cfg.initial_state(grid, spec.n)
-    law = controller.synthesize_feedback(spec, T, w0)
+    law = controller.synthesize_feedback(spec, grid.T, w0)
     traj, rep = controller.run_closed_loop(law, w0, grid)
-    out = _outdir(args, cfg)
-    outputs.write_norms_csv(out / "closed_loop_norms.csv", traj)
+    outputs.write_norms_csv(args.out / "closed_loop_norms.csv", traj)
     outputs.write_json(
-        out / "feedback_report.json",
+        args.out / "feedback_report.json",
         {
-            "T": T,
+            "T": grid.T,
             "T_opt": law.Topt,
             "delta": law.T - law.Topt,
             "initial_linf": rep.initial_linf,
@@ -239,50 +229,42 @@ def _cmd_feedback(args, cfg, spec) -> int:
         },
     )
     print(
-        f"feedback: T={T} T_opt={outputs.fmt(law.Topt)} "
+        f"feedback: T={grid.T} T_opt={outputs.fmt(law.Topt)} "
         f"terminal rel = {outputs.fmt(rep.terminal_rel)}"
     )
     return 0
 
 
 def _cmd_nullctrl(args, cfg, spec) -> int:
-    T = cfg.setting("nullctrl", "t", args.T)
-    segments = cfg.setting("nullctrl", "segments", args.segments)
-    reg = cfg.setting("nullctrl", "reg", args.reg)
-    grid = cfg.grid(N=args.N, T=T)
+    grid = cfg.grid(N=args.N, T=args.T)
     w0 = cfg.initial_state(grid, spec.n)
-    res = controller.null_control_openloop(spec, w0, grid, reg=reg, segments=segments)
-    out = _outdir(args, cfg)
-    outputs.write_control_csv(out / "control.csv", res.signal, spec.k)
+    res = controller.null_control_openloop(spec, w0, grid, reg=args.reg, segments=args.segments)
+    outputs.write_control_csv(args.out / "control.csv", res.signal, spec.k)
     outputs.write_json(
-        out / "nullctrl_report.json",
+        args.out / "nullctrl_report.json",
         {
-            "T": T,
-            "segments": segments,
-            "reg": reg,
+            "T": grid.T,
+            "segments": args.segments,
+            "reg": args.reg,
             "residual": res.residual,
             "condition": res.condition,
             "ill_conditioned": res.ill_conditioned,
         },
     )
-    print(f"nullctrl: T={T} residual = {outputs.fmt(res.residual)}")
+    print(f"nullctrl: T={grid.T} residual = {outputs.fmt(res.residual)}")
     return 0
 
 
 def _cmd_witness(args, cfg, spec) -> int:
-    T = cfg.setting("witness", "t", args.T)
-    samples = cfg.setting("witness", "samples", args.samples)
-    amplitude = cfg.setting("witness", "amplitude")
-    grid = cfg.grid(N=args.N, T=T)
-    rng = np.random.default_rng(_seed(args, cfg))
-    wit = controller.optimality_witness(spec, grid, amplitude=amplitude)
-    deviation, values = controller.verify_witness(spec, wit, grid, n_controls=samples, rng=rng)
-    out = _outdir(args, cfg)
-    outputs.write_snapshot_csv(out / "witness_initial.csv", wit.w0)
+    grid = cfg.grid(N=args.N, T=args.T)
+    rng = np.random.default_rng(args.seed)
+    wit = controller.optimality_witness(spec, grid, amplitude=args.amplitude)
+    deviation, values = controller.verify_witness(spec, wit, grid, n_controls=args.samples, rng=rng)
+    outputs.write_snapshot_csv(args.out / "witness_initial.csv", wit.w0)
     outputs.write_json(
-        out / "witness_report.json",
+        args.out / "witness_report.json",
         {
-            "T": T,
+            "T": grid.T,
             "probe_component": wit.probe_component,
             "probe_x": wit.probe_x,
             "expected": wit.expected,
@@ -291,50 +273,40 @@ def _cmd_witness(args, cfg, spec) -> int:
             "bump_halfwidth": wit.bump_halfwidth,
             "description": wit.description,
             "max_relative_deviation": deviation,
-            "n_controls": samples,
+            "n_controls": args.samples,
         },
     )
     print(
-        f"witness: T={T} probe w_{wit.probe_component}({outputs.fmt(wit.probe_x)}) "
-        f"max deviation = {outputs.fmt(deviation)} over {samples} controls"
+        f"witness: T={grid.T} probe w_{wit.probe_component}({outputs.fmt(wit.probe_x)}) "
+        f"max deviation = {outputs.fmt(deviation)} over {args.samples} controls"
     )
     return 0
 
 
 def _cmd_observability(args, cfg, spec) -> int:
-    T = cfg.setting("observability", "t", args.T)
-    samples = cfg.setting("observability", "samples", args.samples)
-    grid = cfg.grid(N=args.N, T=T)
-    rng = np.random.default_rng(_seed(args, cfg))
-    res = controller.verify_observability(spec, None, samples, grid, rng=rng)
-    out = _outdir(args, cfg)
+    grid = cfg.grid(N=args.N, T=args.T)
+    rng = np.random.default_rng(args.seed)
+    res = controller.verify_observability(spec, None, args.samples, grid, rng=rng)
     outputs.write_csv(
-        out / "observability_samples.csv",
+        args.out / "observability_samples.csv",
         ["sample", "ratio"],
         ([label, ratio] for label, ratio in zip(res.labels, res.ratios)),
     )
     outputs.write_json(
-        out / "observability_report.json",
-        {"T": T, "samples": samples, "estimate": res.estimate},
+        args.out / "observability_report.json",
+        {"T": grid.T, "samples": args.samples, "estimate": res.estimate},
     )
-    print(f"observability: T={T} estimate = {outputs.fmt(res.estimate)}")
+    print(f"observability: T={grid.T} estimate = {outputs.fmt(res.estimate)}")
     return 0
 
 
 def _cmd_sweep(args, cfg, base_spec) -> int:
-    T = cfg.setting("sweep", "t", args.T)
-    segments = cfg.setting("sweep", "segments", args.segments)
-    reg = cfg.setting("sweep", "reg", args.reg)
-    gammas = cfg.setting("sweep", "gamma_values")
-    bscales = cfg.setting("sweep", "b_scale_values")
-    grid = cfg.grid(N=args.N, T=T)
+    grid = cfg.grid(N=args.N, T=args.T)
     # refuse a bad least-squares setting once, not as NaN rows; every point
     # has the speeds, and so the time steps, of the base system
-    controller.check_null_control(base_spec, grid, reg, segments)
+    controller.check_null_control(base_spec, grid, args.reg, args.segments)
 
-    from .core import build_system
-
-    points = [(g, bsc) for g in gammas for bsc in bscales]
+    points = [(g, bsc) for g in args.gamma_values for bsc in args.b_scale_values]
 
     def run_point(point):
         gamma, bscale = point
@@ -349,7 +321,9 @@ def _cmd_sweep(args, cfg, base_spec) -> int:
                 b=bscale * base_spec.B,
             )
             w0 = cfg.initial_state(grid, spec.n)
-            res = controller.null_control_openloop(spec, w0, grid, reg=reg, segments=segments)
+            res = controller.null_control_openloop(
+                spec, w0, grid, reg=args.reg, segments=args.segments
+            )
             return gamma, bscale, res.residual, res.condition
         except HypctrlError as exc:
             print(
@@ -361,9 +335,8 @@ def _cmd_sweep(args, cfg, base_spec) -> int:
 
     results = [run_point(p) for p in points]
 
-    out = _outdir(args, cfg)
     outputs.write_csv(
-        out / "sweep.csv",
+        args.out / "sweep.csv",
         ["gamma", "b_scale", "residual", "condition"],
         results,
     )
@@ -394,7 +367,9 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required")
         cfg = load_config(args.config)
-        return _COMMANDS[args.command](args, cfg, cfg.system())
+        spec = cfg.system()
+        _resolve(args, cfg)
+        return _COMMANDS[args.command](args, cfg, spec)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -1,8 +1,13 @@
 """Experiment configuration: structured text files with nested sections.
 
 The format is INI-style; expressions are plain strings in x (speeds,
-coupling entries, initial data) or t (open-loop controls).  Unknown sections
-or keys are rejected by name so typos fail loudly, a value that does not
+coupling entries, initial data) or t (open-loop controls).  ``load_config``
+reads ``[speeds] k, m`` first and then accepts, for n = k + m, exactly the
+keys a reader takes: the fixed ones and the numbered ``lambda{i}`` (or
+``lambda{i}_x`` with ``lambda{i}_values``), ``c{i}_{j}``, ``[initial] w{i}``,
+``[control] w{k+1}``..``w{n}`` and ``[dual] v{i}``.  An unknown section or
+key, a ``matrix`` beside ``c{i}_{j}`` entries and a ``lambda{i}`` beside its
+samples are refused by name so typos fail loudly, a value that does not
 parse is refused with its section and key, and a fixed seed makes every
 downstream draw reproducible.  ``SETTINGS`` declares each command's settings
 once: their types, defaults and which of them the CLI also takes as flags.
@@ -11,9 +16,9 @@ once: their types, defaults and which of them the CLI also takes as flags.
 from __future__ import annotations
 
 import configparser
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from string import ascii_lowercase
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -57,8 +62,8 @@ class Setting(NamedTuple):
 
 _T = Setting(float, None)
 
-# command section -> key -> setting; the CLI flags, the keys these sections
-# accept and every default come from here
+# command section -> key -> setting, in the order the CLI resolves them; the
+# CLI flags, the keys these sections accept and every default come from here
 SETTINGS = {
     "dual": {"t": _T},
     "kernel": {
@@ -71,33 +76,41 @@ SETTINGS = {
     "witness": {"t": _T, "samples": Setting(int, 100), "amplitude": Setting(float, 1.0, False)},
     "observability": {"t": _T, "samples": Setting(int, 16)},
     "sweep": {
-        "gamma_values": Setting(_floats, (1.0,), False),
-        "b_scale_values": Setting(_floats, (1.0,), False),
         "t": _T,
         "segments": Setting(int, 32),
         "reg": Setting(float, 1e-8),
+        "gamma_values": Setting(_floats, (1.0,), False),
+        "b_scale_values": Setting(_floats, (1.0,), False),
     },
 }
 
-_KNOWN_KEYS = {
-    "speeds": {"k", "m"},
-    "coupling": {"matrix", "gamma"},
-    "boundary": {"b"},
-    "grid": {"n", "cfl", "t"},
-    "initial": set(),
-    "control": set(),
-    "run": {"seed", "out"},
-    **{section: set(keys) for section, keys in SETTINGS.items()},
-}
-# the numbered keys a section takes besides its fixed ones
-_NUMBERED = {"speeds": "lambda.*", "coupling": "c.*_.*", "initial": "w.*", "control": "w.*",
-             "dual": "v.*"}
+def _accepted_keys(k: int, m: int) -> dict:
+    """section -> every key its reader takes for n = k + m."""
+    idx = range(1, k + m + 1)
+    return {
+        "speeds": {"k", "m", *(f"lambda{i}{s}" for i in idx for s in ("", "_x", "_values"))},
+        "coupling": {"matrix", "gamma", *(f"c{i}_{j}" for i in idx for j in idx)},
+        "boundary": {"b"},
+        "grid": {"n", "cfl", "t"},
+        "initial": {f"w{i}" for i in idx},
+        "control": {f"w{i}" for i in idx if i > k},
+        "run": {"seed", "out"},
+        **{section: set(keys) for section, keys in SETTINGS.items()},
+        "dual": {*SETTINGS["dual"], *(f"v{i}" for i in idx)},
+    }
+
+
+def _stem(key: str) -> str:
+    """The leading letters of a key: "c" of c1_2, "lambda" of lambda1_x."""
+    return key[: len(key) - len(key.lstrip(ascii_lowercase))]
 
 
 @dataclass
 class ExperimentConfig:
     path: str
     sections: dict = field(repr=False, default_factory=dict)
+    k: int = 1
+    m: int = 1
     seed: int = 0
     out: str = "."
 
@@ -113,30 +126,12 @@ class ExperimentConfig:
         except (TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from None
 
-    def setting(self, command: str, key: str, flag=None):
-        """A command setting from ``SETTINGS``: the flag value if given, else
-        ``[command] key`` from the file, else its default."""
-        if flag is not None:
-            return flag
-        cast, default, _ = SETTINGS[command][key]
-        if key == "t":
-            default = self.grid().T
-        return self.get(command, key, cast, default)
-
     # ---- builders ------------------------------------------------------- #
 
     def system(self) -> SystemSpec:
-        sec = self.sections.get("speeds")
-        if sec is None:
-            raise ConfigError("missing [speeds] section")
-        for key in ("k", "m"):
-            if key not in sec:
-                raise ConfigError(f"missing key {key!r} in [speeds]")
-        k = self.get("speeds", "k", int)
-        m = self.get("speeds", "m", int)
-        if k < 1 or m < 1:
-            raise DimensionMismatch("need k >= 1 and m >= 1")
+        k, m = self.k, self.m
         n = k + m
+        sec = self.sections["speeds"]
         speeds = []
         for i in range(1, n + 1):
             name = f"lambda{i}"
@@ -156,13 +151,10 @@ class ExperimentConfig:
 
         csec = self.sections.get("coupling", {})
         gamma = self.get("coupling", "gamma", float, 1.0)
-        entries = {}
-        for key, val in csec.items():
-            if re.fullmatch(_NUMBERED["coupling"], key):
-                index = re.fullmatch(r"c(\d+)_(\d+)", key)
-                if index is None:
-                    raise ConfigError(f"bad entry key [coupling] {key}: expected cI_J")
-                entries[int(index[1]) - 1, int(index[2]) - 1] = val
+        entries = {
+            (i, j): csec[f"c{i + 1}_{j + 1}"]
+            for i in range(n) for j in range(n) if f"c{i + 1}_{j + 1}" in csec
+        }
         if "matrix" in csec:
             mat = self.get("coupling", "matrix", _matrix)
             if mat.shape != (n, n):
@@ -220,18 +212,40 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
-    sections: dict = {}
-    for name in parser.sections():
-        if name not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown section [{name}] in {path}")
-        body = dict(parser.items(name))
-        for key in body:
-            numbered = name in _NUMBERED and re.fullmatch(_NUMBERED[name], key)
-            if key not in _KNOWN_KEYS[name] and not numbered:
-                raise ConfigError(f"unknown key {key!r} in section [{name}]")
-        sections[name] = body
-
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
     cfg = ExperimentConfig(path=str(path), sections=sections)
+    speeds = sections.get("speeds")
+    if speeds is None:
+        raise ConfigError("missing [speeds] section")
+    for key in ("k", "m"):
+        if key not in speeds:
+            raise ConfigError(f"missing key {key!r} in [speeds]")
+    cfg.k, cfg.m = cfg.get("speeds", "k", int), cfg.get("speeds", "m", int)
+    if cfg.k < 1 or cfg.m < 1:
+        raise DimensionMismatch("need k >= 1 and m >= 1")
+
+    accepted = _accepted_keys(cfg.k, cfg.m)
+    for name, body in sections.items():
+        if name not in accepted:
+            raise ConfigError(f"unknown section [{name}] in {path}")
+        for key in body:
+            if key in accepted[name]:
+                continue
+            if _stem(key) in {_stem(a) for a in accepted[name]}:
+                raise ConfigError(f"bad key [{name}] {key}: expected one of "
+                                  f"{', '.join(sorted(accepted[name]))}")
+            raise ConfigError(f"unknown key {key!r} in section [{name}]")
+    for i in range(1, cfg.k + cfg.m + 1):
+        for sampled in (f"lambda{i}_x", f"lambda{i}_values"):
+            if f"lambda{i}" in speeds and sampled in speeds:
+                raise ConfigError(f"both [speeds] lambda{i} and [speeds] {sampled} given; "
+                                  f"give lambda_{i} one way")
+    coupling = sections.get("coupling", {})
+    entry = next((key for key in coupling if key not in ("matrix", "gamma")), None)
+    if "matrix" in coupling and entry is not None:
+        raise ConfigError(f"both [coupling] matrix and [coupling] {entry} given; "
+                          "give C one way")
+
     cfg.seed = cfg.get("run", "seed", int, 0)
     cfg.out = cfg.get("run", "out", str, ".")
     return cfg

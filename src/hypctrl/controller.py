@@ -129,11 +129,12 @@ class FeedbackLaw:
     eta: CubicRamp
     delays: dict  # controlled component -> travel time across [0, 1]
     xs: np.ndarray  # the grid the law reads the state on
-    arg_positions: dict = field(default_factory=dict)  # level -> array of positions
     T: float = 0.0
     Topt: float = 0.0
-    cells: dict = field(default_factory=dict, repr=False)  # of the fixed positions on xs
-    reads: tuple = ()  # (level, component, position) of each read at the fixed positions
+    # for fixed positions, set when the law is built: their cells on xs and
+    # the (level, component, position) of each read
+    cells: dict = field(init=False, default_factory=dict, repr=False)
+    reads: tuple = field(init=False, default=())
     last_reads: tuple = ()  # (level, component, position) of each read of the last call
 
     def __post_init__(self):
@@ -144,6 +145,8 @@ class FeedbackLaw:
                 raise ValidationError(
                     f"elimination map level {j} expects {size} arguments, the law gives {m - j}"
                 )
+        if not self.spec.state_dependent:
+            self.cells, self.reads = _read_cells(self.read_positions(), self.spec.k, self.xs)
 
     @property
     def levels(self) -> int:
@@ -278,14 +281,10 @@ def synthesize_feedback(
         for comp in range(k, k + m)
     ]
     delays = {k + p + 1: float(tau[k + p]) for p in range(m)}
-    law = FeedbackLaw(
+    return FeedbackLaw(
         spec=spec, maps=maps, zetas=zetas, eta=CubicRamp(1.0, 0.0, half), delays=delays,
         xs=w0.xs, T=T, Topt=float(topt),
     )
-    if not spec.state_dependent:
-        law.arg_positions = law.read_positions()
-        law.cells, law.reads = _read_cells(law.arg_positions, k, w0.xs)
-    return law
 
 
 @dataclass
@@ -464,6 +463,8 @@ def optimality_witness(
     """
     B, T = spec.B, grid.T
     k, m = spec.k, spec.m
+    if not np.isfinite(amplitude):
+        raise ValidationError(f"witness amplitude must be finite, got amplitude = {amplitude}")
     if spec.coupling_bound > 1e-14:
         raise NotApplicable("witness construction requires zero coupling")
     if spec.state_dependent:

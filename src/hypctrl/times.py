@@ -8,8 +8,8 @@ tau_i = integral of 1/lambda_i over [0, 1].  From these, three landmark times:
     T_opt = max{tau_1 + tau_{m+1}, ..., tau_k + tau_{m+k}, tau_{k+1}}   (m >= k)
           = max{tau_{k+1-m} + tau_{k+1}, ..., tau_k + tau_{k+m}}        (m < k)
 
-Both primitives read one sampling of the slowness 1/lambda_i on 4096 uniform
-cells: ``travel_times`` by composite Simpson, ``cumulative_travel`` by a
+Both primitives read one sampling of the slowness 1/lambda_i on N_FINE = 4096
+uniform cells: ``travel_times`` by composite Simpson, ``cumulative_travel`` by a
 running trapezoid into the tables that the kernel, witness and feedback invert.
 """
 
@@ -20,22 +20,24 @@ import numpy as np
 from .core import DimensionMismatch, SystemSpec, ValidationError
 
 
-def frozen_state(nodes: np.ndarray, values: np.ndarray, n_fine: int = 4096) -> np.ndarray:
+# uniform cells of the slowness samples that both primitives read
+N_FINE = 4096
+
+
+def frozen_state(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """State values (n, len(nodes)) frozen in time, interpolated onto the nodes
-    of the n_fine uniform cells that the travel-time tables sample: the
-    ``state`` of several ``cumulative_travel`` calls on one state."""
-    xs = np.linspace(0.0, 1.0, n_fine + 1)
+    of the N_FINE uniform cells that the travel-time tables sample: the
+    ``state`` that ``cumulative_travel`` takes for state-dependent speeds."""
+    xs = np.linspace(0.0, 1.0, N_FINE + 1)
     return np.array([np.interp(xs, nodes, row) for row in values])
 
 
-def _slowness(spec: SystemSpec, i: int, n_fine: int = 4096, state=None):
+def _slowness(spec: SystemSpec, i: int, n_fine: int = N_FINE, state=None):
     """Nodes of n_fine uniform cells on [0, 1] and 1/lambda_i there, refused
     unless finite and positive (a speed may vanish between validation nodes).
-    ``state`` may be a pair (nodes, values) frozen in time, interpolated onto
-    them, or a state vector, or such values already on them (``frozen_state``)."""
+    ``state`` may be a state vector or state values already on the nodes
+    (``frozen_state``)."""
     xs = np.linspace(0.0, 1.0, n_fine + 1)
-    if isinstance(state, tuple):
-        state = frozen_state(*state, n_fine)
     with np.errstate(divide="ignore"):
         f = 1.0 / spec.speeds[i].evaluate(xs, state)
     if not (f.min() > 0.0 and f.max() < np.inf):  # NaN fails both
@@ -104,12 +106,12 @@ def time_report(spec: SystemSpec) -> dict:
             "argmax_kind": kind, "argmax_index": idx}
 
 
-def cumulative_travel(spec: SystemSpec, i: int, n_fine: int = 4096, state=None):
+def cumulative_travel(spec: SystemSpec, i: int, n_fine: int = N_FINE, state=None):
     """(xs, T_i(xs)) with T_i(x) = travel time of component i from 0 to x.
 
     Strictly increasing, so both directions invert by interpolation.  Used by
     the kernel solver, the witness and the feedback to locate characteristics.
-    ``state`` may be a pair (nodes, values) or its ``frozen_state``.
+    ``state`` is a ``frozen_state`` (or a state vector) for state-dependent speeds.
     """
     xs, f = _slowness(spec, i, n_fine, state)
     return xs, cumulative_trapezoid(f, xs)

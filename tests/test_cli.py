@@ -193,6 +193,7 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 1
     assert main(["times"]) == 1  # missing --config
     assert main(["simulate", "--config", "any.cfg", "--snap-times", "0.5,abc"]) == 1
+    assert main(["simulate", "--config", "any.cfg", "--seed", "3"]) == 1  # it draws nothing
 
 
 def test_simulate_outputs_parse(cfg_path, tmp_path, capsys):
@@ -750,16 +751,75 @@ def test_grid_is_built_at_the_horizon_run(tmp_path, command, flags, written):
 def test_feedback_refuses_coupled_system(tmp_path, capsys):
     path = tmp_path / "coupled.cfg"
     path.write_text(BASE_CFG.replace("matrix = 0 0; 0 0", "matrix = 0 0.4; 0.4 0"))
-    out = tmp_path / "out"
+    out = tmp_path / "a" / "b"
     argv = ["feedback", "--config", str(path), "--T", "2.2", "--N", "64", "--out", str(out)]
     assert main(argv) == 2
     assert "finite-time feedback requires zero coupling" in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "a").exists()  # refused before any writer made a directory
+
+
+@pytest.mark.parametrize("command, flags, written", [
+    ("simulate", ["--N", "16"], "norms.csv"),
+    ("dual", ["--N", "16"], "observation.csv"),
+    ("kernel", ["--nk", "16"], "kernel.csv"),
+    ("feedback", ["--N", "16"], "feedback_report.json"),
+    ("nullctrl", ["--N", "16", "--segments", "4"], "control.csv"),
+    ("witness", ["--N", "16", "--T", "1.0", "--samples", "2"], "witness_report.json"),
+    ("observability", ["--N", "16", "--samples", "2"], "observability_report.json"),
+    ("sweep", ["--N", "16", "--segments", "4"], "sweep.csv"),
+])
+def test_writers_create_a_missing_out_directory(cfg_path, tmp_path, command, flags, written):
+    out = tmp_path / "a" / "b"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # corner compatibility at N = 16
+        assert main([command, "--config", str(cfg_path), "--out", str(out), *flags]) == 0
+    assert (out / written).is_file()
+
+
+@pytest.mark.parametrize("old, new, section, key", [
+    ("w1 = 0", "w1 = 0\nw_2 = 1", "initial", "w_2"),
+    ("w1 = 0", "w1 = 0\nw3 = 1", "initial", "w3"),
+    ("lambda2 = 2", "lambda2 = 2\nlambda3 = 2", "speeds", "lambda3"),
+    ("lambda2 = 2", "lambda2 = 2\nlambdafoo = 2", "speeds", "lambdafoo"),
+    ("[run]", "[control]\nw1 = sin(t)\n\n[run]", "control", "w1"),
+    ("[run]", "[dual]\nv3 = 1\n\n[run]", "dual", "v3"),
+    ("gamma = 1.0", "gamma = 1.0\nc1_2 = 0.5", "coupling", "c1_2"),
+    ("lambda1 = 1 + x", "lambda1 = 1 + x\nlambda1_x = 0 1", "speeds", "lambda1_x"),
+])
+def test_config_key_no_reader_takes_is_refused(tmp_path, capsys, old, new, section, key):
+    # n = k + m = 2 here: no w3, lambda3 or v3, and [control] drives w2 only
+    path = tmp_path / "keys.cfg"
+    path.write_text(BASE_CFG.replace(old, new))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["nullctrl", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and f"[{section}]" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_benchmark_config_is_accepted(tmp_path):
+    from perfbench.workloads import WORKLOADS, generate
+
+    for workload in WORKLOADS:
+        for config in {task["config"] for task in generate(workload, 5, tmp_path / workload)}:
+            load_config(config).system()
+
+
+@pytest.mark.parametrize("amplitude", ["nan", "inf"])
+def test_non_finite_witness_amplitude_refused(cfg_path, tmp_path, capsys, amplitude):
+    cfg_path.write_text(BASE_CFG + f"\n[witness]\namplitude = {amplitude}\n")
+    argv = ["witness", "--config", str(cfg_path), "--N", "16", "--T", "1.0",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert (f"witness amplitude must be finite, got amplitude = {amplitude}"
+            in capsys.readouterr().err)
 
 
 # every option of every subcommand; the config-only settings of
-# config.SETTINGS, such as [witness] amplitude, must not gain a flag
-_COMMON_OPTIONS = {"-h", "--help", "--config", "--out", "--seed"}
+# config.SETTINGS, such as [witness] amplitude, must not gain a flag, and
+# only the commands that draw take --seed
+_COMMON_OPTIONS = {"-h", "--help", "--config", "--out"}
 _GRID_OPTIONS = _COMMON_OPTIONS | {"--N", "--T"}
 _COMMAND_OPTIONS = {
     "times": _COMMON_OPTIONS | {"--json"},
@@ -769,8 +829,8 @@ _COMMAND_OPTIONS = {
     "kernel": _COMMON_OPTIONS | {"--nk", "--tolerance", "--max-iters"},
     "feedback": _GRID_OPTIONS,
     "nullctrl": _GRID_OPTIONS | {"--segments", "--reg"},
-    "witness": _GRID_OPTIONS | {"--samples"},
-    "observability": _GRID_OPTIONS | {"--samples"},
+    "witness": _GRID_OPTIONS | {"--samples", "--seed"},
+    "observability": _GRID_OPTIONS | {"--samples", "--seed"},
     "sweep": _GRID_OPTIONS | {"--jobs", "--segments", "--reg"},
 }
 

@@ -30,7 +30,7 @@ from hypctrl.core import (
     state_from_exprs,
 )
 from hypctrl.simulator import characteristic_flow, solve_dual, solve_forward
-from hypctrl.times import cumulative_travel
+from hypctrl.times import cumulative_travel, frozen_state
 
 
 def _bump_exprs(scale=1.0):
@@ -112,10 +112,11 @@ def test_delays_and_arg_positions_linear():
     law = synthesize_feedback(spec, 1.7, w0)
     assert law.delays == pytest.approx({2: 1.0, 3: 0.5})
     # component 2 (speed 1, leftward) reaching x=0 at t+0.5 sits at x=0.5 now
-    assert law.arg_positions[1][0] == pytest.approx(0.5, abs=1e-6)
+    ((level, component, position),) = law.reads
+    assert (level, component) == (1, 2) and position == pytest.approx(0.5, abs=1e-6)
     # a call reads there, through the cells found when the law was built
     law(0.05, w0.values)
-    assert law.last_reads == law.reads == ((1, 2, law.arg_positions[1][0]),)
+    assert law.last_reads == law.reads
 
 
 def test_law_refuses_a_state_on_another_grid():
@@ -284,7 +285,7 @@ def test_quasilinear_read_positions_match_characteristic_flow(amps, centres, N):
     state = _ql_state(grid, amps, centres)
     law = synthesize_feedback(spec, 1.8, state)
     (position,) = law.read_positions(state.values)[1]
-    delay = cumulative_travel(spec, 2, state=(state.xs, state.values))[1][-1]
+    delay = cumulative_travel(spec, 2, state=frozen_state(state.xs, state.values))[1][-1]
 
     def frozen(time, x):
         return np.array([np.interp(x, state.xs, row) for row in state.values])
@@ -296,7 +297,6 @@ def test_quasilinear_read_positions_match_characteristic_flow(amps, centres, N):
 
 def test_quasilinear_law_interpolates_the_state_once_per_call(monkeypatch):
     import hypctrl.controller as controller
-    from hypctrl.times import frozen_state
 
     spec = build_system(1, 2, QL_SPEEDS, b=QL_B)
     state = _ql_state(GridSpec(N=24, cfl=0.9, T=1.8), [0.7, 0.9, 0.6], [0.5, 0.45, 0.55])
@@ -306,10 +306,10 @@ def test_quasilinear_law_interpolates_the_state_once_per_call(monkeypatch):
                         lambda *a: frozen.append(a) or frozen_state(*a))
     (position,) = law.read_positions(state.values)[1]
     assert len(frozen) == 1
-    # the same bits as when each travel-time table interpolates the state itself
-    pair = (state.xs, state.values)
-    xs2, T2 = cumulative_travel(spec, 1, state=pair)
-    assert position == np.interp(cumulative_travel(spec, 2, state=pair)[1][-1], T2, xs2)
+    # the same bits as the travel-time tables of each call's own frozen state
+    xs2, T2 = cumulative_travel(spec, 1, state=frozen_state(state.xs, state.values))
+    T3 = cumulative_travel(spec, 2, state=frozen_state(state.xs, state.values))[1]
+    assert position == np.interp(T3[-1], T2, xs2)
 
 
 def test_closed_loop_quasilinear_reads_state_and_refines():

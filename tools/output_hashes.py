@@ -10,8 +10,9 @@ standard output and its exit code; the ``volterra`` task through the library,
 as the benchmark worker runs it, hashing the kernel values, the kernel's
 sweep history (``report.changes``) and every ``transform`` and
 ``inverse_transform`` array.  No task runs ``times`` or ``check-b``, so
-the standard output and exit code of both with ``--json`` are hashed for
-every generated config, under ``CONFIG:times`` and ``CONFIG:check-b``.
+the standard output and exit code of both are hashed for every generated
+config, with ``--json`` under ``CONFIG:times`` and ``CONFIG:check-b`` and
+as plain text under ``CONFIG:times:text`` and ``CONFIG:check-b:text``.
 No task passes ``--snap-times`` either, so every ``simulate`` task also
 runs once more with ``--snap-times 0.5,1`` added, under
 ``WORKLOAD/TASK:snap-times``: the run that keeps the snapshot series.
@@ -111,6 +112,7 @@ def main(argv=None) -> int:
         for config in sorted({task["config"] for task in tasks}):
             for command in ("times", "check-b"):
                 result[f"{config}:{command}"] = _run([command, "--config", config, "--json"])
+                result[f"{config}:{command}:text"] = _run([command, "--config", config])
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0
 
