@@ -20,12 +20,14 @@ the positive-block rows it is fitted each sweep so that the lower triangle of
 the target source block S_++ vanishes.  The multiplicative Sigma'_jj term is
 absorbed exactly by integrating K*Sigma_jj(y) along the characteristic.
 
-The path samples of these integrals grow as NK^3 (1.1 million for a 2x2 at
-NK = 128) and set the solve's memory.  The sweep holds 64 + 8 r bytes per
-sample, for r nonzero coupling rows C_lj of the entry's column: three corner
-indices, four corner weights, one trapezoid weight and r coefficients.
-``KernelReport.diagnostics`` gives the sample count, the bytes held and the
-geometry and sweep times.
+K_ij couples only to its own row, through sum_l K_il C_lj, and so does the
+fitted data of row i, so the rows are solved one after another, each until its
+own change is small.  The path samples grow as NK^3 (1.1 million for a 2x2 at
+NK = 128) and set the memory.  A row's sweep holds 64 + 8 r bytes per sample
+of its entries, for r nonzero coupling rows C_lj of the entry's column: three
+corner indices, four corner weights, one trapezoid weight and r coefficients.
+Only one row is held at a time.  ``KernelReport.diagnostics`` gives the sample
+count, the largest row's bytes, the geometry and sweep times and row sweeps.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ _GAUGE_CELLS = 2048  # cells of the grid the diagonal gauge is integrated on
 _DIAG = 0
 _Y0_FIT = 1
 _ZERO = 2
-
-
-def _tri_size(NK: int) -> int:
-    return (NK + 1) * (NK + 2) // 2
 
 
 def _tri_index(p, q):
@@ -191,8 +189,7 @@ def preprocess_diagonal(spec: SystemSpec):
     factors = np.exp(cumulative_trapezoid(diag / spec.signed_speeds(xs), xs))
     ratio = factors[:, None, :] / factors[None, :, :]  # (i, j, x)
     new_c = cvals * ratio
-    for i in range(n):
-        new_c[i, i] = 0.0
+    new_c[np.diag_indices(n)] = 0.0
     coupling = CouplingField(n, samples=(xs, np.moveaxis(new_c, 2, 0)), gamma=1.0)
     hook = spec.reflection.hook
     new_spec = build_system(spec.k, spec.m, spec.speeds, coupling, spec.B, hook=hook)
@@ -210,7 +207,7 @@ class KernelReport:
     residual_linf: float
     residual_per_entry: np.ndarray
     changes: list = field(default_factory=list)
-    # path samples, bytes the sweep holds for them, geometry and sweep seconds
+    # path samples, the largest row's geometry bytes, geometry and sweep seconds, row sweeps
     diagnostics: dict = field(default_factory=dict, repr=False)
 
 
@@ -227,7 +224,7 @@ class Kernel:
     NK: int
     values: np.ndarray  # (n, n, n_pts)
     report: Optional[KernelReport] = field(default=None, repr=False)
-    # (values, grid nodes as bytes, operator) of the latest volterra_operator grid
+    # (values, grid nodes as bytes, operator, its diagonal block inverses) of the latest grid
     _operator: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -254,7 +251,8 @@ class Kernel:
         Zero above the diagonal q > p, and on row p = 0 (an empty integral).
         Memory grows as N^2 n^2: 8 (N+1)^2 n^2 bytes, 0.5 GB at N = 4000, n = 2.
         Built once per grid: the kernel keeps the operator of the latest grid,
-        read-only, and returns it again for the same nodes.
+        read-only, with the inverses of its diagonal blocks I - op[p, p], and
+        returns it again for the same nodes.
         """
         key = np.asarray(xs, dtype=float).tobytes()
         kept = self._operator
@@ -268,8 +266,9 @@ class Kernel:
         op = np.zeros((N + 1, N + 1, self.n, self.n))
         op[p, q] = self.rows_at(xs[p], xs[q]) * wts[:, None, None]
         op[0] = 0.0
-        op.flags.writeable = False
-        self._operator = (self.values, key, op)
+        inv = np.linalg.inv(np.eye(self.n) - op[np.arange(N + 1), np.arange(N + 1)])
+        op.flags.writeable = inv.flags.writeable = False
+        self._operator = (self.values, key, op, inv)
         return op
 
     def at_y0(self) -> np.ndarray:
@@ -413,18 +412,85 @@ def _entry_geometry(spec, i, j, tables, NK):
     return geom
 
 
+def _solve_row(spec, i, tables, NK, max_iters, fp_tolerance):
+    """Row i of the kernel by its own sweeps; its path geometry lives only in
+    this call.  Returns the row (n, n_pts), its changes per sweep, its path
+    samples, the bytes its geometry holds, and geometry and sweep seconds."""
+    n, k = spec.n, spec.k
+    t0 = time.perf_counter()
+    geoms = [_entry_geometry(spec, i, j, tables, NK) for j in range(n)]
+    t1 = time.perf_counter()
+    sizes = [g["wts"].size for g in geoms if g["rows"]]
+    arrays = [a for g in geoms for a in (*g.values(), *g.get("interp", ()))]
+    held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    # the gather of each coupling row l writes into these, sliced to the entry's samples
+    out_buf, tmp_buf, acc_buf = np.empty((3, max(sizes, default=0)))
+
+    nodes_x = np.linspace(0.0, 1.0, NK + 1)
+    y0_idx = _tri_index(np.arange(NK + 1), 0)
+    lam0 = spec.lambdas(np.array([0.0]))[:, 0]
+    K = np.zeros((n, (NK + 1) * (NK + 2) // 2))
+    gfit = np.zeros((n, NK + 1))  # only columns k <= j <= i are used, for i >= k
+
+    changes = []
+    grew = 0
+    for it in range(1, max_iters + 1):
+        K_new = np.empty_like(K)
+        for j, g in enumerate(geoms):
+            anchor = g["anchor"].copy()
+            anchor[g["fit"]] = np.interp(g["fit_x"], nodes_x, gfit[j]) * g["fit_sig"]
+            if g["rows"]:
+                M = g["wts"].size
+                acc = acc_buf[:M]
+                acc.fill(0.0)
+                for l, coef in zip(g["rows"], g["coef"]):
+                    term = _gather(*g["interp"], K[l], out_buf[:M], tmp_buf[:M])
+                    term *= coef
+                    acc += term
+                acc *= g["wts"]
+                integral = np.add.reduceat(acc, g["seg_starts"])
+            else:
+                integral = 0.0
+            K_new[j] = (anchor + integral) / g["sig_pts"]
+        # refresh the fitted boundary data on {y=0} of a positive-block row
+        g_new = np.zeros_like(gfit)
+        for j in range(k, i + 1):
+            g_new[j] = np.einsum("l,lx->x", lam0[:k] * spec.B[:, j - k],
+                                 K_new[:k, y0_idx]) / lam0[j]
+        change = float(np.max(np.abs(K_new - K)))
+        if np.any(gfit):
+            change = max(change, float(np.max(np.abs(g_new - gfit))))
+        K, gfit = K_new, g_new
+        if changes and change > changes[-1]:
+            grew += 1
+            if grew >= 5:
+                raise FixedPointDivergence(f"kernel iteration diverging: change {change:.3e} "
+                                           f"after {it} sweeps in row {i + 1}")
+        else:
+            grew = 0
+        changes.append(change)
+        if change < fp_tolerance:
+            break
+    else:
+        raise MaxItersExceeded(f"kernel iteration did not reach {fp_tolerance:g} in {max_iters} "
+                               f"sweeps in row {i + 1} (last change {changes[-1]:.3e})")
+    return K, changes, sum(sizes), held, t1 - t0, time.perf_counter() - t1
+
+
 def solve_kernel(
     spec: SystemSpec,
     NK: int = 64,
     max_iters: int = 200,
     fp_tolerance: float = 1e-10,
 ) -> Kernel:
-    """Successive approximation of the kernel on the triangle grid.
+    """Successive approximation of the kernel on the triangle grid, row by row.
 
-    Every sweep re-evaluates the characteristic integral of each entry from
-    the previous iterate (Jacobi style), then refreshes the fitted free data
-    on {y=0}.  Stops when the sup-change falls below ``fp_tolerance``; raises
-    if the change grows five sweeps in a row or the iteration budget runs out.
+    A sweep of a row re-evaluates the characteristic integral of each entry
+    from the previous iterate (Jacobi style), then refreshes the row's fitted
+    free data on {y=0}.  A row stops when its sup-change falls below
+    ``fp_tolerance`` and raises if the change grows five sweeps in a row or
+    its budget runs out.  The report's ``changes`` are, per sweep, the largest
+    change among the rows still sweeping.
     """
     if spec.state_dependent:
         raise ValidationError("kernel equations require state-independent speeds")
@@ -436,9 +502,8 @@ def solve_kernel(
         raise ValidationError(
             f"kernel tolerance must be finite and positive, got tolerance = {fp_tolerance}"
         )
-    n, k, m = spec.n, spec.k, spec.m
-    check_x = np.linspace(0.0, 1.0, 513)
-    cdiag = spec.coupling.evaluate(check_x)
+    n, k = spec.n, spec.k
+    cdiag = spec.coupling.evaluate(np.linspace(0.0, 1.0, 513))
     diag_max = max(float(np.max(np.abs(cdiag[i, i]))) for i in range(n))
     if diag_max > 1e-12 * max(1.0, spec.coupling_bound):
         raise DiagonalCouplingPresent(
@@ -447,82 +512,17 @@ def solve_kernel(
 
     t0 = time.perf_counter()
     tables = [cumulative_travel(spec, i, n_fine=max(N_FINE, 8 * NK)) for i in range(n)]
-    geoms = [[_entry_geometry(spec, i, j, tables, NK) for j in range(n)] for i in range(n)]
-    t1 = time.perf_counter()
-    paths = [g for row in geoms for g in row if g["rows"]]
-    samples = sum(g["wts"].size for g in paths)
-    # the gather of each row l writes into these, sliced to the entry's samples
-    out_buf, tmp_buf, acc_buf = np.empty((3, max((g["wts"].size for g in paths), default=0)))
-
-    n_pts = _tri_size(NK)
-    nodes_x = np.linspace(0.0, 1.0, NK + 1)
-    y0_idx = _tri_index(np.arange(NK + 1), 0)
-    lam0 = spec.lambdas(np.array([0.0]))[:, 0]
-    B = spec.B
-
-    K = np.zeros((n, n, n_pts))
-    gfit = np.zeros((n, n, NK + 1))  # only rows i>=k, cols k<=j<=i are used
-
-    changes = []
-    grew = 0
-    for it in range(1, max_iters + 1):
-        K_new = np.empty_like(K)
-        for i in range(n):
-            for j in range(n):
-                g = geoms[i][j]
-                anchor = g["anchor"].copy()
-                anchor[g["fit"]] = np.interp(g["fit_x"], nodes_x, gfit[i, j]) * g["fit_sig"]
-                if g["rows"]:
-                    M = g["wts"].size
-                    acc = acc_buf[:M]
-                    acc.fill(0.0)
-                    for l, coef in zip(g["rows"], g["coef"]):
-                        term = _gather(*g["interp"], K[i, l], out_buf[:M], tmp_buf[:M])
-                        term *= coef
-                        acc += term
-                    acc *= g["wts"]
-                    integral = np.add.reduceat(acc, g["seg_starts"])
-                else:
-                    integral = 0.0
-                K_new[i, j] = (anchor + integral) / g["sig_pts"]
-        # refresh fitted boundary data on {y=0} for the positive-block rows
-        g_new = np.zeros_like(gfit)
-        Ky0 = K_new[:, :, y0_idx]  # (n, n, NK+1)
-        for p_row in range(m):
-            i = k + p_row
-            for q_col in range(p_row + 1):
-                j = k + q_col
-                g_new[i, j] = (
-                    np.einsum("l,lx->x", lam0[:k] * B[:, q_col], Ky0[i, :k]) / lam0[j]
-                )
-        change = float(np.max(np.abs(K_new - K)))
-        if np.any(gfit):
-            change = max(change, float(np.max(np.abs(g_new - gfit))))
-        K, gfit = K_new, g_new
-        if changes and change > changes[-1]:
-            grew += 1
-            if grew >= 5:
-                raise FixedPointDivergence(
-                    f"kernel iteration diverging: change {change:.3e} after {it} sweeps"
-                )
-        else:
-            grew = 0
-        changes.append(change)
-        if change < fp_tolerance:
-            break
-    else:
-        raise MaxItersExceeded(
-            f"kernel iteration did not reach {fp_tolerance:g} in {max_iters} sweeps "
-            f"(last change {changes[-1]:.3e})"
-        )
-
-    t2 = time.perf_counter()
-    held = [a for row in geoms for g in row for a in (*g.values(), *g.get("interp", ()))]
+    tables_s = time.perf_counter() - t0
+    rows = [_solve_row(spec, i, tables, NK, max_iters, fp_tolerance) for i in range(n)]
+    K, row_changes, samples, held, geometry_s, sweeps_s = zip(*rows)
+    changes = [max(c[s] for c in row_changes if s < len(c))
+               for s in range(max(map(len, row_changes)))]
     diagnostics = {
-        "samples": samples,
-        "geometry_bytes": sum(a.nbytes for a in held if isinstance(a, np.ndarray)),
-        "geometry_s": t1 - t0,
-        "sweeps_s": t2 - t1,
+        "samples": sum(samples),
+        "geometry_bytes": max(held),  # the largest row's: one row is held at a time
+        "geometry_s": tables_s + sum(geometry_s),
+        "sweeps_s": sum(sweeps_s),
+        "row_sweeps": [len(c) for c in row_changes],
     }
     kernel = Kernel(n=n, k=k, NK=NK, values=K)
     res_linf, res_entries = kernel_pde_residual(kernel, spec)
@@ -627,10 +627,7 @@ def source_matrix(kernel: Kernel, spec: SystemSpec) -> SourceMatrix:
     Ky0 = kernel.at_y0()  # (n, n, NK+1)
     S = np.einsum("ilx,l,lj->ijx", Ky0, sig0, Q)
     S[:, :k, :] = 0.0  # structural, forced by Q's zero columns
-    low = 0.0
-    for p in range(m):
-        for q in range(p + 1):
-            low = max(low, float(np.max(np.abs(S[k + p, k + q]), initial=0.0)))
+    low = float(np.max(np.abs(S[k:, k:][np.tril_indices(m)]), initial=0.0))
     return SourceMatrix(k=k, m=m, xs=kernel.xs, values=S, lower_triangle_max=low)
 
 
@@ -654,16 +651,17 @@ def transform(w: StateField, kernel: Kernel) -> StateField:
 
 
 def inverse_transform(u: StateField, kernel: Kernel) -> StateField:
-    """Solve the discrete Volterra system by forward substitution in x."""
+    """Solve the discrete Volterra system by forward substitution in x, with
+    the diagonal block inverses the kernel keeps beside its operator."""
     if u.n != kernel.n:
         raise GridMismatch("state and kernel have different component counts")
     op = kernel.volterra_operator(u.xs)
+    inv = kernel._operator[3]
     w = np.empty_like(u.values)
     w[:, 0] = u.values[:, 0]
-    eye = np.eye(u.n)
     for p in range(1, u.xs.size):
         rhs = u.values[:, p] + np.einsum("qij,jq->i", op[p, :p], w[:, :p])
-        w[:, p] = np.linalg.solve(eye - op[p, p], rhs)
+        w[:, p] = inv[p] @ rhs
     return StateField(w, u.t, u.xs)
 
 

@@ -212,6 +212,8 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
+    if parser.defaults():  # configparser would merge these keys into every section
+        raise ConfigError(f"unknown key {next(iter(parser.defaults()))!r} in section [DEFAULT]")
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
     cfg = ExperimentConfig(path=str(path), sections=sections)
     speeds = sections.get("speeds")

@@ -465,6 +465,8 @@ def optimality_witness(
     k, m = spec.k, spec.m
     if not np.isfinite(amplitude):
         raise ValidationError(f"witness amplitude must be finite, got amplitude = {amplitude}")
+    if amplitude == 0.0:  # the probe would read only numerical leakage
+        raise ValidationError("witness amplitude must be nonzero, got amplitude = 0.0")
     if spec.coupling_bound > 1e-14:
         raise NotApplicable("witness construction requires zero coupling")
     if spec.state_dependent:

@@ -128,7 +128,9 @@ def _as_batch(state, shape: tuple, what: str):
     batched = not isinstance(state, StateField)
     w = np.array(state if batched else state.values[None], dtype=float)
     if w.ndim != 3 or w.shape[1:] != shape:
-        raise DimensionMismatch(f"{what} must have shape {shape} per run, got {w.shape}")
+        got = f"an array of shape {w.shape}" if batched else f"a StateField of shape {w.shape[1:]}"
+        raise DimensionMismatch(f"{what} must be a StateField of shape {shape} or a batch "
+                                f"array of shape (b, {', '.join(map(str, shape))}), got {got}")
     return w, batched
 
 

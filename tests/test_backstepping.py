@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypctrl import backstepping
 from hypctrl.backstepping import (
     Kernel,
+    _entry_geometry,
     _gather,
     _triangle_interp,
     inverse_transform,
@@ -27,6 +29,7 @@ from hypctrl.core import (
     state_from_exprs,
 )
 from hypctrl.simulator import Trajectory, solve_forward, zero_control
+from hypctrl.times import N_FINE, cumulative_travel
 
 
 def _coupled_2x2(c12=1.0, c21=1.0, b=0.5):
@@ -68,6 +71,35 @@ def test_contraction_changes_decrease():
     assert all(b <= a * (1 + 1e-12) for a, b in zip(changes[1:], changes[2:]))
 
 
+def test_rows_stop_at_their_own_tolerance(monkeypatch):
+    # the rows are independent fixed points: each sweeps until its own change
+    # is below the tolerance, and the report's changes are, per sweep, the
+    # largest change among the rows still sweeping
+    solved = []
+    solve_row = backstepping._solve_row
+    monkeypatch.setattr(backstepping, "_solve_row",
+                        lambda *args: solved.append(solve_row(*args)) or solved[-1])
+    ker = solve_kernel(_coupled_2x2(), NK=32, fp_tolerance=1e-10)
+    rep = ker.report
+    row_changes = [changes for _, changes, *_ in solved]
+    sweeps = rep.diagnostics["row_sweeps"]
+    assert sweeps == [len(c) for c in row_changes]
+    assert min(sweeps) < max(sweeps) and rep.iterations == max(sweeps)
+    for changes in row_changes:
+        assert changes[-1] < 1e-10 and all(c >= 1e-10 for c in changes[:-1])
+    assert rep.changes == [max(c[s] for c in row_changes if s < len(c))
+                           for s in range(rep.iterations)]
+    assert rep.final_change == rep.changes[-1] < 1e-10
+
+
+# the memory tests' systems: every kernel row has path samples
+_MEMORY_SPECS = [
+    _coupled_2x2(c12=0.1, c21=0.1),
+    build_system(1, 2, ["1 + 0.5*x", "1 + 0.25*x", "2 - 0.25*x"],
+                 coupling=[[0, 0.2, 0.1], [0.15, 0, 0.2], [0.1, 0.25, 0]], b=[[1, 2]]),
+]
+
+
 def test_residual_halves_under_refinement():
     spec = _coupled_2x2()
     r32 = solve_kernel(spec, NK=32).report.residual_linf
@@ -75,11 +107,7 @@ def test_residual_halves_under_refinement():
     assert 0.35 <= r64 / r32 <= 0.65
 
 
-@pytest.mark.parametrize("spec", [
-    _coupled_2x2(c12=0.1, c21=0.1),
-    build_system(1, 2, ["1 + 0.5*x", "1 + 0.25*x", "2 - 0.25*x"],
-                 coupling=[[0, 0.2, 0.1], [0.15, 0, 0.2], [0.1, 0.25, 0]], b=[[1, 2]]),
-], ids=["2x2", "3x3"])
+@pytest.mark.parametrize("spec", _MEMORY_SPECS, ids=["2x2", "3x3"])
 def test_kernel_memory_per_path_sample(spec):
     # the path samples grow as NK^3 and set the solve's peak memory; the sweep
     # holds 72-80 bytes per sample and the last entry's build adds the rest
@@ -90,6 +118,25 @@ def test_kernel_memory_per_path_sample(spec):
     finally:
         tracemalloc.stop()
     assert peak <= 105 * ker.report.diagnostics["samples"]
+
+
+@pytest.mark.parametrize("spec", _MEMORY_SPECS, ids=["2x2", "3x3"])
+def test_kernel_memory_follows_the_largest_row(spec):
+    # one row's path geometry is held at a time, so the peak follows the
+    # largest row's samples, not the total
+    NK = 64
+    tables = [cumulative_travel(spec, i, n_fine=max(N_FINE, 8 * NK)) for i in range(spec.n)]
+    row_samples = [sum(g["wts"].size for g in geoms if g["rows"])
+                   for geoms in ([_entry_geometry(spec, i, j, tables, NK) for j in range(spec.n)]
+                                 for i in range(spec.n))]
+    tracemalloc.start()
+    try:
+        ker = solve_kernel(spec, NK=NK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ker.report.diagnostics["samples"] == sum(row_samples)
+    assert peak <= 105 * max(row_samples)
 
 
 def test_zero_coupling_samples_no_paths():
@@ -108,7 +155,8 @@ def test_zero_coupling_samples_no_paths():
 
 def test_kernel_diagnostics_keys():
     diag = solve_kernel(_coupled_2x2(), NK=16).report.diagnostics
-    assert sorted(diag) == ["geometry_bytes", "geometry_s", "samples", "sweeps_s"]
+    assert sorted(diag) == ["geometry_bytes", "geometry_s", "row_sweeps", "samples", "sweeps_s"]
+    assert len(diag["row_sweeps"]) == 2 and min(diag["row_sweeps"]) >= 1
     assert diag["samples"] > 0 and diag["geometry_bytes"] > 0
     assert diag["geometry_s"] > 0.0 and diag["sweeps_s"] > 0.0
 
@@ -324,6 +372,16 @@ def test_volterra_operator_matches_row_loop(NK, N, n, seed):
     assert np.max(np.abs(u.values - ref)) <= 1e-13
     back = inverse_transform(u, ker)
     assert np.max(np.abs(back.values - w.values)) <= 1e-10 * np.max(np.abs(w.values))
+
+    # the kept inverses of the blocks I - op[p, p] against one solve per node:
+    # a few eps per node, carried by the resolvent, which |K| <= 1 bounds by e^n
+    op = ker.volterra_operator(xs)
+    solved = u.values.copy()
+    for p in range(1, N + 1):
+        rhs = u.values[:, p] + np.einsum("qij,jq->i", op[p, :p], solved[:, :p])
+        solved[:, p] = np.linalg.solve(np.eye(n) - op[p, p], rhs)
+    bound = 4 * N * np.exp(n) * np.finfo(float).eps
+    assert np.max(np.abs(back.values - solved)) <= bound * np.max(np.abs(solved))
 
     # on the kernel's own grid the operator holds the node values times the
     # trapezoid weights.  x*NK may land an ulp or two of NK off the node index,

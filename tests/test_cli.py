@@ -179,6 +179,17 @@ def test_unknown_section_rejected(tmp_path):
         load_config(path)
 
 
+def test_default_section_keys_refused_by_its_name(tmp_path, capsys):
+    # configparser merges [DEFAULT] into every section; its keys are refused
+    # as [DEFAULT]'s own, not blamed on the first section read
+    path = tmp_path / "default.cfg"
+    path.write_text("[DEFAULT]\nq = 1\n" + BASE_CFG)
+    with pytest.raises(ConfigError, match=r"unknown key 'q' in section \[DEFAULT\]"):
+        load_config(path)
+    assert main(["times", "--config", str(path)]) == 2
+    assert "[speeds]" not in capsys.readouterr().err
+
+
 def test_run_jobs_key_rejected(tmp_path, capsys):
     # [run] jobs had no effect and is no longer a key: refused as any unknown key
     path = tmp_path / "jobs.cfg"
@@ -359,7 +370,9 @@ def test_kernel_max_iters_exit_code(tmp_path, capsys):
     path.write_text(COUPLED_CFG)
     argv = ["kernel", "--config", str(path), "--nk", "32", "--max-iters", "1", "--out", str(tmp_path)]
     assert main(argv) == 3
-    assert capsys.readouterr().err.startswith("numerical failure: kernel iteration did not reach")
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: kernel iteration did not reach")
+    assert "in row 1 " in err
 
 
 @pytest.mark.parametrize(
@@ -393,7 +406,8 @@ def test_kernel_divergence_exit_code(tmp_path, capsys):
     path = tmp_path / "strong.cfg"
     path.write_text(COUPLED_CFG.replace("gamma = 1.0", "gamma = 40"))
     assert main(["kernel", "--config", str(path), "--nk", "16", "--out", str(tmp_path)]) == 3
-    assert "kernel iteration diverging" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "kernel iteration diverging" in err and "in row 1" in err
 
 
 def test_feedback_command(tmp_path):
@@ -814,6 +828,21 @@ def test_non_finite_witness_amplitude_refused(cfg_path, tmp_path, capsys, amplit
     assert main(argv) == 2
     assert (f"witness amplitude must be finite, got amplitude = {amplitude}"
             in capsys.readouterr().err)
+
+
+def test_zero_witness_amplitude_refused(tmp_path, capsys):
+    # a zero bump makes the expected probe value 0 and the deviation numerical
+    # leakage: the witness would show nothing
+    path = tmp_path / "wit.cfg"
+    cfg_text = BASE_CFG.replace("lambda2 = 2", "lambda2 = 1")
+    path.write_text(cfg_text + "\n[witness]\namplitude = 0\n")
+    out = tmp_path / "out"
+    argv = ["witness", "--config", str(path), "--T", "1.0", "--N", "16", "--samples", "3",
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "amplitude = 0.0" in err
+    assert not out.exists()
 
 
 # every option of every subcommand; the config-only settings of

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hypctrl.core import (
     ControlSignal,
+    DimensionMismatch,
     GridSpec,
     OutOfDomain,
     SingularBoundarySpeed,
@@ -36,6 +37,20 @@ def test_leftward_shift_solution():
     exact = np.where(grid.xs + 0.5 <= 1.0, g(grid.xs + 0.5), 0.0)
     assert np.max(np.abs(term.values[1] - exact)) < 0.02 * np.max(np.abs(g(grid.xs)))
     assert term.t == pytest.approx(0.5)
+
+
+def test_state_shape_message_names_what_is_taken():
+    # a plain (n, N+1) array is neither a StateField nor a (b, n, N+1) batch
+    spec = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1, 2]])
+    grid = GridSpec(N=100, cfl=0.9, T=0.1)
+    taken = r"StateField of shape \(3, 101\) or a batch array of shape \(b, 3, 101\)"
+    with pytest.raises(DimensionMismatch, match=taken + r", got an array of shape \(3, 101\)"):
+        solve_forward(spec, np.zeros((3, 101)), zero_control(2), grid)
+    with pytest.raises(DimensionMismatch, match=taken + r", got an array of shape \(3, 101\)"):
+        solve_dual(spec, None, np.zeros((3, 101)), grid)
+    wrong = StateField(np.zeros((3, 51)), 0.0, np.linspace(0.0, 1.0, 51))
+    with pytest.raises(DimensionMismatch, match=r"got a StateField of shape \(3, 51\)"):
+        solve_forward(spec, wrong, zero_control(2), grid)
 
 
 def test_zero_data_stays_exactly_zero():

@@ -1,6 +1,6 @@
-"""Microseconds per computed forward step and per feedback-law call, and
-milliseconds per state of a Volterra round trip, two source trees against
-each other, interleaved.
+"""Microseconds per computed forward step and per feedback-law call,
+milliseconds per state of a Volterra round trip and per kernel solve, two
+source trees against each other, interleaved.
 
     python3 tools/step_bench.py PARENT_SRC CHANGE_SRC [--seed S] [--rounds R] [--label TEXT]
 
@@ -25,7 +25,11 @@ files ``perfbench.workloads.generate`` writes for SEED:
   of its ``coupled.cfg``, in ms per state.  The kernel is solved once per
   side; each repeat wraps its values in a fresh ``Kernel``, as the task
   starts from a fresh kernel, so an operator kept by the kernel is built
-  once per repeat, not once per round.
+  once per repeat, not once per round;
+- ``kernel_2x2_NK128``: ``kernel_quasilinear``'s ``kernel_2x2`` task,
+  ``solve_kernel`` on the gauged system of its ``coupled.cfg`` at NK = 128,
+  in ms per solve; ``kernel_2x2_NK128_peak`` is the ``tracemalloc`` peak of
+  one such solve, in MB, taken apart from the timed solves.
 
 Runs without a law get a constant nonzero control, so no step is at rest.  A
 step's cost is the run's time over its computed steps, ``steps`` minus
@@ -53,6 +57,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from statistics import median
@@ -73,8 +78,11 @@ SHAPES = {
 }
 LAW_CALLS, LAW_REPEATS = 2000, 7
 VOLTERRA_REPEATS = 5
-# unit of each figure and its factor from seconds; us for every other name
-UNITS = {"volterra_round_trip": ("ms", 1e3)}
+KERNEL_NK, KERNEL_REPEATS = 128, 3
+# unit of each figure and its factor from seconds (from bytes for a peak);
+# us for every other name
+UNITS = {"volterra_round_trip": ("ms", 1e3), "kernel_2x2_NK128": ("ms", 1e3),
+         "kernel_2x2_NK128_peak": ("MB", 1e-6)}
 
 
 def _unit(name: str) -> tuple:
@@ -160,10 +168,36 @@ def _volterra(pkg: str, workdir: str):
     return round_trips
 
 
+def _kernel(pkg: str, workdir: str):
+    """(solve, peak) of one side: solve() returns the seconds of one
+    ``solve_kernel`` of the ``kernel_2x2`` task, peak() the ``tracemalloc``
+    peak in bytes of another."""
+    bs = importlib.import_module(pkg + ".backstepping")
+    config = importlib.import_module(pkg + ".config")
+    cfg = config.load_config(Path(workdir) / "kernel_quasilinear" / "coupled.cfg")
+    base, _ = bs.preprocess_diagonal(cfg.system())
+
+    def solve():
+        start = time.perf_counter()
+        bs.solve_kernel(base, NK=KERNEL_NK)
+        return time.perf_counter() - start
+
+    def peak():
+        tracemalloc.start()
+        try:
+            bs.solve_kernel(base, NK=KERNEL_NK)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return solve, peak
+
+
 def _worker(srcs: dict, seed: int, workdir: str, first: int) -> dict:
     """side -> shape -> us per computed step (law_call: us per call;
-    volterra_round_trip: ms per state), both sides timed alternately in this
-    process; ``first`` is the side that starts."""
+    volterra_round_trip: ms per state; kernel_2x2_NK128: ms per solve, and
+    its peak in MB), both sides timed alternately in this process; ``first``
+    is the side that starts."""
     import numpy as np
 
     warnings.simplefilter("ignore")  # corner-compatibility warnings of the drawn data
@@ -177,6 +211,9 @@ def _worker(srcs: dict, seed: int, workdir: str, first: int) -> dict:
             timed.append(("law_call", LAW_REPEATS, {side: runs[side][1] for side in SIDES}))
     timed.append(("volterra_round_trip", VOLTERRA_REPEATS,
                   {side: _volterra(packages[side], workdir) for side in SIDES}))
+    kernels = {side: _kernel(packages[side], workdir) for side in SIDES}
+    timed.append(("kernel_2x2_NK128", KERNEL_REPEATS, {s: kernels[s][0] for s in SIDES}))
+    timed.append(("kernel_2x2_NK128_peak", 1, {s: kernels[s][1] for s in SIDES}))
     result = {side: {} for side in SIDES}
     for name, count, funcs in timed:
         best = dict.fromkeys(SIDES, float("inf"))
@@ -252,9 +289,12 @@ def main(argv=None) -> int:
             "law_calls": LAW_CALLS,
             "law_repeats": LAW_REPEATS,
             "volterra_repeats": VOLTERRA_REPEATS,
+            "kernel_nk": KERNEL_NK,
+            "kernel_repeats": KERNEL_REPEATS,
             "rounds": args.rounds,
             "unit": "us per computed step (law_call: us per call; volterra_round_trip: "
-                    "ms per state), min over repeats",
+                    "ms per state; kernel_2x2_NK128: ms per solve; kernel_2x2_NK128_peak: "
+                    "tracemalloc MB), min over repeats",
         },
         "seed": args.seed,
         "host": {**run_record("linear", args.seed), "reference_ms": reference_ms},
