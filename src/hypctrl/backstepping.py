@@ -23,11 +23,14 @@ absorbed exactly by integrating K*Sigma_jj(y) along the characteristic.
 K_ij couples only to its own row, through sum_l K_il C_lj, and so does the
 fitted data of row i, so the rows are solved one after another, each until its
 own change is small.  The path samples grow as NK^3 (1.1 million for a 2x2 at
-NK = 128) and set the memory.  A row's sweep holds 64 + 8 r bytes per sample
-of its entries, for r nonzero coupling rows C_lj of the entry's column: three
-corner indices, four corner weights, one trapezoid weight and r coefficients.
-Only one row is held at a time.  ``KernelReport.diagnostics`` gives the sample
-count, the largest row's bytes, the geometry and sweep times and row sweeps.
+NK = 128) and set the memory.  A row's sweep holds 48 + 8 r bytes per sample
+of its entries, for r nonzero coupling rows C_lj of the entry's column: two
+corner indices, four corner weights and r coefficients, each with the
+trapezoid weight folded in.  An entry's path arrays are allocated once and
+built, then swept, in blocks of whole segments, so no temporary is larger
+than one block.  Only one row is held at a time.  ``KernelReport.diagnostics``
+gives the sample count, the largest row's bytes (its gather buffers
+included), the geometry and sweep times and row sweeps.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ from .times import N_FINE, cumulative_trapezoid, cumulative_travel
 from .simulator import Trajectory
 
 _GAUGE_CELLS = 2048  # cells of the grid the diagonal gauge is integrated on
+# path samples per block of whole segments that a kernel entry's geometry is
+# built and swept in: no temporary of either is larger than one block
+_BLOCK_SAMPLES = 1 << 14
 
 # anchor kinds: the diagonal, fitted data on y = 0, zero data on any other edge
 _DIAG = 0
@@ -72,15 +78,16 @@ def _tri_points(NK: int):
     return ps, qs
 
 
-def _triangle_interp(xq, yq, NK: int):
-    """Corner indices (3, M) and weights (4, M) interpolating triangle-grid
+def _triangle_interp(xq, yq, NK: int, cols=None, wts=None):
+    """Corner indices (2, M) and weights (4, M) interpolating triangle-grid
     samples at the points (xq, yq), two float arrays this call overwrites.
 
-    Bilinear inside cells below the diagonal; cells cut by the diagonal use
-    the affine interpolant on their lower triangle (corner 2 then repeats
-    corner 0 with weight 0).  Corner 3, (p+1, q+1), always sits one index
-    after corner 1, so it is not stored.  Points are clipped into the closed
-    triangle first.
+    Writes into ``cols`` (intp) and ``wts`` when given.  Bilinear inside cells
+    below the diagonal; cells cut by the diagonal use the affine interpolant
+    on their lower triangle, with weight 0 on corner 2.  Only corners 0,
+    (p, q), and 1, (p+1, q), are stored: corners 2 and 3 sit one index after
+    them.  On a cut cell corner 2's index is that of (p+1, 0), a valid node as
+    p <= NK - 1.  Points are clipped into the closed triangle first.
     """
     np.clip(xq, 0.0, 1.0, out=xq)
     np.clip(yq, 0.0, None, out=yq)
@@ -99,17 +106,16 @@ def _triangle_interp(xq, yq, NK: int):
     on_diag = q == p
     np.minimum(fy, fx, out=fy, where=on_diag)
 
-    cols = np.empty((3, xq.size), dtype=np.intp)
+    cols = np.empty((2, xq.size), dtype=np.intp) if cols is None else cols
     np.add(p, 1, out=cols[0])
     cols[0] *= p
     cols[0] //= 2
     cols[0] += q  # (p, q)
     np.add(cols[0], p, out=cols[1])
     cols[1] += 1  # (p+1, q)
-    np.add(cols[0], ~on_diag, out=cols[2])  # (p, q+1), or (p, p) on a cut cell
     del p, q
 
-    wts = np.empty((4, xq.size))
+    wts = np.empty((4, xq.size)) if wts is None else wts
     np.subtract(1.0, fx, out=wts[2])
     np.subtract(1.0, fy, out=wts[1])
     np.multiply(wts[2], wts[1], out=wts[0])  # (1 - fx)(1 - fy)
@@ -131,15 +137,17 @@ def _gather(cols, wts, values, out=None, buf=None):
     Writes into ``out`` and uses ``buf`` as scratch, each (..., M), when given.
     The corners are summed in ascending triangle index (0, 2, 1, 3); the last
     bits of the kernel values, and so of its CSV export, depend on this order.
-    Corner 3 is corner 1's right neighbour, read through ``values[..., 1:]``.
+    Corners 2 and 3 are the right neighbours of corners 0 and 1, read through
+    ``values[..., 1:]``.
     """
     shape = values.shape[:-1] + cols.shape[1:]
     out = np.empty(shape) if out is None else out
     buf = np.empty(shape) if buf is None else buf
     np.take(values, cols[0], axis=-1, out=out, mode="clip")
     out *= wts[0]
-    for w, idx, src in ((wts[2], cols[2], values), (wts[1], cols[1], values),
-                        (wts[3], cols[1], values[..., 1:])):
+    right = values[..., 1:]
+    for w, idx, src in ((wts[2], cols[0], right), (wts[1], cols[1], values),
+                        (wts[3], cols[1], right)):
         np.take(src, idx, axis=-1, out=buf, mode="clip")
         buf *= w
         out += buf
@@ -289,9 +297,12 @@ def _entry_geometry(spec, i, j, tables, NK):
     Returns what the sweep reads: the fixed anchor data (C_ij/(sigma_j -
     sigma_i) sigma_j where the characteristic meets the diagonal, else 0),
     the points anchored on fitted y = 0 data with their x and sigma_j and,
-    when some C_lj is nonzero on the paths, those rows l with their
-    coefficients Sigma_jj C_lj along the paths, the interpolation corners and
-    weights of all path sample points, trapezoid weights and segment starts.
+    when some coupling entry C_lj can be nonzero, those rows l with their
+    coefficients Sigma_jj C_lj times the trapezoid weight along the paths, the
+    interpolation corners and weights of all path sample points, and the
+    segment starts with the blocks of whole segments, at most
+    ``_BLOCK_SAMPLES`` samples or one segment each, that the held path arrays
+    are filled in and that the sweep reads them in.
     """
     k = spec.k
     h = 1.0 / NK
@@ -376,39 +387,47 @@ def _entry_geometry(spec, i, j, tables, NK):
         "rows": [],
     }
 
-    if spec.coupling.column_is_zero(j):  # no source term: the paths are never read
+    # row l: Sigma_jj(y) * C_lj(y), for each l whose coupling entry can be nonzero
+    rows = [l for l in range(spec.n) if not spec.coupling.entry_is_zero(l, j)]
+    if not rows:  # no source term: the paths are never read
         return geom
 
     # path samples from the anchor to the point, trapezoid in the flow time
     dtau = h / spec.lambda_max
     lengths = np.maximum(1, np.ceil(np.abs(s_anchor) / dtau).astype(int))
-    seg_starts = np.concatenate([[0], np.cumsum(lengths + 1)])[:-1]
-    ends = seg_starts + lengths
-    total = int(np.sum(lengths + 1))
-    # np.linspace(0, 1, L + 1) per segment, with linspace's arithmetic
-    local = np.arange(total) - np.repeat(seg_starts, lengths + 1)
-    rel = local * np.repeat(1.0 / lengths, lengths + 1)
-    rel[ends] = 1.0
-    s_samp = np.repeat(s_anchor, lengths + 1) * (1.0 - rel)
-    del local, rel  # each temporary goes once read: the last entry's build sets the peak
-    x_samp = np.interp(np.repeat(a, lengths + 1) + s_i * s_samp, Tf_i, xf_i)
-    y_samp = np.interp(np.repeat(b, lengths + 1) + s_j * s_samp, Tf_j, xf_j)
-    del s_samp
-
-    # row l: Sigma_jj(y) * C_lj(y), kept only where it is nonzero; y is clipped
-    # in place, which leaves its triangle interpolation unchanged
-    np.clip(y_samp, 0.0, 1.0, out=y_samp)
-    coef = spec.coupling.column(y_samp, j)
-    coef *= s_j * spec.speeds[j].evaluate(y_samp)
-    rows = [l for l in range(spec.n) if np.max(np.abs(coef[l]), initial=0.0) > 0.0]
-    if not rows:
-        return geom
-    coef = coef[rows] if len(rows) < spec.n else coef
-    wts = np.repeat(-s_anchor / lengths, lengths + 1)
-    wts[seg_starts] *= 0.5
-    wts[ends] *= 0.5
-    interp = _triangle_interp(x_samp, y_samp, NK)
-    geom.update(rows=rows, coef=coef, seg_starts=seg_starts, wts=wts, interp=interp)
+    seg_starts = np.concatenate([[0], np.cumsum(lengths + 1)])  # and the sample count last
+    total = int(seg_starts[-1])
+    # blocks of whole segments, one segment at least: the segment index each starts at, then n_pts
+    blocks = [0]
+    while blocks[-1] < n_pts:
+        s0 = blocks[-1]
+        s1 = int(np.searchsorted(seg_starts, seg_starts[s0] + _BLOCK_SAMPLES, "right")) - 1
+        blocks.append(max(s0 + 1, s1))
+    # the held arrays, allocated once and filled block by block
+    cols = np.empty((2, total), dtype=np.intp)
+    wts = np.empty((4, total))
+    coef = np.empty((len(rows), total))
+    for s0, s1 in zip(blocks[:-1], blocks[1:]):
+        lo, hi = seg_starts[s0], seg_starts[s1]
+        L = lengths[s0:s1]
+        starts = seg_starts[s0:s1] - lo
+        # np.linspace(0, 1, L + 1) per segment, with linspace's arithmetic
+        rel = np.arange(hi - lo) - np.repeat(starts, L + 1)
+        rel = rel * np.repeat(1.0 / L, L + 1)
+        rel[starts + L] = 1.0
+        s_samp = np.repeat(s_anchor[s0:s1], L + 1) * (1.0 - rel)
+        x_samp = np.interp(np.repeat(a[s0:s1], L + 1) + s_i * s_samp, Tf_i, xf_i)
+        y_samp = np.interp(np.repeat(b[s0:s1], L + 1) + s_j * s_samp, Tf_j, xf_j)
+        # y is clipped in place, which leaves its triangle interpolation unchanged
+        np.clip(y_samp, 0.0, 1.0, out=y_samp)
+        trap = np.repeat(-s_anchor[s0:s1] / L, L + 1)
+        trap[starts] *= 0.5
+        trap[starts + L] *= 0.5
+        blk = spec.coupling.column(y_samp, j)[rows]
+        blk *= s_j * spec.speeds[j].evaluate(y_samp)
+        np.multiply(blk, trap, out=coef[:, lo:hi])
+        _triangle_interp(x_samp, y_samp, NK, cols=cols[:, lo:hi], wts=wts[:, lo:hi])
+    geom.update(rows=rows, coef=coef, seg_starts=seg_starts, blocks=blocks, interp=(cols, wts))
     return geom
 
 
@@ -420,11 +439,16 @@ def _solve_row(spec, i, tables, NK, max_iters, fp_tolerance):
     t0 = time.perf_counter()
     geoms = [_entry_geometry(spec, i, j, tables, NK) for j in range(n)]
     t1 = time.perf_counter()
-    sizes = [g["wts"].size for g in geoms if g["rows"]]
-    arrays = [a for g in geoms for a in (*g.values(), *g.get("interp", ()))]
-    held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-    # the gather of each coupling row l writes into these, sliced to the entry's samples
-    out_buf, tmp_buf, acc_buf = np.empty((3, max(sizes, default=0)))
+    sizes = [g["coef"].shape[1] for g in geoms if g["rows"]]
+    # the gather of each coupling row l writes into these, sliced to a block's samples
+    block = max((np.diff(g["seg_starts"][g["blocks"]]).max() for g in geoms if g["rows"]),
+                default=0)
+    bufs = np.empty((3, block))
+    out_buf, tmp_buf, acc_buf = bufs
+    # each held array once, by the array that owns its memory
+    arrays = [a for g in geoms for a in (*g.values(), *g.get("interp", ()))] + [bufs]
+    owners = (a if a.base is None else a.base for a in arrays if isinstance(a, np.ndarray))
+    held = sum({id(o): o.nbytes for o in owners}.values())
 
     nodes_x = np.linspace(0.0, 1.0, NK + 1)
     y0_idx = _tri_index(np.arange(NK + 1), 0)
@@ -440,15 +464,19 @@ def _solve_row(spec, i, tables, NK, max_iters, fp_tolerance):
             anchor = g["anchor"].copy()
             anchor[g["fit"]] = np.interp(g["fit_x"], nodes_x, gfit[j]) * g["fit_sig"]
             if g["rows"]:
-                M = g["wts"].size
-                acc = acc_buf[:M]
-                acc.fill(0.0)
-                for l, coef in zip(g["rows"], g["coef"]):
-                    term = _gather(*g["interp"], K[l], out_buf[:M], tmp_buf[:M])
-                    term *= coef
-                    acc += term
-                acc *= g["wts"]
-                integral = np.add.reduceat(acc, g["seg_starts"])
+                cols, wts = g["interp"]
+                seg_starts = g["seg_starts"]
+                integral = np.empty(anchor.size)
+                for s0, s1 in zip(g["blocks"][:-1], g["blocks"][1:]):
+                    lo, hi = seg_starts[s0], seg_starts[s1]
+                    acc = acc_buf[:hi - lo]
+                    acc.fill(0.0)
+                    for l, coef in zip(g["rows"], g["coef"]):
+                        term = _gather(cols[:, lo:hi], wts[:, lo:hi], K[l],
+                                       out_buf[:hi - lo], tmp_buf[:hi - lo])
+                        term *= coef[lo:hi]
+                        acc += term
+                    np.add.reduceat(acc, seg_starts[s0:s1] - lo, out=integral[s0:s1])
             else:
                 integral = 0.0
             K_new[j] = (anchor + integral) / g["sig_pts"]

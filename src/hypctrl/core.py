@@ -257,13 +257,17 @@ class CouplingField:
         return all(self.column_is_zero(j) for j in range(self.n))
 
     def column_is_zero(self, j: int) -> bool:
-        """Whether gamma * C[:, j] is zero everywhere, read exactly off the
+        """Whether gamma * C[:, j] is zero everywhere, as ``entry_is_zero``."""
+        return all(self.entry_is_zero(i, j) for i in range(self.n))
+
+    def entry_is_zero(self, i: int, j: int) -> bool:
+        """Whether gamma * C[i, j] is zero everywhere, read exactly off the
         representation: an expression entry never counts as zero."""
         if self.gamma == 0.0:
             return True
         if self._entries is not None:
-            return all(row[j] in (None, 0.0) for row in self._entries)
-        return not np.any((self._constant if self._samples is None else self._samples[1])[..., j])
+            return self._entries[i][j] in (None, 0.0)
+        return not np.any((self._constant if self._samples is None else self._samples[1])[..., i, j])
 
     def evaluate(self, x) -> np.ndarray:
         """gamma * C at positions x, shape (n, n, len(x))."""

@@ -110,14 +110,14 @@ def test_residual_halves_under_refinement():
 @pytest.mark.parametrize("spec", _MEMORY_SPECS, ids=["2x2", "3x3"])
 def test_kernel_memory_per_path_sample(spec):
     # the path samples grow as NK^3 and set the solve's peak memory; the sweep
-    # holds 72-80 bytes per sample and the last entry's build adds the rest
+    # holds 48 + 8 r bytes per sample of a row and gather buffers of one block
     tracemalloc.start()
     try:
         ker = solve_kernel(spec, NK=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 105 * ker.report.diagnostics["samples"]
+    assert peak <= 90 * ker.report.diagnostics["samples"]
 
 
 @pytest.mark.parametrize("spec", _MEMORY_SPECS, ids=["2x2", "3x3"])
@@ -126,7 +126,7 @@ def test_kernel_memory_follows_the_largest_row(spec):
     # largest row's samples, not the total
     NK = 64
     tables = [cumulative_travel(spec, i, n_fine=max(N_FINE, 8 * NK)) for i in range(spec.n)]
-    row_samples = [sum(g["wts"].size for g in geoms if g["rows"])
+    row_samples = [sum(g["coef"].shape[1] for g in geoms if g["rows"])
                    for geoms in ([_entry_geometry(spec, i, j, tables, NK) for j in range(spec.n)]
                                  for i in range(spec.n))]
     tracemalloc.start()
@@ -136,7 +136,53 @@ def test_kernel_memory_follows_the_largest_row(spec):
     finally:
         tracemalloc.stop()
     assert ker.report.diagnostics["samples"] == sum(row_samples)
-    assert peak <= 105 * max(row_samples)
+    assert peak <= 90 * max(row_samples)
+
+
+def test_geometry_bytes_count_each_held_array_once():
+    # 48 + 8 r bytes per path sample of a row (r = 1 on the 2x2), plus three
+    # gather buffers of the row's largest block; the per-point arrays add
+    # the rest
+    spec, NK = _MEMORY_SPECS[0], 64
+    tables = [cumulative_travel(spec, i, n_fine=max(N_FINE, 8 * NK)) for i in range(spec.n)]
+    expected = []
+    for i in range(spec.n):
+        geoms = [_entry_geometry(spec, i, j, tables, NK) for j in range(spec.n)]
+        block = max(np.diff(g["seg_starts"][g["blocks"]]).max() for g in geoms)
+        expected.append(56 * sum(g["coef"].shape[1] for g in geoms) + 3 * 8 * block)
+    held = solve_kernel(spec, NK=NK).report.diagnostics["geometry_bytes"]
+    assert max(expected) <= held <= 1.05 * max(expected)
+
+
+@pytest.mark.parametrize("spec", _MEMORY_SPECS, ids=["2x2", "3x3"])
+def test_kernel_does_not_depend_on_the_block_size(spec, monkeypatch):
+    # the geometry is built in blocks of whole segments; every per-sample step
+    # is elementwise, so one segment per block, about 300 samples and the
+    # default all give the same bits
+    values = []
+    for block in (1, 300, backstepping._BLOCK_SAMPLES):
+        monkeypatch.setattr(backstepping, "_BLOCK_SAMPLES", block)
+        values.append(solve_kernel(spec, NK=24).values)
+    assert all(np.array_equal(v, values[0]) for v in values[1:])
+
+
+@pytest.mark.parametrize("spec", _MEMORY_SPECS, ids=["2x2", "3x3"])
+def test_entry_geometry_temporaries_stay_within_a_few_blocks(spec):
+    # no temporary of an entry's build is larger than one block, so its peak is
+    # the arrays it returns plus a few blocks' worth of their bytes
+    NK = 96
+    tables = [cumulative_travel(spec, i, n_fine=max(N_FINE, 8 * NK)) for i in range(spec.n)]
+    for j in range(spec.n):
+        tracemalloc.start()
+        try:
+            g = _entry_geometry(spec, 1, j, tables, NK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (*g.values(), *g["interp"]) if isinstance(a, np.ndarray))
+        block = (48 + 8 * len(g["rows"])) * backstepping._BLOCK_SAMPLES
+        assert g["coef"].shape[1] > 4 * backstepping._BLOCK_SAMPLES
+        assert peak <= held + 3 * block
 
 
 def test_zero_coupling_samples_no_paths():
@@ -350,6 +396,31 @@ def test_row_gather_matches_full_gather(NK, n):
     ref = sum((w * values[..., a * (a + 1) // 2 + b] for w, a, b in corners[1:]),
               corners[0][0] * values[..., p * (p + 1) // 2 + q])
     assert np.array_equal(full, ref)
+
+
+@pytest.mark.parametrize("NK", [8, 13])
+def test_rows_at_is_affine_on_diagonal_cut_cells(NK):
+    # a cut cell's corner 2 has weight 0; its index is that of (p+1, 0), here
+    # given a huge value that any nonzero weight would show
+    rng = np.random.default_rng(NK)
+    values = rng.uniform(-1.0, 1.0, (2, 2, (NK + 1) * (NK + 2) // 2))
+    values[..., [(p + 1) * (p + 2) // 2 for p in range(NK)]] = 1e300
+    p = np.concatenate([np.arange(NK), [NK - 1, NK - 1]])
+    fx = np.concatenate([rng.uniform(0.0, 1.0, NK), [1.0, 0.5]])
+    fy = np.concatenate([fx[:NK] * rng.uniform(0.0, 1.0, NK), [1.0, 0.0]])
+    x, y = (p + fx) / NK, (p + fy) / NK
+    assert x[-2] == y[-2] == 1.0
+    got = Kernel(2, 1, NK, values).rows_at(x, y)
+    # the fractions as rows_at takes them from the points
+    fx = x * NK - p
+    fy = np.minimum(y * NK - p, fx)
+
+    def node(a, b):
+        return np.moveaxis(values[..., a * (a + 1) // 2 + b], -1, 0)
+
+    want = ((1 - fx)[:, None, None] * node(p, p) + (fx - fy)[:, None, None] * node(p + 1, p)
+            + fy[:, None, None] * node(p + 1, p + 1))
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=20, deadline=None)

@@ -185,6 +185,9 @@ def test_coupling_column_is_zero_read_from_representation():
     ]
     for coupling, zero in cases:
         assert [coupling.column_is_zero(j) for j in range(2)] == zero
+        # only entry (0, 1) can be nonzero in these cases
+        assert [coupling.entry_is_zero(i, j) for i in range(2) for j in range(2)] == [
+            True, zero[1], True, True]
 
 
 def test_public_functions_take_b_from_the_system_and_t_from_the_grid():

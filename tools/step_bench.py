@@ -29,7 +29,10 @@ files ``perfbench.workloads.generate`` writes for SEED:
 - ``kernel_2x2_NK128``: ``kernel_quasilinear``'s ``kernel_2x2`` task,
   ``solve_kernel`` on the gauged system of its ``coupled.cfg`` at NK = 128,
   in ms per solve; ``kernel_2x2_NK128_peak`` is the ``tracemalloc`` peak of
-  one such solve, in MB, taken apart from the timed solves.
+  one such solve, in MB, taken apart from the timed solves;
+- ``kernel_3x3_NK64`` and ``kernel_3x3_NK64_peak``: the same for the
+  ``kernel_3x3`` task, ``three.cfg`` (k = 1, m = 2, so two coupling rows per
+  kernel entry) at NK = 64.
 
 Runs without a law get a constant nonzero control, so no step is at rest.  A
 step's cost is the run's time over its computed steps, ``steps`` minus
@@ -78,11 +81,14 @@ SHAPES = {
 }
 LAW_CALLS, LAW_REPEATS = 2000, 7
 VOLTERRA_REPEATS = 5
-KERNEL_NK, KERNEL_REPEATS = 128, 3
+# name -> (config file of kernel_quasilinear, NK)
+KERNELS = {"kernel_2x2_NK128": ("coupled.cfg", 128), "kernel_3x3_NK64": ("three.cfg", 64)}
+KERNEL_REPEATS = 3
 # unit of each figure and its factor from seconds (from bytes for a peak);
 # us for every other name
-UNITS = {"volterra_round_trip": ("ms", 1e3), "kernel_2x2_NK128": ("ms", 1e3),
-         "kernel_2x2_NK128_peak": ("MB", 1e-6)}
+UNITS = {"volterra_round_trip": ("ms", 1e3),
+         **{name: ("ms", 1e3) for name in KERNELS},
+         **{name + "_peak": ("MB", 1e-6) for name in KERNELS}}
 
 
 def _unit(name: str) -> tuple:
@@ -168,24 +174,25 @@ def _volterra(pkg: str, workdir: str):
     return round_trips
 
 
-def _kernel(pkg: str, workdir: str):
+def _kernel(pkg: str, workdir: str, name: str):
     """(solve, peak) of one side: solve() returns the seconds of one
-    ``solve_kernel`` of the ``kernel_2x2`` task, peak() the ``tracemalloc``
+    ``solve_kernel`` of the kernel shape ``name``, peak() the ``tracemalloc``
     peak in bytes of another."""
     bs = importlib.import_module(pkg + ".backstepping")
     config = importlib.import_module(pkg + ".config")
-    cfg = config.load_config(Path(workdir) / "kernel_quasilinear" / "coupled.cfg")
+    cfg_name, NK = KERNELS[name]
+    cfg = config.load_config(Path(workdir) / "kernel_quasilinear" / cfg_name)
     base, _ = bs.preprocess_diagonal(cfg.system())
 
     def solve():
         start = time.perf_counter()
-        bs.solve_kernel(base, NK=KERNEL_NK)
+        bs.solve_kernel(base, NK=NK)
         return time.perf_counter() - start
 
     def peak():
         tracemalloc.start()
         try:
-            bs.solve_kernel(base, NK=KERNEL_NK)
+            bs.solve_kernel(base, NK=NK)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -195,8 +202,8 @@ def _kernel(pkg: str, workdir: str):
 
 def _worker(srcs: dict, seed: int, workdir: str, first: int) -> dict:
     """side -> shape -> us per computed step (law_call: us per call;
-    volterra_round_trip: ms per state; kernel_2x2_NK128: ms per solve, and
-    its peak in MB), both sides timed alternately in this process; ``first``
+    volterra_round_trip: ms per state; a kernel shape: ms per solve, and its
+    peak in MB), both sides timed alternately in this process; ``first``
     is the side that starts."""
     import numpy as np
 
@@ -211,9 +218,10 @@ def _worker(srcs: dict, seed: int, workdir: str, first: int) -> dict:
             timed.append(("law_call", LAW_REPEATS, {side: runs[side][1] for side in SIDES}))
     timed.append(("volterra_round_trip", VOLTERRA_REPEATS,
                   {side: _volterra(packages[side], workdir) for side in SIDES}))
-    kernels = {side: _kernel(packages[side], workdir) for side in SIDES}
-    timed.append(("kernel_2x2_NK128", KERNEL_REPEATS, {s: kernels[s][0] for s in SIDES}))
-    timed.append(("kernel_2x2_NK128_peak", 1, {s: kernels[s][1] for s in SIDES}))
+    for name in KERNELS:
+        kernels = {side: _kernel(packages[side], workdir, name) for side in SIDES}
+        timed.append((name, KERNEL_REPEATS, {s: kernels[s][0] for s in SIDES}))
+        timed.append((name + "_peak", 1, {s: kernels[s][1] for s in SIDES}))
     result = {side: {} for side in SIDES}
     for name, count, funcs in timed:
         best = dict.fromkeys(SIDES, float("inf"))
@@ -289,11 +297,12 @@ def main(argv=None) -> int:
             "law_calls": LAW_CALLS,
             "law_repeats": LAW_REPEATS,
             "volterra_repeats": VOLTERRA_REPEATS,
-            "kernel_nk": KERNEL_NK,
+            "kernels": {name: dict(zip(("config", "NK"), spec))
+                        for name, spec in KERNELS.items()},
             "kernel_repeats": KERNEL_REPEATS,
             "rounds": args.rounds,
             "unit": "us per computed step (law_call: us per call; volterra_round_trip: "
-                    "ms per state; kernel_2x2_NK128: ms per solve; kernel_2x2_NK128_peak: "
+                    "ms per state; a kernel shape: ms per solve; its _peak: "
                     "tracemalloc MB), min over repeats",
         },
         "seed": args.seed,
