@@ -379,14 +379,13 @@ def null_control_openloop(
     free_flat = free.terminal_state().values.ravel() * sqw
     zero_init = StateField(np.zeros_like(w0.values), 0.0, xs)
 
+    # the controls a basis run returns, held once: the solver copies them
+    zeros, units = np.zeros(m), np.eye(m)
     cols = []
     for c in range(m):
         for s in range(segments):
-            def basis(t, state, _c=c, _s=s):
-                out = np.zeros(m)
-                if seg_index(t) == _s:
-                    out[_c] = 1.0
-                return out
+            def basis(t, state, _unit=units[c], _s=s):
+                return _unit if seg_index(t) == _s else zeros
 
             resp = solve_forward(spec, zero_init, basis, grid, snapshot_stride=10**9)
             cols.append(resp.terminal_state().values.ravel() * sqw)

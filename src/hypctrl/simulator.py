@@ -28,7 +28,8 @@ d the least that meets the CFL condition.  The signed speeds sit in one
 buffer held for the run: the rows of speeds that ignore the state are written
 once, the others before each sub-step, each refused (CFLViolation, naming
 lambda_i, t and x) unless finite and positive, by the row min and max that
-the CFL test reads.  The last sub-step writes the step's chunk slot.
+the CFL test reads.  The sub-steps of a split step pass through two buffers
+held for the run; the last one writes the step's own state buffer.
 
 A dual step differences the flux (sigma ds/h) v, and its source integral is
 one trapezoid-weighted (n (N+1), m) operator op[(j, q), p] = h_q
@@ -57,33 +58,38 @@ boundary closure and the speeds run under the caller's settings.  The dual
 solver does not flush.
 
 Each stepping loop has a per-step core, which does only what the next step
-or the boundary closure needs, and a per-chunk recorder.  The core writes each
-new state into the next slot of one of two alternating chunk buffers of
-K = min(64, states per 256 KiB) states; after every K steps, and after the
-last one, the recorder fills the incoming trace at x = 1 (the forward run's
-controls, the dual's observation) and the strided snapshots from the whole
-chunk at once.  The forward solver also fills its per-component L2 and Linf
-norms there, from the |chunk| pass it makes anyway; the dual records no
-norms.  The state array the closure receives is a view of a slot that is
-overwritten 2K steps later: copy it to keep it.
+or the boundary closure needs, and a per-chunk recorder.  The core steps
+between two fixed state buffers, state s in buffer s mod 2; the views a step
+reads and writes (the upwind slices, the boundary columns, the coupling rows,
+the reflection's input and output, the array the closure receives) are bound
+once per run for each of the two directions.  Each step writes its incoming
+trace at x = 1 (the forward run's controls, the dual's observation) into its
+row of the run's record and copies the state when a snapshot is due.  The
+forward core also keeps each step's |w|, the pass the flush takes anyway, in
+one of K = min(64, states per 256 KiB) chunk slots; after every K steps, and
+after the last one, the recorder fills the per-component L2 and Linf norms
+from them, with the x = 1 column of rows k: replaced by the |controls| just
+written.  Entries below the flush threshold enter those norms as zero.  The
+dual records no norms.  The state array the closure receives is a view of a
+buffer that is overwritten two steps later: copy it to keep it.
 
 A forward run is at rest when its whole batch state is exactly zero: at the
 start, or after a step whose flushed result is all zero and whose controls,
-just written, are all zero.  The next step of a run at rest fills its slot
-with 0.0 and skips the update and the flush; the closure is still called and
-its controls checked as in any step.  This is exact: the update is linear in
-the state, so with finite speeds and coupling it gives +-0.0 in every cell,
-which the flush makes +0.0.  It holds only for state-independent speeds and
-coupling that are finite on the grid and a reflection without a hook, which
-may map 0 to up to 1e-12.  The test reads the step's |w| pass, taken before
-the new controls overwrite the old ones, so it may miss a rest (previous
-controls of about 1e-308) but never skips a step that would not give zero.
+just written, are all zero.  The next step of a run at rest fills its buffer
+and its |w| slot with 0.0 and skips the update and the flush; the closure is
+still called and its controls checked as in any step.  This is exact: the
+update is linear in the state, so with finite speeds and coupling it gives
++-0.0 in every cell, which the flush makes +0.0.  It holds only for
+state-independent speeds and coupling that are finite on the grid and a
+reflection without a hook, which may map 0 to up to 1e-12.  The test reads
+the step's |w| pass, taken before the new controls overwrite the old ones, so
+it may miss a rest (previous controls of about 1e-308) but never skips a step
+that would not give zero.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -106,13 +112,15 @@ from .core import (
 _MAX_SUBSTEP_DOUBLINGS = 12
 # smallest normal double: state entries below it in magnitude are flushed to zero
 _TINY = np.finfo(float).tiny
-# states per chunk: as many as fit in this many bytes (1 to 64), to stay in cache
+# |w| slots per chunk: as many states as fit in this many bytes (1 to 64), to stay in cache
 _CHUNK_BYTES = 256 * 1024
 
 
 def zero_control(m: int) -> Callable:
+    zeros = np.zeros(m)  # the solver copies what a closure returns
+
     def closure(t, state):
-        return np.zeros(m)
+        return zeros
 
     return closure
 
@@ -146,7 +154,7 @@ class Trajectory:
     norms_l2: np.ndarray  # (n_steps+1, n)
     norms_linf: np.ndarray  # (n_steps+1, n)
     controls: np.ndarray = field(default=None, repr=False)  # (n_steps+1, m), inflow at x = 1
-    # steps, dt, chunk (states per chunk buffer), max_substep_doublings, rest_steps
+    # steps, dt, chunk (steps per chunk of |w| slots), max_substep_doublings, rest_steps
     diagnostics: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -172,36 +180,27 @@ def _resolve_stride(n_steps: int, snapshot_stride) -> int:
 
 
 class _Recorder:
-    """The states of a run, K per chunk in two alternating chunk buffers, and
-    what both solvers record from a chunk: the incoming trace at x = 1 (rows
-    k:) and the strided snapshots.  ``scratch`` has a slot per chunk slot:
-    work space of the step that fills that slot, then of the chunk's records."""
+    """What both solvers record of a run as it steps: the incoming trace at
+    x = 1 (rows k:), step s in ``by_step[s]``, a (b, m) view of ``inflow``, and
+    the strided snapshots, each copied by ``snap`` when its step comes.  K is
+    the number of steps per chunk of the forward run's |w| slots."""
 
     def __init__(self, w: np.ndarray, k: int, n_steps: int, snapshot_stride, dt: float):
         self.K = min(64, max(1, _CHUNK_BYTES // w.nbytes))
-        self.bufs = [np.empty((self.K,) + w.shape) for _ in range(2)]
-        self.scratch = np.empty((self.K,) + w.shape)
         stride = _resolve_stride(n_steps, snapshot_stride)
         self.snap_steps = sorted({*range(0, n_steps + 1, stride), n_steps})
         self.snapshots = np.empty((w.shape[0], len(self.snap_steps)) + w.shape[1:])
         self.inflow = np.empty((w.shape[0], n_steps + 1, w.shape[1] - k))
-        self.snapshots[:, 0], self.inflow[:, 0] = w, w[:, k:, -1]
-        self.k, self.n_steps = k, n_steps
+        self.by_step = self.inflow.swapaxes(0, 1)
+        self.snapshots[:, 0], self.by_step[0] = w, w[:, k:, -1]
+        self.taken, self.next_snap = 1, self.snap_steps[1]
         self.diagnostics = {"steps": n_steps, "dt": dt, "chunk": self.K}
 
-    def chunks(self):
-        """(steps, chunk) per chunk; the chunk is the (len(steps), b, n, N+1) view to fill."""
-        for lo in range(0, self.n_steps, self.K):
-            steps = range(lo + 1, min(lo + self.K, self.n_steps) + 1)
-            yield steps, self.bufs[lo // self.K % 2][: len(steps)]
-
-    def record(self, steps: range, chunk: np.ndarray):
-        """Records of a filled chunk."""
-        self.inflow[:, steps.start : steps.stop] = chunk[:, :, self.k :, -1].swapaxes(0, 1)
-        i, j = bisect_left(self.snap_steps, steps.start), bisect_left(self.snap_steps, steps.stop)
-        if i < j:  # most chunks of a strided run hold no snapshot
-            slots = np.subtract(self.snap_steps[i:j], steps.start)
-            self.snapshots[:, i:j] = chunk[slots].swapaxes(0, 1)
+    def snap(self, state: np.ndarray):
+        """Copy the state of step ``next_snap``."""
+        self.snapshots[:, self.taken] = state
+        self.taken += 1
+        self.next_snap = self.snap_steps[self.taken] if self.taken < len(self.snap_steps) else -1
 
 
 def solve_forward(
@@ -216,7 +215,8 @@ def solve_forward(
     ``boundary_at_1(t, values)`` must return the m incoming values at x = 1
     for time t; it is called once per step with the freshly updated (n, N+1)
     state values (boundary at x = 1 still pending), a view of a buffer the
-    solver reuses (copy it to keep it), and must be side-effect free.
+    solver overwrites two steps later (copy it to keep it), and must be
+    side-effect free.  The solver copies the values it returns.
     For state-dependent speeds the CFL condition is re-checked every step and
     the step is split in halves until it holds again; a state-dependent speed
     that is not finite and positive on a sub-step's state is refused.
@@ -239,6 +239,7 @@ def solve_forward(
     b = w.shape[0]
     ctrl_shape = (b, spec.m) if batched else (spec.m,)
     n_steps, dt = grid.steps(spec.lambda_max)
+    reflection = spec.reflection
 
     cvals = None if spec.coupling.is_zero else spec.coupling.evaluate(xs)
     lam_static = None if spec.state_dependent else spec.signed_speeds(xs)
@@ -250,10 +251,14 @@ def solve_forward(
     entries = [(i, j, float(c[0]) if (c == c[0]).all() else c) for i, j, c in entries]
 
     rec = _Recorder(w, k, n_steps, snapshot_stride, dt)
+    by_step = rec.by_step
     nl2, nlinf = np.empty((2, b, n_steps + 1, n))
     nl2[:, 0], nlinf[:, 0] = _l2(w, h), np.max(np.abs(w), axis=-1)
 
-    # buffers reused every step: one component's coupling term and the flush mask
+    # buffers reused every step: the other state buffer, each step's |w| in its
+    # chunk slot, one component's coupling term and the flush mask
+    bufs = (w, np.empty_like(w))
+    absw = np.empty((rec.K,) + w.shape)
     cw = np.empty((b, xs.size)) if entries else None
     small = np.empty(w.shape, dtype=bool)
     doublings = 0
@@ -261,7 +266,7 @@ def solve_forward(
     # see the module docstring
     can_rest = (
         lam_static is not None
-        and spec.reflection.hook is None
+        and reflection.hook is None
         and np.isfinite(lam_static).all()
         and (cvals is None or np.isfinite(cvals).all())
     )
@@ -269,31 +274,50 @@ def solve_forward(
     rest_steps = 0
 
     def coupling_terms(step_dt):
-        """(i, j, dt*C_ij) per coupling entry, for a step of length step_dt."""
-        return [(i, j, step_dt * c) for i, j, c in entries]
+        """dt*C_ij per coupling entry, for a step of length step_dt."""
+        return [step_dt * c for _, _, c in entries]
 
-    # a state that overflows is refused below by name, not warned about
-    @np.errstate(over="ignore", invalid="ignore")
-    def substep(w, coef, dt_coupling, out):
-        """out = w + coef*dw + sum of dt*C_ij*w_j, with the reflection at x = 0;
-        dw is formed in out itself, which keeps a step's working set small."""
-        np.subtract(w[:, :k, 1:], w[:, :k, :-1], out=out[:, :k, 1:])
-        np.subtract(w[:, k:, 1:], w[:, k:, :-1], out=out[:, k:, :-1])
-        out[:, :k, 0] = 0.0
-        out[:, k:, -1] = 0.0
-        np.multiply(out, coef, out=out)
-        for i, j, dtc in dt_coupling:
-            np.multiply(dtc, w[:, j], out=cw)
-            np.add(out[:, i], cw, out=out[:, i])
-        np.add(w, out, out=out)
-        spec.reflection.apply(out[:, k:, 0], out=out[:, :k, :1])
-        return out
+    def bind(src, dst):
+        """The step from src into dst, with the views it reads and writes bound:
+        advance(coef, dt_coupling) writes dst = src + coef*dw + sum of
+        dt*C_ij*src_j, with the reflection at x = 0; dw is formed in dst
+        itself, which keeps a step's working set small."""
+        right, right_lo, right_out = src[:, :k, 1:], src[:, :k, :-1], dst[:, :k, 1:]
+        left, left_lo, left_out = src[:, k:, 1:], src[:, k:, :-1], dst[:, k:, :-1]
+        edge_0, edge_1 = dst[:, :k, 0], dst[:, k:, -1]
+        pairs = [(src[:, j], dst[:, i]) for i, j, _ in entries]
+        reflect_in, reflect_out = dst[:, k:, 0], dst[:, :k, :1]
+
+        # a state that overflows is refused below by name, not warned about
+        @np.errstate(over="ignore", invalid="ignore")
+        def advance(coef, dt_coupling):
+            np.subtract(right, right_lo, out=right_out)
+            np.subtract(left, left_lo, out=left_out)
+            edge_0.fill(0.0)
+            edge_1.fill(0.0)
+            np.multiply(dst, coef, out=dst)
+            for (src_j, dst_i), dtc in zip(pairs, dt_coupling):
+                np.multiply(dtc, src_j, out=cw)
+                np.add(dst_i, cw, out=dst_i)
+            np.add(src, dst, out=dst)
+            reflection.apply(reflect_in, out=reflect_out)
+
+        return advance
+
+    unbatch = (lambda a: a) if batched else (lambda a: a[0])
+    # per direction, indexed by step % 2: the step into that buffer, the
+    # buffer, the step's source, the closure's view and the control column
+    directions = [
+        (bind(src, dst), dst, src, unbatch(dst), dst[:, k:, -1])
+        for src, dst in ((bufs[1], bufs[0]), (bufs[0], bufs[1]))
+    ]
 
     dt_coupling = coupling_terms(dt)
     if not spec.state_dependent:
-        static = (lam_static * (dt / h), dt_coupling)
+        coef = (lam_static * (dt / h))[None]
     else:
-        sig, coef = np.empty((2, n, xs.size))
+        sig = np.empty((n, xs.size))
+        coef = np.empty((1, n, xs.size))
         between = np.empty((2,) + w.shape)  # the states inside a split step
         moving, fixed_peak = [], 0.0
         for i, speed in enumerate(spec.speeds):
@@ -323,30 +347,34 @@ def solve_forward(
                 np.multiply(lam, sign, out=sig[i])
             return peak
 
-    unbatch = (lambda a: a) if batched else (lambda a: a[0])
-
-    for steps, chunk in rec.chunks():
-        for step, w_new, absw in zip(steps, chunk, rec.scratch):
+    for lo in range(0, n_steps, rec.K):
+        steps = range(lo + 1, min(lo + rec.K, n_steps) + 1)
+        for step, absw_s in zip(steps, absw):
+            advance, dst, src, values, ctrl_col = directions[step % 2]
             t_new = step * dt
             if at_rest:
-                w_new.fill(0.0)
+                dst.fill(0.0)
+                absw_s.fill(0.0)
                 rest_steps += 1
                 peak = 0.0
             else:
-                if spec.state_dependent:
+                if not spec.state_dependent:
+                    advance(coef, dt_coupling)
+                else:
                     for doubled in range(_MAX_SUBSTEP_DOUBLINGS + 1):
                         parts = 2**doubled
                         sub_dt = dt / parts
                         dtc = dt_coupling if doubled == 0 else coupling_terms(sub_dt)
-                        wtry = w
+                        part_src = src
                         for part in range(parts):
                             t_sub = (step - 1) * dt + part * sub_dt
-                            if speeds_at(wtry[0], t_sub) * sub_dt / h > 1.0 + 1e-12:
+                            if speeds_at(part_src[0], t_sub) * sub_dt / h > 1.0 + 1e-12:
                                 break
-                            np.multiply(sig, sub_dt / h, out=coef)
-                            # the last sub-step writes the step's own slot
-                            out = w_new if part == parts - 1 else between[part % 2]
-                            wtry = substep(wtry, coef, dtc, out)
+                            np.multiply(sig, sub_dt / h, out=coef[0])
+                            # the last sub-step writes the step's own buffer
+                            out = dst if part == parts - 1 else between[part % 2]
+                            (advance if parts == 1 else bind(part_src, out))(coef, dtc)
+                            part_src = out
                         else:  # every sub-step met the CFL condition
                             break
                     else:
@@ -354,17 +382,16 @@ def solve_forward(
                             f"CFL could not be restored by halving at t = {t_new:.6g}"
                         )
                     doublings = max(doublings, doubled)
-                else:
-                    substep(w, *static, w_new)
-                # one |w| pass serves the flush, the finite check and the rest test
-                np.abs(w_new, out=absw)
-                np.less(absw, _TINY, out=small)
-                np.copyto(w_new, 0.0, where=small)
-                peak = absw.max()
+                # one |w| pass serves the flush, the finite check, the rest test
+                # and the chunk's norms
+                np.abs(dst, out=absw_s)
+                np.less(absw_s, _TINY, out=small)
+                np.copyto(dst, 0.0, where=small)
+                peak = absw_s.max()
                 if not peak < np.inf:  # NaN or inf
                     raise NonFiniteState(f"state blew up at t = {t_new:.6g}")
             try:
-                ctrl = np.asarray(boundary_at_1(t_new, unbatch(w_new)), dtype=float)
+                ctrl = np.asarray(boundary_at_1(t_new, values), dtype=float)
             except Exception as exc:  # noqa: BLE001 - report as a solver failure
                 raise BoundaryClosureFailure(
                     f"boundary closure failed at t={t_new:.6g}: {exc}"
@@ -376,14 +403,25 @@ def solve_forward(
                     f"boundary closure must return finite values of shape {ctrl_shape} "
                     f"at t={t_new:.6g}"
                 )
-            w_new[:, k:, -1] = ctrl
+            ctrl_col[...] = ctrl
+            by_step[step] = ctrl
+            if step == rec.next_snap:
+                rec.snap(dst)
             at_rest = can_rest and peak < _TINY and not any(vals)
-            w = w_new
-        rows = slice(steps.start, steps.stop)
-        absc = np.abs(chunk, out=rec.scratch[: len(steps)])
-        nlinf[:, rows] = absc.max(axis=-1).swapaxes(0, 1)
-        nl2[:, rows] = _l2(absc, h, absc).swapaxes(0, 1)
-        rec.record(steps, chunk)
+        # the chunk's norms from its |w| slots, taken before the flush: Linf over
+        # rows :k and the interiors of rows k:, a max below _TINY read as the
+        # flushed 0.0, then the controls at x = 1, never flushed, which also
+        # replace that column in the L2 sums; an entry below _TINY squares to
+        # +0.0, as its flushed value does
+        done = slice(steps.start, steps.stop)
+        absc = absw[: len(steps)]
+        linf = np.empty((len(steps), b, n))
+        np.maximum.reduce(absc[..., :k, :], axis=-1, out=linf[..., :k])
+        np.maximum.reduce(absc[..., k:, :-1], axis=-1, out=linf[..., k:])
+        np.copyto(linf, 0.0, where=linf < _TINY)
+        np.maximum(linf[..., k:], np.abs(by_step[done], out=absc[..., k:, -1]), out=linf[..., k:])
+        nlinf[:, done] = linf.swapaxes(0, 1)
+        nl2[:, done] = _l2(absc, h, absc).swapaxes(0, 1)
 
     return Trajectory(
         grid=grid,
@@ -450,7 +488,7 @@ def solve_dual(
     """
     if spec.state_dependent:
         raise ValidationError("dual solver requires state-independent speeds")
-    n, k, m, B = spec.n, spec.k, spec.m, spec.B
+    n, k, m = spec.n, spec.k, spec.m
     xs = grid.xs
     h = grid.h
     v, batched = _as_batch(v_at_0, (n, xs.size), "dual initial state")
@@ -473,33 +511,56 @@ def solve_dual(
         op = (svals[:, k:, :] * grid.weights).transpose(0, 2, 1).reshape(n * xs.size, m)
 
     n_steps, ds = grid.steps(spec.lambda_max)
-    flux = sig * (ds / h)
+    flux = (sig * (ds / h))[None]
+    minus_BT = -spec.B.T
 
     rec = _Recorder(v, k, n_steps, snapshot_stride, ds)
+    by_step = rec.by_step
     b = v.shape[0]
+    # the flux G is formed in a buffer of its own, its differences in the new
+    # state's buffer, which keeps a step's working set small
+    G = np.empty_like(v)
+    bufs = (v, np.empty_like(v))
 
-    for steps, chunk in rec.chunks():
-        # the flux G and its differences are formed in the scratch slot and the
-        # new state's slot, which keeps a step's working set small
-        for step, v_new, G in zip(steps, chunk, rec.scratch):
-            np.multiply(flux, v, out=G)
-            # rows < k move leftward in reversed time: forward flux difference
-            np.subtract(G[:, :k, 1:], G[:, :k, :-1], out=v_new[:, :k, :-1])
-            # rows >= k move rightward in reversed time: backward flux difference
-            np.subtract(G[:, k:, 1:], G[:, k:, :-1], out=v_new[:, k:, 1:])
-            v_new[:, :k, -1] = v_new[:, k:, 0] = 0.0  # no difference reaches these
-            # v_new[:, k:, 0] becomes v[:, k:, 0]: a placeholder for the integral endpoint
-            np.subtract(v, v_new, out=v_new)
-            v_new[:, :k, -1] = 0.0
+    def bind(src, dst):
+        """The step from src into dst, with the views it reads and writes bound."""
+        # rows < k move leftward in reversed time: forward flux difference;
+        # rows >= k rightward: backward flux difference
+        lead, lead_lo, lead_out = G[:, :k, 1:], G[:, :k, :-1], dst[:, :k, :-1]
+        trail, trail_lo, trail_out = G[:, k:, 1:], G[:, k:, :-1], dst[:, k:, 1:]
+        end_1, plus_0, minus_0 = dst[:, :k, -1], dst[:, k:, 0], dst[:, :k, 0]
+        flat = dst.reshape(b, 1, -1)
+
+        def advance():
+            np.multiply(flux, src, out=G)
+            np.subtract(lead, lead_lo, out=lead_out)
+            np.subtract(trail, trail_lo, out=trail_out)
+            end_1.fill(0.0)  # no difference reaches these two columns;
+            plus_0.fill(0.0)  # v_+(., 0) becomes src's: a placeholder for the integral
+            np.subtract(src, dst, out=dst)
+            end_1.fill(0.0)
             # one matrix-vector product per run, so each run rounds as if alone
-            rhs = (-B.T @ (sig_minus_0 * v_new[:, :k, 0])[..., None])[..., 0]
+            rhs = (minus_BT @ (sig_minus_0 * minus_0)[..., None])[..., 0]
             if op is not None:
-                rhs = rhs + (v_new.reshape(b, 1, -1) @ op)[:, 0]
-            v_new[:, k:, 0] = rhs / sig_plus_0
-            if not np.all(np.isfinite(v_new)):
-                raise NonFiniteState(f"dual state blew up at t = {-step * ds:.6g}")
-            v = v_new
-        rec.record(steps, chunk)
+                rhs = rhs + (flat @ op)[:, 0]
+            np.divide(rhs, sig_plus_0, out=plus_0)
+
+        return advance
+
+    # per direction, indexed by step % 2: the step into that buffer, the
+    # buffer and its observation column
+    directions = [
+        (bind(src, dst), dst, dst[:, k:, -1])
+        for src, dst in ((bufs[1], bufs[0]), (bufs[0], bufs[1]))
+    ]
+    for step in range(1, n_steps + 1):
+        advance, dst, observed = directions[step % 2]
+        advance()
+        if not np.all(np.isfinite(dst)):
+            raise NonFiniteState(f"dual state blew up at t = {-step * ds:.6g}")
+        by_step[step] = observed
+        if step == rec.next_snap:
+            rec.snap(dst)
 
     unbatch = (lambda a: a) if batched else (lambda a: a[0])
     return DualTrajectory(
@@ -511,7 +572,6 @@ def solve_dual(
         observation=unbatch(rec.inflow),
         diagnostics=rec.diagnostics,
     )
-
 
 # --------------------------------------------------------------------------- #
 # characteristic flow

@@ -423,6 +423,37 @@ def test_snapshots_are_not_held_twice():
     assert peak < 1.3 * held
 
 
+def test_solvers_hold_two_states_and_a_chunk_of_abs_values():
+    # both solvers step between two state buffers; the forward run also keeps
+    # each step's |w| for its chunk's norms, K = 64 of them at this size.
+    # Beyond that, 20 states' worth covers the run's constants (speeds,
+    # coupling values, coefficients), the dual's flux buffer, the per-chunk
+    # norm temporaries and the bound views; chunks of states would take 3K
+    import tracemalloc
+
+    spec = build_system(1, 1, [1.0, 1.0], coupling=[[0.0, 1.0], [1.0, 0.0]], b=[[0.5]],
+                        gamma=0.1)
+    grid = GridSpec(N=128, cfl=0.95, T=2.2)
+    w0 = state_from_exprs(["exp(-((x-0.4)/0.1)**2)", "exp(-((x-0.6)/0.1)**2)"], grid, 2)
+    control = np.full(1, 0.1)
+    runs = {
+        "forward": lambda: solve_forward(spec, w0, lambda t, values: control, grid,
+                                         snapshot_stride=10**9),
+        "dual": lambda: solve_dual(spec, None, w0, grid, snapshot_stride=10**9),
+    }
+    for name, solve in runs.items():
+        tracemalloc.start()
+        try:
+            run = solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in vars(run).values() if isinstance(a, np.ndarray))
+        K = run.diagnostics["chunk"]
+        assert K == 64
+        assert peak - held <= (2 + K + 20) * w0.values.nbytes, name
+
+
 def test_diagnostics_report_steps_dt_chunk_and_doublings():
     lin = build_system(1, 1, [1.0, 1.0], b=[[0.5]])
     grid = GridSpec(N=64, cfl=0.9, T=0.5)

@@ -1,6 +1,6 @@
-"""Microseconds per computed forward step and per feedback-law call,
-milliseconds per state of a Volterra round trip and per kernel solve, two
-source trees against each other, interleaved.
+"""Microseconds per computed forward or dual step and per feedback-law call,
+milliseconds per basis run, per state of a Volterra round trip and per
+kernel solve, two source trees against each other, interleaved.
 
     python3 tools/step_bench.py PARENT_SRC CHANGE_SRC [--seed S] [--rounds R] [--label TEXT]
 
@@ -15,6 +15,14 @@ files ``perfbench.workloads.generate`` writes for SEED:
 - ``feedback_1x2_N4000``: the 1x2 of ``feedback`` under its law (N = 4000),
   over the first 0.3 of its horizon, where the law reads the state;
 - ``coupled_2x2_N4000``: the coupled 2x2 of ``simulate`` (N = 4000) over 0.3;
+- ``dual_b14_N500``: the dual run of ``observability`` at T = 2.5, the 1x2
+  of ``observe.cfg`` (B = 0, no source matrix, N = 500) on a batch of 14
+  random states, in us per step;
+- ``basis_runs_2x2_N128``: the 64 basis runs of ``nullctrl`` at T = 2.2 on
+  the coupled 2x2 of ``coupled.cfg`` (N = 128), from the zero state under
+  a unit control on one of 64 segments, in ms per whole run, so a run's
+  set-up counts; both sides get the same closures, which return arrays
+  held for the run;
 - ``law_call``: one call of the ``feedback`` law on its initial state's
   values, as ``solve_forward`` passes them, at 2000 times spread over [0, 0.3];
 - ``quasi_1x2_N2000``: ``kernel_quasilinear``'s ``quasi.cfg``, the 1x2 with
@@ -34,10 +42,10 @@ files ``perfbench.workloads.generate`` writes for SEED:
   ``kernel_3x3`` task, ``three.cfg`` (k = 1, m = 2, so two coupling rows per
   kernel entry) at NK = 64.
 
-Runs without a law get a constant nonzero control, so no step is at rest.  A
-step's cost is the run's time over its computed steps, ``steps`` minus
-``rest_steps`` of its diagnostics; the benchmark tracer's ``us_per_step``
-counts the steps skipped at rest as well.
+The other forward runs without a law get a constant nonzero control, so no
+step is at rest.  A forward step's cost is the run's time over its computed
+steps, ``steps`` minus ``rest_steps`` of its diagnostics; the benchmark
+tracer's ``us_per_step`` counts the steps skipped at rest as well.
 
 Each round is one fresh process that imports both trees, under two package
 names, and times the two sides alternately, run by run; a figure is the
@@ -77,16 +85,19 @@ SHAPES = {
     "witness_b51_N400": ("linear", "witness.cfg", 400, None, 51, 7),
     "feedback_1x2_N4000": ("linear", "feedback.cfg", 4000, 0.3, None, 3),
     "coupled_2x2_N4000": ("linear", "coupled_long.cfg", 4000, 0.3, None, 5),
+    "dual_b14_N500": ("linear", "observe.cfg", 500, None, 14, 7),
+    "basis_runs_2x2_N128": ("linear", "coupled.cfg", 128, 2.2, None, 3),
     "quasi_1x2_N2000": ("kernel_quasilinear", "quasi.cfg", 2000, 0.3, None, 5),
 }
 LAW_CALLS, LAW_REPEATS = 2000, 7
+BASIS_SEGMENTS = 64
 VOLTERRA_REPEATS = 5
 # name -> (config file of kernel_quasilinear, NK)
 KERNELS = {"kernel_2x2_NK128": ("coupled.cfg", 128), "kernel_3x3_NK64": ("three.cfg", 64)}
 KERNEL_REPEATS = 3
 # unit of each figure and its factor from seconds (from bytes for a peak);
 # us for every other name
-UNITS = {"volterra_round_trip": ("ms", 1e3),
+UNITS = {"volterra_round_trip": ("ms", 1e3), "basis_runs_2x2_N128": ("ms", 1e3),
          **{name: ("ms", 1e3) for name in KERNELS},
          **{name + "_peak": ("MB", 1e-6) for name in KERNELS}}
 
@@ -109,16 +120,48 @@ def _load(src: str, alias: str):
 
 def _inputs(pkg: str, shape: str, workdir: str, rng):
     """(run, law_calls) of one side: run() solves the shape and returns seconds
-    per computed step, law_calls() seconds per law call (None without a law)."""
+    per computed step (per run for the basis runs), law_calls() seconds per
+    law call (None without a law)."""
     import numpy as np
 
     config = importlib.import_module(pkg + ".config")
     controller = importlib.import_module(pkg + ".controller")
-    solve_forward = importlib.import_module(pkg + ".simulator").solve_forward
+    simulator = importlib.import_module(pkg + ".simulator")
+    solve_forward = simulator.solve_forward
     workload, cfg_name, N, T, batch, _ = SHAPES[shape]
     cfg = config.load_config(Path(workdir) / workload / cfg_name)
     spec = cfg.system()
     grid = cfg.grid(N=N, T=T)
+    if shape.startswith("dual"):
+        data = rng.standard_normal((batch, spec.n, N + 1))
+
+        def run():
+            start = time.perf_counter()
+            dual = simulator.solve_dual(spec, None, data, grid, snapshot_stride=10**9)
+            return (time.perf_counter() - start) / dual.diagnostics["steps"]
+
+        return run, None
+    if shape.startswith("basis_runs"):
+        units, zeros = np.eye(spec.m), np.zeros(spec.m)
+
+        def basis(c, s):
+            def closure(t, state):
+                segment = min(int(t / grid.T * BASIS_SEGMENTS), BASIS_SEGMENTS - 1)
+                return units[c] if segment == s else zeros
+
+            return closure
+
+        closures = [basis(c, s) for c in range(spec.m) for s in range(BASIS_SEGMENTS)]
+        rest = importlib.import_module(pkg + ".core").StateField(
+            np.zeros((spec.n, N + 1)), 0.0, grid.xs)
+
+        def run():
+            start = time.perf_counter()
+            for closure in closures:
+                solve_forward(spec, rest, closure, grid, snapshot_stride=10**9)
+            return (time.perf_counter() - start) / len(closures)
+
+        return run, None
     law = None
     if batch is None:
         w0 = cfg.initial_state(grid, spec.n)
@@ -202,9 +245,9 @@ def _kernel(pkg: str, workdir: str, name: str):
 
 def _worker(srcs: dict, seed: int, workdir: str, first: int) -> dict:
     """side -> shape -> us per computed step (law_call: us per call;
-    volterra_round_trip: ms per state; a kernel shape: ms per solve, and its
-    peak in MB), both sides timed alternately in this process; ``first``
-    is the side that starts."""
+    basis_runs_2x2_N128: ms per run; volterra_round_trip: ms per state; a
+    kernel shape: ms per solve, and its peak in MB), both sides timed
+    alternately in this process; ``first`` is the side that starts."""
     import numpy as np
 
     warnings.simplefilter("ignore")  # corner-compatibility warnings of the drawn data
@@ -301,9 +344,10 @@ def main(argv=None) -> int:
                         for name, spec in KERNELS.items()},
             "kernel_repeats": KERNEL_REPEATS,
             "rounds": args.rounds,
-            "unit": "us per computed step (law_call: us per call; volterra_round_trip: "
-                    "ms per state; a kernel shape: ms per solve; its _peak: "
-                    "tracemalloc MB), min over repeats",
+            "basis_segments": BASIS_SEGMENTS,
+            "unit": "us per computed step (law_call: us per call; basis_runs_2x2_N128: "
+                    "ms per run; volterra_round_trip: ms per state; a kernel shape: ms "
+                    "per solve; its _peak: tracemalloc MB), min over repeats",
         },
         "seed": args.seed,
         "host": {**run_record("linear", args.seed), "reference_ms": reference_ms},
