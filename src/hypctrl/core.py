@@ -333,21 +333,29 @@ class ReflectionMatrix:
         self.B = np.atleast_2d(np.asarray(B, dtype=float))
         self.hook = hook
 
-    def apply(self, w_plus: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Reflected values: (m,) -> (k,), or row by row (b, m) -> (b, k).
-
-        ``out``, of shape (k, 1) or (b, k, 1), receives them in place; without
-        a hook the products are formed there."""
+    def apply(self, w_plus: np.ndarray) -> np.ndarray:
+        """Reflected values: (m,) -> (k,), or row by row (b, m) -> (b, k)."""
         w_plus = np.asarray(w_plus, dtype=float)
         if self.hook is None:  # one matrix-vector product per row
-            return np.matmul(self.B, w_plus[..., None], out=out)[..., 0]
+            return np.matmul(self.B, w_plus[..., None])[..., 0]
         if w_plus.ndim == 2:
-            values = np.array([self.apply(row) for row in w_plus])
-        else:
-            values = np.asarray(self.hook(w_plus), dtype=float)
-        if out is not None:
-            out[..., 0] = values
-        return values
+            return np.array([self.apply(row) for row in w_plus])
+        return np.asarray(self.hook(w_plus), dtype=float)
+
+    def bind(self, w_plus: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        """The product bound to fixed arrays: each call writes the reflected
+        values of ``w_plus``, (m,) or (b, m), into ``out``, (k, 1) or (b, k, 1),
+        the bits ``apply`` returns.  Without a hook the matrix-vector products
+        are formed in ``out``; with one, the hook runs row by row."""
+        if self.hook is None:
+            B, column = self.B, w_plus[..., None]
+            return lambda: np.matmul(B, column, out=out)
+        values = out[..., 0]
+
+        def product():
+            values[...] = self.apply(w_plus)
+
+        return product
 
     def check_hook(self):
         if self.hook is None:

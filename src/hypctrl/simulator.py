@@ -20,8 +20,10 @@ with dw the upwind differences, coef = signed speeds * dt/h per cell and one
 multiply-add for each coupling entry C_ij that is nonzero on the grid: by the
 scalar dt C_ij where the entry is constant on the grid, which is sorted out
 once per run, and by its node values elsewhere.  Then the reflection at
-x = 0, which ReflectionMatrix.apply writes in place into out (without a
-hook, its matrix-vector products are formed there).
+x = 0: ReflectionMatrix.bind binds its product once per run to the step's
+input and output views, for each of the two directions below, so a step
+makes one matrix-vector product per run into out (with a hook, the hook
+runs row by row).
 
 With state-dependent speeds a step is split into 2^d sub-steps of dt/2^d,
 d the least that meets the CFL condition.  The signed speeds sit in one
@@ -36,7 +38,11 @@ one trapezoid-weighted (n (N+1), m) operator op[(j, q), p] = h_q
 S_{j,k+p}(x_q), applied to each run's flattened state by its own
 matrix-vector product.  Both regroup the
 arithmetic of w + dt (lambda dw/h + C w) and of the per-component sums, so
-they differ from those by roundoff only.
+they differ from those by roundoff only.  The terms of the dual's boundary
+integral (Sigma_-(0) v_-, its product with -B^T, the source product and their
+sum) and its finite check's mask are written into buffers held for the run,
+in the order of the boundary relation (see solve_dual), so their bits are
+those of fresh arrays.
 
 Both solvers advance a batch of b independent runs in one stepping loop: the
 state has shape (b, n, N+1), and a single run is the batch b = 1.  Both run
@@ -66,9 +72,11 @@ once per run for each of the two directions.  Each step writes its incoming
 trace at x = 1 (the forward run's controls, the dual's observation) into its
 row of the run's record and copies the state when a snapshot is due.  The
 forward core also keeps each step's |w|, the pass the flush takes anyway, in
-one of K = min(64, states per 256 KiB) chunk slots; after every K steps, and
-after the last one, the recorder fills the per-component L2 and Linf norms
-from them, with the x = 1 column of rows k: replaced by the |controls| just
+one of K = min(64, states per 1 MiB) chunk slots, 1 MiB being one core's L2,
+so the slots stay in cache while the per-chunk work is spread over as many
+steps as fit; after every K steps, and after the last one, the recorder
+writes the per-component L2 and Linf norms from them straight into the run's
+rows, with the x = 1 column of rows k: replaced by the |controls| just
 written.  Entries below the flush threshold enter those norms as zero.  The
 dual records no norms.  The state array the closure receives is a view of a
 buffer that is overwritten two steps later: copy it to keep it.
@@ -112,8 +120,9 @@ from .core import (
 _MAX_SUBSTEP_DOUBLINGS = 12
 # smallest normal double: state entries below it in magnitude are flushed to zero
 _TINY = np.finfo(float).tiny
-# |w| slots per chunk: as many states as fit in this many bytes (1 to 64), to stay in cache
-_CHUNK_BYTES = 256 * 1024
+# |w| slots per chunk: as many states as fit in this many bytes (1 to 64), one
+# core's L2, to stay in cache
+_CHUNK_BYTES = 1024 * 1024
 
 
 def zero_control(m: int) -> Callable:
@@ -125,10 +134,11 @@ def zero_control(m: int) -> Callable:
     return closure
 
 
-def _l2(w: np.ndarray, h: float, sq=None) -> np.ndarray:
-    """Trapezoid L2 norm along x; ``sq`` is an optional buffer for w*w (may be w)."""
+def _l2(w: np.ndarray, h: float, sq=None, out=None) -> np.ndarray:
+    """Trapezoid L2 norm along x; ``sq`` is an optional buffer for w*w (may be
+    w), ``out`` one for the norms."""
     sq = np.multiply(w, w, out=sq)
-    return np.sqrt(h * (np.add.reduce(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1])))
+    return np.sqrt(h * (np.add.reduce(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1])), out=out)
 
 
 def _as_batch(state, shape: tuple, what: str):
@@ -286,7 +296,7 @@ def solve_forward(
         left, left_lo, left_out = src[:, k:, 1:], src[:, k:, :-1], dst[:, k:, :-1]
         edge_0, edge_1 = dst[:, :k, 0], dst[:, k:, -1]
         pairs = [(src[:, j], dst[:, i]) for i, j, _ in entries]
-        reflect_in, reflect_out = dst[:, k:, 0], dst[:, :k, :1]
+        reflect = reflection.bind(dst[:, k:, 0], dst[:, :k, :1])
 
         # a state that overflows is refused below by name, not warned about
         @np.errstate(over="ignore", invalid="ignore")
@@ -300,7 +310,7 @@ def solve_forward(
                 np.multiply(dtc, src_j, out=cw)
                 np.add(dst_i, cw, out=dst_i)
             np.add(src, dst, out=dst)
-            reflection.apply(reflect_in, out=reflect_out)
+            reflect()
 
         return advance
 
@@ -387,7 +397,7 @@ def solve_forward(
                 np.abs(dst, out=absw_s)
                 np.less(absw_s, _TINY, out=small)
                 np.copyto(dst, 0.0, where=small)
-                peak = absw_s.max()
+                peak = np.maximum.reduce(absw_s, axis=None)
                 if not peak < np.inf:  # NaN or inf
                     raise NonFiniteState(f"state blew up at t = {t_new:.6g}")
             try:
@@ -415,13 +425,12 @@ def solve_forward(
         # +0.0, as its flushed value does
         done = slice(steps.start, steps.stop)
         absc = absw[: len(steps)]
-        linf = np.empty((len(steps), b, n))
+        linf = nlinf[:, done].swapaxes(0, 1)  # (steps, b, n) views of the run's rows
         np.maximum.reduce(absc[..., :k, :], axis=-1, out=linf[..., :k])
         np.maximum.reduce(absc[..., k:, :-1], axis=-1, out=linf[..., k:])
         np.copyto(linf, 0.0, where=linf < _TINY)
         np.maximum(linf[..., k:], np.abs(by_step[done], out=absc[..., k:, -1]), out=linf[..., k:])
-        nlinf[:, done] = linf.swapaxes(0, 1)
-        nl2[:, done] = _l2(absc, h, absc).swapaxes(0, 1)
+        _l2(absc, h, absc, out=nl2[:, done].swapaxes(0, 1))
 
     return Trajectory(
         grid=grid,
@@ -518,9 +527,17 @@ def solve_dual(
     by_step = rec.by_step
     b = v.shape[0]
     # the flux G is formed in a buffer of its own, its differences in the new
-    # state's buffer, which keeps a step's working set small
+    # state's buffer, which keeps a step's working set small; the boundary
+    # integral's terms and the finite check's mask have buffers of their own too
     G = np.empty_like(v)
     bufs = (v, np.empty_like(v))
+    scaled = np.empty((b, k, 1))  # Sigma_-(0) v_-(., 0)
+    reflected = np.empty((b, m, 1))  # -B^T times that
+    sourced = np.empty((b, 1, m))  # the source integral
+    scaled_0, reflected_0, sourced_0 = scaled[..., 0], reflected[..., 0], sourced[:, 0]
+    # Sigma_+(0) v_+(., 0): without a source matrix, the reflected term alone
+    rhs = np.empty((b, m)) if op is not None else reflected_0
+    finite = np.empty(v.shape, dtype=bool)
 
     def bind(src, dst):
         """The step from src into dst, with the views it reads and writes bound."""
@@ -540,9 +557,11 @@ def solve_dual(
             np.subtract(src, dst, out=dst)
             end_1.fill(0.0)
             # one matrix-vector product per run, so each run rounds as if alone
-            rhs = (minus_BT @ (sig_minus_0 * minus_0)[..., None])[..., 0]
+            np.multiply(sig_minus_0, minus_0, out=scaled_0)
+            np.matmul(minus_BT, scaled, out=reflected)
             if op is not None:
-                rhs = rhs + (flat @ op)[:, 0]
+                np.matmul(flat, op, out=sourced)
+                np.add(reflected_0, sourced_0, out=rhs)
             np.divide(rhs, sig_plus_0, out=plus_0)
 
         return advance
@@ -556,7 +575,7 @@ def solve_dual(
     for step in range(1, n_steps + 1):
         advance, dst, observed = directions[step % 2]
         advance()
-        if not np.all(np.isfinite(dst)):
+        if not np.logical_and.reduce(np.isfinite(dst, out=finite), axis=None):
             raise NonFiniteState(f"dual state blew up at t = {-step * ds:.6g}")
         by_step[step] = observed
         if step == rec.next_snap:

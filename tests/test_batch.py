@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+from hypctrl import simulator
 from hypctrl.core import ControlSignal, CouplingField, GridSpec, StateField, build_system
 from hypctrl.simulator import solve_dual, solve_forward
 
@@ -125,8 +126,8 @@ def test_batched_dual_equals_single_runs(spec, b, N, T, seed, with_source):
         assert energies[i] == single.observation_energy()
 
 
-# states per chunk buffer for every run below but the large batch: 256 KiB
-# holds more than 64 of their states
+# states per chunk buffer for every run below but the large batch: the
+# chunk's byte budget holds more than 64 of their states
 K = 64
 STEPS = st.one_of(st.sampled_from([1, K - 1, K, K + 1, 2 * K, 2 * K + 1]),
                   st.integers(1, 2 * K + 2))
@@ -258,7 +259,8 @@ def test_forward_matches_fresh_array_reference(spec, N, steps, stride, seed, sca
 def test_large_batch_one_state_per_chunk_matches_reference(spec, steps, stride, seed, scale):
     rng = np.random.default_rng(seed)
     N = 24
-    b = 256 * 1024 // (spec.n * (N + 1) * 8) + 1  # one batch state exceeds 256 KiB
+    # one batch state exceeds the chunk's byte budget
+    b = simulator._CHUNK_BYTES // (spec.n * (N + 1) * 8) + 1
     grid = _grid(spec, N, steps)
     inits = scale * rng.standard_normal((b, spec.n, N + 1))
     controls = _random_controls(rng, (b, spec.m), grid.T)

@@ -105,10 +105,11 @@ def test_nonlinear_hook_checked():
     with pytest.raises(ValidationError):
         build_system(1, 2, [1.0, 1.0, 2.0], b=B, hook=bad)
 
-    # with a hook, ``out`` receives the values apply returns, row by row
+    # with a hook, the bound product writes the values apply returns, row by row
     w_plus = np.array([[0.3, -0.2], [0.1, 0.4]])
     out = np.empty((2, 1, 1))
-    assert np.array_equal(spec.reflection.apply(w_plus, out=out), out[..., 0])
+    spec.reflection.bind(w_plus, out)()
+    assert np.array_equal(out[..., 0], spec.reflection.apply(w_plus))
     assert np.array_equal(out[..., 0], [good(row) for row in w_plus])
 
 
@@ -116,18 +117,18 @@ def test_nonlinear_hook_checked():
 @given(st.integers(1, 3), st.integers(1, 3), st.one_of(st.none(), st.integers(1, 64)),
        st.integers(0, 2**32 - 1))
 def test_reflection_in_place_equals_its_product_bit_for_bit(k, m, b, seed):
-    """apply(w, out=...) writes into a slice of a state, as the forward step
-    passes it, the bits apply(w) returns; b = None is a single run."""
+    """The product bound to a slice of a state, as the forward step binds it,
+    writes there the bits apply(w) returns; b = None is a single run."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.integers(-150, 150, size=(k, m))
     refl = ReflectionMatrix(rng.standard_normal((k, m)) * scale)
     state = rng.standard_normal(((b,) if b else ()) + (k + m, 9))
     state[..., k:, 0] *= 10.0 ** rng.integers(-150, 150, size=state[..., k:, 0].shape)
     expected = refl.apply(state[..., k:, 0])
-    written = refl.apply(state[..., k:, 0], out=state[..., :k, :1])
-    for got in (written, state[..., :k, 0]):
-        assert got.shape == expected.shape
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    refl.bind(state[..., k:, 0], state[..., :k, :1])()
+    got = state[..., :k, 0]
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_grid_and_state_validation():

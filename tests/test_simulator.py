@@ -215,6 +215,21 @@ def test_dual_minus_trace_pinned_to_zero():
     assert np.all(dual.snapshots[1:, 0, -1] == 0.0)
 
 
+def test_dual_refuses_a_non_finite_state_by_name():
+    import re
+
+    from hypctrl.core import NonFiniteState
+
+    # StateField refuses NaN, so it enters as the second run of a batch
+    spec = build_system(1, 1, [1.0, 1.0], b=[[0.5]])
+    grid = GridSpec(N=32, cfl=0.9, T=0.5)
+    data = np.zeros((2, 2, 33))
+    data[1, 1, 16] = np.nan
+    ds = solve_dual(spec, None, data[:1], grid).dt
+    with pytest.raises(NonFiniteState, match=re.escape(f"dual state blew up at t = {-ds:.6g}")):
+        solve_dual(spec, None, data, grid)
+
+
 # --------------------------------------------------------------------------- #
 # characteristic flow
 # --------------------------------------------------------------------------- #
@@ -425,33 +440,45 @@ def test_snapshots_are_not_held_twice():
 
 def test_solvers_hold_two_states_and_a_chunk_of_abs_values():
     # both solvers step between two state buffers; the forward run also keeps
-    # each step's |w| for its chunk's norms, K = 64 of them at this size.
-    # Beyond that, 20 states' worth covers the run's constants (speeds,
-    # coupling values, coefficients), the dual's flux buffer, the per-chunk
-    # norm temporaries and the bound views; chunks of states would take 3K
+    # each step's |w| for its chunk's norms, K of them: 64 for the small
+    # coupled 2x2, fewer for the 1x2 at N = 4000, whose K slots fill the
+    # chunk's byte budget.  Beyond that, 20 states' worth covers the run's
+    # constants (speeds, coupling values, coefficients), the dual's flux
+    # buffer, the per-chunk norm temporaries and the bound views; chunks of
+    # states would take 3K
     import tracemalloc
 
-    spec = build_system(1, 1, [1.0, 1.0], coupling=[[0.0, 1.0], [1.0, 0.0]], b=[[0.5]],
-                        gamma=0.1)
-    grid = GridSpec(N=128, cfl=0.95, T=2.2)
-    w0 = state_from_exprs(["exp(-((x-0.4)/0.1)**2)", "exp(-((x-0.6)/0.1)**2)"], grid, 2)
-    control = np.full(1, 0.1)
-    runs = {
-        "forward": lambda: solve_forward(spec, w0, lambda t, values: control, grid,
-                                         snapshot_stride=10**9),
-        "dual": lambda: solve_dual(spec, None, w0, grid, snapshot_stride=10**9),
-    }
-    for name, solve in runs.items():
-        tracemalloc.start()
-        try:
-            run = solve()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        held = sum(a.nbytes for a in vars(run).values() if isinstance(a, np.ndarray))
-        K = run.diagnostics["chunk"]
-        assert K == 64
-        assert peak - held <= (2 + K + 20) * w0.values.nbytes, name
+    coupled = build_system(1, 1, [1.0, 1.0], coupling=[[0.0, 1.0], [1.0, 0.0]], b=[[0.5]],
+                           gamma=0.1)
+    small = GridSpec(N=128, cfl=0.95, T=2.2)
+    one_by_two = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 2.0]])
+    large = GridSpec(N=4000, cfl=0.9, T=0.02)
+    cases = [
+        (coupled, small, ["exp(-((x-0.4)/0.1)**2)", "exp(-((x-0.6)/0.1)**2)"]),
+        (one_by_two, large, [f"exp(-((x-{c})/0.08)**2)" for c in (0.3, 0.5, 0.7)]),
+    ]
+    for spec, grid, exprs in cases:
+        w0 = state_from_exprs(exprs, grid, spec.n)
+        control = np.full(spec.m, 0.1)
+        runs = {
+            "forward": lambda: solve_forward(spec, w0, lambda t, values: control, grid,
+                                             snapshot_stride=10**9),
+            "dual": lambda: solve_dual(spec, None, w0, grid, snapshot_stride=10**9),
+        }
+        for name, solve in runs.items():
+            tracemalloc.start()
+            try:
+                run = solve()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = sum(a.nbytes for a in vars(run).values() if isinstance(a, np.ndarray))
+            K = run.diagnostics["chunk"]
+            if grid is small:
+                assert K == 64
+            else:
+                assert 1 < K < 64 and run.diagnostics["steps"] > K
+            assert peak - held <= (2 + K + 20) * w0.values.nbytes, (name, grid.N)
 
 
 def test_diagnostics_report_steps_dt_chunk_and_doublings():

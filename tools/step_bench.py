@@ -18,6 +18,10 @@ files ``perfbench.workloads.generate`` writes for SEED:
 - ``dual_b14_N500``: the dual run of ``observability`` at T = 2.5, the 1x2
   of ``observe.cfg`` (B = 0, no source matrix, N = 500) on a batch of 14
   random states, in us per step;
+- ``dual_kernel_N4000``: ``kernel_quasilinear``'s ``dual --use-kernel 64``,
+  the dual run of ``coupled.cfg`` from its dual datum (N = 4000) with the
+  source matrix of its NK = 64 kernel, solved once per side, over the first
+  0.3, in us per step;
 - ``basis_runs_2x2_N128``: the 64 basis runs of ``nullctrl`` at T = 2.2 on
   the coupled 2x2 of ``coupled.cfg`` (N = 128), from the zero state under
   a unit control on one of 64 segments, in ms per whole run, so a run's
@@ -86,11 +90,13 @@ SHAPES = {
     "feedback_1x2_N4000": ("linear", "feedback.cfg", 4000, 0.3, None, 3),
     "coupled_2x2_N4000": ("linear", "coupled_long.cfg", 4000, 0.3, None, 5),
     "dual_b14_N500": ("linear", "observe.cfg", 500, None, 14, 7),
+    "dual_kernel_N4000": ("kernel_quasilinear", "coupled.cfg", 4000, 0.3, None, 5),
     "basis_runs_2x2_N128": ("linear", "coupled.cfg", 128, 2.2, None, 3),
     "quasi_1x2_N2000": ("kernel_quasilinear", "quasi.cfg", 2000, 0.3, None, 5),
 }
 LAW_CALLS, LAW_REPEATS = 2000, 7
 BASIS_SEGMENTS = 64
+DUAL_KERNEL_NK = 64
 VOLTERRA_REPEATS = 5
 # name -> (config file of kernel_quasilinear, NK)
 KERNELS = {"kernel_2x2_NK128": ("coupled.cfg", 128), "kernel_3x3_NK64": ("three.cfg", 64)}
@@ -133,11 +139,18 @@ def _inputs(pkg: str, shape: str, workdir: str, rng):
     spec = cfg.system()
     grid = cfg.grid(N=N, T=T)
     if shape.startswith("dual"):
-        data = rng.standard_normal((batch, spec.n, N + 1))
+        S = None
+        if batch is None:  # the config's dual datum and its kernel's source matrix
+            bs = importlib.import_module(pkg + ".backstepping")
+            data = cfg.initial_state(grid, spec.n, section="dual", prefix="v")
+            base, _ = bs.preprocess_diagonal(spec)
+            S = bs.source_matrix(bs.solve_kernel(base, NK=DUAL_KERNEL_NK), base)
+        else:
+            data = rng.standard_normal((batch, spec.n, N + 1))
 
         def run():
             start = time.perf_counter()
-            dual = simulator.solve_dual(spec, None, data, grid, snapshot_stride=10**9)
+            dual = simulator.solve_dual(spec, S, data, grid, snapshot_stride=10**9)
             return (time.perf_counter() - start) / dual.diagnostics["steps"]
 
         return run, None
@@ -345,6 +358,7 @@ def main(argv=None) -> int:
             "kernel_repeats": KERNEL_REPEATS,
             "rounds": args.rounds,
             "basis_segments": BASIS_SEGMENTS,
+            "dual_kernel_nk": DUAL_KERNEL_NK,
             "unit": "us per computed step (law_call: us per call; basis_runs_2x2_N128: "
                     "ms per run; volterra_round_trip: ms per state; a kernel shape: ms "
                     "per solve; its _peak: tracemalloc MB), min over repeats",
