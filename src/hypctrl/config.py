@@ -39,6 +39,8 @@ from .expressions import parse_expression
 
 def _floats(text: str) -> list[float]:
     parts = text.replace(",", " ").split()
+    if not parts:
+        raise ConfigError("need at least one number")
     try:
         return [float(p) for p in parts]
     except ValueError as exc:

@@ -362,6 +362,15 @@ def null_control_openloop(
     minimizing coefficients.  The returned residual comes from re-simulating
     with the assembled control, which reproduces the superposition exactly for
     these linear systems.
+
+    The system is time-invariant, so a basis run need not step through the
+    zero state before its segment: it starts from zero at the segment's
+    first step j0 and runs the steps left, on the grid with horizon
+    T' = n' dt for n' = n_steps - j0 + 1.  Where T'/n' rounds to a step an
+    ulp away from dt, as it does for some j0, it starts at the latest step
+    before j0 whose grid has the step dt itself (step 1 has: the full grid).
+    So every basis column has the bits of a full-horizon run's, whose state
+    stays +0.0 up to step j0.
     """
     if spec.state_dependent:
         raise ValidationError("open-loop least squares requires state-independent speeds")
@@ -371,9 +380,21 @@ def null_control_openloop(
     m, T = spec.m, grid.T
     xs = grid.xs
     sqw = np.sqrt(np.tile(grid.weights, spec.n))
-
-    def seg_index(t: float) -> int:
-        return min(int(t / T * segments), segments - 1)
+    n_steps, dt = grid.steps(spec.lambda_max)
+    # the segment of each step's control, and each segment's first step
+    seg = np.minimum((np.arange(n_steps + 1) * dt / T * segments).astype(int), segments - 1)
+    first = np.searchsorted(seg[1:], np.arange(segments)) + 1
+    # per segment: the grid of its basis run and the full-grid steps that run skips
+    tails = []
+    for start in first:
+        while start > 1:
+            tail = GridSpec(grid.N, grid.cfl, T=(n_steps - start + 1) * dt)
+            if tail.steps(spec.lambda_max) == (n_steps - start + 1, dt):
+                break
+            start -= 1
+        else:
+            tail = grid
+        tails.append((tail, start - 1))
 
     free = solve_forward(spec, w0, zero_control(m), grid, snapshot_stride=10**9)
     free_flat = free.terminal_state().values.ravel() * sqw
@@ -383,11 +404,11 @@ def null_control_openloop(
     zeros, units = np.zeros(m), np.eye(m)
     cols = []
     for c in range(m):
-        for s in range(segments):
-            def basis(t, state, _unit=units[c], _s=s):
-                return _unit if seg_index(t) == _s else zeros
+        for s, (tail, shift) in enumerate(tails):
+            def basis(t, state, _unit=units[c], _s=s, _shift=shift):
+                return _unit if seg[round(t / dt) + _shift] == _s else zeros
 
-            resp = solve_forward(spec, zero_init, basis, grid, snapshot_stride=10**9)
+            resp = solve_forward(spec, zero_init, basis, tail, snapshot_stride=10**9)
             cols.append(resp.terminal_state().values.ravel() * sqw)
     A = np.column_stack(cols)
 
@@ -401,8 +422,10 @@ def null_control_openloop(
     sv = np.linalg.svd(A, compute_uv=False)
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
+    values = W[:, seg]
+
     def assembled(t, state):
-        return W[:, seg_index(t)]
+        return values[:, round(t / dt)]
 
     final = solve_forward(spec, w0, assembled, grid, snapshot_stride=10**9)
     term_flat = final.terminal_state().values.ravel() * sqw
@@ -412,8 +435,7 @@ def null_control_openloop(
         scale = max(scale, np.linalg.norm(target_flat))
     residual = float(err / scale) if scale > 0 else float(err)
 
-    seg = np.minimum((final.times / T * segments).astype(int), segments - 1)
-    signal = ControlSignal(times=final.times, values=W[:, seg])
+    signal = ControlSignal(times=final.times, values=values)
     return NullControlResult(
         signal=signal,
         residual=residual,

@@ -56,8 +56,7 @@ entry, so each batch member still equals its single run.  The upwind tail
 behind a decay to zero would otherwise shrink into the subnormal range, where
 arithmetic takes the slow hardware path.  A linear run with data scaled below
 about 1e-290 therefore no longer scales exactly.  Control values are checked
-as Python floats (shape, finiteness, and whether all are zero for the rest
-test below, where -0.0 counts as zero) and written as the closure returns
+as Python floats (shape and finiteness) and written as the closure returns
 them.  A forward step's arithmetic runs with overflow and invalid-operation
 warnings off, since a state that is not finite is refused by name; the
 boundary closure and the speeds run under the caller's settings.  The dual
@@ -80,19 +79,6 @@ rows, with the x = 1 column of rows k: replaced by the |controls| just
 written.  Entries below the flush threshold enter those norms as zero.  The
 dual records no norms.  The state array the closure receives is a view of a
 buffer that is overwritten two steps later: copy it to keep it.
-
-A forward run is at rest when its whole batch state is exactly zero: at the
-start, or after a step whose flushed result is all zero and whose controls,
-just written, are all zero.  The next step of a run at rest fills its buffer
-and its |w| slot with 0.0 and skips the update and the flush; the closure is
-still called and its controls checked as in any step.  This is exact: the
-update is linear in the state, so with finite speeds and coupling it gives
-+-0.0 in every cell, which the flush makes +0.0.  It holds only for
-state-independent speeds and coupling that are finite on the grid and a
-reflection without a hook, which may map 0 to up to 1e-12.  The test reads
-the step's |w| pass, taken before the new controls overwrite the old ones, so
-it may miss a rest (previous controls of about 1e-308) but never skips a step
-that would not give zero.
 """
 
 from __future__ import annotations
@@ -164,7 +150,7 @@ class Trajectory:
     norms_l2: np.ndarray  # (n_steps+1, n)
     norms_linf: np.ndarray  # (n_steps+1, n)
     controls: np.ndarray = field(default=None, repr=False)  # (n_steps+1, m), inflow at x = 1
-    # steps, dt, chunk (steps per chunk of |w| slots), max_substep_doublings, rest_steps
+    # steps, dt, chunk (steps per chunk of |w| slots), max_substep_doublings
     diagnostics: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -231,11 +217,6 @@ def solve_forward(
     the step is split in halves until it holds again; a state-dependent speed
     that is not finite and positive on a sub-step's state is refused.
 
-    While the run is at rest (all state zero, the controls just written all
-    zero; state-independent speeds, finite speeds and coupling, no reflection
-    hook) a step writes 0.0 without the update: the result is the same bits.
-    ``diagnostics["rest_steps"]`` counts these steps.
-
     ``w0`` may instead be an array of shape (b, n, N+1), the initial states of
     b runs that advance together (state-independent speeds only); the closure
     then receives that (b, n, N+1) array and returns shape (b, m).
@@ -272,16 +253,6 @@ def solve_forward(
     cw = np.empty((b, xs.size)) if entries else None
     small = np.empty(w.shape, dtype=bool)
     doublings = 0
-    # at rest, a step maps the zero state to +-0.0, which the flush makes +0.0:
-    # see the module docstring
-    can_rest = (
-        lam_static is not None
-        and reflection.hook is None
-        and np.isfinite(lam_static).all()
-        and (cvals is None or np.isfinite(cvals).all())
-    )
-    at_rest = can_rest and not w.any()
-    rest_steps = 0
 
     def coupling_terms(step_dt):
         """dt*C_ij per coupling entry, for a step of length step_dt."""
@@ -362,44 +333,36 @@ def solve_forward(
         for step, absw_s in zip(steps, absw):
             advance, dst, src, values, ctrl_col = directions[step % 2]
             t_new = step * dt
-            if at_rest:
-                dst.fill(0.0)
-                absw_s.fill(0.0)
-                rest_steps += 1
-                peak = 0.0
+            if not spec.state_dependent:
+                advance(coef, dt_coupling)
             else:
-                if not spec.state_dependent:
-                    advance(coef, dt_coupling)
-                else:
-                    for doubled in range(_MAX_SUBSTEP_DOUBLINGS + 1):
-                        parts = 2**doubled
-                        sub_dt = dt / parts
-                        dtc = dt_coupling if doubled == 0 else coupling_terms(sub_dt)
-                        part_src = src
-                        for part in range(parts):
-                            t_sub = (step - 1) * dt + part * sub_dt
-                            if speeds_at(part_src[0], t_sub) * sub_dt / h > 1.0 + 1e-12:
-                                break
-                            np.multiply(sig, sub_dt / h, out=coef[0])
-                            # the last sub-step writes the step's own buffer
-                            out = dst if part == parts - 1 else between[part % 2]
-                            (advance if parts == 1 else bind(part_src, out))(coef, dtc)
-                            part_src = out
-                        else:  # every sub-step met the CFL condition
+                for doubled in range(_MAX_SUBSTEP_DOUBLINGS + 1):
+                    parts = 2**doubled
+                    sub_dt = dt / parts
+                    dtc = dt_coupling if doubled == 0 else coupling_terms(sub_dt)
+                    part_src = src
+                    for part in range(parts):
+                        t_sub = (step - 1) * dt + part * sub_dt
+                        if speeds_at(part_src[0], t_sub) * sub_dt / h > 1.0 + 1e-12:
                             break
-                    else:
-                        raise CFLViolation(
-                            f"CFL could not be restored by halving at t = {t_new:.6g}"
-                        )
-                    doublings = max(doublings, doubled)
-                # one |w| pass serves the flush, the finite check, the rest test
-                # and the chunk's norms
-                np.abs(dst, out=absw_s)
-                np.less(absw_s, _TINY, out=small)
-                np.copyto(dst, 0.0, where=small)
-                peak = np.maximum.reduce(absw_s, axis=None)
-                if not peak < np.inf:  # NaN or inf
-                    raise NonFiniteState(f"state blew up at t = {t_new:.6g}")
+                        np.multiply(sig, sub_dt / h, out=coef[0])
+                        # the last sub-step writes the step's own buffer
+                        out = dst if part == parts - 1 else between[part % 2]
+                        (advance if parts == 1 else bind(part_src, out))(coef, dtc)
+                        part_src = out
+                    else:  # every sub-step met the CFL condition
+                        break
+                else:
+                    raise CFLViolation(
+                        f"CFL could not be restored by halving at t = {t_new:.6g}"
+                    )
+                doublings = max(doublings, doubled)
+            # one |w| pass serves the flush, the finite check and the chunk's norms
+            np.abs(dst, out=absw_s)
+            np.less(absw_s, _TINY, out=small)
+            np.copyto(dst, 0.0, where=small)
+            if not np.maximum.reduce(absw_s, axis=None) < np.inf:  # NaN or inf
+                raise NonFiniteState(f"state blew up at t = {t_new:.6g}")
             try:
                 ctrl = np.asarray(boundary_at_1(t_new, values), dtype=float)
             except Exception as exc:  # noqa: BLE001 - report as a solver failure
@@ -407,8 +370,7 @@ def solve_forward(
                     f"boundary closure failed at t={t_new:.6g}: {exc}"
                 ) from exc
             # checked as Python floats: faster than numpy reductions on b*m values
-            vals = ctrl.ravel().tolist()
-            if ctrl.shape != ctrl_shape or not all(map(math.isfinite, vals)):
+            if ctrl.shape != ctrl_shape or not all(map(math.isfinite, ctrl.ravel().tolist())):
                 raise BoundaryClosureFailure(
                     f"boundary closure must return finite values of shape {ctrl_shape} "
                     f"at t={t_new:.6g}"
@@ -417,7 +379,6 @@ def solve_forward(
             by_step[step] = ctrl
             if step == rec.next_snap:
                 rec.snap(dst)
-            at_rest = can_rest and peak < _TINY and not any(vals)
         # the chunk's norms from its |w| slots, taken before the flush: Linf over
         # rows :k and the interiors of rows k:, a max below _TINY read as the
         # flushed 0.0, then the controls at x = 1, never flushed, which also
@@ -441,9 +402,7 @@ def solve_forward(
         norms_l2=unbatch(nl2),
         norms_linf=unbatch(nlinf),
         controls=unbatch(rec.inflow),
-        diagnostics={
-            **rec.diagnostics, "max_substep_doublings": doublings, "rest_steps": rest_steps
-        },
+        diagnostics={**rec.diagnostics, "max_substep_doublings": doublings},
     )
 
 

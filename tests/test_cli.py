@@ -677,6 +677,9 @@ def test_simulate_snap_times_outside_horizon_refused(cfg_path, tmp_path, capsys,
         ("simulate", "k = 1", "k = one", "[speeds] k"),
         ("simulate", "m = 1", "m = one", "[speeds] m"),
         ("sweep", "[run]", "[sweep]\ngamma_values = 0, abc\n\n[run]", "[sweep] gamma_values"),
+        ("sweep", "[run]", "[sweep]\ngamma_values =\n\n[run]", "[sweep] gamma_values"),
+        ("sweep", "[run]", "[sweep]\nb_scale_values =\n\n[run]", "[sweep] b_scale_values"),
+        ("simulate", "lambda2 = 2", "lambda2_x =\nlambda2_values =", "[speeds] lambda2_x"),
         ("simulate", "gamma = 1.0", "gamma = 1.0\nc1_x = 1", "[coupling] c1_x"),
     ],
 )

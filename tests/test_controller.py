@@ -350,6 +350,76 @@ def test_null_control_needs_fewer_segments_than_steps():
     assert null_control_openloop(spec, w0, grid, segments=4).condition == 3.4225109212496103
 
 
+@st.composite
+def _linear_systems(draw):
+    """Admissible k, m <= 2 systems with constant speeds, random B, and a
+    random constant coupling or none."""
+    k, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    neg = sorted(draw(st.lists(st.integers(2, 8), min_size=k, max_size=k, unique=True)))[::-1]
+    pos = sorted(draw(st.lists(st.integers(2, 8), min_size=m, max_size=m, unique=True)))
+    entries = st.floats(-1.5, 1.5, allow_nan=False)
+    B = np.array(draw(st.lists(entries, min_size=k * m, max_size=k * m))).reshape(k, m)
+    n = k + m
+    coupling = None
+    if draw(st.booleans()):
+        coupling = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+        coupling = coupling.reshape(n, n) * (1 - np.eye(n))
+    return build_system(k, m, [v / 4 for v in neg + pos], coupling=coupling, b=B)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_linear_systems(), st.integers(8, 16), st.floats(0.5, 1.0), st.data())
+def test_basis_runs_start_at_their_segment(spec, N, T, data):
+    """Each basis run of null_control_openloop starts from zero at its
+    segment's first step j0, or at the latest step before it whose tail grid
+    steps by dt itself, and its terminal state is that of the full-horizon
+    run from zero, unit on the segment's steps, bit for bit."""
+    import hypctrl.controller as controller
+    from unittest import mock
+
+    grid = GridSpec(N=N, cfl=0.9, T=T)
+    n_steps, dt = grid.steps(spec.lambda_max)
+    segments = data.draw(st.integers(1, n_steps - 1), label="segments")
+    w0 = StateField(np.ones((spec.n, N + 1)), 0.0, grid.xs)
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append((args[3], solve_forward(*args, **kwargs)))
+        return runs[-1][1]
+
+    with mock.patch.object(controller, "solve_forward", recorded):
+        null_control_openloop(spec, w0, grid, segments=segments)
+    basis = runs[1:-1]  # between the free run and the assembled one
+    assert len(basis) == spec.m * segments
+
+    def tail_steps(start):
+        """(n', dt') of the grid of steps start..n_steps."""
+        return GridSpec(N=N, cfl=0.9, T=(n_steps - start + 1) * dt).steps(spec.lambda_max)
+
+    seg = [min(int(j * dt / T * segments), segments - 1) for j in range(1, n_steps + 1)]
+    zero = StateField(np.zeros((spec.n, N + 1)), 0.0, grid.xs)
+    for s in range(segments):
+        assert s in seg  # every segment gets at least one step
+        j0, length = seg.index(s) + 1, seg.count(s)
+        for c in range(spec.m):
+            tail, run = basis[c * segments + s]
+            n_tail, dt_tail = tail.steps(spec.lambda_max)
+            start = n_steps - n_tail + 1
+            assert dt_tail == dt and 1 <= start <= j0
+            assert all(tail_steps(later) != (n_steps - later + 1, dt)
+                       for later in range(start + 1, j0 + 1))
+            on = j0 - start + 1  # the run's first step with the unit control
+            unit = np.eye(spec.m)[c]
+            assert not run.controls[:on].any() and not run.controls[on + length:].any()
+            assert np.array_equal(run.controls[on:on + length], np.tile(unit, (length, 1)))
+
+            def full_control(t, state, s=s, unit=unit):
+                return unit if seg[round(t / dt) - 1] == s else 0.0 * unit
+
+            full = solve_forward(spec, zero, full_control, grid, snapshot_stride=10**9)
+            assert np.array_equal(run.terminal_state().values, full.terminal_state().values)
+
+
 def test_null_control_residual_ladder():
     spec = build_system(1, 1, [1.0, 1.0], coupling=[[0.0, 0.2], [0.2, 0.0]], b=[[0.5]])
     grid = GridSpec(N=128, cfl=0.9, T=2.4)

@@ -363,11 +363,6 @@ def test_boundary_closure_failure_wrapped():
             with pytest.raises(BoundaryClosureFailure, match=at_step_10):
                 solve_forward(wide, w0, closure, grid)
 
-    # controls of -0.0 leave a run at rest, as 0.0 does: every step is skipped
-    traj = solve_forward(spec, StateField(np.zeros((2, 65)), 0.0, grid.xs),
-                         lambda t, state: np.array([-0.0]), grid)
-    assert traj.diagnostics["rest_steps"] == traj.diagnostics["steps"] == 36
-
 
 def test_batch_refused_for_state_dependent_speeds():
     from hypctrl.core import ValidationError
@@ -488,7 +483,6 @@ def test_diagnostics_report_steps_dt_chunk_and_doublings():
     traj = solve_forward(lin, w0, zero_control(1), grid)
     assert traj.diagnostics == {
         "steps": traj.times.size - 1, "dt": traj.dt, "chunk": 64, "max_substep_doublings": 0,
-        "rest_steps": 0,
     }
     # speed 1 + w2^2 reaches 2 on this unit bump: the CFL check halves the step once
     quasi = build_system(1, 1, [1.0, "1 + w2**2"], b=[[0.5]])

@@ -1,5 +1,5 @@
-"""Microseconds per computed forward or dual step and per feedback-law call,
-milliseconds per basis run, per state of a Volterra round trip and per
+"""Microseconds per forward or dual step and per feedback-law call,
+milliseconds per null control, per state of a Volterra round trip and per
 kernel solve, two source trees against each other, interleaved.
 
     python3 tools/step_bench.py PARENT_SRC CHANGE_SRC [--seed S] [--rounds R] [--label TEXT]
@@ -22,11 +22,10 @@ files ``perfbench.workloads.generate`` writes for SEED:
   the dual run of ``coupled.cfg`` from its dual datum (N = 4000) with the
   source matrix of its NK = 64 kernel, solved once per side, over the first
   0.3, in us per step;
-- ``basis_runs_2x2_N128``: the 64 basis runs of ``nullctrl`` at T = 2.2 on
-  the coupled 2x2 of ``coupled.cfg`` (N = 128), from the zero state under
-  a unit control on one of 64 segments, in ms per whole run, so a run's
-  set-up counts; both sides get the same closures, which return arrays
-  held for the run;
+- ``nullctrl_2x2_N128``: ``linear``'s ``nullctrl_above`` task, one
+  ``null_control_openloop`` call at T = 2.2 on ``coupled.cfg`` (N = 128)
+  with the segments and regularization of its ``[nullctrl]`` section, in
+  ms per call: its free, basis and assembled runs and its least squares;
 - ``law_call``: one call of the ``feedback`` law on its initial state's
   values, as ``solve_forward`` passes them, at 2000 times spread over [0, 0.3];
 - ``quasi_1x2_N2000``: ``kernel_quasilinear``'s ``quasi.cfg``, the 1x2 with
@@ -46,10 +45,8 @@ files ``perfbench.workloads.generate`` writes for SEED:
   ``kernel_3x3`` task, ``three.cfg`` (k = 1, m = 2, so two coupling rows per
   kernel entry) at NK = 64.
 
-The other forward runs without a law get a constant nonzero control, so no
-step is at rest.  A forward step's cost is the run's time over its computed
-steps, ``steps`` minus ``rest_steps`` of its diagnostics; the benchmark
-tracer's ``us_per_step`` counts the steps skipped at rest as well.
+The other forward runs without a law get a constant nonzero control.  A
+forward or dual step's cost is the run's time over its ``steps``.
 
 Each round is one fresh process that imports both trees, under two package
 names, and times the two sides alternately, run by run; a figure is the
@@ -91,11 +88,10 @@ SHAPES = {
     "coupled_2x2_N4000": ("linear", "coupled_long.cfg", 4000, 0.3, None, 5),
     "dual_b14_N500": ("linear", "observe.cfg", 500, None, 14, 7),
     "dual_kernel_N4000": ("kernel_quasilinear", "coupled.cfg", 4000, 0.3, None, 5),
-    "basis_runs_2x2_N128": ("linear", "coupled.cfg", 128, 2.2, None, 3),
+    "nullctrl_2x2_N128": ("linear", "coupled.cfg", 128, 2.2, None, 3),
     "quasi_1x2_N2000": ("kernel_quasilinear", "quasi.cfg", 2000, 0.3, None, 5),
 }
 LAW_CALLS, LAW_REPEATS = 2000, 7
-BASIS_SEGMENTS = 64
 DUAL_KERNEL_NK = 64
 VOLTERRA_REPEATS = 5
 # name -> (config file of kernel_quasilinear, NK)
@@ -103,7 +99,7 @@ KERNELS = {"kernel_2x2_NK128": ("coupled.cfg", 128), "kernel_3x3_NK64": ("three.
 KERNEL_REPEATS = 3
 # unit of each figure and its factor from seconds (from bytes for a peak);
 # us for every other name
-UNITS = {"volterra_round_trip": ("ms", 1e3), "basis_runs_2x2_N128": ("ms", 1e3),
+UNITS = {"volterra_round_trip": ("ms", 1e3), "nullctrl_2x2_N128": ("ms", 1e3),
          **{name: ("ms", 1e3) for name in KERNELS},
          **{name + "_peak": ("MB", 1e-6) for name in KERNELS}}
 
@@ -126,8 +122,8 @@ def _load(src: str, alias: str):
 
 def _inputs(pkg: str, shape: str, workdir: str, rng):
     """(run, law_calls) of one side: run() solves the shape and returns seconds
-    per computed step (per run for the basis runs), law_calls() seconds per
-    law call (None without a law)."""
+    per step (per call for the null control), law_calls() seconds per law
+    call (None without a law)."""
     import numpy as np
 
     config = importlib.import_module(pkg + ".config")
@@ -154,25 +150,14 @@ def _inputs(pkg: str, shape: str, workdir: str, rng):
             return (time.perf_counter() - start) / dual.diagnostics["steps"]
 
         return run, None
-    if shape.startswith("basis_runs"):
-        units, zeros = np.eye(spec.m), np.zeros(spec.m)
-
-        def basis(c, s):
-            def closure(t, state):
-                segment = min(int(t / grid.T * BASIS_SEGMENTS), BASIS_SEGMENTS - 1)
-                return units[c] if segment == s else zeros
-
-            return closure
-
-        closures = [basis(c, s) for c in range(spec.m) for s in range(BASIS_SEGMENTS)]
-        rest = importlib.import_module(pkg + ".core").StateField(
-            np.zeros((spec.n, N + 1)), 0.0, grid.xs)
+    if shape.startswith("nullctrl"):
+        w0 = cfg.initial_state(grid, spec.n)
+        segments, reg = cfg.get("nullctrl", "segments", int), cfg.get("nullctrl", "reg", float)
 
         def run():
             start = time.perf_counter()
-            for closure in closures:
-                solve_forward(spec, rest, closure, grid, snapshot_stride=10**9)
-            return (time.perf_counter() - start) / len(closures)
+            controller.null_control_openloop(spec, w0, grid, reg=reg, segments=segments)
+            return time.perf_counter() - start
 
         return run, None
     law = None
@@ -191,8 +176,7 @@ def _inputs(pkg: str, shape: str, workdir: str, rng):
     def run():
         start = time.perf_counter()
         traj = solve_forward(spec, w0, closure, grid, snapshot_stride=10**9)
-        elapsed = time.perf_counter() - start
-        return elapsed / (traj.diagnostics["steps"] - traj.diagnostics.get("rest_steps", 0))
+        return (time.perf_counter() - start) / traj.diagnostics["steps"]
 
     def law_calls():
         times = np.linspace(0.0, 0.3, LAW_CALLS)
@@ -257,8 +241,8 @@ def _kernel(pkg: str, workdir: str, name: str):
 
 
 def _worker(srcs: dict, seed: int, workdir: str, first: int) -> dict:
-    """side -> shape -> us per computed step (law_call: us per call;
-    basis_runs_2x2_N128: ms per run; volterra_round_trip: ms per state; a
+    """side -> shape -> us per step (law_call: us per call;
+    nullctrl_2x2_N128: ms per call; volterra_round_trip: ms per state; a
     kernel shape: ms per solve, and its peak in MB), both sides timed
     alternately in this process; ``first`` is the side that starts."""
     import numpy as np
@@ -357,11 +341,10 @@ def main(argv=None) -> int:
                         for name, spec in KERNELS.items()},
             "kernel_repeats": KERNEL_REPEATS,
             "rounds": args.rounds,
-            "basis_segments": BASIS_SEGMENTS,
             "dual_kernel_nk": DUAL_KERNEL_NK,
-            "unit": "us per computed step (law_call: us per call; basis_runs_2x2_N128: "
-                    "ms per run; volterra_round_trip: ms per state; a kernel shape: ms "
-                    "per solve; its _peak: tracemalloc MB), min over repeats",
+            "unit": "us per step (law_call: us per call; nullctrl_2x2_N128: ms per "
+                    "call; volterra_round_trip: ms per state; a kernel shape: ms per "
+                    "solve; its _peak: tracemalloc MB), min over repeats",
         },
         "seed": args.seed,
         "host": {**run_record("linear", args.seed), "reference_ms": reference_ms},
