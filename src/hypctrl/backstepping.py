@@ -199,8 +199,7 @@ def preprocess_diagonal(spec: SystemSpec):
     new_c = cvals * ratio
     new_c[np.diag_indices(n)] = 0.0
     coupling = CouplingField(n, samples=(xs, np.moveaxis(new_c, 2, 0)), gamma=1.0)
-    hook = spec.reflection.hook
-    new_spec = build_system(spec.k, spec.m, spec.speeds, coupling, spec.B, hook=hook)
+    new_spec = build_system(spec.k, spec.m, spec.speeds, coupling, spec.B)
     return new_spec, DiagonalGauge(xs=xs, factors=factors)
 
 

@@ -302,8 +302,8 @@ def _cmd_observability(args, cfg, spec) -> int:
 
 def _cmd_sweep(args, cfg, base_spec) -> int:
     grid = cfg.grid(N=args.N, T=args.T)
-    # refuse a bad least-squares setting once, not as NaN rows; every point
-    # has the speeds, and so the time steps, of the base system
+    # refuse a bad system or least-squares setting once, not as NaN rows;
+    # every point has the speeds, and so the time steps, of the base system
     controller.check_null_control(base_spec, grid, args.reg, args.segments)
 
     points = [(g, bsc) for g in args.gamma_values for bsc in args.b_scale_values]

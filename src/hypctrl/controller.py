@@ -240,15 +240,13 @@ def synthesize_feedback(
     are found once here by inverting the cumulative travel times.
 
     The law ignores the coupling C(x) and applies the linear elimination maps
-    of B, so a coupled system or a reflection with a nonlinear hook is refused
-    (``NotApplicable``) instead of being driven to a state the law misses.
+    of B, so a coupled system is refused (``NotApplicable``) instead of being
+    driven to a state the law misses.
     """
     if spec.coupling_bound > 1e-14:
         raise NotApplicable(
             f"finite-time feedback requires zero coupling, got max |C| = {spec.coupling_bound:.3g}"
         )
-    if spec.reflection.hook is not None:
-        raise NotApplicable("finite-time feedback requires a reflection without a nonlinear hook")
     if not in_class_B(spec.B):
         raise NotInClassB("feedback needs an admissible reflection matrix")
     k, m = spec.k, spec.m
@@ -330,10 +328,13 @@ class NullControlResult:
 
 
 def check_null_control(spec: SystemSpec, grid: GridSpec, reg: float, segments: int):
-    """Refuse bad least-squares settings.  The closure is first called at
-    t = dt, so with as many segments as time steps (or more) segment 0 gets
-    no step: its basis response stays zero, the condition is inf and the
-    Gram matrix grows as segments^2 for nothing."""
+    """Refuse a system or least-squares settings the open-loop solve cannot
+    take.  The closure is first called at t = dt, so with as many segments as
+    time steps (or more) segment 0 gets no step: its basis response stays
+    zero, the condition is inf and the Gram matrix grows as segments^2 for
+    nothing."""
+    if spec.state_dependent:
+        raise ValidationError("open-loop least squares requires state-independent speeds")
     if segments < 1:
         raise ValidationError(f"need at least one control segment, got segments = {segments}")
     if not 0.0 <= reg < np.inf:
@@ -372,10 +373,6 @@ def null_control_openloop(
     So every basis column has the bits of a full-horizon run's, whose state
     stays +0.0 up to step j0.
     """
-    if spec.state_dependent:
-        raise ValidationError("open-loop least squares requires state-independent speeds")
-    if spec.reflection.hook is not None:
-        raise ValidationError("open-loop least squares requires a linear reflection")
     check_null_control(spec, grid, reg, segments)
     m, T = spec.m, grid.T
     xs = grid.xs

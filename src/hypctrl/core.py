@@ -5,12 +5,11 @@ components carry negative diagonal speeds -lambda_1(x) < ... < -lambda_k(x) < 0
 and travel rightward (their characteristics satisfy dx/dt = +lambda_i); the
 last m components carry positive speeds 0 < lambda_{k+1}(x) < ... <
 lambda_{k+m}(x) and travel leftward.  Reflection happens at x = 0 through a
-constant k-by-m matrix B (or a nonlinear hook with Jacobian B at 0), controls
-act at x = 1 on the last m components.
+constant k-by-m matrix B, controls act at x = 1 on the last m components.
 
 A system is built by ``build_system`` alone.  The frozen SystemSpec it returns
 holds ``speeds`` (a tuple of n Speed), ``coupling`` (a CouplingField),
-``reflection`` (a ReflectionMatrix: B and an optional hook), k, m, n,
+``reflection`` (a ReflectionMatrix holding B), k, m, n,
 ``lambda_max``, ``coupling_bound`` and ``state_dependent``.
 """
 
@@ -271,31 +270,11 @@ class CouplingField:
 
     def evaluate(self, x) -> np.ndarray:
         """gamma * C at positions x, shape (n, n, len(x))."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        n = self.n
-        if self._constant is not None:
-            out = np.repeat(self._constant[:, :, None], x.size, axis=2)
-        elif self._entries is not None:
-            out = np.zeros((n, n, x.size))
-            for i in range(n):
-                for j in range(n):
-                    e = self._entries[i][j]
-                    if e is None:
-                        continue
-                    if isinstance(e, float):
-                        out[i, j] = e
-                    else:
-                        out[i, j] = np.broadcast_to(np.asarray(e(x=x), dtype=float), x.shape)
-        else:
-            xs, mats = self._samples
-            # piecewise-constant on cells: value of the sample to the left
-            idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 1)
-            out = np.moveaxis(mats[idx], 0, 2)
-        return self.gamma * out
+        return np.stack([self.column(x, j) for j in range(self.n)], axis=1)
 
     def column(self, x, j: int) -> np.ndarray:
-        """gamma * C[:, j] at positions x, shape (n, len(x)); equal to
-        ``evaluate(x)[:, j]`` without building the other n - 1 columns."""
+        """gamma * C[:, j] at positions x, shape (n, len(x)), without building
+        the other n - 1 columns."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self._constant is not None:
             out = np.repeat(self._constant[:, j, None], x.size, axis=1)
@@ -319,62 +298,23 @@ class CouplingField:
 # reflection
 # --------------------------------------------------------------------------- #
 
-_HOOK_JAC_TOL = 1e-6
-
-
 class ReflectionMatrix:
-    """Constant reflection B at x = 0, with optional nonlinear hook.
+    """Constant reflection B at x = 0: w_-(t, 0) = B w_+(t, 0)."""
 
-    The hook is a map R^m -> R^k with hook(0) = 0 whose Jacobian at 0 must
-    equal the stored linearization B.
-    """
-
-    def __init__(self, B, hook: Optional[Callable] = None):
+    def __init__(self, B):
         self.B = np.atleast_2d(np.asarray(B, dtype=float))
-        self.hook = hook
 
     def apply(self, w_plus: np.ndarray) -> np.ndarray:
         """Reflected values: (m,) -> (k,), or row by row (b, m) -> (b, k)."""
         w_plus = np.asarray(w_plus, dtype=float)
-        if self.hook is None:  # one matrix-vector product per row
-            return np.matmul(self.B, w_plus[..., None])[..., 0]
-        if w_plus.ndim == 2:
-            return np.array([self.apply(row) for row in w_plus])
-        return np.asarray(self.hook(w_plus), dtype=float)
+        return np.matmul(self.B, w_plus[..., None])[..., 0]
 
     def bind(self, w_plus: np.ndarray, out: np.ndarray) -> Callable[[], None]:
-        """The product bound to fixed arrays: each call writes the reflected
-        values of ``w_plus``, (m,) or (b, m), into ``out``, (k, 1) or (b, k, 1),
-        the bits ``apply`` returns.  Without a hook the matrix-vector products
-        are formed in ``out``; with one, the hook runs row by row."""
-        if self.hook is None:
-            B, column = self.B, w_plus[..., None]
-            return lambda: np.matmul(B, column, out=out)
-        values = out[..., 0]
-
-        def product():
-            values[...] = self.apply(w_plus)
-
-        return product
-
-    def check_hook(self):
-        if self.hook is None:
-            return
-        k, m = self.B.shape
-        zero = np.zeros(m)
-        v0 = np.asarray(self.hook(zero), dtype=float)
-        if v0.shape != (k,) or np.max(np.abs(v0)) > 1e-12:
-            raise ValidationError("nonlinear boundary hook must map 0 to 0")
-        eps = 1e-6
-        jac = np.empty((k, m))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = eps
-            jac[:, j] = (np.asarray(self.hook(e)) - np.asarray(self.hook(-e))) / (2 * eps)
-        if np.max(np.abs(jac - self.B)) > _HOOK_JAC_TOL * max(1.0, np.max(np.abs(self.B))):
-            raise ValidationError(
-                "Jacobian of the boundary hook at 0 does not match the stored linearization"
-            )
+        """The product bound to fixed arrays: each call forms the reflected
+        values of ``w_plus``, (m,) or (b, m), in ``out``, (k, 1) or (b, k, 1),
+        the bits ``apply`` returns."""
+        B, column = self.B, w_plus[..., None]
+        return lambda: np.matmul(B, column, out=out)
 
 
 # --------------------------------------------------------------------------- #
@@ -542,7 +482,6 @@ def build_system(
     coupling=None,
     b=None,
     gamma: Optional[float] = None,
-    hook: Optional[Callable] = None,
 ) -> SystemSpec:
     """Coerce the speeds (``as_speed``), coupling (a CouplingField or a matrix,
     zero if omitted) and reflection b (zero if omitted), check, freeze.
@@ -564,7 +503,7 @@ def build_system(
         coupling = coupling if gamma is None else coupling.with_gamma(gamma)
     else:
         coupling = CouplingField(n, constant=coupling, gamma=1.0 if gamma is None else gamma)
-    reflection = ReflectionMatrix(np.zeros((k, m)) if b is None else b, hook)
+    reflection = ReflectionMatrix(np.zeros((k, m)) if b is None else b)
 
     if reflection.B.shape != (k, m):
         raise DimensionMismatch(
@@ -574,7 +513,6 @@ def build_system(
         raise DimensionMismatch(f"coupling field must be {n}x{n}, got {coupling.n}")
     if not np.all(np.isfinite(reflection.B)):
         raise NonFiniteEntry("reflection matrix has non-finite entries")
-    reflection.check_hook()
 
     state_dependent = any(s.state_dependent for s in speeds)
     xs = np.linspace(0.0, 1.0, VALIDATION_POINTS)

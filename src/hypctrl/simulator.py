@@ -22,8 +22,7 @@ scalar dt C_ij where the entry is constant on the grid, which is sorted out
 once per run, and by its node values elsewhere.  Then the reflection at
 x = 0: ReflectionMatrix.bind binds its product once per run to the step's
 input and output views, for each of the two directions below, so a step
-makes one matrix-vector product per run into out (with a hook, the hook
-runs row by row).
+makes one matrix-vector product per run into out.
 
 With state-dependent speeds a step is split into 2^d sub-steps of dt/2^d,
 d the least that meets the CFL condition.  The signed speeds sit in one

@@ -235,17 +235,12 @@ def test_preprocess_gauge_closed_form():
     assert out.coupling_bound < 1e-10
 
 
-def test_preprocess_keeps_hook_and_speeds():
+def test_preprocess_keeps_speeds():
     # the gauged system is rebuilt from the parts of the original one
-    def hook(wp):
-        return 0.5 * wp + 0.1 * wp**2
-
-    spec = build_system(
-        1, 1, [1.0, 2.0], coupling=[[0.4, 0.2], [0.6, -0.3]], b=[[0.5]], hook=hook
-    )
+    spec = build_system(1, 1, [1.0, 2.0], coupling=[[0.4, 0.2], [0.6, -0.3]], b=[[0.5]])
     out, gauge = preprocess_diagonal(spec)
     assert not gauge.identity
-    assert out.reflection.hook is hook
+    assert np.array_equal(out.B, spec.B)
     assert all(a is b for a, b in zip(out.speeds, spec.speeds))
     # 0.6 exp(x/4) at x = 1, sampled on the gauge grid
     assert out.coupling_bound == 0.7704152500126341

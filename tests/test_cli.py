@@ -440,14 +440,31 @@ def test_witness_command(tmp_path):
     assert report["max_relative_deviation"] < 0.1
 
 
-def test_witness_refuses_state_dependent_speeds(tmp_path, capsys):
-    path = tmp_path / "wit_ql.cfg"
+_STATE_DEPENDENT_REFUSALS = {
+    "witness": "witness construction",
+    "nullctrl": "open-loop least squares",
+    "sweep": "open-loop least squares",
+    "dual": "dual solver",
+    "observability": "dual solver",
+    "kernel": "diagonal preprocessing",
+}
+
+
+@pytest.mark.parametrize("command", _STATE_DEPENDENT_REFUSALS)
+def test_refuses_state_dependent_speeds(tmp_path, capsys, command):
+    # refused once, before any output: a sweep writes no row of NaN per point
+    path = tmp_path / "ql.cfg"
     path.write_text(BASE_CFG.replace("lambda1 = 1 + x", "lambda1 = 1").replace(
         "lambda2 = 2", "lambda2 = 1 + 0.1*w2**2"
-    ))
-    argv = ["witness", "--config", str(path), "--T", "1.0", "--N", "64", "--out", str(tmp_path)]
+    ) + "\n[dual]\nv2 = sin(pi*x)\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    if command != "kernel":
+        argv += ["--T", "1.0", "--N", "64"]
     assert main(argv) == 2
-    assert "witness construction requires state-independent speeds" in capsys.readouterr().err
+    message = _STATE_DEPENDENT_REFUSALS[command]
+    assert f"{message} requires state-independent speeds" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_dual_command(tmp_path):

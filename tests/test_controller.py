@@ -64,16 +64,13 @@ def test_synthesize_rejects_bad_inputs():
         synthesize_feedback(spec2, 2.0, w02)
 
 
-def test_synthesize_refuses_coupling_and_hook():
+def test_synthesize_refuses_coupling():
     # the law ignores C(x) and uses the linear elimination maps of B
     grid = GridSpec(N=128, cfl=0.9, T=2.2)
     coupled = build_system(1, 1, [1.0, 1.0], coupling=[[0.0, 0.1], [0.1, 0.0]], b=[[0.5]])
     w0 = state_from_exprs(_bump_exprs(), grid, 2)
     with pytest.raises(NotApplicable, match="zero coupling"):
         synthesize_feedback(coupled, 2.2, w0)
-    hooked = build_system(1, 1, [1.0, 1.0], b=[[0.5]], hook=lambda wp: 0.5 * wp + 0.1 * wp**2)
-    with pytest.raises(NotApplicable, match="nonlinear hook"):
-        synthesize_feedback(hooked, 2.2, w0)
     # coupling below the threshold the witness uses is taken as zero
     faint = build_system(1, 1, [1.0, 1.0], coupling=[[0.0, 1e-15], [0.0, 0.0]], b=[[0.5]])
     assert synthesize_feedback(faint, 2.2, w0).Topt == pytest.approx(2.0)

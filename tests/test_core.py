@@ -90,29 +90,6 @@ def test_sign_pattern_property():
         assert np.all(s[k:] > 0)
 
 
-def test_nonlinear_hook_checked():
-    B = np.array([[0.5, 1.0]])
-
-    def good(wp):
-        return np.array([0.5 * wp[0] + 1.0 * wp[1] + wp[0] ** 2])
-
-    spec = build_system(1, 2, [1.0, 1.0, 2.0], b=B, hook=good)
-    assert spec.reflection.hook is good
-
-    def bad(wp):
-        return np.array([2.0 * wp[0]])
-
-    with pytest.raises(ValidationError):
-        build_system(1, 2, [1.0, 1.0, 2.0], b=B, hook=bad)
-
-    # with a hook, the bound product writes the values apply returns, row by row
-    w_plus = np.array([[0.3, -0.2], [0.1, 0.4]])
-    out = np.empty((2, 1, 1))
-    spec.reflection.bind(w_plus, out)()
-    assert np.array_equal(out[..., 0], spec.reflection.apply(w_plus))
-    assert np.array_equal(out[..., 0], [good(row) for row in w_plus])
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.one_of(st.none(), st.integers(1, 64)),
        st.integers(0, 2**32 - 1))
@@ -160,16 +137,36 @@ def test_coupling_piecewise_constant_samples():
     assert out[0, 0, 2] == 3.0
 
 
-@pytest.mark.parametrize("coupling", [
-    CouplingField(3, constant=[[0.0, 1.5, -2.0], [0.25, 0.0, 3.0], [1.0, -0.5, 0.0]], gamma=0.7),
-    CouplingField(3, entries={(0, 1): "sin(3*x) + 1", (1, 0): 0.25, (2, 1): "x**2 - 0.5"},
-                  gamma=1.3),
-    CouplingField(3, samples=(np.linspace(0.0, 1.0, 7), np.arange(63.0).reshape(7, 3, 3) / 7),
-                  gamma=-0.3),
+_C = np.array([[0.0, 1.5, -2.0], [0.25, 0.0, 3.0], [1.0, -0.5, 0.0]])
+_SAMPLE_XS = np.linspace(0.0, 1.0, 7)
+_SAMPLE_MATS = np.arange(63.0).reshape(7, 3, 3) / 7
+
+
+def _expression_coupling(x):
+    out = np.zeros((3, 3, x.size))
+    out[0, 1] = np.sin(3 * x) + 1
+    out[1, 0] = 0.25
+    out[2, 1] = x**2 - 0.5
+    return 1.3 * out
+
+
+def _sampled_coupling(x):
+    # the sample to the left of each x rules its cell; the first one left of 0
+    left = [max([s for s, xs in enumerate(_SAMPLE_XS) if xs <= xq], default=0) for xq in x]
+    return -0.3 * np.moveaxis(_SAMPLE_MATS[left], 0, 2)
+
+
+@pytest.mark.parametrize("coupling, expected", [
+    (CouplingField(3, constant=_C, gamma=0.7),
+     lambda x: np.repeat(0.7 * _C[:, :, None], x.size, axis=2)),
+    (CouplingField(3, entries={(0, 1): "sin(3*x) + 1", (1, 0): 0.25, (2, 1): "x**2 - 0.5"},
+                   gamma=1.3), _expression_coupling),
+    (CouplingField(3, samples=(_SAMPLE_XS, _SAMPLE_MATS), gamma=-0.3), _sampled_coupling),
 ], ids=["constant", "expression", "sampled"])
-def test_coupling_column_matches_evaluate(coupling):
+def test_coupling_column_matches_evaluate(coupling, expected):
     x = np.concatenate([np.linspace(-0.1, 1.1, 41), [1 / 3, 0.5]])
-    full = coupling.evaluate(x)
+    full = expected(x)
+    assert np.array_equal(coupling.evaluate(x), full)
     for j in range(3):
         assert np.array_equal(coupling.column(x, j), full[:, j])
 
