@@ -11,7 +11,6 @@ from .core import (
     GridSpec,
     HypctrlError,
     NumericalError,
-    ReflectionMatrix,
     StateField,
     SystemSpec,
     ValidationError,
@@ -51,7 +50,6 @@ __all__ = [
     "GridSpec",
     "HypctrlError",
     "NumericalError",
-    "ReflectionMatrix",
     "StateField",
     "SystemSpec",
     "ValidationError",

@@ -286,7 +286,7 @@ def _cmd_witness(args, cfg, spec) -> int:
 def _cmd_observability(args, cfg, spec) -> int:
     grid = cfg.grid(N=args.N, T=args.T)
     rng = np.random.default_rng(args.seed)
-    res = controller.verify_observability(spec, None, args.samples, grid, rng=rng)
+    res = controller.verify_observability(spec, args.samples, grid, rng=rng)
     outputs.write_csv(
         args.out / "observability_samples.csv",
         ["sample", "ratio"],

@@ -35,7 +35,6 @@ import numpy as np
 
 from .bmatrix import EliminationMaps, boundary_elimination, in_class_B, trailing_minor_invertible
 from .core import (
-    CompatibilityViolated,
     ControlSignal,
     DimensionMismatch,
     GridSpec,
@@ -203,7 +202,7 @@ class FeedbackLaw:
 def check_compatibility(spec: SystemSpec, w0: StateField):
     """Residuals of the corner conditions at (t, x) = (0, 0).
 
-    Order zero: w_-(0,0) = B(w_+(0,0)).  Order one: the spatial derivatives
+    Order zero: w_-(0,0) = B w_+(0,0).  Order one: the spatial derivatives
     must satisfy the differentiated relation with the diagonal speed blocks.
     Returns (r0, r1, tolerance); the tolerance is 10 h max(1, max |dw/dx|).
     """
@@ -213,7 +212,7 @@ def check_compatibility(spec: SystemSpec, w0: StateField):
     deriv_scale = float(np.max(np.abs((w0.values[:, 1:] - w0.values[:, :-1]) / h), initial=0.0))
     tolerance = 10.0 * h * max(1.0, deriv_scale)
     corner = w0.values[:, 0]
-    r0 = float(np.max(np.abs(corner[:k] - spec.reflection.apply(corner[k:])), initial=0.0))
+    r0 = float(np.max(np.abs(corner[:k] - spec.B @ corner[k:]), initial=0.0))
     sig0 = spec.signed_speeds(
         np.array([0.0]), corner if spec.state_dependent else None
     )[:, 0]
@@ -230,7 +229,6 @@ def synthesize_feedback(
     spec: SystemSpec,
     T: float,
     w0: StateField,
-    strict_compat: bool = False,
 ) -> FeedbackLaw:
     """Build the finite-time feedback for target time T > T_opt.
 
@@ -241,7 +239,8 @@ def synthesize_feedback(
 
     The law ignores the coupling C(x) and applies the linear elimination maps
     of B, so a coupled system is refused (``NotApplicable``) instead of being
-    driven to a state the law misses.
+    driven to a state the law misses.  Initial data that violate the corner
+    compatibility conditions (``check_compatibility``) draw a UserWarning.
     """
     if spec.coupling_bound > 1e-14:
         raise NotApplicable(
@@ -257,13 +256,11 @@ def synthesize_feedback(
 
     r0, r1, tol = check_compatibility(spec, w0)
     if max(r0, r1) > tol:
-        msg = (
+        warnings.warn(
             f"initial data violates the corner compatibility conditions "
-            f"(residuals {r0:.3g}, {r1:.3g} > {tol:.3g})"
+            f"(residuals {r0:.3g}, {r1:.3g} > {tol:.3g})",
+            stacklevel=2,
         )
-        if strict_compat:
-            raise CompatibilityViolated(msg)
-        warnings.warn(msg, stacklevel=2)
 
     maps = boundary_elimination(spec.B)
     h = float(w0.xs[1] - w0.xs[0])
@@ -503,7 +500,9 @@ def optimality_witness(
         xs_f, ts_f = tables[comp_idx]
         return float(np.interp(t, ts_f, xs_f))
 
-    candidates = []  # (margin, is_argmax, kind, payload)
+    # per candidate: (margin, is_argmax, bump component, travel time at the
+    # bump's centre, probe component, travel time at the probe, gain, description)
+    candidates = []
 
     pairs = (
         [(i, m + i) for i in range(1, k + 1)]
@@ -524,70 +523,50 @@ def optimality_witness(
         qstar = bcomp - k if B[a - 1, bcomp - k - 1] != 0.0 else max(
             feed, key=lambda q: tau[k + q - 1]
         )
-        is_argmax = arg_kind == "pair" and arg_index == a
-        candidates.append((hi - lo, is_argmax, "pair", (a, qstar, lo, hi)))
+        t_mid = 0.5 * (lo + hi)
+        candidates.append((
+            hi - lo, arg_kind == "pair" and arg_index == a, k + qstar, t_mid, a, T - t_mid,
+            B[a - 1, qstar - 1],
+            f"bump in component {k + qstar} reflects at x=0 into component {a} "
+            f"at t={t_mid:.4g}, before any control reaches the boundary",
+        ))
 
     for comp in range(1, spec.n + 1):
         if tau[comp - 1] > T + 1e-9:
-            is_argmax = arg_kind == "single" and arg_index == comp
-            candidates.append(
-                (tau[comp - 1] - T, is_argmax, "direct", (comp,))
-            )
+            margin = tau[comp - 1] - T
+            # in travel time from x = 0: a rightward bump starts at margin/2 and
+            # ends at the probe T later; a leftward one starts T + margin/2 and
+            # ends T earlier.  Either way t_start +- 0.35 margin stays in (0, tau).
+            rightward = comp <= k
+            t_start = 0.5 * margin + (0.0 if rightward else T)
+            candidates.append((
+                margin, arg_kind == "single" and arg_index == comp, comp, t_start, comp,
+                t_start + (T if rightward else -T), 1.0,
+                f"bump in component {comp} travels for time {T} without meeting "
+                f"any controlled boundary",
+            ))
 
     if not candidates:
         raise NotApplicable("no feasible witness candidate for this configuration")
     candidates.sort(key=lambda c: (c[1], c[0]), reverse=True)
-    _, _, kind, payload = candidates[0]
+    margin, _, bump_comp, t_bump, probe_comp, t_probe, gain, desc = candidates[0]
 
+    # the bump spans +-0.35 margin in its component's travel time, at least 3 cells
+    center = t_inv(bump_comp - 1, t_bump)
+    width_t = 0.35 * margin
+    halfwidth = min(
+        abs(center - t_inv(bump_comp - 1, t_bump - width_t)),
+        abs(t_inv(bump_comp - 1, t_bump + width_t) - center),
+    )
+    halfwidth = max(halfwidth, 3.0 * grid.h)
     xs = grid.xs
     vals = np.zeros((spec.n, xs.size))
-    if kind == "pair":
-        a, qstar, lo, hi = payload
-        t_mid = 0.5 * (lo + hi)
-        window = hi - lo
-        bump_comp = k + qstar
-        center = t_inv(bump_comp - 1, t_mid)
-        edge_lo = t_inv(bump_comp - 1, t_mid - 0.35 * window)
-        edge_hi = t_inv(bump_comp - 1, t_mid + 0.35 * window)
-        halfwidth = min(abs(center - edge_lo), abs(edge_hi - center))
-        probe_comp = a
-        probe_x = t_inv(a - 1, T - t_mid)
-        expected = float(B[a - 1, qstar - 1] * amplitude)
-        desc = (
-            f"bump in component {bump_comp} reflects at x=0 into component {a} "
-            f"at t={t_mid:.4g}, before any control reaches the boundary"
-        )
-    else:
-        (comp,) = payload
-        margin = tau[comp - 1] - T
-        # in travel time from x = 0: a rightward bump starts at margin/2 and
-        # ends at the probe T later; a leftward one starts T + margin/2 and
-        # ends T earlier.  Either way t_start +- 0.35 margin stays in (0, tau).
-        rightward = comp <= k
-        t_start = 0.5 * margin + (0.0 if rightward else T)
-        center = t_inv(comp - 1, t_start)
-        probe_x = t_inv(comp - 1, t_start + (T if rightward else -T))
-        width_t = 0.35 * margin
-        halfwidth = min(
-            abs(center - t_inv(comp - 1, t_start - width_t)),
-            abs(t_inv(comp - 1, t_start + width_t) - center),
-        )
-        bump_comp = comp
-        probe_comp = comp
-        expected = float(amplitude)
-        desc = (
-            f"bump in component {comp} travels for time {T} without meeting "
-            f"any controlled boundary"
-        )
-
-    halfwidth = max(halfwidth, 3.0 * grid.h)
     vals[bump_comp - 1] = _bump(xs, center, halfwidth, amplitude)
-    w0 = StateField(vals, 0.0, xs)
     return Witness(
-        w0=w0,
+        w0=StateField(vals, 0.0, xs),
         probe_component=probe_comp,
-        probe_x=probe_x,
-        expected=expected,
+        probe_x=t_inv(probe_comp - 1, t_probe),
+        expected=float(gain * amplitude),
         bump_component=bump_comp,
         bump_center=center,
         bump_halfwidth=halfwidth,
@@ -652,7 +631,6 @@ def _l2_total(vals: np.ndarray, xs: np.ndarray):
 
 def verify_observability(
     spec: SystemSpec,
-    S,
     samples: int,
     grid: GridSpec,
     rng: Optional[np.random.Generator] = None,
@@ -665,8 +643,8 @@ def verify_observability(
     boundary are added to the pool: a finite random draw alone cannot expose
     the unobservable data that exist below the optimal time.  Ratios with a
     vanishing denominator count as RATIO_CAP (the constraint is vacuous
-    there).  Like ``solve_dual`` it has no coupling term: with S = None the
-    estimate is that of the uncoupled system, whatever C is.
+    there).  The data run through ``solve_dual`` without a source matrix, so
+    the estimate is that of the uncoupled system, whatever C is.
     """
     if samples < 1:
         raise ValidationError(f"need at least one random sample, got samples = {samples}")
@@ -692,7 +670,7 @@ def verify_observability(
         pool.append(vals)
         labels.append(f"bump_component_{comp}")
 
-    dual = solve_dual(spec, S, np.stack(pool), grid, snapshot_stride=10**9)
+    dual = solve_dual(spec, None, np.stack(pool), grid, snapshot_stride=10**9)
     num = dual.observation_energy()
     den = _l2_total(dual.snapshots[:, -1], xs) ** 2
     ratios = np.where(den > 1e-14, np.minimum(num / np.maximum(den, 1e-14), RATIO_CAP), RATIO_CAP)

@@ -9,15 +9,15 @@ constant k-by-m matrix B, controls act at x = 1 on the last m components.
 
 A system is built by ``build_system`` alone.  The frozen SystemSpec it returns
 holds ``speeds`` (a tuple of n Speed), ``coupling`` (a CouplingField),
-``reflection`` (a ReflectionMatrix holding B), k, m, n,
-``lambda_max``, ``coupling_bound`` and ``state_dependent``.
+``B`` (the float k-by-m reflection matrix), k, m, n, ``lambda_max``,
+``coupling_bound`` and ``state_dependent``.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,10 +73,6 @@ class NotApplicable(ValidationError):
 
 
 class TimeTooShort(ValidationError):
-    pass
-
-
-class CompatibilityViolated(ValidationError):
     pass
 
 
@@ -295,29 +291,6 @@ class CouplingField:
 
 
 # --------------------------------------------------------------------------- #
-# reflection
-# --------------------------------------------------------------------------- #
-
-class ReflectionMatrix:
-    """Constant reflection B at x = 0: w_-(t, 0) = B w_+(t, 0)."""
-
-    def __init__(self, B):
-        self.B = np.atleast_2d(np.asarray(B, dtype=float))
-
-    def apply(self, w_plus: np.ndarray) -> np.ndarray:
-        """Reflected values: (m,) -> (k,), or row by row (b, m) -> (b, k)."""
-        w_plus = np.asarray(w_plus, dtype=float)
-        return np.matmul(self.B, w_plus[..., None])[..., 0]
-
-    def bind(self, w_plus: np.ndarray, out: np.ndarray) -> Callable[[], None]:
-        """The product bound to fixed arrays: each call forms the reflected
-        values of ``w_plus``, (m,) or (b, m), in ``out``, (k, 1) or (b, k, 1),
-        the bits ``apply`` returns."""
-        B, column = self.B, w_plus[..., None]
-        return lambda: np.matmul(B, column, out=out)
-
-
-# --------------------------------------------------------------------------- #
 # grids, states, controls
 # --------------------------------------------------------------------------- #
 
@@ -383,7 +356,7 @@ class StateField:
         return self.values.shape[0]
 
 
-def state_from_exprs(exprs: Sequence, grid: GridSpec, n: int, t: float = 0.0) -> StateField:
+def state_from_exprs(exprs: Sequence, grid: GridSpec, n: int) -> StateField:
     """Build a StateField from per-component expressions in x (or callables)."""
     xs = grid.xs
     vals = np.zeros((n, xs.size))
@@ -397,7 +370,7 @@ def state_from_exprs(exprs: Sequence, grid: GridSpec, n: int, t: float = 0.0) ->
             vals[i] = np.broadcast_to(np.asarray(expr(x=xs), dtype=float), xs.shape)
         else:
             vals[i] = float(e)
-    return StateField(vals, t, xs)
+    return StateField(vals, 0.0, xs)
 
 
 @dataclass
@@ -448,7 +421,7 @@ class SystemSpec:
 
     speeds: tuple  # the n Speed objects lambda_1..lambda_n
     coupling: CouplingField
-    reflection: ReflectionMatrix
+    B: np.ndarray  # the reflection at x = 0: w_-(t, 0) = B w_+(t, 0)
     k: int
     m: int
     n: int
@@ -470,10 +443,6 @@ class SystemSpec:
         lam[: self.k] *= -1.0
         return lam
 
-    @property
-    def B(self) -> np.ndarray:
-        return self.reflection.B
-
 
 def build_system(
     k: int,
@@ -481,10 +450,10 @@ def build_system(
     speeds: Sequence,
     coupling=None,
     b=None,
-    gamma: Optional[float] = None,
 ) -> SystemSpec:
-    """Coerce the speeds (``as_speed``), coupling (a CouplingField or a matrix,
-    zero if omitted) and reflection b (zero if omitted), check, freeze.
+    """Coerce the speeds (``as_speed``), coupling (a CouplingField, which
+    carries any scale gamma, or a matrix; zero if omitted) and reflection b
+    (a float k-by-m matrix, zero if omitted), check, freeze.
 
     The speed ordering and the uniform lower bound are checked on a grid finer
     than the solver grids so violations between solver nodes are caught.
@@ -499,19 +468,15 @@ def build_system(
         raise DimensionMismatch(f"expected {n} speeds, got {len(speeds)}")
     if coupling is None:
         coupling = CouplingField(n)
-    elif isinstance(coupling, CouplingField):
-        coupling = coupling if gamma is None else coupling.with_gamma(gamma)
-    else:
-        coupling = CouplingField(n, constant=coupling, gamma=1.0 if gamma is None else gamma)
-    reflection = ReflectionMatrix(np.zeros((k, m)) if b is None else b)
+    elif not isinstance(coupling, CouplingField):
+        coupling = CouplingField(n, constant=coupling)
+    B = np.atleast_2d(np.asarray(np.zeros((k, m)) if b is None else b, dtype=float))
 
-    if reflection.B.shape != (k, m):
-        raise DimensionMismatch(
-            f"reflection matrix must be {k}x{m}, got {reflection.B.shape}"
-        )
+    if B.shape != (k, m):
+        raise DimensionMismatch(f"reflection matrix must be {k}x{m}, got {B.shape}")
     if coupling.n != n:
         raise DimensionMismatch(f"coupling field must be {n}x{n}, got {coupling.n}")
-    if not np.all(np.isfinite(reflection.B)):
+    if not np.all(np.isfinite(B)):
         raise NonFiniteEntry("reflection matrix has non-finite entries")
 
     state_dependent = any(s.state_dependent for s in speeds)
@@ -543,7 +508,7 @@ def build_system(
     return SystemSpec(
         speeds=speeds,
         coupling=coupling,
-        reflection=reflection,
+        B=B,
         k=k,
         m=m,
         n=n,

@@ -20,9 +20,9 @@ with dw the upwind differences, coef = signed speeds * dt/h per cell and one
 multiply-add for each coupling entry C_ij that is nonzero on the grid: by the
 scalar dt C_ij where the entry is constant on the grid, which is sorted out
 once per run, and by its node values elsewhere.  Then the reflection at
-x = 0: ReflectionMatrix.bind binds its product once per run to the step's
-input and output views, for each of the two directions below, so a step
-makes one matrix-vector product per run into out.
+x = 0: one matrix-vector product per run of B with the step's w_+(., 0)
+column into its w_-(., 0) column, views bound once per run for each of the
+two directions below.
 
 With state-dependent speeds a step is split into 2^d sub-steps of dt/2^d,
 d the least that meets the CFL condition.  The signed speeds sit in one
@@ -177,11 +177,9 @@ def _resolve_stride(n_steps: int, snapshot_stride) -> int:
 class _Recorder:
     """What both solvers record of a run as it steps: the incoming trace at
     x = 1 (rows k:), step s in ``by_step[s]``, a (b, m) view of ``inflow``, and
-    the strided snapshots, each copied by ``snap`` when its step comes.  K is
-    the number of steps per chunk of the forward run's |w| slots."""
+    the strided snapshots, each copied by ``snap`` when its step comes."""
 
     def __init__(self, w: np.ndarray, k: int, n_steps: int, snapshot_stride, dt: float):
-        self.K = min(64, max(1, _CHUNK_BYTES // w.nbytes))
         stride = _resolve_stride(n_steps, snapshot_stride)
         self.snap_steps = sorted({*range(0, n_steps + 1, stride), n_steps})
         self.snapshots = np.empty((w.shape[0], len(self.snap_steps)) + w.shape[1:])
@@ -189,7 +187,7 @@ class _Recorder:
         self.by_step = self.inflow.swapaxes(0, 1)
         self.snapshots[:, 0], self.by_step[0] = w, w[:, k:, -1]
         self.taken, self.next_snap = 1, self.snap_steps[1]
-        self.diagnostics = {"steps": n_steps, "dt": dt, "chunk": self.K}
+        self.diagnostics = {"steps": n_steps, "dt": dt}
 
     def snap(self, state: np.ndarray):
         """Copy the state of step ``next_snap``."""
@@ -229,7 +227,7 @@ def solve_forward(
     b = w.shape[0]
     ctrl_shape = (b, spec.m) if batched else (spec.m,)
     n_steps, dt = grid.steps(spec.lambda_max)
-    reflection = spec.reflection
+    B = spec.B
 
     cvals = None if spec.coupling.is_zero else spec.coupling.evaluate(xs)
     lam_static = None if spec.state_dependent else spec.signed_speeds(xs)
@@ -242,13 +240,14 @@ def solve_forward(
 
     rec = _Recorder(w, k, n_steps, snapshot_stride, dt)
     by_step = rec.by_step
+    K = min(64, max(1, _CHUNK_BYTES // w.nbytes))  # steps per chunk of |w| slots
     nl2, nlinf = np.empty((2, b, n_steps + 1, n))
     nl2[:, 0], nlinf[:, 0] = _l2(w, h), np.max(np.abs(w), axis=-1)
 
     # buffers reused every step: the other state buffer, each step's |w| in its
     # chunk slot, one component's coupling term and the flush mask
     bufs = (w, np.empty_like(w))
-    absw = np.empty((rec.K,) + w.shape)
+    absw = np.empty((K,) + w.shape)
     cw = np.empty((b, xs.size)) if entries else None
     small = np.empty(w.shape, dtype=bool)
     doublings = 0
@@ -266,7 +265,7 @@ def solve_forward(
         left, left_lo, left_out = src[:, k:, 1:], src[:, k:, :-1], dst[:, k:, :-1]
         edge_0, edge_1 = dst[:, :k, 0], dst[:, k:, -1]
         pairs = [(src[:, j], dst[:, i]) for i, j, _ in entries]
-        reflect = reflection.bind(dst[:, k:, 0], dst[:, :k, :1])
+        reflect_in, reflect_out = dst[:, k:, 0, None], dst[:, :k, :1]
 
         # a state that overflows is refused below by name, not warned about
         @np.errstate(over="ignore", invalid="ignore")
@@ -280,7 +279,7 @@ def solve_forward(
                 np.multiply(dtc, src_j, out=cw)
                 np.add(dst_i, cw, out=dst_i)
             np.add(src, dst, out=dst)
-            reflect()
+            np.matmul(B, reflect_in, out=reflect_out)
 
         return advance
 
@@ -327,8 +326,8 @@ def solve_forward(
                 np.multiply(lam, sign, out=sig[i])
             return peak
 
-    for lo in range(0, n_steps, rec.K):
-        steps = range(lo + 1, min(lo + rec.K, n_steps) + 1)
+    for lo in range(0, n_steps, K):
+        steps = range(lo + 1, min(lo + K, n_steps) + 1)
         for step, absw_s in zip(steps, absw):
             advance, dst, src, values, ctrl_col = directions[step % 2]
             t_new = step * dt
@@ -401,7 +400,7 @@ def solve_forward(
         norms_l2=unbatch(nl2),
         norms_linf=unbatch(nlinf),
         controls=unbatch(rec.inflow),
-        diagnostics={**rec.diagnostics, "max_substep_doublings": doublings},
+        diagnostics={**rec.diagnostics, "chunk": K, "max_substep_doublings": doublings},
     )
 
 
@@ -419,7 +418,7 @@ class DualTrajectory:
     snapshot_times: np.ndarray
     snapshots: np.ndarray
     observation: np.ndarray  # v_+(-s, 1), shape (n_steps+1, m)
-    diagnostics: dict = field(default_factory=dict, repr=False)  # steps, dt, chunk
+    diagnostics: dict = field(default_factory=dict, repr=False)  # steps, dt
 
     @property
     def xs(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from hypctrl.controller import (
     verify_observability,
     verify_witness,
 )
-from hypctrl.core import GridSpec, StateField, build_system, state_from_exprs
+from hypctrl.core import CouplingField, GridSpec, StateField, build_system, state_from_exprs
 from hypctrl.simulator import solve_forward, zero_control
 from hypctrl.times import legacy_times, optimal_time, travel_times
 
@@ -202,9 +202,8 @@ def test_criterion_07_finite_time_feedback():
 
 def test_criterion_08_null_control_above_below():
     t0 = time.time()
-    spec = build_system(
-        1, 1, [1.0, 1.0], coupling=[[0.0, 1.0], [1.0, 0.0]], b=[[0.5]], gamma=0.1
-    )
+    coupling = CouplingField(2, constant=[[0.0, 1.0], [1.0, 0.0]], gamma=0.1)
+    spec = build_system(1, 1, [1.0, 1.0], coupling=coupling, b=[[0.5]])
     grid = GridSpec(N=256, cfl=0.95, T=2.2)
     w0 = state_from_exprs(
         ["0.6*exp(-((x-0.55)/0.1)**2)", "exp(-((x-0.45)/0.1)**2)"], grid, 2
@@ -238,8 +237,8 @@ def test_criterion_09_observability_dichotomy():
     t0 = time.time()
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.0]])
     rng = np.random.default_rng(33)
-    high = verify_observability(spec, None, 12, GridSpec(N=500, cfl=0.9, T=2.5), rng=rng)
-    low = verify_observability(spec, None, 12, GridSpec(N=500, cfl=0.9, T=0.3), rng=rng)
+    high = verify_observability(spec, 12, GridSpec(N=500, cfl=0.9, T=2.5), rng=rng)
+    low = verify_observability(spec, 12, GridSpec(N=500, cfl=0.9, T=0.3), rng=rng)
     ok = high.estimate > 0.1 and low.estimate < 1e-3
     ok = ok and (time.time() - t0) < 120.0
     _report(

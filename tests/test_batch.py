@@ -32,9 +32,8 @@ def systems(draw):
     # the constant matrix through build_system, or per-entry coupling of which
     # each entry is constant or varies in x
     if draw(st.booleans()):
-        return build_system(
-            k, m, speeds, coupling=np.array(C).reshape(n, n), b=B, gamma=gamma
-        )
+        coupling = CouplingField(n, constant=np.array(C).reshape(n, n), gamma=gamma)
+        return build_system(k, m, speeds, coupling=coupling, b=B)
     varies = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     coupling = CouplingField(
         n,
@@ -190,7 +189,7 @@ def _reference_forward(spec, w0, control, grid, before=False):
                 if C[i, j].any():
                     inc[:, i] = inc[:, i] + (dt * C[i, j]) * w[:, j]
             w = w + inc
-        w[:, :k, 0] = spec.reflection.apply(w[:, k:, 0])
+        w[:, :k, 0] = np.matmul(spec.B, w[:, k:, 0, None])[..., 0]
         return w
 
     def split_step(w):
@@ -428,7 +427,7 @@ def test_dual_matches_fresh_array_reference(spec, b, N, steps, stride, seed, wit
         "snapshot_times": np.array(snap) * dual.dt,
         "observation": states[:, :, spec.k:, -1],
     }
-    assert dual.diagnostics == {"steps": steps, "dt": dual.dt, "chunk": K}
+    assert dual.diagnostics == {"steps": steps, "dt": dual.dt}
     for name, value in expected.items():
         assert np.array_equal(getattr(dual, name), value), name
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hypctrl.core import (
     ControlSignal,
+    CouplingField,
     DimensionMismatch,
     GridSpec,
     OutOfDomain,
@@ -443,8 +444,8 @@ def test_solvers_hold_two_states_and_a_chunk_of_abs_values():
     # states would take 3K
     import tracemalloc
 
-    coupled = build_system(1, 1, [1.0, 1.0], coupling=[[0.0, 1.0], [1.0, 0.0]], b=[[0.5]],
-                           gamma=0.1)
+    coupling = CouplingField(2, constant=[[0.0, 1.0], [1.0, 0.0]], gamma=0.1)
+    coupled = build_system(1, 1, [1.0, 1.0], coupling=coupling, b=[[0.5]])
     small = GridSpec(N=128, cfl=0.95, T=2.2)
     one_by_two = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 2.0]])
     large = GridSpec(N=4000, cfl=0.9, T=0.02)
@@ -468,11 +469,13 @@ def test_solvers_hold_two_states_and_a_chunk_of_abs_values():
             finally:
                 tracemalloc.stop()
             held = sum(a.nbytes for a in vars(run).values() if isinstance(a, np.ndarray))
-            K = run.diagnostics["chunk"]
-            if grid is small:
-                assert K == 64
-            else:
-                assert 1 < K < 64 and run.diagnostics["steps"] > K
+            K = 0  # the dual keeps no |w| slots
+            if name == "forward":
+                K = run.diagnostics["chunk"]
+                if grid is small:
+                    assert K == 64
+                else:
+                    assert 1 < K < 64 and run.diagnostics["steps"] > K
             assert peak - held <= (2 + K + 20) * w0.values.nbytes, (name, grid.N)
 
 
@@ -488,7 +491,7 @@ def test_diagnostics_report_steps_dt_chunk_and_doublings():
     quasi = build_system(1, 1, [1.0, "1 + w2**2"], b=[[0.5]])
     assert solve_forward(quasi, w0, zero_control(1), grid).diagnostics["max_substep_doublings"] == 1
     dual = solve_dual(lin, None, w0, grid)
-    assert dual.diagnostics == {"steps": dual.times.size - 1, "dt": dual.dt, "chunk": 64}
+    assert dual.diagnostics == {"steps": dual.times.size - 1, "dt": dual.dt}
 
 
 def test_cfl_violation_raised_when_halving_cannot_restore_it():
