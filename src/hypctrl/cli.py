@@ -127,10 +127,9 @@ def _cmd_check_b(args, cfg, spec) -> int:
                 f"rcond={info['rcond']!r}"
             )
         if rep["in_class_B"]:
-            elim = bmatrix.boundary_elimination(spec.B)
-            for mp in elim.maps:
-                coef = ", ".join(repr(c) for c in mp.coef)
-                print(f"level {mp.level}: w_{mp.control_component}(t,0) = [{coef}] . args")
+            for j, row in enumerate(bmatrix.boundary_elimination(spec.B), start=1):
+                coef = ", ".join(repr(c) for c in row)
+                print(f"level {j}: w_{spec.n + 1 - j}(t,0) = [{coef}] . args")
     return 0
 
 
@@ -141,8 +140,11 @@ def _cmd_simulate(args, cfg, spec) -> int:
     for t in args.snap_times:
         if not 0.0 <= t <= grid.T:
             raise ValidationError(f"snapshot time {t:g} outside [0, T = {grid.T:g}]")
-    # the snapshot series only where a --snap-times file is taken from it
-    traj = solve_forward(spec, w0, closure, grid, None if args.snap_times else 10**9)
+    # a series of about 512 snapshots only where a --snap-times file is taken
+    # from it; else the run keeps the initial and terminal states
+    n_steps, _ = grid.steps(spec.lambda_max)
+    stride = int(np.ceil((n_steps + 1) / 512)) if args.snap_times else None
+    traj = solve_forward(spec, w0, closure, grid, stride)
     outputs.write_norms_csv(args.out / "norms.csv", traj)
     # each file holds the stored snapshot nearest the requested time; record its time
     taken = {}
@@ -172,7 +174,7 @@ def _cmd_dual(args, cfg, spec) -> int:
         base, gauge = bs.preprocess_diagonal(spec)
         kernel = bs.solve_kernel(base, NK=args.use_kernel)
         S = bs.source_matrix(kernel, base)
-    dual = solve_dual(spec, S, v0, grid, snapshot_stride=10**9)
+    dual = solve_dual(spec, S, v0, grid)
     outputs.write_float_csv(
         args.out / "observation.csv",
         ["t"] + [f"v_{spec.k + 1 + c}" for c in range(spec.m)],
@@ -306,10 +308,10 @@ def _cmd_sweep(args, cfg, base_spec) -> int:
     # every point has the speeds, and so the time steps, of the base system
     controller.check_null_control(base_spec, grid, args.reg, args.segments)
 
-    points = [(g, bsc) for g in args.gamma_values for bsc in args.b_scale_values]
+    # every point reads the same [initial] data, so bad data is refused once too
+    w0 = cfg.initial_state(grid, base_spec.n)
 
-    def run_point(point):
-        gamma, bscale = point
+    def run_point(gamma, bscale):
         try:
             spec = build_system(
                 base_spec.k,
@@ -320,7 +322,6 @@ def _cmd_sweep(args, cfg, base_spec) -> int:
                 ),
                 b=bscale * base_spec.B,
             )
-            w0 = cfg.initial_state(grid, spec.n)
             res = controller.null_control_openloop(
                 spec, w0, grid, reg=args.reg, segments=args.segments
             )
@@ -333,7 +334,7 @@ def _cmd_sweep(args, cfg, base_spec) -> int:
             )
             return gamma, bscale, float("nan"), float("nan")
 
-    results = [run_point(p) for p in points]
+    results = [run_point(g, bsc) for g in args.gamma_values for bsc in args.b_scale_values]
 
     outputs.write_csv(
         args.out / "sweep.csv",

@@ -33,13 +33,12 @@ from typing import Optional
 
 import numpy as np
 
-from .bmatrix import EliminationMaps, boundary_elimination, in_class_B, trailing_minor_invertible
+from .bmatrix import boundary_elimination, trailing_minor_invertible
 from .core import (
     ControlSignal,
     DimensionMismatch,
     GridSpec,
     NotApplicable,
-    NotInClassB,
     StateField,
     SystemSpec,
     TimeTooShort,
@@ -119,11 +118,11 @@ class FeedbackLaw:
     The law reads (n, N+1) state values on ``xs``, its initial state's grid,
     and refuses to read other shapes.  Fixed positions get their cells (node,
     offset, width) when the law is built, state-dependent ones on every call,
-    through the same helper; the level maps' argument counts are checked once.
+    through the same helper.
     """
 
     spec: SystemSpec
-    maps: EliminationMaps
+    coefs: tuple  # row j-1 is level j's map: m-j coefficients of its arguments
     zetas: list  # a CubicRamp per channel: zetas[p] feeds component k+1+p
     eta: CubicRamp
     delays: dict  # controlled component -> travel time across [0, 1]
@@ -137,19 +136,12 @@ class FeedbackLaw:
     last_reads: tuple = ()  # (level, component, position) of each read of the last call
 
     def __post_init__(self):
-        m = self.spec.m
-        for j in range(1, self.levels + 1):
-            size = self.maps.by_level(j).coef.size
-            if size != m - j:
-                raise ValidationError(
-                    f"elimination map level {j} expects {size} arguments, the law gives {m - j}"
-                )
         if not self.spec.state_dependent:
             self.cells, self.reads = _read_cells(self.read_positions(), self.spec.k, self.xs)
 
     @property
     def levels(self) -> int:
-        return min(self.spec.k, self.spec.m - 1)
+        return len(self.coefs)
 
     def read_positions(self, values: Optional[np.ndarray] = None) -> dict:
         """level -> positions T_l^{-1}(delay) of the arguments l of that level.
@@ -195,7 +187,7 @@ class FeedbackLaw:
             # outermost level first; each line only reads interior state values
             for j in range(1, self.levels + 1):
                 args = np.array([_read(values, cell) for cell in cells[j]])
-                ctrl[m - j] += (1.0 - eta) * float(self.maps.by_level(j).coef @ args)
+                ctrl[m - j] += (1.0 - eta) * float(self.coefs[j - 1] @ args)
         return ctrl
 
 
@@ -237,18 +229,19 @@ def synthesize_feedback(
     For state-independent speeds the argument positions are time-invariant and
     are found once here by inverting the cumulative travel times.
 
-    The law ignores the coupling C(x) and applies the linear elimination maps
-    of B, so a coupled system is refused (``NotApplicable``) instead of being
-    driven to a state the law misses.  Initial data that violate the corner
-    compatibility conditions (``check_compatibility``) draw a UserWarning.
+    The law ignores the coupling C(x) and applies the elimination rows of B
+    for levels 1..min{k, m-1}, so a coupled system is refused
+    (``NotApplicable``) instead of being driven to a state the law misses,
+    and a B outside class B (``NotInClassB``) before T is checked.  Initial
+    data that violate the corner compatibility conditions
+    (``check_compatibility``) draw a UserWarning.
     """
     if spec.coupling_bound > 1e-14:
         raise NotApplicable(
             f"finite-time feedback requires zero coupling, got max |C| = {spec.coupling_bound:.3g}"
         )
-    if not in_class_B(spec.B):
-        raise NotInClassB("feedback needs an admissible reflection matrix")
     k, m = spec.k, spec.m
+    coefs = boundary_elimination(spec.B)[: min(k, m - 1)]
     tau = travel_times(spec)
     topt, _, _ = optimal_time_argmax(tau, k, m)
     if T <= topt:
@@ -262,7 +255,6 @@ def synthesize_feedback(
             stacklevel=2,
         )
 
-    maps = boundary_elimination(spec.B)
     h = float(w0.xs[1] - w0.xs[0])
     corner1 = w0.values[:, -1]
     lam1 = spec.lambdas(np.array([1.0]), corner1 if spec.state_dependent else None)[:, 0]
@@ -277,7 +269,7 @@ def synthesize_feedback(
     ]
     delays = {k + p + 1: float(tau[k + p]) for p in range(m)}
     return FeedbackLaw(
-        spec=spec, maps=maps, zetas=zetas, eta=CubicRamp(1.0, 0.0, half), delays=delays,
+        spec=spec, coefs=coefs, zetas=zetas, eta=CubicRamp(1.0, 0.0, half), delays=delays,
         xs=w0.xs, T=T, Topt=float(topt),
     )
 
@@ -294,7 +286,7 @@ class StabilizationReport:
 def run_closed_loop(law: FeedbackLaw, w0: StateField, grid: GridSpec):
     """Run the law's system from w0 under the law over [0, grid.T].  The
     trajectory keeps the initial and the terminal state only."""
-    traj = solve_forward(law.spec, w0, law, grid, snapshot_stride=10**9)
+    traj = solve_forward(law.spec, w0, law, grid)
     total = np.max(traj.norms_linf, axis=1)
     initial = float(total[0])
     report = StabilizationReport(
@@ -390,7 +382,7 @@ def null_control_openloop(
             tail = grid
         tails.append((tail, start - 1))
 
-    free = solve_forward(spec, w0, zero_control(m), grid, snapshot_stride=10**9)
+    free = solve_forward(spec, w0, zero_control(m), grid)
     free_flat = free.terminal_state().values.ravel() * sqw
     zero_init = StateField(np.zeros_like(w0.values), 0.0, xs)
 
@@ -402,7 +394,7 @@ def null_control_openloop(
             def basis(t, state, _unit=units[c], _s=s, _shift=shift):
                 return _unit if seg[round(t / dt) + _shift] == _s else zeros
 
-            resp = solve_forward(spec, zero_init, basis, tail, snapshot_stride=10**9)
+            resp = solve_forward(spec, zero_init, basis, tail)
             cols.append(resp.terminal_state().values.ravel() * sqw)
     A = np.column_stack(cols)
 
@@ -421,7 +413,7 @@ def null_control_openloop(
     def assembled(t, state):
         return values[:, round(t / dt)]
 
-    final = solve_forward(spec, w0, assembled, grid, snapshot_stride=10**9)
+    final = solve_forward(spec, w0, assembled, grid)
     term_flat = final.terminal_state().values.ravel() * sqw
     err = np.linalg.norm(term_flat - target_flat)
     scale = np.linalg.norm(w0.values.ravel() * sqw)
@@ -594,7 +586,7 @@ def verify_witness(
     amps[1:] = rng.normal(0.0, scale, size=(n_controls, spec.m, 9))
     controls = ControlSignal(times=np.linspace(0.0, grid.T, 9), values=amps)
     inits = np.broadcast_to(witness.w0.values, amps.shape[:1] + witness.w0.values.shape)
-    runs = solve_forward(spec, inits, controls.as_closure(), grid, snapshot_stride=10**9)
+    runs = solve_forward(spec, inits, controls.as_closure(), grid)
     probes = runs.snapshots[:, -1, witness.probe_component - 1]
     values = [float(np.interp(witness.probe_x, grid.xs, row)) for row in probes]
     deviations = [abs(v - witness.expected) / scale for v in values]
@@ -670,7 +662,7 @@ def verify_observability(
         pool.append(vals)
         labels.append(f"bump_component_{comp}")
 
-    dual = solve_dual(spec, None, np.stack(pool), grid, snapshot_stride=10**9)
+    dual = solve_dual(spec, None, np.stack(pool), grid)
     num = dual.observation_energy()
     den = _l2_total(dual.snapshots[:, -1], xs) ** 2
     ratios = np.where(den > 1e-14, np.minimum(num / np.maximum(den, 1e-14), RATIO_CAP), RATIO_CAP)

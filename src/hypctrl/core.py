@@ -247,14 +247,6 @@ class CouplingField:
         out.gamma = float(gamma)
         return out
 
-    @property
-    def is_zero(self) -> bool:
-        return all(self.column_is_zero(j) for j in range(self.n))
-
-    def column_is_zero(self, j: int) -> bool:
-        """Whether gamma * C[:, j] is zero everywhere, as ``entry_is_zero``."""
-        return all(self.entry_is_zero(i, j) for i in range(self.n))
-
     def entry_is_zero(self, i: int, j: int) -> bool:
         """Whether gamma * C[i, j] is zero everywhere, read exactly off the
         representation: an expression entry never counts as zero."""

@@ -166,8 +166,9 @@ class Trajectory:
 
 
 def _resolve_stride(n_steps: int, snapshot_stride) -> int:
+    """Steps between snapshots: None keeps the initial and terminal states only."""
     if snapshot_stride is None:
-        return max(1, int(np.ceil((n_steps + 1) / 512)))
+        return n_steps
     stride = int(snapshot_stride)
     if stride < 1:
         raise ValidationError("snapshot stride must be >= 1")
@@ -208,8 +209,12 @@ def solve_forward(
     ``boundary_at_1(t, values)`` must return the m incoming values at x = 1
     for time t; it is called once per step with the freshly updated (n, N+1)
     state values (boundary at x = 1 still pending), a view of a buffer the
-    solver overwrites two steps later (copy it to keep it), and must be
-    side-effect free.  The solver copies the values it returns.
+    solver overwrites two steps later (copy it to keep it).  It must not
+    write to those values; it may keep state of its own, such as the
+    feedback law's ``last_reads``, since it is called exactly once per step,
+    in step order.  The solver copies the values it returns.
+    ``snapshot_stride`` keeps the state of every that many steps; None, the
+    default, keeps the initial and terminal states only.
     For state-dependent speeds the CFL condition is re-checked every step and
     the step is split in halves until it holds again; a state-dependent speed
     that is not finite and positive on a sub-step's state is refused.
@@ -229,13 +234,12 @@ def solve_forward(
     n_steps, dt = grid.steps(spec.lambda_max)
     B = spec.B
 
-    cvals = None if spec.coupling.is_zero else spec.coupling.evaluate(xs)
     lam_static = None if spec.state_dependent else spec.signed_speeds(xs)
     # the coupling entries that are nonzero somewhere on the grid, as (i, j, C_ij),
-    # C_ij a scalar where it is constant on the grid
-    entries = [] if cvals is None else [
-        (i, j, cvals[i, j]) for i in range(n) for j in range(n) if cvals[i, j].any()
-    ]
+    # C_ij a scalar where it is constant on the grid; the (n, n, N+1) values
+    # outlive this only through the entries that vary on the grid
+    entries = [(i, j, c) for i, row in enumerate(spec.coupling.evaluate(xs))
+               for j, c in enumerate(row) if c.any()]
     entries = [(i, j, float(c[0]) if (c == c[0]).all() else c) for i, j, c in entries]
 
     rec = _Recorder(w, k, n_steps, snapshot_stride, dt)
@@ -450,7 +454,8 @@ def solve_dual(
     integral, evaluated by the trapezoid rule on the current snapshot and then
     divided by the diagonal Sigma_+(0).  The trace v_+(., 1) is recorded as
     the observation.  ``v_at_0`` may instead be an array of shape (b, n, N+1),
-    the data of b runs that advance together.
+    the data of b runs that advance together.  ``snapshot_stride`` is as in
+    ``solve_forward``.
     """
     if spec.state_dependent:
         raise ValidationError("dual solver requires state-independent speeds")

@@ -47,8 +47,6 @@ def systems(draw):
 def _entry_kinds(spec):
     """How solve_forward multiplies each coupling entry nonzero on a grid:
     "scalar" where it is constant there, "nodes" where it varies."""
-    if spec.coupling.is_zero:
-        return set()
     C = spec.coupling.evaluate(GridSpec(N=8).xs)
     return {"scalar" if (c == c[0]).all() else "nodes" for c in C.reshape(-1, 9) if c.any()}
 
@@ -138,7 +136,7 @@ def _grid(spec, N, steps, cfl=0.9):
 
 
 def _snapshot_steps(steps, stride):
-    stride = 1 if stride is None else stride  # the default is 1 up to 511 steps
+    stride = steps if stride is None else stride  # the default keeps the two ends
     return sorted(set(range(0, steps + 1, stride)) | {steps})
 
 
@@ -175,17 +173,16 @@ def _reference_forward(spec, w0, control, grid, before=False):
     k, h, xs = spec.k, grid.h, grid.xs
     n_steps = max(1, int(np.ceil(grid.T / grid.dt_for(spec.lambda_max) - 1e-12)))
     dt = grid.T / n_steps
-    C = None if spec.coupling.is_zero else spec.coupling.evaluate(xs)
+    C = spec.coupling.evaluate(xs)
 
     def update(w, lam, dt):
         if before:
             rhs = lam * (_differences(w, k) / h)
-            if C is not None:
-                rhs += np.einsum("ijq,bjq->biq", C, w)
+            rhs += np.einsum("ijq,bjq->biq", C, w)
             w = w + dt * rhs
         else:
             inc = _differences(w, k) * (lam * (dt / h))
-            for i, j in np.ndindex(C.shape[:2]) if C is not None else ():
+            for i, j in np.ndindex(C.shape[:2]):
                 if C[i, j].any():
                     inc[:, i] = inc[:, i] + (dt * C[i, j]) * w[:, j]
             w = w + inc

@@ -501,6 +501,23 @@ def test_sweep_failed_point_writes_nan_row(tmp_path, capsys):
                              "state blew up at t = ")
 
 
+def test_sweep_refuses_non_finite_initial_data_once(tmp_path, capsys):
+    # every point reads the same [initial] data: refused once, not as NaN rows
+    cfg_text = BASE_CFG.replace(
+        "[run]",
+        "[sweep]\ngamma_values = 0 1\nb_scale_values = 1\nt = 2.4\nsegments = 12\n\n[run]",
+    ).replace("w2 = exp(-((x - 0.5)/0.12)**2)", "w2 = sqrt(x - 2)")
+    path = tmp_path / "sweep.cfg"
+    path.write_text(cfg_text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # sqrt of a negative number
+        assert main(["sweep", "--config", str(path), "--N", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "non-finite" in err
+    assert not out.exists()
+
+
 def test_sweep_grid_above_topt_all_controllable(tmp_path):
     # 5x5 grid over (gamma, b): every point steers below 1e-2 just above T_opt
     cfg_text = BASE_CFG.replace("lambda1 = 1 + x", "lambda1 = 1").replace(

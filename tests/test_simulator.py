@@ -58,7 +58,7 @@ def test_zero_data_stays_exactly_zero():
     spec = build_system(1, 1, [1.0, 2.0], coupling=[[0.0, 1.0], [1.0, 0.0]], b=[[0.7]])
     grid = GridSpec(N=64, cfl=0.9, T=1.0)
     w0 = StateField(np.zeros((2, 65)), 0.0, grid.xs)
-    traj = solve_forward(spec, w0, zero_control(1), grid)
+    traj = solve_forward(spec, w0, zero_control(1), grid, snapshot_stride=1)
     assert np.all(traj.snapshots == 0.0)
 
 
@@ -165,7 +165,7 @@ def test_dual_zero_data():
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.0]])
     grid = GridSpec(N=64, cfl=0.9, T=1.0)
     v0 = StateField(np.zeros((2, 65)), 0.0, grid.xs)
-    dual = solve_dual(spec, None, v0, grid)
+    dual = solve_dual(spec, None, v0, grid, snapshot_stride=1)
     assert np.all(dual.snapshots == 0.0)
     assert dual.observation_energy() == 0.0
 
@@ -411,7 +411,7 @@ def test_dual_with_source_matrix_runs():
     S = source_matrix(kernel, spec)
     grid = GridSpec(N=200, cfl=0.9, T=1.5)
     vals = np.vstack([_bump(grid.xs, 0.6, 0.2), _bump(grid.xs, 0.4, 0.2)])
-    dual = solve_dual(spec, S, StateField(vals, 0.0, grid.xs), grid)
+    dual = solve_dual(spec, S, StateField(vals, 0.0, grid.xs), grid, snapshot_stride=1)
     assert np.all(np.isfinite(dual.snapshots))
     # the nonlocal boundary term keeps feeding the system: v(-T) is nonzero
     assert np.max(np.abs(dual.terminal_state().values)) > 1e-6
@@ -457,9 +457,8 @@ def test_solvers_hold_two_states_and_a_chunk_of_abs_values():
         w0 = state_from_exprs(exprs, grid, spec.n)
         control = np.full(spec.m, 0.1)
         runs = {
-            "forward": lambda: solve_forward(spec, w0, lambda t, values: control, grid,
-                                             snapshot_stride=10**9),
-            "dual": lambda: solve_dual(spec, None, w0, grid, snapshot_stride=10**9),
+            "forward": lambda: solve_forward(spec, w0, lambda t, values: control, grid),
+            "dual": lambda: solve_dual(spec, None, w0, grid),
         }
         for name, solve in runs.items():
             tracemalloc.start()
