@@ -32,9 +32,8 @@ from .core import (
     StateField,
     SystemSpec,
     build_system,
-    state_from_exprs,
 )
-from .expressions import parse_expression
+from .expressions import Expr
 
 
 def _floats(text: str) -> list[float]:
@@ -182,17 +181,28 @@ class ExperimentConfig:
         )
 
     def initial_state(self, grid: GridSpec, n: int, section="initial", prefix="w") -> StateField:
-        """Data w1..wn of ``[initial]``; the dual's v1..vn with ``[dual]``, "v"."""
-        sec = self.sections.get(section, {})
-        exprs = [sec.get(f"{prefix}{i + 1}") for i in range(n)]
-        return state_from_exprs(exprs, grid, n)
+        """Data w1..wn of ``[initial]``; the dual's v1..vn with ``[dual]``, "v".
+        A value that is not finite on the grid is refused by its key."""
+        xs = grid.xs
+
+        def on_grid(text):
+            with np.errstate(all="ignore"):  # refused below, not warned about
+                row = np.broadcast_to(Expr(text, ("x",))(x=xs), xs.shape)
+            if not np.all(np.isfinite(row)):
+                raise ValueError("non-finite on the grid")
+            return row
+
+        values = np.zeros((n, xs.size))
+        for i in range(n):
+            values[i] = self.get(section, f"{prefix}{i + 1}", on_grid, 0.0)
+        return StateField(values, 0.0, xs)
 
     def control_closure(self, k: int, m: int):
         sec = self.sections.get("control", {})
         exprs = []
         for i in range(m):
             raw = sec.get(f"w{k + i + 1}")
-            exprs.append(parse_expression(raw, ("t",)) if raw is not None else None)
+            exprs.append(Expr(raw, ("t",)) if raw is not None else None)
 
         def closure(t, state):
             out = np.zeros(m)

@@ -11,6 +11,11 @@ A system is built by ``build_system`` alone.  The frozen SystemSpec it returns
 holds ``speeds`` (a tuple of n Speed), ``coupling`` (a CouplingField),
 ``B`` (the float k-by-m reflection matrix), k, m, n, ``lambda_max``,
 ``coupling_bound`` and ``state_dependent``.
+
+A speed is given as a float, an expression in x (and w1..wn when it depends
+on the state) or an ``(xs, values)`` pair of samples, and ``Speed`` is its one
+class.  A CouplingField takes a constant matrix, per-entry floats and
+expressions, or samples on a grid, and holds one n-by-n table of entries.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expressions import Expr, ExpressionError, parse_expression, state_variable_names
+from .expressions import Expr
 
 
 # --------------------------------------------------------------------------- #
@@ -117,89 +122,52 @@ class FlowLeftDomain(NumericalError):
 # --------------------------------------------------------------------------- #
 
 class Speed:
-    """One positive characteristic speed lambda_i, possibly state-dependent."""
+    """One positive characteristic speed lambda_i: a float, an expression in x
+    (and in w1..wn for n_state = n, which makes it state-dependent) or an
+    ``(xs, values)`` pair of samples covering [0, 1], linear in between.
 
-    state_dependent = False
+    ``evaluate(x, state=None)`` gives lambda at x in the shape of x; the result
+    may be read-only or share memory with x or the state: copy it to keep or
+    change it.
+    """
 
-    def evaluate(self, x, state=None):
-        raise NotImplementedError
+    def __init__(self, value, n_state: int = 0):
+        self.state_dependent = False
+        if isinstance(value, (int, float)):
+            value = float(value)
+            self.evaluate = lambda x, state=None: np.full(np.shape(x), value)
+        elif isinstance(value, str):
+            expr = Expr(value, ("x",) + tuple(f"w{i + 1}" for i in range(n_state)))
+            # the state rows the expression reads, bound once: (name, row)
+            rows = [(name, int(name[1:]) - 1) for name in expr.names if name != "x"]
+            self.state_dependent = bool(rows)
 
+            def evaluate(x, state=None):
+                x = np.asarray(x, dtype=float)
+                bindings = {"x": x}
+                if rows:
+                    if state is None:
+                        raise OutOfDomain(
+                            f"speed {value!r} is state-dependent; a state vector is required"
+                        )
+                    state = np.asarray(state, dtype=float)
+                    for name, row in rows:
+                        bindings[name] = state[row]
+                out = np.asarray(expr(**bindings), dtype=float)
+                return out if out.shape == x.shape else np.broadcast_to(out, x.shape)
 
-class ConstantSpeed(Speed):
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def evaluate(self, x, state=None):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, self.value, dtype=float)
-
-    def __repr__(self):
-        return f"ConstantSpeed({self.value})"
-
-
-class ExpressionSpeed(Speed):
-    """Closed-form speed, expression in x and optionally w1..wn."""
-
-    def __init__(self, expr: Expr, n_state: int = 0):
-        self.expr = expr
-        self.n_state = n_state
-        self.state_dependent = any(name.startswith("w") for name in expr.names)
-
-    def evaluate(self, x, state=None):
-        """lambda at x, shape of x.  The result may be read-only or share
-        memory with x or the state: copy it to keep or change it."""
-        x = np.asarray(x, dtype=float)
-        bindings = {"x": x}
-        if self.state_dependent:
-            if state is None:
-                raise OutOfDomain(
-                    f"speed {self.expr.source!r} is state-dependent; a state vector is required"
-                )
-            state = np.asarray(state, dtype=float)
-            for i in range(self.n_state):
-                name = f"w{i + 1}"
-                if name in self.expr.names:
-                    bindings[name] = state[i]
-        out = np.asarray(self.expr(**bindings), dtype=float)
-        return out if out.shape == x.shape else np.broadcast_to(out, x.shape)
-
-    def __repr__(self):
-        return f"ExpressionSpeed({self.expr.source!r})"
-
-
-class SampledSpeed(Speed):
-    """Speed given by samples on a reference grid, piecewise-linear in between."""
-
-    def __init__(self, xs: Sequence[float], values: Sequence[float]):
-        self.xs = np.asarray(xs, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if self.xs.ndim != 1 or self.xs.shape != self.values.shape:
-            raise DimensionMismatch("sampled speed needs matching 1-D grids and values")
-        if np.any(np.diff(self.xs) <= 0):
-            raise ValidationError("sample positions must be strictly increasing")
-        if self.xs[0] > 0.0 or self.xs[-1] < 1.0:
-            raise ValidationError("sample positions must cover [0, 1]")
-
-    def evaluate(self, x, state=None):
-        x = np.asarray(x, dtype=float)
-        return np.interp(x, self.xs, self.values)
-
-    def __repr__(self):
-        return f"SampledSpeed({len(self.xs)} samples)"
-
-
-def as_speed(value, n_state: int = 0) -> Speed:
-    """Coerce a float, expression string, (xs, values) pair or Speed."""
-    if isinstance(value, Speed):
-        return value
-    if isinstance(value, (int, float)):
-        return ConstantSpeed(value)
-    if isinstance(value, str):
-        names = ("x",) + state_variable_names(n_state)
-        return ExpressionSpeed(parse_expression(value, names), n_state)
-    if isinstance(value, tuple) and len(value) == 2:
-        return SampledSpeed(*value)
-    raise ValidationError(f"cannot interpret {value!r} as a speed")
+            self.evaluate = evaluate
+        elif isinstance(value, tuple) and len(value) == 2:
+            xs, values = (np.asarray(a, dtype=float) for a in value)
+            if xs.ndim != 1 or xs.shape != values.shape:
+                raise DimensionMismatch("sampled speed needs matching 1-D grids and values")
+            if np.any(np.diff(xs) <= 0):
+                raise ValidationError("sample positions must be strictly increasing")
+            if xs[0] > 0.0 or xs[-1] < 1.0:
+                raise ValidationError("sample positions must cover [0, 1]")
+            self.evaluate = lambda x, state=None: np.interp(x, xs, values)
+        else:
+            raise ValidationError(f"cannot interpret {value!r} as a speed")
 
 
 # --------------------------------------------------------------------------- #
@@ -209,38 +177,39 @@ def as_speed(value, n_state: int = 0) -> Speed:
 class CouplingField:
     """The n-by-n zero-order coupling C(x), scaled by gamma.
 
-    Three representations: a constant matrix, a matrix of closed-form entries,
-    or samples on a grid with piecewise-constant interpolation (C only needs
-    to be bounded measurable).
+    Given in one of three forms: a ``constant`` matrix, ``entries`` (a dict
+    (i, j) -> float or expression string in x), or ``samples`` (xs, mats) on
+    a grid, piecewise constant between them (C only needs to be bounded
+    measurable); zero if none is given.  All three are held as one n-by-n
+    table whose entries are None (zero), a float, or a function of x.
     """
 
     def __init__(self, n: int, constant=None, entries=None, samples=None, gamma: float = 1.0):
         self.n = n
         self.gamma = float(gamma)
-        self._constant = None
-        self._entries = None
-        self._samples = None
+        self._entries = [[None] * n for _ in range(n)]
         if constant is not None:
             mat = np.asarray(constant, dtype=float)
             if mat.shape != (n, n):
                 raise DimensionMismatch(f"coupling matrix must be {n}x{n}, got {mat.shape}")
-            self._constant = mat
+            self._entries = mat.tolist()
         elif entries is not None:
-            grid = [[None] * n for _ in range(n)]
             for (i, j), src in entries.items():
                 if not (0 <= i < n and 0 <= j < n):
                     raise DimensionMismatch(f"coupling entry index {(i, j)} out of range")
-                grid[i][j] = parse_expression(src, ("x",)) if isinstance(src, str) else float(src)
-            self._entries = grid
+                self._entries[i][j] = Expr(src, ("x",)) if isinstance(src, str) else float(src)
         elif samples is not None:
             xs, mats = samples
             xs = np.asarray(xs, dtype=float)
             mats = np.asarray(mats, dtype=float)
             if mats.shape != (xs.size, n, n):
                 raise DimensionMismatch("coupling samples must have shape (S, n, n)")
-            self._samples = (xs, mats)
-        else:
-            self._constant = np.zeros((n, n))
+
+            def cell(x):  # the sample at or left of each x; the first one left of xs[0]
+                return np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 1)
+
+            for i, j in zip(*np.nonzero(np.any(mats, axis=0))):
+                self._entries[i][j] = lambda x, column=mats[:, i, j]: column[cell(x)]
 
     def with_gamma(self, gamma: float) -> "CouplingField":
         out = copy.copy(self)
@@ -249,12 +218,8 @@ class CouplingField:
 
     def entry_is_zero(self, i: int, j: int) -> bool:
         """Whether gamma * C[i, j] is zero everywhere, read exactly off the
-        representation: an expression entry never counts as zero."""
-        if self.gamma == 0.0:
-            return True
-        if self._entries is not None:
-            return self._entries[i][j] in (None, 0.0)
-        return not np.any((self._constant if self._samples is None else self._samples[1])[..., i, j])
+        table: a function of x never counts as zero."""
+        return self.gamma == 0.0 or self._entries[i][j] in (None, 0.0)
 
     def evaluate(self, x) -> np.ndarray:
         """gamma * C at positions x, shape (n, n, len(x))."""
@@ -264,20 +229,13 @@ class CouplingField:
         """gamma * C[:, j] at positions x, shape (n, len(x)), without building
         the other n - 1 columns."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self._constant is not None:
-            out = np.repeat(self._constant[:, j, None], x.size, axis=1)
-        elif self._entries is not None:
-            out = np.zeros((self.n, x.size))
-            for i in range(self.n):
-                e = self._entries[i][j]
-                if isinstance(e, float):
-                    out[i] = e
-                elif e is not None:
-                    out[i] = np.broadcast_to(np.asarray(e(x=x), dtype=float), x.shape)
-        else:
-            xs, mats = self._samples
-            idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 1)
-            out = mats[:, :, j].T[:, idx]
+        out = np.zeros((self.n, x.size))
+        for i, row in enumerate(self._entries):
+            e = row[j]
+            if isinstance(e, float):
+                out[i] = e
+            elif e is not None:
+                out[i] = np.broadcast_to(np.asarray(e(x=x), dtype=float), x.shape)
         out *= self.gamma
         return out
 
@@ -349,19 +307,13 @@ class StateField:
 
 
 def state_from_exprs(exprs: Sequence, grid: GridSpec, n: int) -> StateField:
-    """Build a StateField from per-component expressions in x (or callables)."""
+    """Build a StateField from per-component expressions in x, floats, or
+    None for a zero component."""
     xs = grid.xs
     vals = np.zeros((n, xs.size))
     for i, e in enumerate(exprs):
-        if e is None:
-            continue
-        if callable(e):
-            vals[i] = np.asarray(e(xs), dtype=float)
-        elif isinstance(e, str):
-            expr = parse_expression(e, ("x",))
-            vals[i] = np.broadcast_to(np.asarray(expr(x=xs), dtype=float), xs.shape)
-        else:
-            vals[i] = float(e)
+        if e is not None:
+            vals[i] = Expr(e, ("x",))(x=xs) if isinstance(e, str) else float(e)
     return StateField(vals, 0.0, xs)
 
 
@@ -443,9 +395,10 @@ def build_system(
     coupling=None,
     b=None,
 ) -> SystemSpec:
-    """Coerce the speeds (``as_speed``), coupling (a CouplingField, which
-    carries any scale gamma, or a matrix; zero if omitted) and reflection b
-    (a float k-by-m matrix, zero if omitted), check, freeze.
+    """Coerce the speeds (a Speed is kept, anything else is given to
+    ``Speed``), coupling (a CouplingField, which carries any scale gamma, or
+    a matrix; zero if omitted) and reflection b (a float k-by-m matrix, zero
+    if omitted), check, freeze.
 
     The speed ordering and the uniform lower bound are checked on a grid finer
     than the solver grids so violations between solver nodes are caught.
@@ -455,7 +408,7 @@ def build_system(
     if k < 1 or m < 1:
         raise DimensionMismatch("need k >= 1 and m >= 1")
     n = k + m
-    speeds = tuple(as_speed(s, n) for s in speeds)
+    speeds = tuple(s if isinstance(s, Speed) else Speed(s, n) for s in speeds)
     if len(speeds) != n:
         raise DimensionMismatch(f"expected {n} speeds, got {len(speeds)}")
     if coupling is None:

@@ -96,10 +96,3 @@ class Expr:
     def __repr__(self):
         return f"Expr({self.source!r})"
 
-
-def parse_expression(source: str, variables: tuple[str, ...]) -> Expr:
-    return Expr(source, variables)
-
-
-def state_variable_names(n: int) -> tuple[str, ...]:
-    return tuple(f"w{i + 1}" for i in range(n))

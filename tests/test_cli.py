@@ -725,6 +725,24 @@ def test_bad_config_value_names_section_and_key(tmp_path, capsys, command, old, 
     assert err.startswith("validation error:") and named in err
 
 
+@pytest.mark.parametrize("command, old, new, named", [
+    ("simulate", "w2 = exp(-((x - 0.5)/0.12)**2)", "w2 = sqrt(x - 2)",
+     "[initial] w2 = 'sqrt(x - 2)'"),
+    ("dual", "[run]", "[dual]\nv1 = log(x - 0.5)\n\n[run]", "[dual] v1 = 'log(x - 0.5)'"),
+], ids=["initial", "dual"])
+def test_non_finite_state_data_names_section_and_key(tmp_path, capsys, command, old, new, named):
+    # refused by its key before numpy can warn about the arithmetic
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE_CFG.replace(old, new))
+    argv = [command, "--config", str(path), "--N", "16", "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: bad value for ") and named in err
+    assert "non-finite" in err
+
+
 @pytest.mark.parametrize(
     "command", ["simulate", "dual", "feedback", "nullctrl", "witness", "observability", "sweep"]
 )

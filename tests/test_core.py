@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypctrl.core import (
     GridSpec,
     NonFiniteEntry,
     OrderingViolated,
+    OutOfDomain,
     StateField,
     ValidationError,
     build_system,
@@ -78,6 +80,28 @@ def test_sampled_speed_interpolation():
     assert spec.signed_speeds([0.25])[1, 0] == pytest.approx(1.5)
     # sample points reproduce samples exactly
     assert np.array_equal(spec.signed_speeds(xs)[1], vals)
+
+
+@pytest.mark.parametrize("speed, error, message", [
+    ((np.linspace(0.0, 1.0, 5), np.ones(4)), DimensionMismatch,
+     "sampled speed needs matching 1-D grids and values"),
+    ((np.array([0.0, 0.5, 0.5, 1.0]), np.ones(4)), ValidationError,
+     "sample positions must be strictly increasing"),
+    ((np.linspace(0.0, 0.9, 4), np.ones(4)), ValidationError,
+     "sample positions must cover [0, 1]"),
+    (None, ValidationError, "cannot interpret None as a speed"),
+    ("2 + w1**2", OutOfDomain,
+     "speed '2 + w1**2' is state-dependent; a state vector is required"),
+], ids=["shapes", "not-increasing", "not-covering", "uninterpretable", "no-state"])
+def test_bad_speed_refused(speed, error, message):
+    """Each bad speed is refused with its own class and message: when the
+    system is built, or, for a state-dependent speed, when it is evaluated
+    with no state."""
+    with pytest.raises(ValidationError) as info:
+        spec = build_system(1, 1, [speed, 3.0])
+        spec.lambdas(np.linspace(0.0, 1.0, 5))
+    assert type(info.value) is error
+    assert re.fullmatch(re.escape(message), str(info.value))
 
 
 def test_validation_idempotent():

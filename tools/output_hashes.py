@@ -16,6 +16,13 @@ as plain text under ``CONFIG:times:text`` and ``CONFIG:check-b:text``.
 No task passes ``--snap-times`` either, so every ``simulate`` task also
 runs once more with ``--snap-times 0.5,1`` added, under
 ``WORKLOAD/TASK:snap-times``: the run that keeps the snapshot series.
+The workloads give speeds as numbers and expressions and the coupling as
+``[coupling] matrix`` alone, so ``OWN_CONFIGS`` adds three fixed configs, written
+under WORKDIR/own: sampled speeds (``lambda{i}_x``, ``lambda{i}_values``),
+per-entry coupling ``c{i}_{j}`` mixing constant and x-dependent entries, and
+a coupling with a nonzero diagonal, whose kernel runs on the gauged system's
+sampled coupling.  Each runs ``simulate``, ``kernel`` and
+``dual --use-kernel 32``, under ``own/NAME:COMMAND``.
 A ``dual_terminal.csv`` is hashed with every state value below
 ``DUAL_FLOOR`` times its task's max |observation| (``observation.csv``)
 written as 0.0: the dual runs the benchmark makes end at a state of
@@ -37,6 +44,81 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DUAL_FLOOR = 1e-10
+
+_GRID_AND_DATA = """
+[grid]
+n = 128
+cfl = 0.9
+t = 2.0
+
+[initial]
+w1 = 0.8*exp(-((x - 0.45)/0.1)**2)
+w2 = 0.6*exp(-((x - 0.55)/0.1)**2)
+w3 = 0.7*exp(-((x - 0.5)/0.1)**2)
+
+[dual]
+v1 = 0.9*exp(-((x - 0.5)/0.1)**2)
+v2 = 0.5*exp(-((x - 0.4)/0.1)**2)
+v3 = 0.7*exp(-((x - 0.6)/0.1)**2)
+"""
+
+OWN_CONFIGS = {
+    "sampled-speeds": """
+[speeds]
+k = 1
+m = 2
+lambda1_x = 0, 0.3, 0.7, 1
+lambda1_values = 1.2, 1.35, 1.1, 1.25
+lambda2_x = 0, 0.5, 1
+lambda2_values = 0.8, 1.0, 0.9
+lambda3 = 2 - 0.25*x
+
+[coupling]
+matrix = 0 0.2 0.1; 0.15 0 0.2; 0.1 0.25 0
+
+[boundary]
+b = 1 2
+""",
+    "entry-coupling": """
+[speeds]
+k = 2
+m = 1
+lambda1 = 2 + 0.25*x
+lambda2 = 1
+lambda3_x = 0, 1
+lambda3_values = 1.5, 1.25
+
+[coupling]
+c1_2 = 0.3
+c2_3 = 0.2*sin(3*x)
+c3_1 = 0.5 + 0.25*x
+c3_2 = 0.1
+gamma = 0.8
+
+[boundary]
+b = 0.5; -0.25
+""",
+    "diagonal-coupling": """
+[speeds]
+k = 1
+m = 2
+lambda1 = 1 + 0.5*x
+lambda2 = 1 + 0.25*x
+lambda3 = 2 - 0.25*x
+
+[coupling]
+c1_1 = 0.2*x
+c1_2 = 0.3
+c2_2 = -0.25
+c2_3 = 0.15*cos(2*x)
+c3_1 = 0.1
+c3_3 = 0.3
+
+[boundary]
+b = 1 2
+""",
+}
+OWN_RUNS = {"simulate": [], "kernel": [], "dual": ["--use-kernel", "32"]}
 
 
 def _sha(data: bytes) -> str:
@@ -135,6 +217,14 @@ def main(argv=None) -> int:
             for command in ("times", "check-b"):
                 result[f"{config}:{command}"] = _run([command, "--config", config, "--json"])
                 result[f"{config}:{command}:text"] = _run([command, "--config", config])
+    Path("own").mkdir(exist_ok=True)
+    for name, text in OWN_CONFIGS.items():
+        config = Path("own", f"{name}.cfg")
+        config.write_text(text + _GRID_AND_DATA)
+        for command, args in OWN_RUNS.items():
+            task = {"command": command, "config": str(config),
+                    "out": f"own/{name}-{command}", "args": args}
+            result[f"own/{name}:{command}"] = _cli(task)
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0
 
