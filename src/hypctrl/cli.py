@@ -17,7 +17,8 @@ import numpy as np
 from . import backstepping as bs
 from . import bmatrix, controller, outputs
 from .config import SETTINGS, load_config
-from .core import HypctrlError, NumericalError, ValidationError, build_system
+from .core import (BoundaryClosureFailure, ConfigError, HypctrlError, NumericalError,
+                   ValidationError, build_system)
 from .expressions import ExpressionError
 from .simulator import solve_dual, solve_forward
 from .times import time_report
@@ -144,7 +145,10 @@ def _cmd_simulate(args, cfg, spec) -> int:
     # from it; else the run keeps the initial and terminal states
     n_steps, _ = grid.steps(spec.lambda_max)
     stride = int(np.ceil((n_steps + 1) / 512)) if args.snap_times else None
-    traj = solve_forward(spec, w0, closure, grid, stride)
+    try:
+        traj = solve_forward(spec, w0, closure, grid, stride)
+    except BoundaryClosureFailure as exc:  # a [control] value is refused by its key
+        raise exc.__cause__ if isinstance(exc.__cause__, ConfigError) else exc
     outputs.write_norms_csv(args.out / "norms.csv", traj)
     # each file holds the stored snapshot nearest the requested time; record its time
     taken = {}
@@ -170,10 +174,10 @@ def _cmd_dual(args, cfg, spec) -> int:
     grid = cfg.grid(N=args.N, T=args.T)
     v0 = cfg.initial_state(grid, spec.n, section="dual", prefix="v")
     S = None
-    if args.use_kernel:
-        base, gauge = bs.preprocess_diagonal(spec)
-        kernel = bs.solve_kernel(base, NK=args.use_kernel)
-        S = bs.source_matrix(kernel, base)
+    if args.use_kernel:  # with [kernel]'s settings, which dual takes no flags for
+        limits = (cfg.get("kernel", key, *SETTINGS["kernel"][key][:2])
+                  for key in ("max_iters", "tolerance"))
+        S = _kernel(spec, args.use_kernel, *limits)[2]
     dual = solve_dual(spec, S, v0, grid)
     outputs.write_float_csv(
         args.out / "observation.csv",
@@ -185,11 +189,16 @@ def _cmd_dual(args, cfg, spec) -> int:
     return 0
 
 
-def _cmd_kernel(args, cfg, spec) -> int:
+def _kernel(spec, NK, max_iters, tolerance):
+    """The kernel of ``spec`` at resolution NK, solved on its diagonal gauge in
+    at most ``max_iters`` sweeps to ``tolerance``; the gauge; the source matrix."""
     base, gauge = bs.preprocess_diagonal(spec)
-    kernel = bs.solve_kernel(base, NK=args.nk, max_iters=args.max_iters,
-                             fp_tolerance=args.tolerance)
-    source = bs.source_matrix(kernel, base)
+    kernel = bs.solve_kernel(base, NK=NK, max_iters=max_iters, fp_tolerance=tolerance)
+    return kernel, gauge, bs.source_matrix(kernel, base)
+
+
+def _cmd_kernel(args, cfg, spec) -> int:
+    kernel, gauge, source = _kernel(spec, args.nk, args.max_iters, args.tolerance)
     outputs.write_kernel_csv(args.out / "kernel.csv", kernel)
     outputs.write_source_csv(args.out / "source.csv", source)
     rep = kernel.report

@@ -16,6 +16,7 @@ once: their types, defaults and which of them the CLI also takes as flags.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from string import ascii_lowercase
@@ -198,17 +199,23 @@ class ExperimentConfig:
         return StateField(values, 0.0, xs)
 
     def control_closure(self, k: int, m: int):
+        """closure(t, state) of ``[control]`` w{k+1}..w{k+m}, zero where not given; a
+        value that is not finite is refused by its key and t (ConfigError)."""
         sec = self.sections.get("control", {})
-        exprs = []
-        for i in range(m):
-            raw = sec.get(f"w{k + i + 1}")
-            exprs.append(Expr(raw, ("t",)) if raw is not None else None)
+        keys = [f"w{k + i + 1}" for i in range(m)]
+        exprs = [(i, key, Expr(sec[key], ("t",))) for i, key in enumerate(keys) if key in sec]
 
         def closure(t, state):
             out = np.zeros(m)
-            for i, e in enumerate(exprs):
-                if e is not None:
-                    out[i] = float(e(t=t))
+            for i, key, e in exprs:
+                try:
+                    with np.errstate(all="ignore"):  # refused below, not warned about
+                        out[i] = value = float(e(t=t))
+                except (ArithmeticError, TypeError):  # Python float overflow, 1/0, complex
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ConfigError(f"bad value for [control] {key} = {e.source!r}: "
+                                      f"no finite value at t = {t:.6g}")
             return out
 
         return closure

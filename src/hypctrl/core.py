@@ -163,7 +163,7 @@ class Speed:
                 raise DimensionMismatch("sampled speed needs matching 1-D grids and values")
             if np.any(np.diff(xs) <= 0):
                 raise ValidationError("sample positions must be strictly increasing")
-            if xs[0] > 0.0 or xs[-1] < 1.0:
+            if xs.size == 0 or xs[0] > 0.0 or xs[-1] < 1.0:
                 raise ValidationError("sample positions must cover [0, 1]")
             self.evaluate = lambda x, state=None: np.interp(x, xs, values)
         else:

@@ -46,7 +46,8 @@ those of fresh arrays.
 Both solvers advance a batch of b independent runs in one stepping loop: the
 state has shape (b, n, N+1), and a single run is the batch b = 1.  Both run
 over [0, grid.T] in the grid.steps(lambda_max) equal steps and read B from
-the system; the forward closure is called as closure(t, values).
+the system; the forward closure is called as closure(t, values).  Each sets
+up, records and returns its run through one run record (_Run).
 
 After each forward step (with its reflection, before the finite check and the
 boundary closure) every state entry with |w| below the smallest normal double,
@@ -68,7 +69,7 @@ reads and writes (the upwind slices, the boundary columns, the coupling rows,
 the reflection's input and output, the array the closure receives) are bound
 once per run for each of the two directions.  Each step writes its incoming
 trace at x = 1 (the forward run's controls, the dual's observation) into its
-row of the run's record and copies the state when a snapshot is due.  The
+row of the run record and copies the state there when a snapshot is due.  The
 forward core also keeps each step's |w|, the pass the flush takes anyway, in
 one of K = min(64, states per 1 MiB) chunk slots, 1 MiB being one core's L2,
 so the slots stay in cache while the per-chunk work is spread over as many
@@ -126,35 +127,81 @@ def _l2(w: np.ndarray, h: float, sq=None, out=None) -> np.ndarray:
     return np.sqrt(h * (np.add.reduce(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1])), out=out)
 
 
-def _as_batch(state, shape: tuple, what: str):
-    """Working copy of shape (b, n, N+1) from a StateField (b = 1) or a batch array."""
-    batched = not isinstance(state, StateField)
-    w = np.array(state if batched else state.values[None], dtype=float)
-    if w.ndim != 3 or w.shape[1:] != shape:
-        got = f"an array of shape {w.shape}" if batched else f"a StateField of shape {w.shape[1:]}"
-        raise DimensionMismatch(f"{what} must be a StateField of shape {shape} or a batch "
-                                f"array of shape (b, {', '.join(map(str, shape))}), got {got}")
-    return w, batched
-
-
 @dataclass
-class Trajectory:
-    """Time-ordered record of one forward run; a batch adds a leading axis."""
+class _Result:
+    """The fields of a run that both solvers return; a batch adds a leading axis."""
 
     grid: GridSpec
     dt: float
     times: np.ndarray
     snapshot_times: np.ndarray
     snapshots: np.ndarray  # (n_snap, n, N+1)
+
+    @property
+    def xs(self) -> np.ndarray:
+        return self.grid.xs
+
+
+class _Run:
+    """What both solvers set up and record of a run from ``state``, a StateField
+    or a (b, n, N+1) batch array: the two (b, n, N+1) state buffers, the first
+    a working copy of ``state``; the grid's ``n_steps`` steps of ``dt``; the
+    incoming trace at x = 1 (rows k:), step s in ``by_step[s]``, a (b, m) view
+    of ``inflow``; and the snapshots every ``snapshot_stride`` steps (None:
+    the initial and terminal states only), each copied by ``snap`` when its
+    step comes."""
+
+    def __init__(self, spec: SystemSpec, state, grid: GridSpec, snapshot_stride, what: str):
+        shape = (spec.n, grid.N + 1)
+        self.batched = batched = not isinstance(state, StateField)
+        w = np.array(state if batched else state.values[None], dtype=float)
+        if w.ndim != 3 or w.shape[1:] != shape:
+            got = (f"an array of shape {w.shape}" if batched
+                   else f"a StateField of shape {w.shape[1:]}")
+            raise DimensionMismatch(f"{what} must be a StateField of shape {shape} or a batch "
+                                    f"array of shape (b, {', '.join(map(str, shape))}), got {got}")
+        n_steps, dt = grid.steps(spec.lambda_max)
+        self.grid, self.n_steps, self.dt = grid, n_steps, dt
+        stride = n_steps if snapshot_stride is None else int(snapshot_stride)
+        if stride < 1:
+            raise ValidationError("snapshot stride must be >= 1")
+        self.snap_steps = sorted({*range(0, n_steps + 1, stride), n_steps})
+        self.bufs = (w, np.empty_like(w))
+        self.snapshots = np.empty((w.shape[0], len(self.snap_steps)) + shape)
+        self.inflow = np.empty((w.shape[0], n_steps + 1, spec.m))
+        self.by_step = self.inflow.swapaxes(0, 1)
+        self.snapshots[:, 0], self.by_step[0] = w, w[:, spec.k:, -1]
+        self.taken, self.next_snap = 1, self.snap_steps[1]
+
+    def unbatch(self, a: np.ndarray) -> np.ndarray:
+        """``a`` of a batch as it is; of a single run, its one member."""
+        return a if self.batched else a[0]
+
+    def snap(self, state: np.ndarray):
+        """Copy the state of step ``next_snap``."""
+        self.snapshots[:, self.taken] = state
+        self.taken += 1
+        self.next_snap = self.snap_steps[self.taken] if self.taken < len(self.snap_steps) else -1
+
+    def result(self, cls, diagnostics=(), **arrays):
+        """The run as a ``cls``: the fields of ``_Result``, ``arrays`` unbatched
+        and the diagnostics steps, dt and then ``diagnostics``."""
+        return cls(grid=self.grid, dt=self.dt, times=np.arange(self.n_steps + 1) * self.dt,
+                   snapshot_times=np.array(self.snap_steps) * self.dt,
+                   snapshots=self.unbatch(self.snapshots),
+                   diagnostics={"steps": self.n_steps, "dt": self.dt, **dict(diagnostics)},
+                   **{name: self.unbatch(a) for name, a in arrays.items()})
+
+
+@dataclass
+class Trajectory(_Result):
+    """Time-ordered record of one forward run; a batch adds a leading axis."""
+
     norms_l2: np.ndarray  # (n_steps+1, n)
     norms_linf: np.ndarray  # (n_steps+1, n)
     controls: np.ndarray = field(default=None, repr=False)  # (n_steps+1, m), inflow at x = 1
     # steps, dt, chunk (steps per chunk of |w| slots), max_substep_doublings
     diagnostics: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.grid.xs
 
     def terminal_state(self) -> StateField:
         return StateField(self.snapshots[-1].copy(), float(self.snapshot_times[-1]), self.xs)
@@ -163,38 +210,6 @@ class Trajectory:
         """Snapshot nearest to t (snapshots may be strided)."""
         idx = int(np.argmin(np.abs(self.snapshot_times - t)))
         return StateField(self.snapshots[idx].copy(), float(self.snapshot_times[idx]), self.xs)
-
-
-def _resolve_stride(n_steps: int, snapshot_stride) -> int:
-    """Steps between snapshots: None keeps the initial and terminal states only."""
-    if snapshot_stride is None:
-        return n_steps
-    stride = int(snapshot_stride)
-    if stride < 1:
-        raise ValidationError("snapshot stride must be >= 1")
-    return stride
-
-
-class _Recorder:
-    """What both solvers record of a run as it steps: the incoming trace at
-    x = 1 (rows k:), step s in ``by_step[s]``, a (b, m) view of ``inflow``, and
-    the strided snapshots, each copied by ``snap`` when its step comes."""
-
-    def __init__(self, w: np.ndarray, k: int, n_steps: int, snapshot_stride, dt: float):
-        stride = _resolve_stride(n_steps, snapshot_stride)
-        self.snap_steps = sorted({*range(0, n_steps + 1, stride), n_steps})
-        self.snapshots = np.empty((w.shape[0], len(self.snap_steps)) + w.shape[1:])
-        self.inflow = np.empty((w.shape[0], n_steps + 1, w.shape[1] - k))
-        self.by_step = self.inflow.swapaxes(0, 1)
-        self.snapshots[:, 0], self.by_step[0] = w, w[:, k:, -1]
-        self.taken, self.next_snap = 1, self.snap_steps[1]
-        self.diagnostics = {"steps": n_steps, "dt": dt}
-
-    def snap(self, state: np.ndarray):
-        """Copy the state of step ``next_snap``."""
-        self.snapshots[:, self.taken] = state
-        self.taken += 1
-        self.next_snap = self.snap_steps[self.taken] if self.taken < len(self.snap_steps) else -1
 
 
 def solve_forward(
@@ -226,12 +241,12 @@ def solve_forward(
     n, k = spec.n, spec.k
     xs = grid.xs
     h = grid.h
-    w, batched = _as_batch(w0, (n, xs.size), "initial state")
-    if batched and spec.state_dependent:
+    run = _Run(spec, w0, grid, snapshot_stride, "initial state")
+    if run.batched and spec.state_dependent:
         raise ValidationError("state-dependent speeds allow a single run only")
+    w, bufs, by_step, n_steps, dt = run.bufs[0], run.bufs, run.by_step, run.n_steps, run.dt
     b = w.shape[0]
-    ctrl_shape = (b, spec.m) if batched else (spec.m,)
-    n_steps, dt = grid.steps(spec.lambda_max)
+    ctrl_shape = run.unbatch(by_step[0]).shape  # (m,), or (b, m) for a batch
     B = spec.B
 
     lam_static = None if spec.state_dependent else spec.signed_speeds(xs)
@@ -242,15 +257,12 @@ def solve_forward(
                for j, c in enumerate(row) if c.any()]
     entries = [(i, j, float(c[0]) if (c == c[0]).all() else c) for i, j, c in entries]
 
-    rec = _Recorder(w, k, n_steps, snapshot_stride, dt)
-    by_step = rec.by_step
     K = min(64, max(1, _CHUNK_BYTES // w.nbytes))  # steps per chunk of |w| slots
     nl2, nlinf = np.empty((2, b, n_steps + 1, n))
     nl2[:, 0], nlinf[:, 0] = _l2(w, h), np.max(np.abs(w), axis=-1)
 
-    # buffers reused every step: the other state buffer, each step's |w| in its
-    # chunk slot, one component's coupling term and the flush mask
-    bufs = (w, np.empty_like(w))
+    # buffers reused every step: each step's |w| in its chunk slot, one
+    # component's coupling term and the flush mask
     absw = np.empty((K,) + w.shape)
     cw = np.empty((b, xs.size)) if entries else None
     small = np.empty(w.shape, dtype=bool)
@@ -287,11 +299,10 @@ def solve_forward(
 
         return advance
 
-    unbatch = (lambda a: a) if batched else (lambda a: a[0])
     # per direction, indexed by step % 2: the step into that buffer, the
     # buffer, the step's source, the closure's view and the control column
     directions = [
-        (bind(src, dst), dst, src, unbatch(dst), dst[:, k:, -1])
+        (bind(src, dst), dst, src, run.unbatch(dst), dst[:, k:, -1])
         for src, dst in ((bufs[1], bufs[0]), (bufs[0], bufs[1]))
     ]
 
@@ -379,8 +390,8 @@ def solve_forward(
                 )
             ctrl_col[...] = ctrl
             by_step[step] = ctrl
-            if step == rec.next_snap:
-                rec.snap(dst)
+            if step == run.next_snap:
+                run.snap(dst)
         # the chunk's norms from its |w| slots, taken before the flush: Linf over
         # rows :k and the interiors of rows k:, a max below _TINY read as the
         # flushed 0.0, then the controls at x = 1, never flushed, which also
@@ -395,17 +406,8 @@ def solve_forward(
         np.maximum(linf[..., k:], np.abs(by_step[done], out=absc[..., k:, -1]), out=linf[..., k:])
         _l2(absc, h, absc, out=nl2[:, done].swapaxes(0, 1))
 
-    return Trajectory(
-        grid=grid,
-        dt=dt,
-        times=np.arange(n_steps + 1) * dt,
-        snapshot_times=np.array(rec.snap_steps) * dt,
-        snapshots=unbatch(rec.snapshots),
-        norms_l2=unbatch(nl2),
-        norms_linf=unbatch(nlinf),
-        controls=unbatch(rec.inflow),
-        diagnostics={**rec.diagnostics, "chunk": K, "max_substep_doublings": doublings},
-    )
+    return run.result(Trajectory, {"chunk": K, "max_substep_doublings": doublings},
+                      norms_l2=nl2, norms_linf=nlinf, controls=run.inflow)
 
 
 # --------------------------------------------------------------------------- #
@@ -413,20 +415,12 @@ def solve_forward(
 # --------------------------------------------------------------------------- #
 
 @dataclass
-class DualTrajectory:
-    """Backward run on [-T, 0], stepped in s = -t from 0 to T; a batch adds a leading axis."""
+class DualTrajectory(_Result):
+    """Backward run on [-T, 0], stepped in s = -t from 0 to T (its ``times``,
+    ascending); a batch adds a leading axis."""
 
-    grid: GridSpec
-    dt: float
-    times: np.ndarray  # the s values, ascending from 0 to T; t = -s
-    snapshot_times: np.ndarray
-    snapshots: np.ndarray
     observation: np.ndarray  # v_+(-s, 1), shape (n_steps+1, m)
     diagnostics: dict = field(default_factory=dict, repr=False)  # steps, dt
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.grid.xs
 
     def terminal_state(self) -> StateField:
         return StateField(self.snapshots[-1].copy(), -float(self.snapshot_times[-1]), self.xs)
@@ -462,7 +456,8 @@ def solve_dual(
     n, k, m = spec.n, spec.k, spec.m
     xs = grid.xs
     h = grid.h
-    v, batched = _as_batch(v_at_0, (n, xs.size), "dual initial state")
+    run = _Run(spec, v_at_0, grid, snapshot_stride, "dual initial state")
+    v, bufs, by_step, n_steps, ds = run.bufs[0], run.bufs, run.by_step, run.n_steps, run.dt
 
     sig = spec.signed_speeds(xs)  # (n, N+1)
     sig_plus_0 = sig[k:, 0]
@@ -481,18 +476,14 @@ def solve_dual(
         # op[(j, q), p] = h_q S_{j, k+p}(x_q)
         op = (svals[:, k:, :] * grid.weights).transpose(0, 2, 1).reshape(n * xs.size, m)
 
-    n_steps, ds = grid.steps(spec.lambda_max)
     flux = (sig * (ds / h))[None]
     minus_BT = -spec.B.T
 
-    rec = _Recorder(v, k, n_steps, snapshot_stride, ds)
-    by_step = rec.by_step
     b = v.shape[0]
     # the flux G is formed in a buffer of its own, its differences in the new
     # state's buffer, which keeps a step's working set small; the boundary
     # integral's terms and the finite check's mask have buffers of their own too
     G = np.empty_like(v)
-    bufs = (v, np.empty_like(v))
     scaled = np.empty((b, k, 1))  # Sigma_-(0) v_-(., 0)
     reflected = np.empty((b, m, 1))  # -B^T times that
     sourced = np.empty((b, 1, m))  # the source integral
@@ -540,19 +531,9 @@ def solve_dual(
         if not np.logical_and.reduce(np.isfinite(dst, out=finite), axis=None):
             raise NonFiniteState(f"dual state blew up at t = {-step * ds:.6g}")
         by_step[step] = observed
-        if step == rec.next_snap:
-            rec.snap(dst)
-
-    unbatch = (lambda a: a) if batched else (lambda a: a[0])
-    return DualTrajectory(
-        grid=grid,
-        dt=ds,
-        times=np.arange(n_steps + 1) * ds,
-        snapshot_times=np.array(rec.snap_steps) * ds,
-        snapshots=unbatch(rec.snapshots),
-        observation=unbatch(rec.inflow),
-        diagnostics=rec.diagnostics,
-    )
+        if step == run.next_snap:
+            run.snap(dst)
+    return run.result(DualTrajectory, observation=run.inflow)
 
 # --------------------------------------------------------------------------- #
 # characteristic flow

@@ -391,6 +391,21 @@ def test_bad_kernel_setting_refused(tmp_path, capsys, flag, value, named):
     assert not out.exists()
 
 
+def test_dual_kernel_reads_the_kernel_settings(tmp_path, capsys):
+    # dual --use-kernel solves its kernel with [kernel] max_iters and
+    # tolerance, as the kernel command does
+    path = tmp_path / "dual.cfg"
+    path.write_text(COUPLED_CFG + "\n[dual]\nv2 = sin(pi*x)\n\n[kernel]\nmax_iters = 1\n")
+    for argv in (["kernel", "--nk", "16"], ["dual", "--N", "32", "--use-kernel", "16"]):
+        assert main(argv + ["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: kernel iteration did not reach 1e-10 in 1 ")
+    path.write_text(COUPLED_CFG + "\n[dual]\nv2 = sin(pi*x)\n\n[kernel]\ntolerance = -1\n")
+    assert main(["dual", "--config", str(path), "--N", "32", "--use-kernel", "16",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "tolerance = -1.0" in capsys.readouterr().err
+
+
 def test_dual_kernel_grid_too_coarse(tmp_path, capsys):
     path = tmp_path / "dual.cfg"
     path.write_text(COUPLED_CFG + "\n[dual]\nv1 = 0\nv2 = sin(pi*x)\nt = 1.0\n")
@@ -741,6 +756,23 @@ def test_non_finite_state_data_names_section_and_key(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("validation error: bad value for ") and named in err
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("expr, at", [
+    ("log(t - 1)", "0.0140187"), ("10**(400*t)", "0.771028"), ("(t - 1)**0.5", "0.0140187"),
+], ids=["non-finite", "overflow", "complex"])
+def test_bad_control_value_names_section_and_key(tmp_path, capsys, expr, at):
+    # refused by its key at the first step time where it has no finite value,
+    # before numpy can warn about the arithmetic
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE_CFG + f"\n[control]\nw2 = {expr}\n")
+    argv = ["simulate", "--config", str(path), "--N", "32", "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: bad value for [control] w2 = {expr!r}: no finite value at t = {at}\n"
+    )
 
 
 @pytest.mark.parametrize(

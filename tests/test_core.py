@@ -89,10 +89,11 @@ def test_sampled_speed_interpolation():
      "sample positions must be strictly increasing"),
     ((np.linspace(0.0, 0.9, 4), np.ones(4)), ValidationError,
      "sample positions must cover [0, 1]"),
+    ((np.array([]), np.array([])), ValidationError, "sample positions must cover [0, 1]"),
     (None, ValidationError, "cannot interpret None as a speed"),
     ("2 + w1**2", OutOfDomain,
      "speed '2 + w1**2' is state-dependent; a state vector is required"),
-], ids=["shapes", "not-increasing", "not-covering", "uninterpretable", "no-state"])
+], ids=["shapes", "not-increasing", "not-covering", "empty", "uninterpretable", "no-state"])
 def test_bad_speed_refused(speed, error, message):
     """Each bad speed is refused with its own class and message: when the
     system is built, or, for a state-dependent speed, when it is evaluated

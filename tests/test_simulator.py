@@ -11,6 +11,7 @@ from hypctrl.core import (
     OutOfDomain,
     SingularBoundarySpeed,
     StateField,
+    ValidationError,
     build_system,
     state_from_exprs,
 )
@@ -52,6 +53,19 @@ def test_state_shape_message_names_what_is_taken():
     wrong = StateField(np.zeros((3, 51)), 0.0, np.linspace(0.0, 1.0, 51))
     with pytest.raises(DimensionMismatch, match=r"got a StateField of shape \(3, 51\)"):
         solve_forward(spec, wrong, zero_control(2), grid)
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_snapshot_stride_below_one_refused(stride):
+    spec = build_system(1, 1, [1.0, 2.0], b=[[0.5]])
+    grid = GridSpec(N=16, cfl=0.9, T=0.2)
+    w0 = StateField(np.zeros((2, 17)), 0.0, grid.xs)
+    for solve in (lambda: solve_forward(spec, w0, zero_control(1), grid, stride),
+                  lambda: solve_dual(spec, None, w0, grid, stride)):
+        with pytest.raises(ValidationError) as info:
+            solve()
+        assert type(info.value) is ValidationError
+        assert str(info.value) == "snapshot stride must be >= 1"
 
 
 def test_zero_data_stays_exactly_zero():
@@ -366,8 +380,6 @@ def test_boundary_closure_failure_wrapped():
 
 
 def test_batch_refused_for_state_dependent_speeds():
-    from hypctrl.core import ValidationError
-
     spec = build_system(1, 1, [1.0, "1 + 0.1*w2**2"], b=[[0.5]])
     grid = GridSpec(N=16, cfl=0.9, T=0.2)
     with pytest.raises(ValidationError, match="single run"):
