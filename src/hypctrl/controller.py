@@ -353,14 +353,17 @@ def null_control_openloop(
     with the assembled control, which reproduces the superposition exactly for
     these linear systems.
 
-    The system is time-invariant, so a basis run need not step through the
-    zero state before its segment: it starts from zero at the segment's
-    first step j0 and runs the steps left, on the grid with horizon
-    T' = n' dt for n' = n_steps - j0 + 1.  Where T'/n' rounds to a step an
-    ulp away from dt, as it does for some j0, it starts at the latest step
-    before j0 whose grid has the step dt itself (step 1 has: the full grid).
-    So every basis column has the bits of a full-horizon run's, whose state
-    stays +0.0 up to step j0.
+    The system is time-invariant and a step is a function of the state alone
+    at a fixed dt, so a channel's basis columns are built from the last
+    segment to the first, one forward run each.  A segment continues, under
+    zero control, the terminal state of the nearest later segment whose pulse
+    has as many steps, for the steps between their starts, where that gap's
+    grid steps by dt itself.  A segment with none starts from zero at its
+    first step j0 and runs the steps left; where their grid rounds to a step
+    an ulp away from dt, it starts at the latest step before j0 whose grid
+    has the step dt itself (step 1 has: the full grid).  So every basis
+    column has the bits of a full-horizon run's, whose state stays +0.0 up
+    to step j0.
     """
     check_null_control(spec, grid, reg, segments)
     m, T = spec.m, grid.T
@@ -370,32 +373,37 @@ def null_control_openloop(
     # the segment of each step's control, and each segment's first step
     seg = np.minimum((np.arange(n_steps + 1) * dt / T * segments).astype(int), segments - 1)
     first = np.searchsorted(seg[1:], np.arange(segments)) + 1
-    # per segment: the grid of its basis run and the full-grid steps that run skips
-    tails = []
-    for start in first:
-        while start > 1:
-            tail = GridSpec(grid.N, grid.cfl, T=(n_steps - start + 1) * dt)
-            if tail.steps(spec.lambda_max) == (n_steps - start + 1, dt):
-                break
-            start -= 1
-        else:
-            tail = grid
-        tails.append((tail, start - 1))
+    lengths = np.diff(first, append=n_steps + 1).tolist()  # of each segment's pulse
+
+    def steps_of_dt(count):
+        """The grid of ``count`` steps of dt itself, or None."""
+        sub = GridSpec(grid.N, grid.cfl, T=count * dt)
+        return sub if sub.steps(spec.lambda_max) == (count, dt) else None
 
     free = solve_forward(spec, w0, zero_control(m), grid)
     free_flat = free.terminal_state().values.ravel() * sqw
     zero_init = StateField(np.zeros_like(w0.values), 0.0, xs)
 
     # the controls a basis run returns, held once: the solver copies them
-    zeros, units = np.zeros(m), np.eye(m)
+    zeros, units, rest = np.zeros(m), np.eye(m), zero_control(m)
     cols = []
     for c in range(m):
-        for s, (tail, shift) in enumerate(tails):
-            def basis(t, state, _unit=units[c], _s=s, _shift=shift):
-                return _unit if seg[round(t / dt) + _shift] == _s else zeros
+        ends = {}  # each segment's terminal state
+        for s in reversed(range(segments)):
+            for later in range(s + 1, segments):
+                if lengths[later] == lengths[s] and (gap := steps_of_dt(first[later] - first[s])):
+                    ends[s] = solve_forward(spec, ends[later], rest, gap).terminal_state()
+                    break
+            else:
+                start, tail = first[s], None
+                while start > 1 and (tail := steps_of_dt(n_steps - start + 1)) is None:
+                    start -= 1
 
-            resp = solve_forward(spec, zero_init, basis, tail)
-            cols.append(resp.terminal_state().values.ravel() * sqw)
+                def basis(t, state, _unit=units[c], _s=s, _shift=start - 1):
+                    return _unit if seg[round(t / dt) + _shift] == _s else zeros
+
+                ends[s] = solve_forward(spec, zero_init, basis, tail or grid).terminal_state()
+        cols += [ends[s].values.ravel() * sqw for s in range(segments)]
     A = np.column_stack(cols)
 
     target_flat = (

@@ -141,6 +141,15 @@ class _Result:
     def xs(self) -> np.ndarray:
         return self.grid.xs
 
+    def _state(self, idx: int, sign: float = 1.0) -> StateField:
+        """Snapshot ``idx`` of a single run, at time sign * its snapshot time;
+        a batch holds one state per run, so it is refused by name."""
+        if self.snapshots.ndim == 4:
+            raise DimensionMismatch(f"a batch of {len(self.snapshots)} runs has no single state: "
+                                    f"read snapshots[:, {idx}] for the state of each run")
+        return StateField(self.snapshots[idx].copy(), sign * float(self.snapshot_times[idx]),
+                          self.xs)
+
 
 class _Run:
     """What both solvers set up and record of a run from ``state``, a StateField
@@ -204,12 +213,11 @@ class Trajectory(_Result):
     diagnostics: dict = field(default_factory=dict, repr=False)
 
     def terminal_state(self) -> StateField:
-        return StateField(self.snapshots[-1].copy(), float(self.snapshot_times[-1]), self.xs)
+        return self._state(-1)
 
     def state_at(self, t: float) -> StateField:
         """Snapshot nearest to t (snapshots may be strided)."""
-        idx = int(np.argmin(np.abs(self.snapshot_times - t)))
-        return StateField(self.snapshots[idx].copy(), float(self.snapshot_times[idx]), self.xs)
+        return self._state(int(np.argmin(np.abs(self.snapshot_times - t))))
 
 
 def solve_forward(
@@ -423,7 +431,7 @@ class DualTrajectory(_Result):
     diagnostics: dict = field(default_factory=dict, repr=False)  # steps, dt
 
     def terminal_state(self) -> StateField:
-        return StateField(self.snapshots[-1].copy(), -float(self.snapshot_times[-1]), self.xs)
+        return self._state(-1, sign=-1.0)
 
     def observation_energy(self):
         """Integral over [-T, 0] of |v_+(t, 1)|^2; an array of b values for a batch."""

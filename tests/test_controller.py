@@ -360,57 +360,92 @@ def _linear_systems(draw):
     return build_system(k, m, [v / 4 for v in neg + pos], coupling=coupling, b=B)
 
 
-@settings(max_examples=25, deadline=None)
-@given(_linear_systems(), st.integers(8, 16), st.floats(0.5, 1.0), st.data())
-def test_basis_runs_start_at_their_segment(spec, N, T, data):
-    """Each basis run of null_control_openloop starts from zero at its
-    segment's first step j0, or at the latest step before it whose tail grid
-    steps by dt itself, and its terminal state is that of the full-horizon
-    run from zero, unit on the segment's steps, bit for bit."""
+def _recorded_runs(spec, w0, grid, segments):
+    """(w0, grid, Trajectory) of each forward run of one null_control_openloop
+    call, in the order it makes them."""
     import hypctrl.controller as controller
     from unittest import mock
 
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append((args[1], args[3], solve_forward(*args, **kwargs)))
+        return runs[-1][2]
+
+    with mock.patch.object(controller, "solve_forward", recorded):
+        null_control_openloop(spec, w0, grid, segments=segments)
+    return runs
+
+
+@settings(max_examples=25, deadline=None)
+@given(_linear_systems(), st.integers(8, 16), st.floats(0.5, 1.0), st.data())
+def test_basis_runs_chain_by_pulse_length(spec, N, T, data):
+    """The basis runs of null_control_openloop go channel by channel, from the
+    last segment to the first.  Each continues, under zero control on a grid
+    of step dt, the terminal state of the nearest later segment with a pulse
+    of as many steps whose gap has such a grid; a segment with none starts
+    from zero at its first step j0, or at the latest step before it whose
+    tail grid steps by dt itself.  Either way its terminal state is that of
+    the full-horizon run from zero, unit on the segment's steps, bit for
+    bit."""
     grid = GridSpec(N=N, cfl=0.9, T=T)
     n_steps, dt = grid.steps(spec.lambda_max)
     segments = data.draw(st.integers(1, n_steps - 1), label="segments")
     w0 = StateField(np.ones((spec.n, N + 1)), 0.0, grid.xs)
-    runs = []
-
-    def recorded(*args, **kwargs):
-        runs.append((args[3], solve_forward(*args, **kwargs)))
-        return runs[-1][1]
-
-    with mock.patch.object(controller, "solve_forward", recorded):
-        null_control_openloop(spec, w0, grid, segments=segments)
-    basis = runs[1:-1]  # between the free run and the assembled one
+    basis = _recorded_runs(spec, w0, grid, segments)[1:-1]  # the free and assembled runs aside
     assert len(basis) == spec.m * segments
 
-    def tail_steps(start):
-        """(n', dt') of the grid of steps start..n_steps."""
-        return GridSpec(N=N, cfl=0.9, T=(n_steps - start + 1) * dt).steps(spec.lambda_max)
+    def steps_of_dt(count):
+        """Whether the grid of horizon count*dt steps by dt itself."""
+        return GridSpec(N=N, cfl=0.9, T=count * dt).steps(spec.lambda_max) == (count, dt)
 
     seg = [min(int(j * dt / T * segments), segments - 1) for j in range(1, n_steps + 1)]
     zero = StateField(np.zeros((spec.n, N + 1)), 0.0, grid.xs)
-    for s in range(segments):
-        assert s in seg  # every segment gets at least one step
-        j0, length = seg.index(s) + 1, seg.count(s)
-        for c in range(spec.m):
-            tail, run = basis[c * segments + s]
-            n_tail, dt_tail = tail.steps(spec.lambda_max)
-            start = n_steps - n_tail + 1
-            assert dt_tail == dt and 1 <= start <= j0
-            assert all(tail_steps(later) != (n_steps - later + 1, dt)
-                       for later in range(start + 1, j0 + 1))
-            on = j0 - start + 1  # the run's first step with the unit control
-            unit = np.eye(spec.m)[c]
-            assert not run.controls[:on].any() and not run.controls[on + length:].any()
-            assert np.array_equal(run.controls[on:on + length], np.tile(unit, (length, 1)))
+    for c in range(spec.m):
+        unit = np.eye(spec.m)[c]
+        terminal = {}
+        for s in reversed(range(segments)):
+            assert s in seg  # every segment gets at least one step
+            j0, length = seg.index(s) + 1, seg.count(s)
+            initial, run_grid, run = basis[c * segments + segments - 1 - s]
+            n_run, dt_run = run_grid.steps(spec.lambda_max)
+            assert dt_run == dt
+            # the later segments of as many steps whose gap has a grid of step dt
+            sources = [later for later in range(s + 1, segments)
+                       if seg.count(later) == length and steps_of_dt(seg.index(later) - j0 + 1)]
+            if sources:
+                nearest = sources[0]
+                assert n_run == seg.index(nearest) + 1 - j0
+                assert np.array_equal(initial.values, terminal[nearest])
+                assert not run.controls[1:].any()
+            else:
+                start = n_steps - n_run + 1
+                assert 1 <= start <= j0
+                assert all(not steps_of_dt(n_steps - later + 1)
+                           for later in range(start + 1, j0 + 1))
+                on = j0 - start + 1  # the run's first step with the unit control
+                assert not run.controls[:on].any() and not run.controls[on + length:].any()
+                assert np.array_equal(run.controls[on:on + length], np.tile(unit, (length, 1)))
+            terminal[s] = run.terminal_state().values
 
             def full_control(t, state, s=s, unit=unit):
                 return unit if seg[round(t / dt) - 1] == s else 0.0 * unit
 
             full = solve_forward(spec, zero, full_control, grid)
             assert np.array_equal(run.terminal_state().values, full.terminal_state().values)
+
+
+@pytest.mark.parametrize("T, most", [(2.2, 1500), (1.0, 320)])
+def test_basis_runs_take_few_steps(T, most):
+    # the coupled 2x2 of the benchmark's nullctrl tasks (N = 128, CFL 0.95,
+    # 64 segments): the chained basis runs take 1,331 steps at T = 2.2 and
+    # 277 at T = 1.0, where runs from zero at each segment took 9,702 and 4,442
+    spec = build_system(1, 1, [1.0, 1.0], coupling=[[0.0, 0.1], [0.1, 0.0]], b=[[0.5]])
+    grid = GridSpec(N=128, cfl=0.95, T=T)
+    w0 = state_from_exprs(_bump_exprs(), grid, 2)
+    runs = _recorded_runs(spec, w0, grid, 64)
+    assert len(runs) == 64 + 2
+    assert sum(run.diagnostics["steps"] for *_, run in runs[1:-1]) <= most
 
 
 def test_null_control_residual_ladder():

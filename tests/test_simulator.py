@@ -386,6 +386,23 @@ def test_batch_refused_for_state_dependent_speeds():
         solve_forward(spec, np.zeros((2, 2, 17)), zero_control(1), grid)
 
 
+def test_batch_results_refuse_single_state_accessors():
+    # a batch holds one state per run: each single-state accessor refuses it
+    # by name and points to the snapshots of every run
+    spec = build_system(1, 1, [1.0, 2.0], b=[[0.5]])
+    grid = GridSpec(N=16, cfl=0.9, T=0.2)
+    states = np.zeros((3, 2, 17))
+    forward = solve_forward(spec, states, lambda t, w: np.zeros((3, 1)), grid)
+    dual = solve_dual(spec, None, states, grid)
+    batch = r"a batch of 3 runs has no single state: read snapshots\[:, {}\]"
+    with pytest.raises(DimensionMismatch, match=batch.format(-1)):
+        forward.terminal_state()
+    with pytest.raises(DimensionMismatch, match=batch.format(0)):
+        forward.state_at(0.0)
+    with pytest.raises(DimensionMismatch, match=batch.format(-1)):
+        dual.terminal_state()
+
+
 def test_blowup_detected():
     from hypctrl.core import NonFiniteState
 

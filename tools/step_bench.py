@@ -26,6 +26,12 @@ files ``perfbench.workloads.generate`` writes for SEED:
   ``null_control_openloop`` call at T = 2.2 on ``coupled.cfg`` (N = 128)
   with the segments and regularization of its ``[nullctrl]`` section, in
   ms per call: its free, basis and assembled runs and its least squares;
+- ``nullctrl_2x2_N128_T1``: the same for ``linear``'s ``nullctrl_below``
+  task, at T = 1.0;
+- ``sweep_2x2_N128``: one point of ``linear``'s ``sweep`` task, the
+  ``null_control_openloop`` call of ``coupled.cfg`` itself (gamma and b
+  scale 1) at T = 2.2 with the segments and regularization of its
+  ``[sweep]`` section, in ms per call;
 - ``law_call``: one call of the ``feedback`` law on its initial state's
   values, as ``solve_forward`` passes them, at 2000 times spread over [0, 0.3];
 - ``quasi_1x2_N2000``: ``kernel_quasilinear``'s ``quasi.cfg``, the 1x2 with
@@ -89,8 +95,13 @@ SHAPES = {
     "dual_b14_N500": ("linear", "observe.cfg", 500, None, 14, 7),
     "dual_kernel_N4000": ("kernel_quasilinear", "coupled.cfg", 4000, 0.3, None, 5),
     "nullctrl_2x2_N128": ("linear", "coupled.cfg", 128, 2.2, None, 3),
+    "nullctrl_2x2_N128_T1": ("linear", "coupled.cfg", 128, 1.0, None, 3),
+    "sweep_2x2_N128": ("linear", "coupled.cfg", 128, 2.2, None, 3),
     "quasi_1x2_N2000": ("kernel_quasilinear", "quasi.cfg", 2000, 0.3, None, 5),
 }
+# the null-control shapes -> the config section of their segments and reg
+OPENLOOP = {"nullctrl_2x2_N128": "nullctrl", "nullctrl_2x2_N128_T1": "nullctrl",
+            "sweep_2x2_N128": "sweep"}
 LAW_CALLS, LAW_REPEATS = 2000, 7
 DUAL_KERNEL_NK = 64
 VOLTERRA_REPEATS = 5
@@ -99,7 +110,7 @@ KERNELS = {"kernel_2x2_NK128": ("coupled.cfg", 128), "kernel_3x3_NK64": ("three.
 KERNEL_REPEATS = 3
 # unit of each figure and its factor from seconds (from bytes for a peak);
 # us for every other name
-UNITS = {"volterra_round_trip": ("ms", 1e3), "nullctrl_2x2_N128": ("ms", 1e3),
+UNITS = {"volterra_round_trip": ("ms", 1e3), **{name: ("ms", 1e3) for name in OPENLOOP},
          **{name: ("ms", 1e3) for name in KERNELS},
          **{name + "_peak": ("MB", 1e-6) for name in KERNELS}}
 
@@ -150,9 +161,10 @@ def _inputs(pkg: str, shape: str, workdir: str, rng):
             return (time.perf_counter() - start) / dual.diagnostics["steps"]
 
         return run, None
-    if shape.startswith("nullctrl"):
+    if shape in OPENLOOP:
         w0 = cfg.initial_state(grid, spec.n)
-        segments, reg = cfg.get("nullctrl", "segments", int), cfg.get("nullctrl", "reg", float)
+        section = OPENLOOP[shape]
+        segments, reg = cfg.get(section, "segments", int), cfg.get(section, "reg", float)
 
         def run():
             start = time.perf_counter()
@@ -241,8 +253,8 @@ def _kernel(pkg: str, workdir: str, name: str):
 
 
 def _worker(srcs: dict, seed: int, workdir: str, first: int) -> dict:
-    """side -> shape -> us per step (law_call: us per call;
-    nullctrl_2x2_N128: ms per call; volterra_round_trip: ms per state; a
+    """side -> shape -> us per step (law_call: us per call; a null control
+    or sweep shape: ms per call; volterra_round_trip: ms per state; a
     kernel shape: ms per solve, and its peak in MB), both sides timed
     alternately in this process; ``first`` is the side that starts."""
     import numpy as np
@@ -342,8 +354,9 @@ def main(argv=None) -> int:
             "kernel_repeats": KERNEL_REPEATS,
             "rounds": args.rounds,
             "dual_kernel_nk": DUAL_KERNEL_NK,
-            "unit": "us per step (law_call: us per call; nullctrl_2x2_N128: ms per "
-                    "call; volterra_round_trip: ms per state; a kernel shape: ms per "
+            "unit": "us per step (law_call: us per call; nullctrl_2x2_N128, "
+                    "nullctrl_2x2_N128_T1 and sweep_2x2_N128: ms per call; "
+                    "volterra_round_trip: ms per state; a kernel shape: ms per "
                     "solve; its _peak: tracemalloc MB), min over repeats",
         },
         "seed": args.seed,
