@@ -455,6 +455,38 @@ def test_witness_command(tmp_path):
     assert report["max_relative_deviation"] < 0.1
 
 
+def test_witness_cost_does_not_grow_with_samples(tmp_path):
+    """100,000 draws go through the 1 + 9m knot responses: one draw per run
+    would hold states of 100,001 runs, about 0.1 GB per buffer at N = 64."""
+    import tracemalloc
+
+    from hypctrl import controller
+
+    cfg_text = BASE_CFG.replace("lambda1 = 1 + x", "lambda1 = 1").replace(
+        "lambda2 = 2", "lambda2 = 1"
+    )
+    path = tmp_path / "wit.cfg"
+    path.write_text(cfg_text)
+    out = tmp_path / "out"
+    assert main(
+        ["witness", "--config", str(path), "--T", "1.0", "--N", "64",
+         "--samples", "100000", "--out", str(out)]
+    ) == 0
+    report = json.loads((out / "witness_report.json").read_text())
+    assert report["n_controls"] == 100000
+    assert report["max_relative_deviation"] < 0.1
+    cfg = load_config(path)
+    spec, grid = cfg.system(), cfg.grid(N=64, T=1.0)
+    wit = controller.optimality_witness(spec, grid)
+    tracemalloc.start()
+    try:
+        controller.verify_witness(spec, wit, grid, 100000, rng=np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 _STATE_DEPENDENT_REFUSALS = {
     "witness": "witness construction",
     "nullctrl": "open-loop least squares",

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypctrl.controller import (
@@ -19,6 +19,7 @@ from hypctrl.controller import (
 )
 from hypctrl.core import (
     BoundaryClosureFailure,
+    ControlSignal,
     GridSpec,
     NotApplicable,
     NotInClassB,
@@ -28,8 +29,8 @@ from hypctrl.core import (
     build_system,
     state_from_exprs,
 )
-from hypctrl.simulator import characteristic_flow, solve_dual, solve_forward
-from hypctrl.times import cumulative_travel, frozen_state
+from hypctrl.simulator import characteristic_flow, solve_dual, solve_forward, zero_control
+from hypctrl.times import cumulative_travel, frozen_state, optimal_time_argmax, travel_times
 
 
 def _bump_exprs(scale=1.0):
@@ -360,9 +361,9 @@ def _linear_systems(draw):
     return build_system(k, m, [v / 4 for v in neg + pos], coupling=coupling, b=B)
 
 
-def _recorded_runs(spec, w0, grid, segments):
-    """(w0, grid, Trajectory) of each forward run of one null_control_openloop
-    call, in the order it makes them."""
+def _recorded_forward(call):
+    """(w0, grid, Trajectory) of each forward run the controller makes while
+    call() runs, in the order it makes them."""
     import hypctrl.controller as controller
     from unittest import mock
 
@@ -373,8 +374,13 @@ def _recorded_runs(spec, w0, grid, segments):
         return runs[-1][2]
 
     with mock.patch.object(controller, "solve_forward", recorded):
-        null_control_openloop(spec, w0, grid, segments=segments)
+        call()
     return runs
+
+
+def _recorded_runs(spec, w0, grid, segments):
+    """The forward runs of one null_control_openloop call, as _recorded_forward."""
+    return _recorded_forward(lambda: null_control_openloop(spec, w0, grid, segments=segments))
 
 
 @settings(max_examples=25, deadline=None)
@@ -513,6 +519,64 @@ def test_witness_pair_candidate_through_reflection():
     assert (wit.probe_component, wit.bump_component, wit.probe_x, wit.bump_center,
             wit.bump_halfwidth, wit.expected) == (
         1, 3, 0.4394702460356261, 0.4494897429602251, 0.3240750179970221, -0.5)
+
+
+@st.composite
+def _witness_systems(draw):
+    """(spec, grid, witness) of an admissible uncoupled k, m <= 2 system
+    below its optimal time, with constant or x-dependent speeds, N <= 96."""
+    k, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    neg = sorted(draw(st.lists(st.integers(2, 8), min_size=k, max_size=k, unique=True)))[::-1]
+    pos = sorted(draw(st.lists(st.integers(2, 8), min_size=m, max_size=m, unique=True)))
+    slope = draw(st.sampled_from([0.0, -0.5, 0.5, 1.0]))  # one profile keeps the order
+    speeds = [v / 4 if slope == 0.0 else f"{v / 4}*(1 + {slope}*x)" for v in neg + pos]
+    entries = st.floats(-1.5, 1.5, allow_nan=False)
+    B = np.array(draw(st.lists(entries, min_size=k * m, max_size=k * m))).reshape(k, m)
+    spec = build_system(k, m, speeds, b=B)
+    topt = optimal_time_argmax(travel_times(spec), k, m)[0]
+    grid = GridSpec(N=draw(st.integers(16, 96)), cfl=0.9, T=draw(st.floats(0.3, 0.95)) * topt)
+    try:
+        return spec, grid, optimality_witness(spec, grid)
+    except NotApplicable:
+        assume(False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_witness_systems(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_witness_basis_values_equal_one_run_per_draw(case, n_controls, seed):
+    """The probe values through the 1 + 9m knot responses equal those of a
+    batch of one run per draw, from the same draws, to roundoff; value 0 is
+    the free run's, bit for bit."""
+    spec, grid, wit = case
+    dev, values = verify_witness(spec, wit, grid, n_controls, rng=np.random.default_rng(seed))
+    scale = max(abs(wit.expected), 1e-12)
+    amps = np.zeros((n_controls + 1, spec.m, 9))
+    amps[1:] = np.random.default_rng(seed).normal(0.0, scale, size=(n_controls, spec.m, 9))
+    controls = ControlSignal(times=np.linspace(0.0, grid.T, 9), values=amps)
+    inits = np.broadcast_to(wit.w0.values, amps.shape[:1] + wit.w0.values.shape)
+    probes = solve_forward(spec, inits, controls.as_closure(), grid).snapshots[
+        :, -1, wit.probe_component - 1]
+    direct = np.array([np.interp(wit.probe_x, grid.xs, row) for row in probes])
+    assert len(values) == n_controls + 1
+    tol = 1e-12 * max(1.0, np.max(np.abs(direct)))
+    assert np.max(np.abs(np.array(values) - direct)) <= tol
+    assert dev == pytest.approx(np.max(np.abs(direct - wit.expected)) / scale, abs=tol / scale)
+    free = solve_forward(spec, wit.w0, zero_control(spec.m), grid).terminal_state()
+    assert values[0] == np.interp(wit.probe_x, grid.xs, free.values[wit.probe_component - 1])
+
+
+@pytest.mark.parametrize("n_controls", [1, 50, 500])
+def test_witness_makes_one_batch_of_knot_runs(n_controls):
+    """One solve_forward call of 1 + 9m runs, whatever the number of draws."""
+    spec = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 2.0]])
+    grid = GridSpec(N=64, cfl=0.9, T=1.3)
+    wit = optimality_witness(spec, grid)
+    rng = np.random.default_rng(3)
+    runs = _recorded_forward(lambda: verify_witness(spec, wit, grid, n_controls, rng=rng))
+    assert len(runs) == 1
+    inits, run_grid, _ = runs[0]
+    assert inits.shape == (1 + 9 * spec.m, spec.n, grid.N + 1)
+    assert run_grid is grid
 
 
 @pytest.mark.parametrize(

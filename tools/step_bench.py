@@ -1,6 +1,7 @@
 """Microseconds per forward or dual step and per feedback-law call,
-milliseconds per null control, per state of a Volterra round trip and per
-kernel solve, two source trees against each other, interleaved.
+milliseconds per null control or witness check, per state of a Volterra
+round trip and per kernel solve, two source trees against each other,
+interleaved.
 
     python3 tools/step_bench.py PARENT_SRC CHANGE_SRC [--seed S] [--rounds R] [--label TEXT]
 
@@ -10,8 +11,13 @@ files ``perfbench.workloads.generate`` writes for SEED:
 
 - ``coupled_2x2_N128``: the coupled 2x2 of ``linear``'s ``nullctrl`` and
   ``sweep`` (N = 128, CFL 0.95, T = 2.2), one run;
-- ``witness_b51_N400``: the uncoupled 2x2 of ``witness``, a batch of 51 runs
-  from random states (N = 400, T = 1.0);
+- ``witness_b51_N400``: a step of a batch of 51 runs from random states on
+  the uncoupled 2x2 (k = m = 1) of ``witness.cfg`` (N = 400, T = 1.0), the
+  batch size the ``witness`` task ran at 50 samples before it ran one batch
+  of 1 + 9m knot responses, whatever the samples;
+- ``witness_N400``: ``linear``'s ``witness`` task, one ``verify_witness``
+  call on ``witness.cfg``'s witness (N = 400) with its ``[witness]
+  samples`` and amplitude and its ``[run] seed``, in ms per call;
 - ``feedback_1x2_N4000``: the 1x2 of ``feedback`` under its law (N = 4000),
   over the first 0.3 of its horizon, where the law reads the state;
 - ``coupled_2x2_N4000``: the coupled 2x2 of ``simulate`` (N = 4000) over 0.3;
@@ -97,6 +103,7 @@ SHAPES = {
     "nullctrl_2x2_N128": ("linear", "coupled.cfg", 128, 2.2, None, 3),
     "nullctrl_2x2_N128_T1": ("linear", "coupled.cfg", 128, 1.0, None, 3),
     "sweep_2x2_N128": ("linear", "coupled.cfg", 128, 2.2, None, 3),
+    "witness_N400": ("linear", "witness.cfg", 400, None, None, 7),
     "quasi_1x2_N2000": ("kernel_quasilinear", "quasi.cfg", 2000, 0.3, None, 5),
 }
 # the null-control shapes -> the config section of their segments and reg
@@ -110,7 +117,8 @@ KERNELS = {"kernel_2x2_NK128": ("coupled.cfg", 128), "kernel_3x3_NK64": ("three.
 KERNEL_REPEATS = 3
 # unit of each figure and its factor from seconds (from bytes for a peak);
 # us for every other name
-UNITS = {"volterra_round_trip": ("ms", 1e3), **{name: ("ms", 1e3) for name in OPENLOOP},
+UNITS = {"volterra_round_trip": ("ms", 1e3), "witness_N400": ("ms", 1e3),
+         **{name: ("ms", 1e3) for name in OPENLOOP},
          **{name: ("ms", 1e3) for name in KERNELS},
          **{name + "_peak": ("MB", 1e-6) for name in KERNELS}}
 
@@ -133,8 +141,8 @@ def _load(src: str, alias: str):
 
 def _inputs(pkg: str, shape: str, workdir: str, rng):
     """(run, law_calls) of one side: run() solves the shape and returns seconds
-    per step (per call for the null control), law_calls() seconds per law
-    call (None without a law)."""
+    per step (per call for the null control and the witness), law_calls()
+    seconds per law call (None without a law)."""
     import numpy as np
 
     config = importlib.import_module(pkg + ".config")
@@ -169,6 +177,16 @@ def _inputs(pkg: str, shape: str, workdir: str, rng):
         def run():
             start = time.perf_counter()
             controller.null_control_openloop(spec, w0, grid, reg=reg, segments=segments)
+            return time.perf_counter() - start
+
+        return run, None
+    if shape == "witness_N400":
+        wit = controller.optimality_witness(spec, grid, cfg.get("witness", "amplitude", float))
+        samples, seed = cfg.get("witness", "samples", int), cfg.get("run", "seed", int)
+
+        def run():
+            start = time.perf_counter()
+            controller.verify_witness(spec, wit, grid, samples, rng=np.random.default_rng(seed))
             return time.perf_counter() - start
 
         return run, None
@@ -253,8 +271,8 @@ def _kernel(pkg: str, workdir: str, name: str):
 
 
 def _worker(srcs: dict, seed: int, workdir: str, first: int) -> dict:
-    """side -> shape -> us per step (law_call: us per call; a null control
-    or sweep shape: ms per call; volterra_round_trip: ms per state; a
+    """side -> shape -> us per step (law_call: us per call; a null control,
+    sweep or witness shape: ms per call; volterra_round_trip: ms per state; a
     kernel shape: ms per solve, and its peak in MB), both sides timed
     alternately in this process; ``first`` is the side that starts."""
     import numpy as np
@@ -355,7 +373,7 @@ def main(argv=None) -> int:
             "rounds": args.rounds,
             "dual_kernel_nk": DUAL_KERNEL_NK,
             "unit": "us per step (law_call: us per call; nullctrl_2x2_N128, "
-                    "nullctrl_2x2_N128_T1 and sweep_2x2_N128: ms per call; "
+                    "nullctrl_2x2_N128_T1, sweep_2x2_N128 and witness_N400: ms per call; "
                     "volterra_round_trip: ms per state; a kernel shape: ms per "
                     "solve; its _peak: tracemalloc MB), min over repeats",
         },
