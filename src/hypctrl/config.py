@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from string import ascii_lowercase
@@ -87,18 +88,19 @@ SETTINGS = {
 }
 
 def _accepted_keys(k: int, m: int) -> dict:
-    """section -> every key its reader takes for n = k + m."""
+    """section -> (the plain keys its reader takes, the patterns of its
+    numbered keys, the range of their indices) for n = k + m."""
     idx = range(1, k + m + 1)
     return {
-        "speeds": {"k", "m", *(f"lambda{i}{s}" for i in idx for s in ("", "_x", "_values"))},
-        "coupling": {"matrix", "gamma", *(f"c{i}_{j}" for i in idx for j in idx)},
-        "boundary": {"b"},
-        "grid": {"n", "cfl", "t"},
-        "initial": {f"w{i}" for i in idx},
-        "control": {f"w{i}" for i in idx if i > k},
-        "run": {"seed", "out"},
-        **{section: set(keys) for section, keys in SETTINGS.items()},
-        "dual": {*SETTINGS["dual"], *(f"v{i}" for i in idx)},
+        "speeds": ({"k", "m"}, ("lambda{}", "lambda{}_x", "lambda{}_values"), idx),
+        "coupling": ({"matrix", "gamma"}, ("c{}_{}",), idx),
+        "boundary": ({"b"}, (), idx),
+        "grid": ({"n", "cfl", "t"}, (), idx),
+        "initial": (set(), ("w{}",), idx),
+        "control": (set(), ("w{}",), idx[k:]),
+        "run": ({"seed", "out"}, (), idx),
+        **{section: (set(keys), (), idx) for section, keys in SETTINGS.items()},
+        "dual": (set(SETTINGS["dual"]), ("v{}",), idx),
     }
 
 
@@ -249,12 +251,16 @@ def load_config(path) -> ExperimentConfig:
     for name, body in sections.items():
         if name not in accepted:
             raise ConfigError(f"unknown section [{name}] in {path}")
+        plain, patterns, indices = accepted[name]
         for key in body:
-            if key in accepted[name]:
+            # a numbered key: each index without leading zeros and in range
+            if key in plain or (re.sub(r"\d+", "{}", key) in patterns and all(
+                    d == str(int(d)) and int(d) in indices for d in re.findall(r"\d+", key))):
                 continue
-            if _stem(key) in {_stem(a) for a in accepted[name]}:
-                raise ConfigError(f"bad key [{name}] {key}: expected one of "
-                                  f"{', '.join(sorted(accepted[name]))}")
+            if _stem(key) in {_stem(a) for a in (*plain, *patterns)}:
+                names = ", ".join([*sorted(plain), *(p.format("{i}", "{j}") for p in patterns)])
+                each = f" with each index in {indices.start}..{indices.stop - 1}" if patterns else ""
+                raise ConfigError(f"bad key [{name}] {key}: expected one of {names}{each}")
             raise ConfigError(f"unknown key {key!r} in section [{name}]")
     for i in range(1, cfg.k + cfg.m + 1):
         for sampled in (f"lambda{i}_x", f"lambda{i}_values"):

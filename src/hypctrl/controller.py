@@ -622,13 +622,6 @@ def _band_limited_sample(n: int, xs: np.ndarray, rng: np.random.Generator, modes
     return vals
 
 
-def _l2_total(vals: np.ndarray, xs: np.ndarray):
-    """L2 norm over all components of (n, N+1) values, or one per run of a batch."""
-    h = xs[1] - xs[0]
-    sq = np.sum(vals**2, axis=-2)
-    return np.sqrt(h * (np.sum(sq, axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1])))
-
-
 def verify_observability(
     spec: SystemSpec,
     samples: int,
@@ -643,36 +636,33 @@ def verify_observability(
     boundary are added to the pool: a finite random draw alone cannot expose
     the unobservable data that exist below the optimal time.  Ratios with a
     vanishing denominator count as RATIO_CAP (the constraint is vacuous
-    there).  The data run through ``solve_dual`` without a source matrix, so
-    the estimate is that of the uncoupled system, whatever C is.
+    there).  The data run through ``solve_dual`` without a source matrix, the
+    coupled system's dual.  Norms are those of the dual's pairing,
+    ||v||^2 = sum over components and nodes of W v^2, W = ``grid.weights``.
     """
     if samples < 1:
         raise ValidationError(f"need at least one random sample, got samples = {samples}")
     rng = rng or np.random.default_rng(0)
-    xs = grid.xs
+    xs, W = grid.xs, grid.weights
     n = spec.n
     pool = []
     labels = []
     for s in range(samples):
-        vals = _band_limited_sample(n, xs, rng)
-        norm = _l2_total(vals, xs)
-        if norm > 0:
-            vals /= norm
-        pool.append(vals)
+        pool.append(_band_limited_sample(n, xs, rng))
         labels.append(f"random_{s}")
     for comp in range(1, n + 1):
         vals = np.zeros((n, xs.size))
         center = 0.8 if comp <= spec.k else 0.2
         vals[comp - 1] = _bump(xs, center, 0.15, 1.0)
-        norm = _l2_total(vals, xs)
-        if norm > 0:
-            vals /= norm
         pool.append(vals)
         labels.append(f"bump_component_{comp}")
 
-    dual = solve_dual(spec, None, np.stack(pool), grid)
+    data = np.stack(pool)
+    norms = np.sqrt(np.sum(W * data**2, axis=(-2, -1), keepdims=True))
+    np.divide(data, norms, out=data, where=norms > 0)
+    dual = solve_dual(spec, None, data, grid)
     num = dual.observation_energy()
-    den = _l2_total(dual.snapshots[:, -1], xs) ** 2
+    den = np.sum(W * dual.snapshots[:, -1] ** 2, axis=(-2, -1))
     ratios = np.where(den > 1e-14, np.minimum(num / np.maximum(den, 1e-14), RATIO_CAP), RATIO_CAP)
     return ObservabilityResult(
         estimate=float(np.min(ratios)), ratios=ratios, labels=labels

@@ -97,10 +97,6 @@ class BoundaryClosureFailure(NumericalError):
     pass
 
 
-class SingularBoundarySpeed(NumericalError):
-    pass
-
-
 class DiagonalCouplingPresent(ValidationError):
     pass
 

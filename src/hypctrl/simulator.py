@@ -7,9 +7,11 @@ x=0 through the reflection), components k+1..k+m leftward (they enter at x=1
 through the controls), so the one-sided stencils use the neighbor on the side
 the data comes from.
 
-The dual system runs backward in time in conservative form
-d_t v = d_x(Sigma v), which absorbs the Sigma' zero-order term exactly and
-needs no derivative of the speeds.
+The dual run is the transpose of the forward step (see solve_dual): it
+steps the weighted state z = W v, W the trapezoid weights, with the forward
+run's coefficients and coupling entries, so a forward and a dual run pair
+exactly, to roundoff.  In the interior that is the conservative form
+d_t v = d_x(Sigma v), which needs no derivative of the speeds.
 
 The constants of a step are built once per run, not applied to the state on
 every step.  A forward step is
@@ -32,16 +34,14 @@ lambda_i, t and x) unless finite and positive, by the row min and max that
 the CFL test reads.  The sub-steps of a split step pass through two buffers
 held for the run; the last one writes the step's own state buffer.
 
-A dual step differences the flux (sigma ds/h) v, and its source integral is
-one trapezoid-weighted (n (N+1), m) operator op[(j, q), p] = h_q
-S_{j,k+p}(x_q), applied to each run's flattened state by its own
-matrix-vector product.  Both regroup the
-arithmetic of w + dt (lambda dw/h + C w) and of the per-component sums, so
-they differ from those by roundoff only.  The terms of the dual's boundary
-integral (Sigma_-(0) v_-, its product with -B^T, the source product and their
-sum) and its finite check's mask are written into buffers held for the run,
-in the order of the boundary relation (see solve_dual), so their bits are
-those of fresh arrays.
+A dual step differences the flux coef z, subtracts dt C_ij z_i from row j
+for the same entries, and its source term is one (n (N+1), m) operator
+op[(i, q), p] = dt S_{i,k+p}(x_q), applied to each run's flattened state by
+its own matrix-vector product.  Both solvers regroup the arithmetic of
+w + dt (lambda dw/h + C w) and of the per-component sums, so they differ
+from those by roundoff only.  The dual's reflection, source product and
+finite check's mask are written into buffers held for the run, so their bits
+are those of fresh arrays.
 
 Both solvers advance a batch of b independent runs in one stepping loop: the
 state has shape (b, n, N+1), and a single run is the batch b = 1.  Both run
@@ -69,7 +69,8 @@ reads and writes (the upwind slices, the boundary columns, the coupling rows,
 the reflection's input and output, the array the closure receives) are bound
 once per run for each of the two directions.  Each step writes its incoming
 trace at x = 1 (the forward run's controls, the dual's observation) into its
-row of the run record and copies the state there when a snapshot is due.  The
+row of the run record and copies the state there when a snapshot is due (the
+dual's, z, are divided by W once, after its last step).  The
 forward core also keeps each step's |w|, the pass the flush takes anyway, in
 one of K = min(64, states per 1 MiB) chunk slots, 1 MiB being one core's L2,
 so the slots stay in cache while the per-chunk work is spread over as many
@@ -97,7 +98,6 @@ from .core import (
     GridSpec,
     NonFiniteState,
     OutOfDomain,
-    SingularBoundarySpeed,
     StateField,
     SystemSpec,
     ValidationError,
@@ -158,7 +158,11 @@ class _Run:
     incoming trace at x = 1 (rows k:), step s in ``by_step[s]``, a (b, m) view
     of ``inflow``; and the snapshots every ``snapshot_stride`` steps (None:
     the initial and terminal states only), each copied by ``snap`` when its
-    step comes."""
+    step comes.  Also the step constants of both: ``coef``, the signed speeds
+    * dt/h per node (None for state-dependent speeds), and ``entries``, the
+    coupling entries nonzero somewhere on the grid as (i, j, C_ij), C_ij a
+    scalar where it is constant on the grid; the (n, n, N+1) values outlive
+    this only through the entries that vary on the grid."""
 
     def __init__(self, spec: SystemSpec, state, grid: GridSpec, snapshot_stride, what: str):
         shape = (spec.n, grid.N + 1)
@@ -181,6 +185,15 @@ class _Run:
         self.by_step = self.inflow.swapaxes(0, 1)
         self.snapshots[:, 0], self.by_step[0] = w, w[:, spec.k:, -1]
         self.taken, self.next_snap = 1, self.snap_steps[1]
+        xs = grid.xs
+        self.coef = None if spec.state_dependent else (spec.signed_speeds(xs) * (dt / grid.h))[None]
+        entries = [(i, j, c) for i, row in enumerate(spec.coupling.evaluate(xs))
+                   for j, c in enumerate(row) if c.any()]
+        self.entries = [(i, j, float(c[0]) if (c == c[0]).all() else c) for i, j, c in entries]
+
+    def coupling_terms(self, step_dt: float) -> list:
+        """dt*C_ij per coupling entry, for a step of length step_dt."""
+        return [step_dt * c for _, _, c in self.entries]
 
     def unbatch(self, a: np.ndarray) -> np.ndarray:
         """``a`` of a batch as it is; of a single run, its one member."""
@@ -255,15 +268,7 @@ def solve_forward(
     w, bufs, by_step, n_steps, dt = run.bufs[0], run.bufs, run.by_step, run.n_steps, run.dt
     b = w.shape[0]
     ctrl_shape = run.unbatch(by_step[0]).shape  # (m,), or (b, m) for a batch
-    B = spec.B
-
-    lam_static = None if spec.state_dependent else spec.signed_speeds(xs)
-    # the coupling entries that are nonzero somewhere on the grid, as (i, j, C_ij),
-    # C_ij a scalar where it is constant on the grid; the (n, n, N+1) values
-    # outlive this only through the entries that vary on the grid
-    entries = [(i, j, c) for i, row in enumerate(spec.coupling.evaluate(xs))
-               for j, c in enumerate(row) if c.any()]
-    entries = [(i, j, float(c[0]) if (c == c[0]).all() else c) for i, j, c in entries]
+    B, entries = spec.B, run.entries
 
     K = min(64, max(1, _CHUNK_BYTES // w.nbytes))  # steps per chunk of |w| slots
     nl2, nlinf = np.empty((2, b, n_steps + 1, n))
@@ -275,10 +280,6 @@ def solve_forward(
     cw = np.empty((b, xs.size)) if entries else None
     small = np.empty(w.shape, dtype=bool)
     doublings = 0
-
-    def coupling_terms(step_dt):
-        """dt*C_ij per coupling entry, for a step of length step_dt."""
-        return [step_dt * c for _, _, c in entries]
 
     def bind(src, dst):
         """The step from src into dst, with the views it reads and writes bound:
@@ -314,10 +315,8 @@ def solve_forward(
         for src, dst in ((bufs[1], bufs[0]), (bufs[0], bufs[1]))
     ]
 
-    dt_coupling = coupling_terms(dt)
-    if not spec.state_dependent:
-        coef = (lam_static * (dt / h))[None]
-    else:
+    coef, dt_coupling = run.coef, run.coupling_terms(dt)
+    if spec.state_dependent:
         sig = np.empty((n, xs.size))
         coef = np.empty((1, n, xs.size))
         between = np.empty((2,) + w.shape)  # the states inside a split step
@@ -360,7 +359,7 @@ def solve_forward(
                 for doubled in range(_MAX_SUBSTEP_DOUBLINGS + 1):
                     parts = 2**doubled
                     sub_dt = dt / parts
-                    dtc = dt_coupling if doubled == 0 else coupling_terms(sub_dt)
+                    dtc = dt_coupling if doubled == 0 else run.coupling_terms(sub_dt)
                     part_src = src
                     for part in range(parts):
                         t_sub = (step - 1) * dt + part * sub_dt
@@ -446,84 +445,88 @@ def solve_dual(
     grid: GridSpec,
     snapshot_stride=None,
 ) -> DualTrajectory:
-    """Integrate the dual system backward from v(0, .) to t = -grid.T.
+    """Integrate the dual system backward from v(0, .) to t = -grid.T by the
+    transpose of the forward step.
 
-    It has no coupling term: C enters only through S (from a backstepping
-    kernel), so with S = None and C != 0 this is the uncoupled system's dual.
+    A forward step with state-independent speeds is w <- Z_1 R M w + E u: M
+    the upwind and coupling update, R the reflection w_-(0) = B w_+(0), Z_1
+    zeroes the control column w_+(1), where E writes the controls u.  The
+    dual steps z = W v (W = ``grid.weights``) by z <- M^T R^T Z_1^T z with the
+    forward run's ``coef`` and coupling entries: it records y = z_+(1) as the
+    observation y / (dt lambda_+(1)) and zeroes it; adds B^T z_-(0) into
+    z_+(0) and zeroes z_-(0); then takes the flux differences of G = coef z,
+    with z_-(1) += G(1) and z_+(0) -= G(0) at the ends, and adds dt C_ij z_i
+    into z_j.  A source matrix S (the target system of a backstepping
+    kernel, which replaces C) adds z_{k+p}(0) += dt sum_{i,q} S_{i,k+p}(x_q)
+    z_i(x_q) instead of the coupling.  So for a forward run under controls
+    u_j, <w(T), v(0)>_W - <w(0), v(-T)>_W = sum_j u_j . y_{n-j} to roundoff.
 
-    The boundary conditions are v_-(t, 1) = 0 and the nonlocal relation
-    Sigma_+(0) v_+(t, 0) = -B^T Sigma_-(0) v_-(t, 0) + the source-matrix
-    integral, evaluated by the trapezoid rule on the current snapshot and then
-    divided by the diagonal Sigma_+(0).  The trace v_+(., 1) is recorded as
-    the observation.  ``v_at_0`` may instead be an array of shape (b, n, N+1),
-    the data of b runs that advance together.  ``snapshot_stride`` is as in
-    ``solve_forward``.
+    The snapshots hold v = z / W.  On the forward run's inflow side the
+    boundary node (x = 0 for rows :k, x = 1 for rows k:) holds the mass the
+    next step moves, about 2 lambda dt/h times its neighbour, not a point
+    value; v_-(1) decays by (1 - lambda(1) dt/h) per step.  ``v_at_0`` may
+    instead be a (b, n, N+1) array, the data of b runs that advance
+    together; ``snapshot_stride`` is as in ``solve_forward``.
     """
     if spec.state_dependent:
         raise ValidationError("dual solver requires state-independent speeds")
     n, k, m = spec.n, spec.k, spec.m
-    xs = grid.xs
-    h = grid.h
+    xs, W = grid.xs, grid.weights
     run = _Run(spec, v_at_0, grid, snapshot_stride, "dual initial state")
-    v, bufs, by_step, n_steps, ds = run.bufs[0], run.bufs, run.by_step, run.n_steps, run.dt
-
-    sig = spec.signed_speeds(xs)  # (n, N+1)
-    sig_plus_0 = sig[k:, 0]
-    sig_minus_0 = sig[:k, 0]
-    if np.min(sig_plus_0) < 1e-12:
-        raise SingularBoundarySpeed("a positive speed vanishes at x = 0")
+    z, bufs, by_step, n_steps, dt = run.bufs[0], run.bufs, run.by_step, run.n_steps, run.dt
+    b, coef, BT = z.shape[0], run.coef, spec.B.T
+    dt_lam_1 = dt * spec.signed_speeds(xs)[k:, -1]
+    np.multiply(z, W, out=z)
 
     op = None
     if S is not None:
+        run.entries = []  # the target system's source term replaces the coupling
         svals = S.value_nodes(xs)  # (n, n, N+1) including any scale
-        if np.max(np.abs(svals[:, :k, :]), initial=0.0) > 1e-10 * max(
-            1.0, np.max(np.abs(svals))
-        ):
+        if np.max(np.abs(svals[:, :k]), initial=0.0) > 1e-10 * max(1.0, np.max(np.abs(svals))):
             raise ValidationError("source matrix must have zero first k columns")
-        # the trapezoid source integral as one operator on the flattened state:
-        # op[(j, q), p] = h_q S_{j, k+p}(x_q)
-        op = (svals[:, k:, :] * grid.weights).transpose(0, 2, 1).reshape(n * xs.size, m)
+        # one operator on the flattened state: op[(i, q), p] = dt S_{i, k+p}(x_q)
+        op = (dt * svals[:, k:, :]).transpose(0, 2, 1).reshape(n * xs.size, m)
+    dt_coupling = run.coupling_terms(dt)
 
-    flux = (sig * (ds / h))[None]
-    minus_BT = -spec.B.T
-
-    b = v.shape[0]
     # the flux G is formed in a buffer of its own, its differences in the new
-    # state's buffer, which keeps a step's working set small; the boundary
-    # integral's terms and the finite check's mask have buffers of their own too
-    G = np.empty_like(v)
-    scaled = np.empty((b, k, 1))  # Sigma_-(0) v_-(., 0)
-    reflected = np.empty((b, m, 1))  # -B^T times that
-    sourced = np.empty((b, 1, m))  # the source integral
-    scaled_0, reflected_0, sourced_0 = scaled[..., 0], reflected[..., 0], sourced[:, 0]
-    # Sigma_+(0) v_+(., 0): without a source matrix, the reflected term alone
-    rhs = np.empty((b, m)) if op is not None else reflected_0
-    finite = np.empty(v.shape, dtype=bool)
+    # state's buffer, which keeps a step's working set small
+    G = np.empty_like(z)
+    reflected, sourced = np.empty((b, m, 1)), np.empty((b, 1, m))
+    cz = np.empty((b, xs.size)) if dt_coupling else None
+    finite = np.empty(z.shape, dtype=bool)
 
     def bind(src, dst):
-        """The step from src into dst, with the views it reads and writes bound."""
+        """The step from src into dst, with the views it reads and writes bound;
+        src is overwritten by Z_1^T and R^T."""
         # rows < k move leftward in reversed time: forward flux difference;
         # rows >= k rightward: backward flux difference
         lead, lead_lo, lead_out = G[:, :k, 1:], G[:, :k, :-1], dst[:, :k, :-1]
         trail, trail_lo, trail_out = G[:, k:, 1:], G[:, k:, :-1], dst[:, k:, 1:]
-        end_1, plus_0, minus_0 = dst[:, :k, -1], dst[:, k:, 0], dst[:, :k, 0]
-        flat = dst.reshape(b, 1, -1)
+        end_1, G_end_1, G_plus_0 = dst[:, :k, -1], G[:, :k, -1], G[:, k:, 0]
+        plus_0, sourced_0 = dst[:, k:, 0], sourced[:, 0]
+        minus_0_in, plus_0_in, observed = src[:, :k, 0, None], src[:, k:, 0, None], src[:, k:, -1]
+        pairs = [(src[:, i], dst[:, j]) for i, j, _ in run.entries]
+        flat = src.reshape(b, 1, -1)
 
         def advance():
-            np.multiply(flux, src, out=G)
+            observed.fill(0.0)  # Z_1^T: y is recorded
+            # R^T, one matrix-vector product per run, so each run rounds as if alone
+            np.matmul(BT, minus_0_in, out=reflected)
+            np.add(plus_0_in, reflected, out=plus_0_in)
+            minus_0_in.fill(0.0)
+            np.multiply(coef, src, out=G)  # M^T
             np.subtract(lead, lead_lo, out=lead_out)
             np.subtract(trail, trail_lo, out=trail_out)
-            end_1.fill(0.0)  # no difference reaches these two columns;
-            plus_0.fill(0.0)  # v_+(., 0) becomes src's: a placeholder for the integral
-            np.subtract(src, dst, out=dst)
-            end_1.fill(0.0)
-            # one matrix-vector product per run, so each run rounds as if alone
-            np.multiply(sig_minus_0, minus_0, out=scaled_0)
-            np.matmul(minus_BT, scaled, out=reflected)
-            if op is not None:
+            np.negative(G_end_1, out=end_1)  # z_-(1) += G(1)
+            if op is None:
+                np.copyto(plus_0, G_plus_0)  # z_+(0) -= G(0)
+            else:  # and += the source product
                 np.matmul(flat, op, out=sourced)
-                np.add(reflected_0, sourced_0, out=rhs)
-            np.divide(rhs, sig_plus_0, out=plus_0)
+                np.subtract(G_plus_0, sourced_0, out=plus_0)
+            for (src_i, dst_j), dtc in zip(pairs, dt_coupling):
+                np.multiply(dtc, src_i, out=cz)
+                np.subtract(dst_j, cz, out=dst_j)
+            np.subtract(src, dst, out=dst)
 
         return advance
 
@@ -533,14 +536,18 @@ def solve_dual(
         (bind(src, dst), dst, dst[:, k:, -1])
         for src, dst in ((bufs[1], bufs[0]), (bufs[0], bufs[1]))
     ]
+    by_step[0] = z[:, k:, -1]
     for step in range(1, n_steps + 1):
         advance, dst, observed = directions[step % 2]
         advance()
         if not np.logical_and.reduce(np.isfinite(dst, out=finite), axis=None):
-            raise NonFiniteState(f"dual state blew up at t = {-step * ds:.6g}")
+            raise NonFiniteState(f"dual state blew up at t = {-step * dt:.6g}")
         by_step[step] = observed
         if step == run.next_snap:
             run.snap(dst)
+    # the observations from the recorded y, the states from z
+    np.divide(run.inflow, dt_lam_1, out=run.inflow)
+    np.divide(run.snapshots[:, 1:], W, out=run.snapshots[:, 1:])
     return run.result(DualTrajectory, observation=run.inflow)
 
 # --------------------------------------------------------------------------- #

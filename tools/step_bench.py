@@ -1,7 +1,7 @@
 """Microseconds per forward or dual step and per feedback-law call,
 milliseconds per null control or witness check, per state of a Volterra
-round trip and per kernel solve, two source trees against each other,
-interleaved.
+round trip and per kernel solve, two source trees against each other, each
+timed in processes of its own.
 
     python3 tools/step_bench.py PARENT_SRC CHANGE_SRC [--seed S] [--rounds R] [--label TEXT]
 
@@ -26,8 +26,10 @@ files ``perfbench.workloads.generate`` writes for SEED:
   random states, in us per step;
 - ``dual_kernel_N4000``: ``kernel_quasilinear``'s ``dual --use-kernel 64``,
   the dual run of ``coupled.cfg`` from its dual datum (N = 4000) with the
-  source matrix of its NK = 64 kernel, solved once per side, over the first
-  0.3, in us per step;
+  source matrix of its NK = 64 kernel, solved once per process, over the
+  first 0.3, in us per step;
+- ``dual_coupled_N4000``: the same dual run without a kernel, so on
+  ``coupled.cfg``'s coupled system, in us per step;
 - ``nullctrl_2x2_N128``: ``linear``'s ``nullctrl_above`` task, one
   ``null_control_openloop`` call at T = 2.2 on ``coupled.cfg`` (N = 128)
   with the segments and regularization of its ``[nullctrl]`` section, in
@@ -46,7 +48,7 @@ files ``perfbench.workloads.generate`` writes for SEED:
 - ``volterra_round_trip``: ``kernel_quasilinear``'s ``volterra`` task, the
   transform and inverse of its four states (N = 400) with the NK = 64 kernel
   of its ``coupled.cfg``, in ms per state.  The kernel is solved once per
-  side; each repeat wraps its values in a fresh ``Kernel``, as the task
+  process; each repeat wraps its values in a fresh ``Kernel``, as the task
   starts from a fresh kernel, so an operator kept by the kernel is built
   once per repeat, not once per round;
 - ``kernel_2x2_NK128``: ``kernel_quasilinear``'s ``kernel_2x2`` task,
@@ -60,23 +62,28 @@ files ``perfbench.workloads.generate`` writes for SEED:
 The other forward runs without a law get a constant nonzero control.  A
 forward or dual step's cost is the run's time over its ``steps``.
 
-Each round is one fresh process that imports both trees, under two package
-names, and times the two sides alternately, run by run; a figure is the
-minimum over a shape's repeats.  The side that goes first alternates between
-repeats and between rounds.  One record (the config, the seed, the host as
-``perfbench.run.run_record`` describes it, with the time of
-``perfbench.worker.reference_block``, and every round of both sides) is
-appended to ``BENCH_step.json`` at the root of this checkout, and a summary
-(median per side, the median over rounds of change / parent, rounds in which
-the change was faster) is printed.
+Both trees are first copied into a temporary directory and byte-compiled
+there, so no process compiles them.  Each round then times each tree in a
+fresh process of its own, which imports that tree alone, the parent first in
+even rounds and the change first in odd ones (ABBA).  A figure is the
+minimum over a shape's repeats, which the process spreads over its life (in
+pass r it runs each shape with more than r repeats once), times
+``perfbench.run.REFERENCE_NOMINAL_S`` over the least time of the
+``perfbench.worker.reference_block`` runs it made, one before each pass: the
+figures of a host of nominal speed (tracemalloc peaks are not rescaled).  One record (the config, ``"mode": "per-process"``, the seed,
+the host as ``perfbench.run.run_record`` describes it, with the time of a
+reference block, and every round of both sides) is appended to
+``BENCH_step.json`` at the root of this checkout, and a summary (median per
+side, the median over rounds of change / parent, rounds in which the change
+was faster) is printed.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
-import importlib.util
+import compileall
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -100,6 +107,7 @@ SHAPES = {
     "coupled_2x2_N4000": ("linear", "coupled_long.cfg", 4000, 0.3, None, 5),
     "dual_b14_N500": ("linear", "observe.cfg", 500, None, 14, 7),
     "dual_kernel_N4000": ("kernel_quasilinear", "coupled.cfg", 4000, 0.3, None, 5),
+    "dual_coupled_N4000": ("kernel_quasilinear", "coupled.cfg", 4000, 0.3, None, 5),
     "nullctrl_2x2_N128": ("linear", "coupled.cfg", 128, 2.2, None, 3),
     "nullctrl_2x2_N128_T1": ("linear", "coupled.cfg", 128, 1.0, None, 3),
     "sweep_2x2_N128": ("linear", "coupled.cfg", 128, 2.2, None, 3),
@@ -127,27 +135,13 @@ def _unit(name: str) -> tuple:
     return UNITS.get(name, ("us", 1e6))
 
 
-def _load(src: str, alias: str):
-    """The hypctrl package in src, imported under the name alias."""
-    init = Path(src) / "hypctrl" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        alias, init, submodule_search_locations=[str(init.parent)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[alias] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def _inputs(pkg: str, shape: str, workdir: str, rng):
-    """(run, law_calls) of one side: run() solves the shape and returns seconds
+def _inputs(shape: str, workdir: str, rng):
+    """(run, law_calls) of one tree: run() solves the shape and returns seconds
     per step (per call for the null control and the witness), law_calls()
     seconds per law call (None without a law)."""
     import numpy as np
+    from hypctrl import config, controller, simulator
 
-    config = importlib.import_module(pkg + ".config")
-    controller = importlib.import_module(pkg + ".controller")
-    simulator = importlib.import_module(pkg + ".simulator")
     solve_forward = simulator.solve_forward
     workload, cfg_name, N, T, batch, _ = SHAPES[shape]
     cfg = config.load_config(Path(workdir) / workload / cfg_name)
@@ -155,13 +149,15 @@ def _inputs(pkg: str, shape: str, workdir: str, rng):
     grid = cfg.grid(N=N, T=T)
     if shape.startswith("dual"):
         S = None
-        if batch is None:  # the config's dual datum and its kernel's source matrix
-            bs = importlib.import_module(pkg + ".backstepping")
+        if batch is None:  # the config's dual datum
             data = cfg.initial_state(grid, spec.n, section="dual", prefix="v")
-            base, _ = bs.preprocess_diagonal(spec)
-            S = bs.source_matrix(bs.solve_kernel(base, NK=DUAL_KERNEL_NK), base)
         else:
             data = rng.standard_normal((batch, spec.n, N + 1))
+        if shape == "dual_kernel_N4000":  # and its kernel's source matrix
+            from hypctrl import backstepping as bs
+
+            base, _ = bs.preprocess_diagonal(spec)
+            S = bs.source_matrix(bs.solve_kernel(base, NK=DUAL_KERNEL_NK), base)
 
         def run():
             start = time.perf_counter()
@@ -218,14 +214,13 @@ def _inputs(pkg: str, shape: str, workdir: str, rng):
     return run, (law_calls if law is not None else None)
 
 
-def _volterra(pkg: str, workdir: str):
+def _volterra(workdir: str):
     """Seconds per state of the ``volterra`` task's round trips on a fresh
     ``Kernel`` holding the values of its kernel, solved here once."""
     import numpy as np
-
-    bs = importlib.import_module(pkg + ".backstepping")
-    config = importlib.import_module(pkg + ".config")
-    StateField = importlib.import_module(pkg + ".core").StateField
+    from hypctrl import backstepping as bs
+    from hypctrl import config
+    from hypctrl.core import StateField
     from perfbench.workloads import VOLTERRA_NK
 
     folder = Path(workdir) / "kernel_quasilinear"
@@ -244,12 +239,12 @@ def _volterra(pkg: str, workdir: str):
     return round_trips
 
 
-def _kernel(pkg: str, workdir: str, name: str):
-    """(solve, peak) of one side: solve() returns the seconds of one
+def _kernel(workdir: str, name: str):
+    """(solve, peak) of one tree: solve() returns the seconds of one
     ``solve_kernel`` of the kernel shape ``name``, peak() the ``tracemalloc``
     peak in bytes of another."""
-    bs = importlib.import_module(pkg + ".backstepping")
-    config = importlib.import_module(pkg + ".config")
+    from hypctrl import backstepping as bs
+    from hypctrl import config
     cfg_name, NK = KERNELS[name]
     cfg = config.load_config(Path(workdir) / "kernel_quasilinear" / cfg_name)
     base, _ = bs.preprocess_diagonal(cfg.system())
@@ -270,47 +265,58 @@ def _kernel(pkg: str, workdir: str, name: str):
     return solve, peak
 
 
-def _worker(srcs: dict, seed: int, workdir: str, first: int) -> dict:
-    """side -> shape -> us per step (law_call: us per call; a null control,
-    sweep or witness shape: ms per call; volterra_round_trip: ms per state; a
-    kernel shape: ms per solve, and its peak in MB), both sides timed
-    alternately in this process; ``first`` is the side that starts."""
+def _worker(seed: int, workdir: str) -> dict:
+    """shape -> us per step (law_call: us per call; a null control, sweep or
+    witness shape: ms per call; volterra_round_trip: ms per state; a kernel
+    shape: ms per solve, and its peak in MB) of the tree on ``sys.path``,
+    with "reference_s": the seconds of each reference block this process ran."""
     import numpy as np
+    from perfbench.worker import reference_block
 
     warnings.simplefilter("ignore")  # corner-compatibility warnings of the drawn data
-    packages = {side: _load(src, "hypctrl_" + side).__name__ for side, src in srcs.items()}
     timed = []
     for shape, (*_, repeats) in SHAPES.items():
-        runs = {side: _inputs(packages[side], shape, workdir, np.random.default_rng(seed))
-                for side in SIDES}
-        timed.append((shape, repeats, {side: runs[side][0] for side in SIDES}))
-        if runs["parent"][1] is not None:
-            timed.append(("law_call", LAW_REPEATS, {side: runs[side][1] for side in SIDES}))
-    timed.append(("volterra_round_trip", VOLTERRA_REPEATS,
-                  {side: _volterra(packages[side], workdir) for side in SIDES}))
+        run, law_calls = _inputs(shape, workdir, np.random.default_rng(seed))
+        timed.append((shape, repeats, run))
+        if law_calls is not None:
+            timed.append(("law_call", LAW_REPEATS, law_calls))
+    timed.append(("volterra_round_trip", VOLTERRA_REPEATS, _volterra(workdir)))
     for name in KERNELS:
-        kernels = {side: _kernel(packages[side], workdir, name) for side in SIDES}
-        timed.append((name, KERNEL_REPEATS, {s: kernels[s][0] for s in SIDES}))
-        timed.append((name + "_peak", 1, {s: kernels[s][1] for s in SIDES}))
-    result = {side: {} for side in SIDES}
-    for name, count, funcs in timed:
-        best = dict.fromkeys(SIDES, float("inf"))
-        for r in range(count):
-            order = SIDES if (r + first) % 2 == 0 else SIDES[::-1]
-            for side in order:
-                best[side] = min(best[side], funcs[side]())
-        for side in SIDES:
-            result[side][name] = best[side] * _unit(name)[1]
-    return result
+        solve, peak = _kernel(workdir, name)
+        timed += [(name, KERNEL_REPEATS, solve), (name + "_peak", 1, peak)]
+    # pass r runs a reference block and then each shape with more than r
+    # repeats once, so each shape's repeats spread over the process's life
+    best, reference_s = {name: float("inf") for name, _, _ in timed}, []
+    for r in range(max(count for _, count, _ in timed)):
+        reference_s.append(reference_block())
+        for name, count, func in timed:
+            if r < count:
+                best[name] = min(best[name], func())
+    return {**{name: t * _unit(name)[1] for name, t in best.items()}, "reference_s": reference_s}
 
 
-def _run_round(srcs: dict, seed: int, workdir: str, first: int) -> dict:
+def _run_process(src: str, seed: int, workdir: str) -> dict:
+    """One tree's figures from a fresh process, rescaled to the nominal host."""
+    from perfbench.run import REFERENCE_NOMINAL_S
+
     out = subprocess.run(
-        [sys.executable, __file__, srcs["parent"], srcs["change"], "--worker",
-         "--seed", str(seed), "--workdir", workdir, "--first", str(first)],
+        [sys.executable, __file__, src, src, "--worker", "--seed", str(seed),  # src as both trees
+         "--workdir", workdir],
         check=True, capture_output=True, text=True,
     )
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    figures = json.loads(out.stdout.strip().splitlines()[-1])
+    reference_s = figures.pop("reference_s")
+    factor = REFERENCE_NOMINAL_S / min(reference_s)
+    return {name: value * (1.0 if name.endswith("_peak") else factor)
+            for name, value in figures.items()}
+
+
+def _compiled_copy(src: str, dest: Path) -> str:
+    """A byte-compiled copy of the tree ``src`` at ``dest``."""
+    shutil.copytree(src, dest, ignore=shutil.ignore_patterns("__pycache__"))
+    if not compileall.compile_dir(str(dest), quiet=1):
+        raise SystemExit(f"cannot byte-compile {src}")
+    return str(dest)
 
 
 def main(argv=None) -> int:
@@ -322,15 +328,15 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default="", help="what the change is, for the record")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--workdir", help=argparse.SUPPRESS)
-    parser.add_argument("--first", type=int, default=0, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     srcs = {
         "parent": str(Path(args.parent_src).resolve()),
         "change": str(Path(args.change_src).resolve()),
     }
     sys.path.insert(0, str(ROOT))  # perfbench, in the worker too
-    if args.worker:
-        print(json.dumps(_worker(srcs, args.seed, args.workdir, args.first)))
+    if args.worker:  # the tree to time comes first
+        sys.path.insert(0, srcs["parent"])
+        print(json.dumps(_worker(args.seed, args.workdir)))
         return 0
 
     from perfbench.run import run_record
@@ -341,9 +347,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for workload in WORKLOADS:
             generate(workload, args.seed, Path(workdir) / workload)
+        trees = {side: _compiled_copy(src, Path(workdir) / side / "src")
+                 for side, src in srcs.items()}
         reference_ms = min(reference_block() for _ in range(3)) * 1e3
         for r in range(args.rounds):
-            rounds.append(_run_round(srcs, args.seed, workdir, r % 2))
+            order = SIDES if r % 2 == 0 else SIDES[::-1]  # ABBA
+            rounds.append({side: _run_process(trees[side], args.seed, workdir)
+                           for side in order})
 
     summary = {}
     for name in rounds[0]["parent"]:
@@ -375,8 +385,10 @@ def main(argv=None) -> int:
             "unit": "us per step (law_call: us per call; nullctrl_2x2_N128, "
                     "nullctrl_2x2_N128_T1, sweep_2x2_N128 and witness_N400: ms per call; "
                     "volterra_round_trip: ms per state; a kernel shape: ms per "
-                    "solve; its _peak: tracemalloc MB), min over repeats",
+                    "solve; its _peak: tracemalloc MB), min over repeats, rescaled to "
+                    "the nominal host but the _peak",
         },
+        "mode": "per-process",
         "seed": args.seed,
         "host": {**run_record("linear", args.seed), "reference_ms": reference_ms},
         "rounds": rounds,
