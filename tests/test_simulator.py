@@ -211,6 +211,30 @@ def test_dual_decoupled_transport_and_flux_balance():
                        rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("coupling", [None, [[0, .3, -.2], [.25, 0, .3], [-.3, .2, 0]]])
+def test_dual_observation_pairs_in_continuous_form(coupling):
+    # <w(T), v(0)>_W - <w(0), v(-T)>_W against the trapezoid rule in time of
+    # sum_p lambda_{k+p}(1) u_p(t) v_{k+p}(t - T, 1): the observation is that
+    # trace, so the gap is a first-order quadrature error, halving with h
+    spec = build_system(1, 2, [1.0, 1.0, 2.0], coupling=coupling, b=[[1.0, 2.0]])
+    u = lambda t: np.hstack([t * np.sin(3 * t), t * np.cos(2 * t)])
+    gaps = []
+    for N in (100, 200, 400, 800):
+        grid = GridSpec(N=N, cfl=0.9, T=1.2)
+        xs, W = grid.xs, grid.weights
+        w0 = np.vstack([np.exp(-((xs - c) / 0.1) ** 2) for c in (0.5, 0.3, 0.6)])
+        v0 = np.vstack([np.exp(-((xs - c) / 0.1) ** 2) for c in (0.4, 0.7, 0.2)])
+        forward = solve_forward(spec, StateField(w0, 0.0, xs), lambda t, w: u(t), grid)
+        dual = solve_dual(spec, None, StateField(v0, 0.0, xs), grid)
+        paired = (np.sum(W * forward.terminal_state().values * v0)
+                  - np.sum(W * w0 * dual.terminal_state().values))
+        lam_1 = spec.signed_speeds(xs)[1:, -1]
+        trace = np.sum(lam_1 * u(forward.times[:, None]) * dual.observation[::-1], axis=1)
+        gaps.append(paired - np.trapezoid(trace, dx=forward.dt))
+    assert abs(gaps[0]) <= 1e-6
+    assert all(1.8 <= a / b <= 2.2 for a, b in zip(gaps, gaps[1:])), gaps
+
+
 def test_dual_reflection_trace_oracle():
     b = 0.7
     spec = build_system(1, 1, [1.0, 1.0], b=[[b]])
