@@ -87,12 +87,17 @@ def _resolve(args, cfg) -> None:
     """Set each ``SETTINGS`` value of the command on ``args``: its flag if
     given, else ``[command] key``, else its default (``t`` as ``args.T``,
     whose default None leaves the horizon to ``[grid] t``); also the output
-    directory and, for a command that draws, its seed."""
+    directory, refused before the run if it is or lies under a file for a
+    command that writes (all but times and check-b), and, for a command that
+    draws, its seed."""
     for key, (cast, default, _) in SETTINGS.get(args.command, {}).items():
         name = "T" if key == "t" else key
         if getattr(args, name, None) is None:
             setattr(args, name, cfg.get(args.command, key, cast, default))
     args.out = Path(args.out if args.out is not None else cfg.out)
+    found = next((p for p in (args.out, *args.out.parents) if p.exists()), None)
+    if args.command not in ("times", "check-b") and found and not found.is_dir():
+        raise ValidationError(f"output directory {args.out}: {found} is not a directory")
     if "seed" in vars(args):
         args.seed = cfg.seed if args.seed is None else args.seed
         if args.seed < 0:

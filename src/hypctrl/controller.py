@@ -13,12 +13,13 @@ one zeta ramp per channel, which matches that channel's initial trace at
 x = 1, and one eta ramp, which switches the state-fed part on smoothly; all
 are C^1 and equal exactly zero from (T - T_opt)/2 on.  A call starts from
 the m zeta values and, while eta < 1, adds (1 - eta) M_j to each level's
-channel; only then does it find the positions.  They invert the cumulative
-travel time, on the current state frozen in time when the speeds depend on
-it, and each is read through its grid cell, found when the law is built for
-fixed positions; no characteristic is integrated (the RK4
-``characteristic_flow``, which reads the state through a callable accessor,
-is public API and the tests' reference).
+channel; only then does it find the positions.  Every travel time they
+take, the controlled component's delay T_c(1) included, is read from
+``cumulative_travel``'s tables, on the current state frozen in time when the
+speeds depend on it; the positions invert the arguments' tables at that
+delay, and each is read through its grid cell, found when the law is built
+for fixed positions.  No characteristic is integrated; ``travel_times``
+serves T_opt alone.
 
 Every entry point reads B from ``spec.B`` and the run horizon from ``grid.T``;
 the ``T`` of ``synthesize_feedback`` is the law's target time, not a horizon.
@@ -125,7 +126,6 @@ class FeedbackLaw:
     coefs: tuple  # row j-1 is level j's map: m-j coefficients of its arguments
     zetas: list  # a CubicRamp per channel: zetas[p] feeds component k+1+p
     eta: CubicRamp
-    delays: dict  # controlled component -> travel time across [0, 1]
     xs: np.ndarray  # the grid the law reads the state on
     T: float = 0.0
     Topt: float = 0.0
@@ -144,12 +144,13 @@ class FeedbackLaw:
         return len(self.coefs)
 
     def read_positions(self, values: Optional[np.ndarray] = None) -> dict:
-        """level -> positions T_l^{-1}(delay) of the arguments l of that level.
+        """level -> positions T_l^{-1}(T_c(1)) of the arguments l of that level.
 
-        The delay is the controlled component's travel time; with state
-        ``values`` (n, N+1) on ``xs`` both travel times are taken on them
-        frozen in time.  np.interp returns 1.0 past T_l(1), where the
-        characteristic would leave the domain.
+        T_c(1), the delay, is the travel time of the controlled component c
+        across [0, 1], the end of its own table: every travel time comes from
+        ``cumulative_travel``'s tables, taken on state ``values`` (n, N+1) on
+        ``xs`` frozen in time when given.  np.interp returns 1.0 past T_l(1),
+        where the characteristic would leave the domain.
         """
         k, m = self.spec.k, self.spec.m
         # interpolated onto the tables' nodes once, for every table of the call
@@ -163,8 +164,7 @@ class FeedbackLaw:
 
         positions = {}
         for j in range(1, self.levels + 1):
-            comp = k + m + 1 - j
-            delay = self.delays[comp] if values is None else table(comp)[1][-1]
+            delay = table(k + m + 1 - j)[1][-1]
             positions[j] = np.array(
                 [np.interp(delay, table(l)[1], table(l)[0]) for l in range(k + 1, k + m - j + 1)]
             )
@@ -242,8 +242,7 @@ def synthesize_feedback(
         )
     k, m = spec.k, spec.m
     coefs = boundary_elimination(spec.B)[: min(k, m - 1)]
-    tau = travel_times(spec)
-    topt, _, _ = optimal_time_argmax(tau, k, m)
+    topt = optimal_time_argmax(travel_times(spec), k, m)[0]
     if T <= topt:
         raise TimeTooShort(f"target time {T} must exceed T_opt = {topt:.6g}")
 
@@ -267,11 +266,8 @@ def synthesize_feedback(
         )
         for comp in range(k, k + m)
     ]
-    delays = {k + p + 1: float(tau[k + p]) for p in range(m)}
-    return FeedbackLaw(
-        spec=spec, coefs=coefs, zetas=zetas, eta=CubicRamp(1.0, 0.0, half), delays=delays,
-        xs=w0.xs, T=T, Topt=float(topt),
-    )
+    return FeedbackLaw(spec=spec, coefs=coefs, zetas=zetas, eta=CubicRamp(1.0, 0.0, half),
+                       xs=w0.xs, T=T, Topt=topt)
 
 
 @dataclass
@@ -612,16 +608,6 @@ class ObservabilityResult:
     labels: list
 
 
-def _band_limited_sample(n: int, xs: np.ndarray, rng: np.random.Generator, modes: int = 4):
-    vals = np.zeros((n, xs.size))
-    for i in range(n):
-        for f in range(1, modes + 1):
-            vals[i] += rng.normal() * np.cos(f * np.pi * xs) + rng.normal() * np.sin(
-                f * np.pi * xs
-            )
-    return vals
-
-
 def verify_observability(
     spec: SystemSpec,
     samples: int,
@@ -631,33 +617,33 @@ def verify_observability(
     """Monte Carlo lower-constant estimate for the dual observation inequality.
 
     Random band-limited terminal data of unit L2 norm are run backward for
-    time T = grid.T; the estimate is the minimum of observation energy over
-    the norm of v(-T).  Deterministic bump candidates placed farthest from the observed
-    boundary are added to the pool: a finite random draw alone cannot expose
-    the unobservable data that exist below the optimal time.  Ratios with a
-    vanishing denominator count as RATIO_CAP (the constraint is vacuous
-    there).  The data run through ``solve_dual`` without a source matrix, the
-    coupled system's dual.  Norms are those of the dual's pairing,
+    time T = grid.T: each component sums a cos(f pi x) + b sin(f pi x) over
+    modes f = 1..4, with standard normal amplitudes drawn in one
+    (samples, n, 4, 2) array.  The estimate is the minimum of observation
+    energy over the norm of v(-T).  Deterministic bump candidates placed
+    farthest from the observed boundary are added to the pool: a finite
+    random draw alone cannot expose the unobservable data that exist below
+    the optimal time.  Ratios with a vanishing denominator count as RATIO_CAP
+    (the constraint is vacuous there).  The data run through ``solve_dual``
+    without a source matrix, the coupled system's dual.  Norms are those of
+    the dual's pairing,
     ||v||^2 = sum over components and nodes of W v^2, W = ``grid.weights``.
     """
     if samples < 1:
         raise ValidationError(f"need at least one random sample, got samples = {samples}")
-    rng = rng or np.random.default_rng(0)
     xs, W = grid.xs, grid.weights
     n = spec.n
-    pool = []
-    labels = []
-    for s in range(samples):
-        pool.append(_band_limited_sample(n, xs, rng))
-        labels.append(f"random_{s}")
-    for comp in range(1, n + 1):
-        vals = np.zeros((n, xs.size))
-        center = 0.8 if comp <= spec.k else 0.2
-        vals[comp - 1] = _bump(xs, center, 0.15, 1.0)
-        pool.append(vals)
-        labels.append(f"bump_component_{comp}")
+    # per sample and component, the cos and sin amplitudes of modes 1..4
+    amps = (rng or np.random.default_rng(0)).normal(size=(samples, n, 4, 2))
+    data = np.zeros((samples + n, n, xs.size))
+    for f in range(1, 5):
+        a, b = amps[:, :, f - 1, :1], amps[:, :, f - 1, 1:]
+        data[:samples] += a * np.cos(f * np.pi * xs) + b * np.sin(f * np.pi * xs)
+    for comp in range(n):
+        data[samples + comp, comp] = _bump(xs, 0.8 if comp < spec.k else 0.2, 0.15, 1.0)
+    labels = [f"random_{s}" for s in range(samples)]
+    labels += [f"bump_component_{comp}" for comp in range(1, n + 1)]
 
-    data = np.stack(pool)
     norms = np.sqrt(np.sum(W * data**2, axis=(-2, -1), keepdims=True))
     np.divide(data, norms, out=data, where=norms > 0)
     dual = solve_dual(spec, None, data, grid)

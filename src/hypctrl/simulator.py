@@ -80,13 +80,18 @@ rows, with the x = 1 column of rows k: replaced by the |controls| just
 written.  Entries below the flush threshold enter those norms as zero.  The
 dual records no norms.  The state array the closure receives is a view of a
 buffer that is overwritten two steps later: copy it to keep it.
+
+The tracer, characteristic_flow, takes one characteristic by RK4 in steps of
+at most 1/(512 lambda_max) and returns its position at the requested time; a
+characteristic that leaves [0, 1] on the way is refused (FlowLeftDomain,
+naming the side and the crossing time).  No solver or command calls it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -554,75 +559,45 @@ def solve_dual(
 # characteristic flow
 # --------------------------------------------------------------------------- #
 
-@dataclass
-class FlowResult:
-    position: float
-    exited: bool = False
-    exit_time: Optional[float] = None
-    exit_side: Optional[float] = None
-
-
 def characteristic_flow(
-    spec: SystemSpec,
-    j: int,
-    s: float,
-    xi: float,
-    t: float,
-    state=None,
-    step: Optional[float] = None,
-    clip: bool = True,
-) -> FlowResult:
+    spec: SystemSpec, j: int, s: float, xi: float, t: float, state=None
+) -> float:
     """Position at time t of the component-j characteristic through (s, xi).
 
     dx/dt = +lambda_j for j <= k, -lambda_j for j > k; classical 4-stage
-    Runge-Kutta, fixed step.  For state-dependent speeds, ``state`` is a
-    callable (time, x) -> state vector that supplies w(t, x).
+    Runge-Kutta in equal steps of at most 1/(512 lambda_max).  For
+    state-dependent speeds, ``state`` is a callable (time, x) -> state vector
+    that supplies w(t, x).  A characteristic that leaves [0, 1] before t is
+    refused (FlowLeftDomain), naming the side and the time it crosses there.
     """
     if not (1 <= j <= spec.n):
         raise DimensionMismatch(f"component index {j} outside 1..{spec.n}")
     if not (0.0 <= xi <= 1.0):
         raise OutOfDomain(f"start position {xi} outside [0, 1]")
+    if spec.state_dependent and state is None:
+        raise OutOfDomain("state-dependent speeds need a state accessor")
     sgn = 1.0 if j <= spec.k else -1.0
     speed = spec.speeds[j - 1]
 
-    if spec.state_dependent:
-        if state is None:
-            raise OutOfDomain("state-dependent speeds need a state accessor")
+    def vel(time, x):
+        w = state(time, x) if spec.state_dependent else None
+        return sgn * float(speed.evaluate(np.asarray([x]), w)[0])
 
-        def vel(time, x):
-            return sgn * float(speed.evaluate(np.asarray([x]), state(time, x))[0])
-
-    else:
-
-        def vel(time, x):
-            return sgn * float(speed.evaluate(np.asarray([x]))[0])
-
-    span = t - s
-    if span == 0.0:
-        return FlowResult(position=xi)
-    if step is None:
-        step = 1.0 / (512.0 * spec.lambda_max)
-    n_sub = max(1, int(np.ceil(abs(span) / step)))
-    dt = span / n_sub
-
-    x = float(xi)
-    time = s
+    x, time, span = float(xi), s, t - s
+    n_sub = int(np.ceil(abs(span) / (1.0 / (512.0 * spec.lambda_max))))  # 0 for t = s
+    dt = span / max(n_sub, 1)
     for _ in range(n_sub):
         k1 = vel(time, x)
         k2 = vel(time + dt / 2, np.clip(x + dt / 2 * k1, 0.0, 1.0))
         k3 = vel(time + dt / 2, np.clip(x + dt / 2 * k2, 0.0, 1.0))
         k4 = vel(time + dt, np.clip(x + dt * k3, 0.0, 1.0))
         x_next = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if x_next < 0.0 or x_next > 1.0:
+        if not 0.0 <= x_next <= 1.0:
             side = 0.0 if x_next < 0.0 else 1.0
-            theta = (side - x) / (x_next - x)
-            exit_time = time + theta * dt
-            if not clip:
-                raise FlowLeftDomain(
-                    f"flow of component {j} left the domain through x={side:g} "
-                    f"at t = {exit_time:.6g}"
-                )
-            return FlowResult(position=side, exited=True, exit_time=exit_time, exit_side=side)
+            raise FlowLeftDomain(
+                f"flow of component {j} left the domain through x = {side:g} "
+                f"at t = {time + (side - x) / (x_next - x) * dt:.6g}"
+            )
         x = x_next
         time += dt
-    return FlowResult(position=float(np.clip(x, 0.0, 1.0)))
+    return float(x)

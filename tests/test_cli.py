@@ -1,14 +1,19 @@
+import contextlib
 import inspect
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypctrl
 from hypctrl import cli, core
@@ -929,6 +934,79 @@ def test_writers_create_a_missing_out_directory(cfg_path, tmp_path, command, fla
         warnings.simplefilter("ignore")  # corner compatibility at N = 16
         assert main([command, "--config", str(cfg_path), "--out", str(out), *flags]) == 0
     assert (out / written).is_file()
+
+
+@pytest.mark.parametrize("under", [(), ("a", "b")], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", [
+    "simulate", "dual", "kernel", "feedback", "nullctrl", "witness", "observability", "sweep",
+])
+def test_out_that_is_or_lies_under_a_file_is_refused(cfg_path, tmp_path, capsys, monkeypatch,
+                                                     command, under):
+    # refused before the command runs, with the path named and nothing created
+    monkeypatch.setitem(cli._COMMANDS, command, lambda *args: pytest.fail("the command ran"))
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken.joinpath(*under)
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and f"{out}: {taken} is not a directory" in err
+    assert sorted(tmp_path.iterdir()) == [cfg_path, taken] and taken.read_text() == "kept"
+
+
+@st.composite
+def _random_configs(draw):
+    """A config of k, m <= 3: each speed constant, x-dependent, sampled or
+    state-dependent; entries of C and B zero or not; N <= 50; every
+    command's costly settings small."""
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = k + m
+    lines = ["[speeds]", f"k = {k}", f"m = {m}"]
+    # lambda_1 > ... > lambda_k and lambda_{k+1} < ... < lambda_n: levels 0.9
+    # apart, each speed within 0.4 of its level
+    for i, rank in enumerate([*range(k - 1, -1, -1), *range(m)], start=1):
+        level = 0.6 + 0.9 * rank
+        kind = draw(st.sampled_from(["constant", "x", "sampled"] * 3 + ["state"]))
+        if kind == "sampled":
+            values = ", ".join(str(level + draw(st.sampled_from([0.0, 0.2]))) for _ in range(3))
+            lines += [f"lambda{i}_x = 0, 0.5, 1", f"lambda{i}_values = {values}"]
+        else:
+            term = {"constant": "", "x": f" + {draw(st.sampled_from([-0.3, 0.3]))}*x",
+                    "state": f" + 0.1*w{draw(st.integers(1, n))}**2"}[kind]
+            lines.append(f"lambda{i} = {level}{term}")
+
+    def matrix(rows, cols, entries):
+        return "; ".join(" ".join(str(draw(entries)) for _ in range(cols)) for _ in range(rows))
+
+    coupling = st.sampled_from([0.0, 0.0, -0.3, 0.4] if draw(st.booleans()) else [0.0])
+    lines += ["[coupling]", f"matrix = {matrix(n, n, coupling)}",
+              "[boundary]", f"b = {matrix(k, m, st.sampled_from([0.0, 0.5, -1.0, 2.0]))}",
+              "[grid]", f"n = {draw(st.integers(8, 50))}", "cfl = 0.9",
+              f"t = {draw(st.sampled_from([0.4, 1.5, 3.0, 6.0]))}", "[initial]"]
+    bump = "{}*exp(-((x - {})/0.15)**2)"
+    for i in range(1, n + 1):
+        amplitude, centre = draw(st.sampled_from([0.5, 1.0])), draw(st.sampled_from([0.3, 0.6]))
+        lines.append(f"w{i} = " + bump.format(amplitude, centre))
+    lines += ["[dual]"] + [f"v{i} = " + bump.format(1, 0.5) for i in range(1, n + 1)]
+    lines += ["[kernel]", "nk = 8", "[nullctrl]", "segments = 3", "[sweep]", "segments = 3",
+              "[witness]", "samples = 2", "[observability]", "samples = 2"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_random_configs(), command=st.sampled_from(sorted(cli._COMMANDS)))
+def test_random_configs_exit_by_a_documented_code(text, command):
+    # every command on a random small config succeeds or refuses by its exit
+    # code (2 validation, 3 numerical), with no traceback and no numpy warning
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        path = Path(tmp, "random.cfg")
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, "--config", str(path), "--out", str(Path(tmp, "out"))])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("old, new, section, key", [

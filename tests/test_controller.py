@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -103,13 +104,30 @@ def test_delays_and_arg_positions_linear():
     grid = GridSpec(N=200, cfl=0.9, T=1.7)
     w0 = state_from_exprs([None, None, None], grid, 3)
     law = synthesize_feedback(spec, 1.7, w0)
-    assert law.delays == pytest.approx({2: 1.0, 3: 0.5})
+    # the delay is the end of the controlled component's own travel table
+    delay = cumulative_travel(spec, 2)[1][-1]
+    assert delay == pytest.approx(0.5)
+    ((position,),) = law.read_positions().values()
+    assert position == np.interp(delay, *cumulative_travel(spec, 1)[::-1])
     # component 2 (speed 1, leftward) reaching x=0 at t+0.5 sits at x=0.5 now
     ((level, component, position),) = law.reads
     assert (level, component) == (1, 2) and position == pytest.approx(0.5, abs=1e-6)
     # a call reads there, through the cells found when the law was built
     law(0.05, w0.values)
     assert law.last_reads == law.reads
+
+
+def test_fixed_and_state_dependent_laws_take_one_delay_rule():
+    # at the zero state the quasilinear speeds equal the fixed ones bit for bit,
+    # and both laws take every travel time from the same tables
+    fixed = build_system(1, 2, [1.2, "1 + 0.3*x", "2 - 0.25*x"], b=[[1.0, 2.0]])
+    quasi = build_system(1, 2, [1.2, "1 + 0.3*x + 0.1*w2**2", "2 - 0.25*x + 0.1*w3**2"],
+                         b=[[1.0, 2.0]])
+    grid = GridSpec(N=64, cfl=0.9, T=2.2)
+    w0 = state_from_exprs([None, None, None], grid, 3)
+    ((position,),) = synthesize_feedback(fixed, 2.2, w0).read_positions().values()
+    ((frozen,),) = synthesize_feedback(quasi, 2.2, w0).read_positions(w0.values).values()
+    assert position == frozen
 
 
 def test_law_refuses_a_state_on_another_grid():
@@ -255,6 +273,65 @@ def test_closed_loop_quasilinear_small_data():
     assert rels[200] <= 1e-1
 
 
+def exact_closed_loop(spec, law, initial):
+    """w(c, t, x), component c of an uncoupled linear system with constant
+    speeds under ``law``, by the delay recursion along characteristics: no grid.
+
+    Each component is constant on its characteristic.  A leftward one is its
+    initial datum ``initial[c - 1]`` at x + lambda t until that passes x = 1,
+    then the control emitted (1 - x)/lambda earlier; a rightward one is its
+    datum at x - lambda t until that passes x = 0, then (B w_+)_c there x/lambda
+    earlier.  The control of component c at time t is the law's: its zeta
+    ramp, plus, for the channel of a level j, (1 - eta(t)) times ``coefs[j-1]``
+    applied to the arguments at the positions of ``law.reads`` at time t.
+    """
+    k, m, B = spec.k, spec.m, spec.B
+    lam = spec.lambdas(0.0)[:, 0].tolist()
+    reads = {}
+    for level, comp, pos in law.reads:
+        reads.setdefault(level, []).append((comp, pos))
+
+    def control(c, t):
+        u, j = law.zetas[c - k - 1](t), k + m + 1 - c  # j: the level of channel c
+        if j <= law.levels:
+            args = np.array([w(comp, t, pos) for comp, pos in reads[j]])
+            u += (1.0 - law.eta(t)) * float(law.coefs[j - 1] @ args)
+        return u
+
+    def w(c, t, x):
+        speed = lam[c - 1]
+        if c > k:
+            foot = x + speed * t
+            return initial[c - 1](foot) if foot <= 1.0 else control(c, t - (1.0 - x) / speed)
+        foot = x - speed * t
+        if foot >= 0.0:
+            return initial[c - 1](foot)
+        return float(B[c - 1] @ [w(comp, t - x / speed, 0.0) for comp in range(k + 1, k + m + 1)])
+
+    return w
+
+
+@pytest.mark.parametrize("gap", [0.4, 0.1, 0.02])
+def test_exact_closed_loop_is_zero_from_half_past_topt(gap):
+    # the paper's finite-time claim without a grid: under the law the 1x2 is
+    # exactly 0.0 from (T + T_opt)/2 on, T_opt after the law is fully on
+    spec = build_system(1, 2, [1.0, 1.0, 2.0], b=[[1.0, 2.0]])
+    T = 1.5 + gap
+    bumps = [(0.3, 0.45), (1.0, 0.5), (0.6, 0.55)]
+    initial = [lambda x, a=a, c=c: a * math.exp(-(((x - c) / 0.1) ** 2)) for a, c in bumps]
+    grid = GridSpec(N=200, cfl=0.9, T=T)
+    w0 = StateField(np.array([[f(x) for x in grid.xs] for f in initial]), 0.0, grid.xs)
+    law = synthesize_feedback(spec, T, w0)
+    w = exact_closed_loop(spec, law, initial)
+    settled = (T + law.Topt) / 2
+    xs = np.linspace(0.0, 1.0, 51)
+    assert law.Topt == 1.5 and law.reads == ((1, 2, 0.5),)
+    for t in np.linspace(settled, T, 101):
+        assert all(w(c, t, x) == 0.0 for c in (1, 2, 3) for x in xs)
+    for t in settled - gap * np.array([1e-3, 1e-2, 1e-1]):
+        assert any(w(c, t, x) != 0.0 for c in (1, 2, 3) for x in xs)
+
+
 QL_SPEEDS = [1.0, "1 + 0.1*w2**2", "2 + 0.1*w3**2"]  # 1x2, T_opt = 1.5 at w = 0
 QL_B = [[1.0, 2.0]]
 
@@ -285,8 +362,7 @@ def test_quasilinear_read_positions_match_characteristic_flow(amps, centres, N):
         return np.array([np.interp(x, state.xs, row) for row in state.values])
 
     ref = characteristic_flow(spec, 2, s=delay, xi=0.0, t=0.0, state=frozen)
-    assert not ref.exited
-    assert abs(position - ref.position) <= 1e-6
+    assert abs(position - ref) <= 1e-6
 
 
 def test_quasilinear_law_interpolates_the_state_once_per_call(monkeypatch):

@@ -292,38 +292,36 @@ def test_flow_start_outside_domain_refused():
 
 def test_flow_constant_leftward():
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.0]])
-    res = characteristic_flow(spec, 2, s=0.0, xi=1.0, t=1.0)
-    assert res.position == pytest.approx(0.0, abs=1e-9)
-    assert not res.exited
+    assert characteristic_flow(spec, 2, s=0.0, xi=1.0, t=1.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_flow_affine_rightward_exponential():
     spec = build_system(1, 1, ["1 + x", 3.0], b=[[0.0]])
-    res = characteristic_flow(spec, 1, s=0.0, xi=0.0, t=np.log(2.0))
-    assert res.position == pytest.approx(1.0, abs=1e-7)
+    position = characteristic_flow(spec, 1, s=0.0, xi=0.0, t=np.log(2.0))
+    assert type(position) is float and position == pytest.approx(1.0, abs=1e-7)
 
 
 def test_flow_quasilinear_zero_state_reduction():
     spec = build_system(1, 1, [1.0, "1 + w2**2"], b=[[0.0]])
     accessor = lambda t, x: np.zeros(2)
-    res = characteristic_flow(spec, 2, s=0.0, xi=1.0, t=0.5, state=accessor)
-    assert res.position == pytest.approx(0.5, abs=1e-9)
+    position = characteristic_flow(spec, 2, s=0.0, xi=1.0, t=0.5, state=accessor)
+    assert position == pytest.approx(0.5, abs=1e-9)
 
 
-def test_flow_exit_reporting():
+def test_flow_leaving_the_domain_is_refused():
+    # from x = 0.5 at speed 1 each characteristic crosses its side at |t| = 0.5
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.0]])
-    res = characteristic_flow(spec, 2, s=0.0, xi=0.5, t=1.0)
-    assert res.exited and res.exit_side == 0.0
-    assert res.exit_time == pytest.approx(0.5, abs=1e-9)
-    with pytest.raises(FlowLeftDomain):
-        characteristic_flow(spec, 2, s=0.0, xi=0.5, t=1.0, clip=False)
+    for j, side, t in [(2, 0, 1.0), (1, 1, 1.0), (2, 1, -1.0)]:
+        crossing = rf"component {j} left the domain through x = {side} at t = {t / 2:g}$"
+        with pytest.raises(FlowLeftDomain, match=crossing):
+            characteristic_flow(spec, j, s=0.0, xi=0.5, t=t)
 
 
 def test_flow_backward_in_time():
     spec = build_system(1, 1, [1.0, 1.0], b=[[0.0]])
     # leftward component reaching x=0 at time 0.5 was at 0.5 at time 0
-    res = characteristic_flow(spec, 2, s=0.5, xi=0.0, t=0.0)
-    assert res.position == pytest.approx(0.5, abs=1e-9)
+    assert characteristic_flow(spec, 2, s=0.5, xi=0.0, t=0.0) == pytest.approx(0.5, abs=1e-9)
+    assert characteristic_flow(spec, 2, s=0.3, xi=0.4, t=0.3) == 0.4  # no step for t = s
 
 
 # --------------------------------------------------------------------------- #

@@ -17,12 +17,14 @@ No task passes ``--snap-times`` either, so every ``simulate`` task also
 runs once more with ``--snap-times 0.5,1`` added, under
 ``WORKLOAD/TASK:snap-times``: the run that keeps the snapshot series.
 The workloads give speeds as numbers and expressions and the coupling as
-``[coupling] matrix`` alone, so ``OWN_CONFIGS`` adds three fixed configs, written
+``[coupling] matrix`` alone, so ``OWN_CONFIGS`` adds four fixed configs, written
 under WORKDIR/own: sampled speeds (``lambda{i}_x``, ``lambda{i}_values``),
 per-entry coupling ``c{i}_{j}`` mixing constant and x-dependent entries, and
 a coupling with a nonzero diagonal, whose kernel runs on the gauged system's
-sampled coupling.  Each runs ``simulate``, ``kernel`` and
-``dual --use-kernel 32``, under ``own/NAME:COMMAND``.
+sampled coupling, each run by ``simulate``, ``kernel`` and
+``dual --use-kernel 32``; and the sampled speeds without coupling, run by
+``simulate`` and ``feedback``, the law on travel times that no power of two
+gives exactly.  Each run is hashed under ``own/NAME:COMMAND``.
 A ``dual_terminal.csv`` is hashed with every state value below
 ``DUAL_FLOOR`` times its task's max |observation| (``observation.csv``)
 written as 0.0: the dual runs the benchmark makes end at a state of
@@ -62,8 +64,8 @@ v2 = 0.5*exp(-((x - 0.4)/0.1)**2)
 v3 = 0.7*exp(-((x - 0.6)/0.1)**2)
 """
 
-OWN_CONFIGS = {
-    "sampled-speeds": """
+KERNEL_RUNS = {"simulate": [], "kernel": [], "dual": ["--use-kernel", "32"]}
+SAMPLED_SPEEDS = """
 [speeds]
 k = 1
 m = 2
@@ -73,13 +75,16 @@ lambda2_x = 0, 0.5, 1
 lambda2_values = 0.8, 1.0, 0.9
 lambda3 = 2 - 0.25*x
 
-[coupling]
-matrix = 0 0.2 0.1; 0.15 0 0.2; 0.1 0.25 0
-
 [boundary]
 b = 1 2
-""",
-    "entry-coupling": """
+"""
+# name: (the commands it runs with their arguments, the config's own sections)
+OWN_CONFIGS = {
+    "sampled-speeds": (KERNEL_RUNS, SAMPLED_SPEEDS + """
+[coupling]
+matrix = 0 0.2 0.1; 0.15 0 0.2; 0.1 0.25 0
+"""),
+    "entry-coupling": (KERNEL_RUNS, """
 [speeds]
 k = 2
 m = 1
@@ -97,8 +102,8 @@ gamma = 0.8
 
 [boundary]
 b = 0.5; -0.25
-""",
-    "diagonal-coupling": """
+"""),
+    "diagonal-coupling": (KERNEL_RUNS, """
 [speeds]
 k = 1
 m = 2
@@ -116,9 +121,9 @@ c3_3 = 0.3
 
 [boundary]
 b = 1 2
-""",
+"""),
+    "uncoupled-sampled-speeds": ({"simulate": [], "feedback": ["--T", "2.5"]}, SAMPLED_SPEEDS),
 }
-OWN_RUNS = {"simulate": [], "kernel": [], "dual": ["--use-kernel", "32"]}
 
 
 def _sha(data: bytes) -> str:
@@ -218,10 +223,10 @@ def main(argv=None) -> int:
                 result[f"{config}:{command}"] = _run([command, "--config", config, "--json"])
                 result[f"{config}:{command}:text"] = _run([command, "--config", config])
     Path("own").mkdir(exist_ok=True)
-    for name, text in OWN_CONFIGS.items():
+    for name, (runs, text) in OWN_CONFIGS.items():
         config = Path("own", f"{name}.cfg")
         config.write_text(text + _GRID_AND_DATA)
-        for command, args in OWN_RUNS.items():
+        for command, args in runs.items():
             task = {"command": command, "config": str(config),
                     "out": f"own/{name}-{command}", "args": args}
             result[f"own/{name}:{command}"] = _cli(task)
